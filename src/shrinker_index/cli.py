@@ -125,8 +125,9 @@ def _cmd_spectrum(args):
     if args.count < 1:
         raise UsageError("--count must be positive")
     crv = curve_mod.read_curve(args.curve)
-    if args.count > crv.M:
-        raise UsageError("--count exceeds the number of curve points")
+    if args.count >= crv.M:
+        raise UsageError(
+            "--count must be less than the number of curve points")
     normals = stability.normal_field(crv)
     L0 = stability.assemble_L0(crv, normals)
     modes = spectral.spectrum(stability.assemble_Lk(L0, crv, args.k),
@@ -153,7 +154,7 @@ def _cmd_index(args):
         crv = curve_mod.read_curve(args.curve)
     else:
         crv = solver.solve_geodesic(_solve_config(args))
-    report = spectral.compute_index(crv, count=min(args.count, crv.M))
+    report = spectral.compute_index(crv, count=args.count)
     print("index %d (%d negative, %d excluded)"
           % (report.index, report.total_negative,
              sum(e["multiplicity"] for e in report.excluded)))
@@ -238,6 +239,9 @@ def _cmd_render(args):
     if args.j is not None:
         if args.j < 0:
             raise UsageError("--j must be nonnegative")
+        if args.j + 1 >= crv.M:
+            raise UsageError("--j must be less than the number of curve "
+                             "points minus 1")
         normals = stability.normal_field(crv)
         L0 = stability.assemble_L0(crv, normals)
         modes = spectral.spectrum(stability.assemble_Lk(L0, crv, args.k),

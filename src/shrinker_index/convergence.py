@@ -23,10 +23,10 @@ Richardson extrapolation from the two finest resolutions.
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from . import curve as curve_mod
 from . import solver
+from . import spectral
 from . import stability
 
 #: Default resolutions of a study.
@@ -157,9 +157,9 @@ def _eig_tables(m_values, k_list, j_max, config_base=None, progress=None):
         L0 = stability.assemble_L0(crv, normals)
         per_k = {}
         for k in k_list:
-            Lk = stability.assemble_Lk(L0, crv, k)
-            per_k[k] = scipy.linalg.eigh(Lk.entries, eigvals_only=True,
-                                         subset_by_index=(0, j_max))
+            modes = spectral.spectrum(stability.assemble_Lk(L0, crv, k),
+                                      j_max + 1)
+            per_k[k] = [md.eigenvalue for md in modes]
         tables[m] = per_k
         if progress is not None:
             progress(m)

@@ -20,13 +20,17 @@ import dataclasses
 import json
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from . import metric
 from . import stability
 
 #: |cosine| threshold for matching an eigenfunction to a known template.
 CLASSIFY_COSINE = 0.999
+
+#: Seed of ARPACK's restart vectors, fixed for bitwise-repeatable spectra.
+ARPACK_SEED = 20240817
 
 #: The k loop of the index computation stops once the smallest eigenvalue
 #: clears this margin; eigenvalues grow monotonically with k.
@@ -47,22 +51,6 @@ class EigenMode:
     vector: np.ndarray
     residual: float
     label: str = "generic"
-
-
-def _cyclic_bands(entries):
-    """Diagonal and cyclic superdiagonal if the matrix is banded, else None.
-
-    up[m] = A[m, m+1 mod M]; up[-1] is the corner entry.
-    """
-    m = entries.shape[0]
-    i = np.arange(m)
-    rest = entries.copy()
-    rest[i, i] = 0.0
-    rest[i, (i + 1) % m] = 0.0
-    rest[(i + 1) % m, i] = 0.0
-    if rest.any():
-        return None
-    return entries[i, i], entries[i, (i + 1) % m]
 
 
 def _band_matvec(diag, up, vecs):
@@ -118,7 +106,7 @@ def _cyclic_solve(diag, up, shifts, rhs):
 def _refine_pairs(diag, up, vals, vecs, steps=2):
     """Polish eigenpairs by inverse iteration in extended precision.
 
-    LAPACK pairs carry residual ~ eps ||A||, which at M = 2048 exceeds the
+    ARPACK pairs carry residual ~ eps ||A||, which at M = 2048 exceeds the
     1e-10 contract (||A|| ~ 1e6 there).  Two inverse-iteration steps on the
     cyclic tridiagonal bands in 80-bit arithmetic push the pair to the
     limit a float64 vector can represent; the reported eigenvalue is the
@@ -151,24 +139,29 @@ def _refine_pairs(diag, up, vals, vecs, steps=2):
 
 
 def spectrum(matrix, count):
-    """Lowest `count` eigenpairs of a StabilityMatrix, ascending.
+    """Lowest `count` (1..M-1) eigenpairs of a StabilityMatrix, ascending.
 
-    Dense symmetric solve, then an extended-precision polish of each pair
-    (the operators are cyclic tridiagonal, so the polish is O(M) per
-    mode).  Eigenvectors are unit norm with the largest-magnitude entry
-    positive; residual is the true ||A u - lambda u||_2 of the returned
-    pair.
+    Shift-invert Lanczos (ARPACK) on the bands, shifted one below the
+    Gershgorin bound so the modes nearest the shift are the lowest, then
+    an extended-precision polish, O(M) per mode.  A fixed start vector and
+    restart seed make repeated calls bitwise identical.  Eigenvectors are
+    unit norm with the largest-magnitude entry positive; residual is the
+    true ||A u - lambda u||_2 of the returned pair.
     """
-    if count < 1 or count > matrix.M:
-        raise ValueError("count must be in 1..M")
-    vals, vecs = scipy.linalg.eigh(matrix.entries,
-                                   subset_by_index=(0, count - 1))
-    bands = _cyclic_bands(matrix.entries)
-    if bands is not None:
-        vals, vecs, resids = _refine_pairs(bands[0], bands[1], vals, vecs)
-    else:
-        resids = np.linalg.norm(matrix.entries @ vecs - vecs * vals[None, :],
-                                axis=0)
+    m = matrix.M
+    if count < 1 or count >= m:
+        raise ValueError("count must be in 1..M-1")
+    diag, up = matrix.diag, matrix.up
+    shift = float(np.min(diag - np.abs(up) - np.abs(np.roll(up, 1)))) - 1.0
+    i = np.arange(m)
+    a = scipy.sparse.csc_matrix(
+        (np.concatenate([diag, up, up]),
+         (np.concatenate([i, i, (i + 1) % m]),
+          np.concatenate([i, (i + 1) % m, i]))), shape=(m, m))
+    vals, vecs = scipy.sparse.linalg.eigsh(
+        a, k=count, sigma=shift, which="LM", v0=np.ones(m),
+        rng=ARPACK_SEED)
+    vals, vecs, resids = _refine_pairs(diag, up, vals, vecs)
     order = np.argsort(vals, kind="stable")
     modes = []
     for j, col in enumerate(order):
@@ -266,20 +259,31 @@ def compute_index(curve, count=8, stop_margin=INDEX_STOP_MARGIN, k_cap=64):
 
     Walks k = 0, 1, 2, ... until the smallest eigenvalue exceeds
     stop_margin (they are monotone in k), counting negative eigenvalues
-    with multiplicity.  Raises ExclusionMismatch unless exactly one
+    with multiplicity.  While the last of the `count` modes at a k is
+    negative the count doubles (up to M - 1, else ExclusionMismatch), so
+    no negative mode is dropped.  Raises ExclusionMismatch unless exactly one
     negative dilation mode (k = 0), one negative vertical translation
     (k = 0) and one negative horizontal translation (k = 1, multiplicity
     2) are found.
     """
     normals = stability.normal_field(curve)
     L0 = stability.assemble_L0(curve, normals)
+    cap = curve.M - 1
     per_k = []
     excluded = []
     found = {"dilation": 0, "vertical_translation": 0,
              "horizontal_translation": 0}
     total = 0
     for k in range(k_cap + 1):
-        modes = spectrum(stability.assemble_Lk(L0, curve, k), count)
+        Lk = stability.assemble_Lk(L0, curve, k)
+        n = min(count, cap)
+        modes = spectrum(Lk, n)
+        while modes[-1].eigenvalue < 0.0:
+            if n == cap:
+                raise ExclusionMismatch(
+                    "all %d computed modes at k = %d are negative" % (n, k))
+            n = min(2 * n, cap)
+            modes = spectrum(Lk, n)
         classify_modes(modes, curve, normals)
         mult = 1 if k == 0 else 2
         negative = [m for m in modes if m.eigenvalue < 0.0]

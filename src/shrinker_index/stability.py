@@ -8,8 +8,9 @@ revolution at rotational mode k = 0,
 
     -L_0 = (M / l) N^T H N,
 
-an M x M symmetric cyclic tridiagonal matrix (N is the 2M x M block-diagonal
-matrix of the normals).  Higher Fourier modes shift the diagonal:
+a symmetric cyclic tridiagonal operator, stored as its two bands (N is the
+2M x M block-diagonal matrix of the normals).  Higher Fourier modes shift
+the diagonal:
 
     -L_k = -L_0 + k^2 diag(1 / r_m^2).
 
@@ -51,14 +52,15 @@ class NormalField:
 
 @dataclasses.dataclass
 class StabilityMatrix:
-    """Dense symmetric -L_k with its Fourier mode number."""
+    """Bands of -L_k at mode k: diag[m] = A[m, m], up[m] = A[m, m+1 mod M]."""
 
     k: int
-    entries: np.ndarray
+    diag: np.ndarray
+    up: np.ndarray
 
     @property
     def M(self):
-        return self.entries.shape[0]
+        return len(self.diag)
 
 
 def _point_blocks(points):
@@ -130,21 +132,13 @@ def assemble_L0(curve, normals):
     _, blocks = _point_blocks(points)
     diag, off = _reduced_tridiagonal(blocks, normals.normals)
     scale = m_count / blocks["dist"].sum()
-
-    a = np.zeros((m_count, m_count))
-    i = np.arange(m_count)
-    j = (i + 1) % m_count
-    a[i, i] = scale * diag
-    a[i, j] = scale * off
-    a[j, i] = scale * off
-    a = 0.5 * (a + a.T)
-    return StabilityMatrix(k=0, entries=a)
+    return StabilityMatrix(k=0, diag=scale * diag, up=scale * off)
 
 
 def assemble_Lk(L0, curve, k):
     """-L_k from -L_0 by the diagonal shift k^2 / r_m^2.
 
-    k = 0 returns L0 unchanged.
+    k = 0 returns L0 unchanged; otherwise the result shares L0's `up` band.
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError("mode number k must be a nonnegative integer")
@@ -154,10 +148,8 @@ def assemble_Lk(L0, curve, k):
         raise ValueError("operator size does not match curve")
     if k == 0:
         return L0
-    a = L0.entries.copy()
-    i = np.arange(curve.M)
-    a[i, i] += (k * k) / (curve.r ** 2)
-    return StabilityMatrix(k=int(k), entries=a)
+    return StabilityMatrix(k=int(k), diag=L0.diag + (k * k) / curve.r ** 2,
+                           up=L0.up)
 
 
 def assemble_Lk_ode(curve, k):
@@ -183,13 +175,5 @@ def assemble_Lk_ode(curve, k):
     r = curve.r
 
     diag = 2.0 * s * s / dt**2 - 1.0 - (1.0 - k * k) / (r * r)
-    off = -s * np.roll(s, -1) / dt**2
-
-    a = np.zeros((m_count, m_count))
-    i = np.arange(m_count)
-    j = (i + 1) % m_count
-    a[i, i] = diag
-    a[i, j] = off
-    a[j, i] = off
-    a = 0.5 * (a + a.T)
-    return StabilityMatrix(k=int(k), entries=a)
+    up = -s * np.roll(s, -1) / dt**2
+    return StabilityMatrix(k=int(k), diag=diag, up=up)

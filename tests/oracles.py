@@ -1,9 +1,11 @@
 """Independent oracles used only by the tests.
 
-Two things live here: a high-precision finite-difference evaluation of the
-segment-distance derivatives (mpmath, so truncation error dominates and the
-1e-6 comparison is meaningful), and a deliberately naive full-size assembly
-of -L_0 that materializes the 2M x 2M Hessian the production code avoids.
+Three things live here: a high-precision finite-difference evaluation of
+the segment-distance derivatives (mpmath, so truncation error dominates and
+the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
+of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
+and the dense M x M form of a banded operator, so the tests can check the
+bands and the sparse eigensolver against LAPACK.
 """
 
 import mpmath as mp
@@ -111,3 +113,15 @@ def full_L0(curve, normals):
         N[2 * m:2 * m + 2, m] = normals.normals[m]
     A = (m_count / total) * (N.T @ H @ N)
     return 0.5 * (A + A.T)
+
+
+def dense(matrix):
+    """The M x M array of a StabilityMatrix, built from its two bands."""
+    m_count = matrix.M
+    a = np.zeros((m_count, m_count))
+    i = np.arange(m_count)
+    j = (i + 1) % m_count
+    a[i, i] = matrix.diag
+    a[i, j] = matrix.up
+    a[j, i] = matrix.up
+    return a

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import scipy.linalg
 
+import oracles
 from shrinker_index import (DiscreteCurve, compute_index, discrete_length,
                             drift_diagnostic, potential_profile)
 from shrinker_index.asymptotics import high_k_estimate
@@ -86,7 +87,7 @@ def test_05_discretization_cross_check(pipe, note):
     worst = 0.0
     for k in range(4):
         ode = assemble_Lk_ode(crv, k)
-        lam_ode = scipy.linalg.eigh(ode.entries, eigvals_only=True,
+        lam_ode = scipy.linalg.eigh(oracles.dense(ode), eigvals_only=True,
                                     subset_by_index=(0, 3))
         worst = max(worst, np.max(np.abs(lam_ode
                                          - pipe.eigenvalues(2048, k, 4))))
@@ -98,7 +99,7 @@ def test_05_discretization_cross_check(pipe, note):
 def test_06_quadratic_form_identity(pipe, note):
     crv = pipe.curve(2048)
     nf = pipe.normals(2048)
-    a = pipe.L0(2048).entries
+    a = oracles.dense(pipe.L0(2048))
     ell = discrete_length(crv)
     rng = np.random.default_rng(20240818)
     h = 1e-4

@@ -133,6 +133,21 @@ def test_usage_errors(argv, needle, capsys):
     assert needle in captured.err
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["spectrum", "--count", "64"],
+     "--count must be less than the number of curve points"),
+    (["render", "--j", "63", "--out", "p"],
+     "--j must be less than the number of curve points minus 1"),
+])
+def test_mode_count_limited_by_curve_size(curve_csv, argv, needle, capsys):
+    # the eigensolver computes at most M - 1 modes of an M-point curve
+    rc = main(argv[:1] + ["--curve", curve_csv] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error: usage:")
+    assert needle in captured.err
+
+
 def test_asymptotics_outputs(curve_csv, tmp_path, capsys):
     out = tmp_path / "asy"
     rc = main(["asymptotics", "--curve", curve_csv, "--j-max", "10",

@@ -1,12 +1,20 @@
 """Spectrum computation, mode labeling and the index count."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from shrinker_index import (assemble_L0, assemble_Lk, compute_index,
-                            normal_field, spectrum)
+import oracles
+import shrinker_index
+from shrinker_index import (StabilityMatrix, assemble_L0, assemble_Lk,
+                            compute_index, normal_field, spectrum,
+                            write_curve)
+from shrinker_index import stability
 from shrinker_index.curve import DiscreteCurve, canonicalize, reflect_z
 from shrinker_index.metric import sigma
 from shrinker_index.spectral import (ExclusionMismatch, classify_modes,
@@ -16,7 +24,7 @@ from shrinker_index.spectral import (ExclusionMismatch, classify_modes,
 def test_residuals_small(pipe):
     for k in range(4):
         modes = pipe.modes(512, k, 8)
-        a = pipe.Lk(512, k).entries
+        a = oracles.dense(pipe.Lk(512, k))
         for md in modes:
             assert md.residual < 1e-10
             # residual field is honest: recompute it
@@ -43,6 +51,63 @@ def test_spectrum_count_validation(pipe):
         spectrum(L0, 65)
 
 
+def test_spectrum_matches_lapack(pipe):
+    # shift-invert on the bands against a dense LAPACK solve of the same
+    # operator, including the 201-mode drift spectrum and count = M - 1
+    cases = [(512, k, 8) for k in range(4)] + [(512, 0, 201), (64, 0, 63)]
+    for m, k, count in cases:
+        a = pipe.Lk(m, k)
+        lam = [md.eigenvalue for md in spectrum(a, count)]
+        ref = scipy.linalg.eigvalsh(oracles.dense(a),
+                                    subset_by_index=(0, count - 1))
+        assert np.max(np.abs(lam - ref)) <= 1e-9
+    with pytest.raises(ValueError):
+        spectrum(pipe.L0(64), 64)
+
+
+def test_spectrum_repeats_bitwise(pipe):
+    a = pipe.Lk(512, 1)
+    first = spectrum(a, 8)
+    second = spectrum(a, 8)
+    for p, q in zip(first, second):
+        assert p.eigenvalue == q.eigenvalue
+        assert p.residual == q.residual
+        assert np.array_equal(p.vector, q.vector)
+
+
+_SPECTRA_SCRIPT = """
+import sys
+import numpy as np
+from shrinker_index import (assemble_L0, assemble_Lk, normal_field,
+                            read_curve, spectrum)
+crv = read_curve(sys.argv[1])
+L0 = assemble_L0(crv, normal_field(crv))
+modes = [md for k in range(4) for md in spectrum(assemble_Lk(L0, crv, k), 8)]
+np.save(sys.argv[2], np.concatenate(
+    [[md.eigenvalue for md in modes]] + [md.vector for md in modes]))
+"""
+
+
+def test_low_spectra_identical_across_thread_counts(pipe, tmp_path):
+    # the 8-mode spectra carry no BLAS-order dependence; the 201-mode
+    # drift spectrum is not covered by this guarantee
+    curve_path = tmp_path / "curve1024.csv"
+    write_curve(pipe.curve(1024), str(curve_path))
+    src = os.path.dirname(os.path.dirname(shrinker_index.__file__))
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / ("spectra%s.npy" % threads)
+        subprocess.run([sys.executable, "-c", _SPECTRA_SCRIPT,
+                        str(curve_path), str(out)],
+                       env=env, check=True, timeout=300)
+        results.append(np.load(out))
+    assert results[0].shape == (32 + 32 * 1024,)
+    assert np.array_equal(results[0], results[1])
+
+
 def test_labels_low_modes(pipe):
     crv = pipe.curve(256)
     nf = pipe.normals(256)
@@ -58,7 +123,7 @@ def test_sigma_inverse_near_kernel(pipe):
     # 1/sigma along the curve is an almost-eigenvector of -L_1 with
     # eigenvalue -1
     crv = pipe.curve(1024)
-    a = pipe.Lk(1024, 1).entries
+    a = oracles.dense(pipe.Lk(1024, 1))
     u = 1.0 / sigma(crv.points)
     u /= np.linalg.norm(u)
     assert np.linalg.norm(a @ u + u) < 1e-3
@@ -107,6 +172,25 @@ def test_index_report(pipe):
     assert parsed["total"] == 9
     assert parsed["per_k"][0]["k"] == 0
     assert len(parsed["per_k"][0]["negative_eigenvalues"]) == 3
+
+
+def test_index_raises_count_instead_of_truncating(pipe):
+    # k = 0 has 3 negative modes; a count of 2 must grow, not drop one
+    rep = compute_index(pipe.curve(256), count=2)
+    assert rep.index == 5
+    assert rep.total_negative == 9
+    assert sum(e["multiplicity"] for e in rep.excluded) == 4
+    assert [len(vals) for _, vals in rep.per_k][:3] == [3, 2, 1]
+
+
+def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
+    # an operator pushed far down has more negative modes than the M - 1
+    # the eigensolver can return; the count must fail, not truncate
+    def sunk(L0, curve, k):
+        return StabilityMatrix(k=k, diag=L0.diag - 1e9, up=L0.up)
+    monkeypatch.setattr(stability, "assemble_Lk", sunk)
+    with pytest.raises(ExclusionMismatch):
+        compute_index(pipe.curve(64))
 
 
 def test_index_requires_recognizable_exclusions():

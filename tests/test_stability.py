@@ -20,18 +20,18 @@ from shrinker_index.stability import (AmbiguousNormal, _normals,
 def test_matches_full_hessian_assembly(pipe):
     crv = pipe.curve(128)
     full = oracles.full_L0(crv, pipe.normals(128))
-    fast = pipe.L0(128).entries
+    fast = oracles.dense(pipe.L0(128))
     rel = np.linalg.norm(full - fast) / np.linalg.norm(full)
     assert rel < 1e-13
 
 
 def test_operator_symmetric_bitwise(pipe):
-    a = pipe.L0(128).entries
+    a = oracles.dense(pipe.L0(128))
     assert np.array_equal(a, a.T)
 
 
 def test_operator_is_cyclic_tridiagonal(pipe):
-    a = pipe.L0(64).entries
+    a = oracles.dense(pipe.L0(64))
     m = 64
     mask = np.zeros((m, m), dtype=bool)
     i = np.arange(m)
@@ -47,15 +47,16 @@ def test_mode_shift_structure(pipe):
     L1 = assemble_Lk(L0, crv, 1)
     L2 = assemble_Lk(L0, crv, 2)
     i = np.arange(128)
-    off1 = L1.entries.copy()
-    off2 = L2.entries.copy()
+    off1 = oracles.dense(L1).copy()
+    off2 = oracles.dense(L2).copy()
     off1[i, i] = 0.0
     off2[i, i] = 0.0
     # off-diagonals never change with k
     assert np.array_equal(off1, off2)
-    assert np.array_equal(off1, L0.entries - np.diag(np.diag(L0.entries)))
+    assert np.array_equal(off1, oracles.dense(L0)
+                          - np.diag(np.diag(oracles.dense(L0))))
     # diagonal moves by (k^2 - k'^2) / r^2
-    shift = np.diag(L2.entries) - np.diag(L1.entries)
+    shift = np.diag(oracles.dense(L2)) - np.diag(oracles.dense(L1))
     assert np.allclose(shift, 3.0 / crv.r**2, rtol=1e-12, atol=0)
     assert L2.k == 2 and L1.k == 1 and L0.k == 0
 
@@ -129,8 +130,8 @@ def test_reflection_flips_normals_bitwise(pipe):
 def test_reflection_preserves_operator_bitwise(pipe):
     crv = pipe.curve(128)
     mirrored = reflect_z(crv)
-    a_ref = assemble_L0(mirrored, normal_field(mirrored)).entries
-    assert np.array_equal(a_ref, pipe.L0(128).entries)
+    a_ref = oracles.dense(assemble_L0(mirrored, normal_field(mirrored)))
+    assert np.array_equal(a_ref, oracles.dense(pipe.L0(128)))
 
 
 def test_ambiguous_normal_raises():
@@ -150,7 +151,7 @@ def test_ode_stencil_on_constant_input(pipe):
     dt = discrete_length(crv) / crv.M
     lap = (np.roll(s, -1) - 2.0 * s + np.roll(s, 1)) / dt**2
     expected = -s * lap - 1.0 - (1.0 - k * k) / crv.r**2
-    assert np.allclose(a.entries @ np.ones(crv.M), expected,
+    assert np.allclose(oracles.dense(a) @ np.ones(crv.M), expected,
                        rtol=0, atol=1e-9)
 
 
@@ -159,7 +160,7 @@ def test_ode_cross_check_eigenvalues(pipe):
     # bottom of the spectrum
     for k in range(4):
         ode = assemble_Lk_ode(pipe.curve(512), k)
-        lam_ode = scipy.linalg.eigh(ode.entries, eigvals_only=True,
+        lam_ode = scipy.linalg.eigh(oracles.dense(ode), eigvals_only=True,
                                     subset_by_index=(0, 3))
         lam_hess = pipe.eigenvalues(512, k, 4)
         assert np.max(np.abs(lam_ode - lam_hess)) < 5e-3
