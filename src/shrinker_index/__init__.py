@@ -11,12 +11,12 @@ as independent validation.
 
 from .curve import (DiscreteCurve, discrete_length, read_curve,
                     resample_uniform, write_curve)
-from .metric import segment_derivatives, segment_distance, sigma
+from .metric import segment_distance, sigma
 from .solver import CurveCollapse, NonConvergence, SolveConfig, solve_geodesic
 from .stability import (AmbiguousNormal, NormalField, StabilityMatrix,
                         assemble_L0, assemble_Lk, assemble_Lk_ode,
                         normal_field)
-from .spectral import (EigenMode, ExclusionMismatch, IndexReport, classify,
+from .spectral import (EigenMode, ExclusionMismatch, IndexReport, Pipeline,
                        compute_index, spectrum)
 from .convergence import (ConvergenceStudy, DegenerateFit, fit_loglog,
                           run_study, table_report)
@@ -28,11 +28,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousNormal", "ConvergenceStudy", "CurveCollapse", "DegenerateFit",
     "DiscreteCurve", "EigenMode", "ExclusionMismatch", "IndexReport",
-    "NoWell", "NonConvergence", "NormalField", "SchrodingerProfile",
-    "SolveConfig", "StabilityMatrix", "assemble_L0", "assemble_Lk",
-    "assemble_Lk_ode", "classify", "compute_index", "discrete_length",
+    "NoWell", "NonConvergence", "NormalField", "Pipeline",
+    "SchrodingerProfile", "SolveConfig", "StabilityMatrix", "assemble_L0",
+    "assemble_Lk", "assemble_Lk_ode", "compute_index", "discrete_length",
     "drift_diagnostic", "fit_loglog", "high_j_estimate", "high_k_estimate",
     "normal_field", "potential_profile", "read_curve", "resample_uniform",
-    "run_study", "segment_derivatives", "segment_distance", "sigma",
+    "run_study", "segment_distance", "sigma",
     "solve_geodesic", "spectrum", "table_report", "write_curve",
 ]

@@ -37,7 +37,6 @@ import numpy as np
 from . import curve as curve_mod
 from . import metric
 from . import spectral
-from . import stability
 
 
 class NoWell(RuntimeError):
@@ -138,10 +137,7 @@ def drift_diagnostic(curve, k, j_max, eigenvalues=None):
         raise ValueError("j_max must be at least 10 for the decade fit")
     profile = potential_profile(curve, k)
     if eigenvalues is None:
-        normals = stability.normal_field(curve)
-        L0 = stability.assemble_L0(curve, normals)
-        Lk = stability.assemble_Lk(L0, curve, k)
-        modes = spectral.spectrum(Lk, 2 * j_max + 1)
+        modes = spectral.Pipeline(curve).modes(k, 2 * j_max + 1)
         eigenvalues = [m.eigenvalue for m in modes]
     if len(eigenvalues) < 2 * j_max + 1:
         raise ValueError("need at least 2 j_max + 1 eigenvalues")

@@ -128,11 +128,7 @@ def _cmd_spectrum(args):
     if args.count >= crv.M:
         raise UsageError(
             "--count must be less than the number of curve points")
-    normals = stability.normal_field(crv)
-    L0 = stability.assemble_L0(crv, normals)
-    modes = spectral.spectrum(stability.assemble_Lk(L0, crv, args.k),
-                              args.count)
-    spectral.classify_modes(modes, crv, normals)
+    modes = spectral.Pipeline(crv).modes(args.k, args.count)
     report = json.dumps(spectral.spectrum_report(crv, modes), indent=2)
     if args.out:
         _write(args.out, report + "\n")
@@ -203,6 +199,9 @@ def _cmd_asymptotics(args):
     if args.j_max < 10:
         raise UsageError("--j-max must be at least 10")
     crv = curve_mod.read_curve(args.curve)
+    if 2 * args.j_max + 1 >= crv.M:
+        raise UsageError(
+            "--j-max must be less than half the number of curve points")
     os.makedirs(args.out, exist_ok=True)
     profile = asymptotics.potential_profile(crv, args.k)
     _write(os.path.join(args.out, "profile_k%d.csv" % args.k),
@@ -213,13 +212,11 @@ def _cmd_asymptotics(args):
     print("V_avg %.17g length %.17g drift_exponent %.4f"
           % (profile.V_avg, profile.euclidean_length, diag.exponent))
     if args.k_scan >= 2:
-        normals = stability.normal_field(crv)
-        L0 = stability.assemble_L0(crv, normals)
+        pipe = spectral.Pipeline(crv)
         lines = ["k,lambda0,estimate,deviation"]
         for k in range(2, args.k_scan + 1):
             prof = asymptotics.potential_profile(crv, k)
-            lam0 = spectral.spectrum(stability.assemble_Lk(L0, crv, k),
-                                     1)[0].eigenvalue
+            lam0 = pipe.modes(k, 1)[0].eigenvalue
             est = asymptotics.high_k_estimate(prof, 0)
             lines.append("%d,%.17g,%.17g,%.17g"
                          % (k, lam0, est, lam0 - est))
@@ -242,11 +239,9 @@ def _cmd_render(args):
         if args.j + 1 >= crv.M:
             raise UsageError("--j must be less than the number of curve "
                              "points minus 1")
-        normals = stability.normal_field(crv)
-        L0 = stability.assemble_L0(crv, normals)
-        modes = spectral.spectrum(stability.assemble_Lk(L0, crv, args.k),
-                                  args.j + 1)
-        mode = modes[args.j].vector
+        pipe = spectral.Pipeline(crv)
+        mode = pipe.modes(args.k, args.j + 1)[args.j].vector
+        normals = pipe.normals
     _write(args.out + ".svg",
            render.svg_cross_section(crv, mode=mode, normals=normals,
                                     epsilon=args.epsilon))

@@ -27,7 +27,6 @@ import numpy as np
 from . import curve as curve_mod
 from . import solver
 from . import spectral
-from . import stability
 
 #: Default resolutions of a study.
 DEFAULT_M = (128, 256, 512, 1024, 2048)
@@ -153,14 +152,9 @@ def _eig_tables(m_values, k_list, j_max, config_base=None, progress=None):
         cfg = dataclasses.replace(config_base or solver.SolveConfig(), M=m)
         crv = solver.solve_geodesic(cfg)
         lengths[m] = curve_mod.discrete_length(crv)
-        normals = stability.normal_field(crv)
-        L0 = stability.assemble_L0(crv, normals)
-        per_k = {}
-        for k in k_list:
-            modes = spectral.spectrum(stability.assemble_Lk(L0, crv, k),
-                                      j_max + 1)
-            per_k[k] = [md.eigenvalue for md in modes]
-        tables[m] = per_k
+        pipe = spectral.Pipeline(crv)
+        tables[m] = {k: [md.eigenvalue for md in pipe.modes(k, j_max + 1)]
+                     for k in k_list}
         if progress is not None:
             progress(m)
     return tables, lengths

@@ -137,13 +137,6 @@ def canonicalize(curve):
     return DiscreteCurve(pts)
 
 
-def reflect_z(curve):
-    """Mirror image across the z = 0 axis (same traversal order)."""
-    pts = curve.points.copy()
-    pts[:, 1] = -pts[:, 1]
-    return DiscreteCurve(pts)
-
-
 def write_curve(curve, path):
     """Write CSV with header m,r,z and 17 significant digits."""
     lines = ["m,r,z"]

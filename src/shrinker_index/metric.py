@@ -14,16 +14,13 @@ A closed polygon is measured with the midpoint rule, one segment at a time:
     dist(a, b) = sigma((a + b) / 2) * |b - a|.
 
 This module supplies sigma, its first and second derivatives, and the exact
-gradient and Hessian of dist(a, b) with respect to the four endpoint
-coordinates in the order (a_r, a_z, b_r, b_z).  Everything downstream
-(geodesic solve, stability operators) is built from these blocks, so the
-coordinate ordering here is load-bearing.
+gradient and Hessian of dist(a, b) as per-endpoint blocks with (r, z)
+ordering.  Everything downstream (geodesic solve, stability operators) is
+built from these blocks, so the coordinate ordering here is load-bearing.
 
 Points are numpy arrays whose last axis holds (r, z); all functions
 broadcast over leading axes.
 """
-
-import dataclasses
 
 import numpy as np
 
@@ -85,18 +82,6 @@ def segment_distance(a, b):
     return sigma(mid) * np.linalg.norm(b - a, axis=-1)
 
 
-@dataclasses.dataclass
-class SegmentDerivatives:
-    """Value, gradient (4,) and Hessian (4, 4) of dist(a, b).
-
-    Coordinates are ordered (a_r, a_z, b_r, b_z).
-    """
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
 def segment_blocks(a, b):
     """Derivative blocks of dist(a, b) for stacked segments.
 
@@ -152,20 +137,3 @@ def segment_blocks(a, b):
         "h_ab": quarter + skew - s_proj,
         "h_bb": quarter + sym + s_proj,
     }
-
-
-def segment_derivatives(a, b):
-    """Exact gradient and Hessian of dist(a, b) for a single segment.
-
-    Returns SegmentDerivatives with the (a_r, a_z, b_r, b_z) ordering.
-    """
-    blocks = segment_blocks(np.asarray(a, float)[None, :],
-                            np.asarray(b, float)[None, :])
-    grad = np.concatenate([blocks["grad_a"][0], blocks["grad_b"][0]])
-    hess = np.empty((4, 4))
-    hess[:2, :2] = blocks["h_aa"][0]
-    hess[:2, 2:] = blocks["h_ab"][0]
-    hess[2:, :2] = blocks["h_ab"][0].T
-    hess[2:, 2:] = blocks["h_bb"][0]
-    return SegmentDerivatives(value=float(blocks["dist"][0]),
-                              gradient=grad, hessian=hess)

@@ -23,7 +23,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import curve as curve_mod
@@ -102,14 +101,8 @@ class _State:
 def _newton_direction(state):
     """Solve the reduced cyclic tridiagonal system N^T H N delta = -g."""
     diag, off = stability._reduced_tridiagonal(state.blocks, state.normals)
-    m = len(diag)
-    i = np.arange(m)
-    j = (i + 1) % m
-    rows = np.concatenate([i, i, j])
-    cols = np.concatenate([i, j, i])
-    vals = np.concatenate([diag, off, off])
-    a = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(m, m))
-    return scipy.sparse.linalg.spsolve(a, -state.grad_normal)
+    return scipy.sparse.linalg.spsolve(stability.cyclic_csc(diag, off),
+                                       -state.grad_normal)
 
 
 def solve_geodesic(config=None):

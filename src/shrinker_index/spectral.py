@@ -20,7 +20,6 @@ import dataclasses
 import json
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import metric
@@ -153,14 +152,9 @@ def spectrum(matrix, count):
         raise ValueError("count must be in 1..M-1")
     diag, up = matrix.diag, matrix.up
     shift = float(np.min(diag - np.abs(up) - np.abs(np.roll(up, 1)))) - 1.0
-    i = np.arange(m)
-    a = scipy.sparse.csc_matrix(
-        (np.concatenate([diag, up, up]),
-         (np.concatenate([i, i, (i + 1) % m]),
-          np.concatenate([i, (i + 1) % m, i]))), shape=(m, m))
     vals, vecs = scipy.sparse.linalg.eigsh(
-        a, k=count, sigma=shift, which="LM", v0=np.ones(m),
-        rng=ARPACK_SEED)
+        stability.cyclic_csc(diag, up), k=count, sigma=shift, which="LM",
+        v0=np.ones(m), rng=ARPACK_SEED)
     vals, vecs, resids = _refine_pairs(diag, up, vals, vecs)
     order = np.argsort(vals, kind="stable")
     modes = []
@@ -191,28 +185,41 @@ def _templates(k, curve, normals):
     return {}
 
 
-def classify(mode, curve, normals):
-    """Label an eigenmode by cosine against the known geometric variations.
-
-    Returns one of dilation, vertical_translation, horizontal_translation,
-    rotation, sigma_inverse, generic.  Templates are matched only within
-    the mode's own k.
-    """
-    best_label = "generic"
-    best_cos = CLASSIFY_COSINE
-    for label, shape in _templates(mode.k, curve, normals).items():
-        cos = abs(float(np.dot(mode.vector, shape))) / np.linalg.norm(shape)
-        if cos >= best_cos:
-            best_cos = cos
-            best_label = label
-    return best_label
-
-
 def classify_modes(modes, curve, normals):
-    """Label a list of modes in place; returns the list."""
+    """Label modes in place by cosine against the known geometric variations.
+
+    Labels are dilation, vertical_translation, horizontal_translation,
+    rotation, sigma_inverse and generic.  Templates are matched only within
+    each mode's own k and are built once per k.  Returns the list.
+    """
+    per_k = {}
     for mode in modes:
-        mode.label = classify(mode, curve, normals)
+        if mode.k not in per_k:
+            per_k[mode.k] = [
+                (label, shape, np.linalg.norm(shape))
+                for label, shape in _templates(mode.k, curve, normals).items()]
+        mode.label = "generic"
+        best_cos = CLASSIFY_COSINE
+        for label, shape, norm in per_k[mode.k]:
+            cos = abs(float(np.dot(mode.vector, shape))) / norm
+            if cos >= best_cos:
+                best_cos = cos
+                mode.label = label
     return modes
+
+
+class Pipeline:
+    """One solved curve's chain: normals, -L_0, then labelled modes per k."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.normals = stability.normal_field(curve)
+        self.L0 = stability.assemble_L0(curve, self.normals)
+
+    def modes(self, k, count):
+        """Lowest `count` eigenpairs of -L_k, ascending and labelled."""
+        Lk = stability.assemble_Lk(self.L0, self.curve, k)
+        return classify_modes(spectrum(Lk, count), self.curve, self.normals)
 
 
 def spectrum_report(curve, modes):
@@ -266,8 +273,7 @@ def compute_index(curve, count=8, stop_margin=INDEX_STOP_MARGIN, k_cap=64):
     (k = 0) and one negative horizontal translation (k = 1, multiplicity
     2) are found.
     """
-    normals = stability.normal_field(curve)
-    L0 = stability.assemble_L0(curve, normals)
+    pipe = Pipeline(curve)
     cap = curve.M - 1
     per_k = []
     excluded = []
@@ -275,16 +281,14 @@ def compute_index(curve, count=8, stop_margin=INDEX_STOP_MARGIN, k_cap=64):
              "horizontal_translation": 0}
     total = 0
     for k in range(k_cap + 1):
-        Lk = stability.assemble_Lk(L0, curve, k)
         n = min(count, cap)
-        modes = spectrum(Lk, n)
+        modes = pipe.modes(k, n)
         while modes[-1].eigenvalue < 0.0:
             if n == cap:
                 raise ExclusionMismatch(
                     "all %d computed modes at k = %d are negative" % (n, k))
             n = min(2 * n, cap)
-            modes = spectrum(Lk, n)
-        classify_modes(modes, curve, normals)
+            modes = pipe.modes(k, n)
         mult = 1 if k == 0 else 2
         negative = [m for m in modes if m.eigenvalue < 0.0]
         per_k.append((k, [m.eigenvalue for m in negative]))

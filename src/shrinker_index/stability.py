@@ -30,6 +30,7 @@ geodesic ODE in weighted arc length is provided for cross-checking.
 import dataclasses
 
 import numpy as np
+import scipy.sparse
 
 from . import curve as curve_mod
 from . import metric
@@ -63,17 +64,22 @@ class StabilityMatrix:
         return len(self.diag)
 
 
+def cyclic_csc(diag, up):
+    """The symmetric cyclic tridiagonal bands (diag, up) as a csc matrix."""
+    m = len(diag)
+    i = np.arange(m)
+    j = (i + 1) % m
+    return scipy.sparse.csc_matrix(
+        (np.concatenate([diag, up, up]),
+         (np.concatenate([i, i, j]), np.concatenate([i, j, i]))),
+        shape=(m, m))
+
+
 def _point_blocks(points):
     """2x2 blocks H_m for all points; also returns the segment blocks."""
     blocks = metric.segment_blocks(points, np.roll(points, -1, axis=0))
     h_m = blocks["h_aa"] + np.roll(blocks["h_bb"], 1, axis=0)
     return h_m, blocks
-
-
-def point_block(curve, m):
-    """The 2x2 second-derivative block of the discrete length at point m."""
-    h_m, _ = _point_blocks(curve.points)
-    return h_m[m % curve.M]
 
 
 def _normals(h_m, points, gap_cutoff=NORMAL_GAP_CUTOFF):

@@ -9,37 +9,34 @@ import numpy as np
 import pytest
 
 import oracles
-from shrinker_index import (SolveConfig, assemble_L0, assemble_Lk,
-                            normal_field, run_study, solve_geodesic,
-                            spectrum)
+import shrinker_index
+from shrinker_index import SolveConfig, assemble_Lk, run_study, solve_geodesic
 
 FD_SURVEY_SEED = 20240817
 FD_SURVEY_COUNT = 1000
 
 
 class Pipeline:
-    """Memoized solve -> normals -> operator -> spectrum chain."""
+    """Per-M memo of shrinker_index.Pipeline, with a prefix cache of modes."""
 
     def __init__(self):
-        self._curves = {}
-        self._normals = {}
-        self._L0 = {}
+        self._pipes = {}
         self._modes = {}
 
+    def _pipe(self, m):
+        if m not in self._pipes:
+            self._pipes[m] = shrinker_index.Pipeline(
+                solve_geodesic(SolveConfig(M=m)))
+        return self._pipes[m]
+
     def curve(self, m):
-        if m not in self._curves:
-            self._curves[m] = solve_geodesic(SolveConfig(M=m))
-        return self._curves[m]
+        return self._pipe(m).curve
 
     def normals(self, m):
-        if m not in self._normals:
-            self._normals[m] = normal_field(self.curve(m))
-        return self._normals[m]
+        return self._pipe(m).normals
 
     def L0(self, m):
-        if m not in self._L0:
-            self._L0[m] = assemble_L0(self.curve(m), self.normals(m))
-        return self._L0[m]
+        return self._pipe(m).L0
 
     def Lk(self, m, k):
         return assemble_Lk(self.L0(m), self.curve(m), k)
@@ -48,7 +45,7 @@ class Pipeline:
         key = (m, k)
         cached = self._modes.get(key)
         if cached is None or len(cached) < count:
-            self._modes[key] = spectrum(self.Lk(m, k), count)
+            self._modes[key] = self._pipe(m).modes(k, count)
         return self._modes[key][:count]
 
     def eigenvalues(self, m, k, count):

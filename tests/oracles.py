@@ -1,17 +1,23 @@
-"""Independent oracles used only by the tests.
+"""Independent oracles and test-only views used only by the tests.
 
-Three things live here: a high-precision finite-difference evaluation of
+Three oracles live here: a high-precision finite-difference evaluation of
 the segment-distance derivatives (mpmath, so truncation error dominates and
 the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
 of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
 and the dense M x M form of a banded operator, so the tests can check the
-bands and the sparse eigensolver against LAPACK.
+bands and the sparse eigensolver against LAPACK.  Alongside them sit small
+views the package itself never needs: the 4-coordinate derivatives of one
+segment, the 2x2 point block at one point, and the mirror image of a curve.
 """
+
+import dataclasses
 
 import mpmath as mp
 import numpy as np
 
-from shrinker_index import segment_derivatives
+from shrinker_index import DiscreteCurve
+from shrinker_index.metric import segment_blocks
+from shrinker_index.stability import _point_blocks
 
 FD_STEP = 1e-5
 FD_DPS = 40
@@ -28,6 +34,48 @@ def _dist_mp(coords):
     mz = (a_z + b_z) / 2
     sig = mr / 2 * mp.exp(-(mr * mr + mz * mz) / 4)
     return sig * mp.sqrt((b_r - a_r) ** 2 + (b_z - a_z) ** 2)
+
+
+@dataclasses.dataclass
+class SegmentDerivatives:
+    """Value, gradient (4,) and Hessian (4, 4) of dist(a, b).
+
+    Coordinates are ordered (a_r, a_z, b_r, b_z).
+    """
+
+    value: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+
+
+def segment_derivatives(a, b):
+    """Exact gradient and Hessian of dist(a, b) for a single segment.
+
+    Returns SegmentDerivatives with the (a_r, a_z, b_r, b_z) ordering.
+    """
+    blocks = segment_blocks(np.asarray(a, float)[None, :],
+                            np.asarray(b, float)[None, :])
+    grad = np.concatenate([blocks["grad_a"][0], blocks["grad_b"][0]])
+    hess = np.empty((4, 4))
+    hess[:2, :2] = blocks["h_aa"][0]
+    hess[:2, 2:] = blocks["h_ab"][0]
+    hess[2:, :2] = blocks["h_ab"][0].T
+    hess[2:, 2:] = blocks["h_bb"][0]
+    return SegmentDerivatives(value=float(blocks["dist"][0]),
+                              gradient=grad, hessian=hess)
+
+
+def point_block(curve, m):
+    """The 2x2 second-derivative block of the discrete length at point m."""
+    h_m, _ = _point_blocks(curve.points)
+    return h_m[m % curve.M]
+
+
+def reflect_z(curve):
+    """Mirror image across the z = 0 axis (same traversal order)."""
+    pts = curve.points.copy()
+    pts[:, 1] = -pts[:, 1]
+    return DiscreteCurve(pts)
 
 
 def fd_segment_derivatives(a, b, step=FD_STEP, dps=FD_DPS):

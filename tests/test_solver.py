@@ -9,7 +9,8 @@ import pytest
 
 from shrinker_index import (DiscreteCurve, SolveConfig, discrete_length,
                             solve_geodesic)
-from shrinker_index.curve import canonicalize, reflect_z, spacing_deviation
+from oracles import reflect_z
+from shrinker_index.curve import canonicalize, spacing_deviation
 from shrinker_index.metric import segment_blocks
 from shrinker_index.solver import CurveCollapse, NonConvergence
 

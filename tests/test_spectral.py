@@ -11,11 +11,12 @@ import scipy.linalg
 
 import oracles
 import shrinker_index
-from shrinker_index import (StabilityMatrix, assemble_L0, assemble_Lk,
-                            compute_index, normal_field, spectrum,
-                            write_curve)
-from shrinker_index import stability
-from shrinker_index.curve import DiscreteCurve, canonicalize, reflect_z
+from shrinker_index import (Pipeline, StabilityMatrix, assemble_L0,
+                            assemble_Lk, compute_index, normal_field,
+                            spectrum, write_curve)
+from shrinker_index import cli, spectral, stability
+from oracles import reflect_z
+from shrinker_index.curve import DiscreteCurve, canonicalize
 from shrinker_index.metric import sigma
 from shrinker_index.spectral import (ExclusionMismatch, classify_modes,
                                      spectrum_report)
@@ -117,6 +118,47 @@ def test_labels_low_modes(pipe):
     modes1 = classify_modes(pipe.modes(256, 1, 3), crv, nf)
     assert [m.label for m in modes1] == [
         "sigma_inverse", "horizontal_translation", "rotation"]
+
+
+def test_pipeline_matches_explicit_chain(pipe):
+    crv = pipe.curve(256)
+    chain = Pipeline(crv)
+    nf = normal_field(crv)
+    L0 = assemble_L0(crv, nf)
+    for k in range(4):
+        got = chain.modes(k, 8)
+        ref = classify_modes(spectrum(assemble_Lk(L0, crv, k), 8), crv, nf)
+        assert len(got) == len(ref) == 8
+        for p, q in zip(got, ref):
+            assert (p.k, p.j, p.label) == (q.k, q.j, q.label)
+            assert p.eigenvalue == q.eigenvalue
+            assert p.residual == q.residual
+            assert np.array_equal(p.vector, q.vector)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["spectrum"], 1),
+    (["render", "--j", "0", "--out", "{tmp}/r"], 1),
+    (["asymptotics", "--j-max", "10", "--k-scan", "3", "--out", "{tmp}/a"],
+     3),
+])
+def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
+                                                   monkeypatch, argv,
+                                                   expected):
+    # the benchmark collects residuals by replacing spectral.spectrum, so
+    # every spectrum a subcommand computes must be looked up there
+    curve_path = tmp_path / "curve64.csv"
+    write_curve(pipe.curve(64), str(curve_path))
+    original = spectral.spectrum
+    calls = []
+
+    def counted(matrix, count):
+        calls.append(count)
+        return original(matrix, count)
+    monkeypatch.setattr(spectral, "spectrum", counted)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli.main(argv[:1] + ["--curve", str(curve_path)] + argv[1:]) == 0
+    assert len(calls) == expected
 
 
 def test_sigma_inverse_near_kernel(pipe):
