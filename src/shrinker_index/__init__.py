@@ -13,9 +13,8 @@ from .curve import (DiscreteCurve, discrete_length, read_curve,
                     resample_uniform, write_curve)
 from .metric import segment_distance, sigma
 from .solver import CurveCollapse, NonConvergence, SolveConfig, solve_geodesic
-from .stability import (AmbiguousNormal, NormalField, StabilityMatrix,
-                        assemble_L0, assemble_Lk, assemble_Lk_ode,
-                        normal_field)
+from .stability import (AmbiguousNormal, StabilityMatrix, assemble_L0,
+                        assemble_Lk, assemble_Lk_ode, normal_field)
 from .spectral import (EigenMode, ExclusionMismatch, IndexReport, Pipeline,
                        compute_index, spectrum)
 from .convergence import (ConvergenceStudy, DegenerateFit, fit_loglog,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousNormal", "ConvergenceStudy", "CurveCollapse", "DegenerateFit",
     "DiscreteCurve", "EigenMode", "ExclusionMismatch", "IndexReport",
-    "NoWell", "NonConvergence", "NormalField", "Pipeline",
+    "NoWell", "NonConvergence", "Pipeline",
     "SchrodingerProfile", "SolveConfig", "StabilityMatrix", "assemble_L0",
     "assemble_Lk", "assemble_Lk_ode", "compute_index", "discrete_length",
     "drift_diagnostic", "fit_loglog", "high_j_estimate", "high_k_estimate",

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import curve as curve_mod
 from . import metric
-from . import spectral
 
 
 class NoWell(RuntimeError):
@@ -127,18 +126,15 @@ class DriftDiagnostic:
     fit_range: tuple
 
 
-def drift_diagnostic(curve, k, j_max, eigenvalues=None):
+def drift_diagnostic(curve, k, j_max, eigenvalues):
     """Tabulate lambda_{2j} - high_j_estimate(j) and fit its growth.
 
-    `eigenvalues` may pass a precomputed ascending spectrum of -L_k
-    (needs at least 2 j_max + 1 entries); otherwise it is computed here.
+    `eigenvalues` is the ascending spectrum of -L_k, at least 2 j_max + 1
+    entries of it.
     """
     if j_max < 10:
         raise ValueError("j_max must be at least 10 for the decade fit")
     profile = potential_profile(curve, k)
-    if eigenvalues is None:
-        modes = spectral.Pipeline(curve).modes(k, 2 * j_max + 1)
-        eigenvalues = [m.eigenvalue for m in modes]
     if len(eigenvalues) < 2 * j_max + 1:
         raise ValueError("need at least 2 j_max + 1 eigenvalues")
 

@@ -164,8 +164,8 @@ def _cmd_convergence(args):
         m_values = tuple(int(tok) for tok in args.points_list.split(","))
     except ValueError:
         raise UsageError("--points-list must be comma-separated integers")
-    if len(m_values) < 3:
-        raise UsageError("--points-list needs at least 3 resolutions")
+    if len(set(m_values)) < 3:
+        raise UsageError("--points-list needs at least 3 distinct resolutions")
     if any(m < 8 for m in m_values):
         raise UsageError("--points-list entries must be at least 8")
     if args.k_max < 0:
@@ -198,6 +198,8 @@ def _cmd_asymptotics(args):
         raise UsageError("--k must be nonnegative")
     if args.j_max < 10:
         raise UsageError("--j-max must be at least 10")
+    if args.k_scan != 0 and args.k_scan < 2:
+        raise UsageError("--k-scan must be 0 or at least 2")
     crv = curve_mod.read_curve(args.curve)
     if 2 * args.j_max + 1 >= crv.M:
         raise UsageError(
@@ -206,13 +208,14 @@ def _cmd_asymptotics(args):
     profile = asymptotics.potential_profile(crv, args.k)
     _write(os.path.join(args.out, "profile_k%d.csv" % args.k),
            asymptotics.profile_csv(profile))
-    diag = asymptotics.drift_diagnostic(crv, args.k, args.j_max)
+    pipe = spectral.Pipeline(crv)
+    lam = [m.eigenvalue for m in pipe.modes(args.k, 2 * args.j_max + 1)]
+    diag = asymptotics.drift_diagnostic(crv, args.k, args.j_max, lam)
     _write(os.path.join(args.out, "drift_k%d.csv" % args.k),
            asymptotics.drift_csv(diag))
     print("V_avg %.17g length %.17g drift_exponent %.4f"
           % (profile.V_avg, profile.euclidean_length, diag.exponent))
-    if args.k_scan >= 2:
-        pipe = spectral.Pipeline(crv)
+    if args.k_scan:
         lines = ["k,lambda0,estimate,deviation"]
         for k in range(2, args.k_scan + 1):
             prof = asymptotics.potential_profile(crv, k)

@@ -144,13 +144,12 @@ def fit_loglog(m_values, estimates, true_value=None):
                      true_value=float(true_value), residual=ssr)
 
 
-def _eig_tables(m_values, k_list, j_max, config_base=None, progress=None):
+def _eig_tables(m_values, k_list, j_max, progress):
     """Fresh solve + spectra per resolution: {M: {k: eigenvalues}}, lengths."""
     tables = {}
     lengths = {}
     for m in m_values:
-        cfg = dataclasses.replace(config_base or solver.SolveConfig(), M=m)
-        crv = solver.solve_geodesic(cfg)
+        crv = solver.solve_geodesic(solver.SolveConfig(M=m))
         lengths[m] = curve_mod.discrete_length(crv)
         pipe = spectral.Pipeline(crv)
         tables[m] = {k: [md.eigenvalue for md in pipe.modes(k, j_max + 1)]
@@ -160,8 +159,7 @@ def _eig_tables(m_values, k_list, j_max, config_base=None, progress=None):
     return tables, lengths
 
 
-def run_study(quantities, m_values=DEFAULT_M, config_base=None,
-              progress=None):
+def run_study(quantities, m_values=DEFAULT_M, progress=None):
     """Convergence studies for eigenvalue quantities (k, j) and "entropy".
 
     Every resolution is solved independently.  Returns a list of
@@ -172,8 +170,7 @@ def run_study(quantities, m_values=DEFAULT_M, config_base=None,
     eig_q = [q for q in quantities if q != "entropy"]
     k_list = sorted({k for k, _ in eig_q})
     j_max = max((j for _, j in eig_q), default=0)
-    tables, lengths = _eig_tables(m_values, k_list, j_max,
-                                  config_base, progress)
+    tables, lengths = _eig_tables(m_values, k_list, j_max, progress)
 
     studies = []
     for q in quantities:

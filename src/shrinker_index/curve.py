@@ -80,7 +80,7 @@ def _interpolate(points, cum, t):
     return points[idx] + alpha[:, None] * (nxt[idx] - points[idx])
 
 
-def _resample_points(points, m_new, tol=1e-14, max_passes=60):
+def _resample_points(points, m_new):
     """Equal-segment-distance resampling on the input interpolant.
 
     Places m_new points on the piecewise-linear interpolant of `points`,
@@ -98,12 +98,12 @@ def _resample_points(points, m_new, tol=1e-14, max_passes=60):
 
     t = np.arange(m_new) * (total / m_new)
     out = _interpolate(points, cum, t)
-    for _ in range(max_passes):
+    for _ in range(60):
         d_new = metric.segment_distance(out, np.roll(out, -1, axis=0))
         e = np.concatenate([[0.0], np.cumsum(d_new[:-1])])
         target = np.arange(m_new) * (d_new.sum() / m_new)
         err = target - e
-        if np.max(np.abs(err)) <= tol * total:
+        if np.max(np.abs(err)) <= 1e-14 * total:
             break
         t = np.mod(t + err, total)
         t[0] = 0.0

@@ -11,6 +11,9 @@ from . import stability
 #: Default perturbation amplitude as a fraction of the cross-section diameter.
 EPSILON_FRACTION = 0.15
 
+#: Size of the SVG's larger side, in SVG user units.
+SVG_SIZE = 640.0
+
 
 def _fmt(x):
     return "%.17g" % x
@@ -32,8 +35,7 @@ def _polyline(points, scale, origin):
     return " ".join(steps) + " Z"
 
 
-def svg_cross_section(curve, mode=None, normals=None, epsilon=None,
-                      size=640.0):
+def svg_cross_section(curve, mode=None, normals=None, epsilon=None):
     """SVG of the cross-section, optionally with a perturbed copy (dashed).
 
     `mode` is an eigenfunction u over the curve points; the overlay is
@@ -49,14 +51,14 @@ def svg_cross_section(curve, mode=None, normals=None, epsilon=None,
             normals = stability.normal_field(curve)
         if epsilon is None:
             epsilon = default_epsilon(curve)
-        curves.append(pts + epsilon * mode[:, None] * normals.normals)
+        curves.append(pts + epsilon * mode[:, None] * normals)
 
     allpts = np.vstack(curves)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1])
     margin = 0.06 * span
-    scale = size / (span + 2.0 * margin)
+    scale = SVG_SIZE / (span + 2.0 * margin)
     origin = (lo[0] - margin, hi[1] + margin)
 
     body = ['<path d="%s" fill="none" stroke="#1f4e9c" stroke-width="2"/>'
@@ -101,8 +103,8 @@ def obj_surface(curve, mode=None, normals=None, k=0, ntheta=64,
             epsilon = default_epsilon(curve)
         g = np.cos(k * th) if phase == "cos" else np.sin(k * th)
         amp = epsilon * np.repeat(mode, ntheta) * g
-        r = r + amp * np.repeat(normals.normals[:, 0], ntheta)
-        z = z + amp * np.repeat(normals.normals[:, 1], ntheta)
+        r = r + amp * np.repeat(normals[:, 0], ntheta)
+        z = z + amp * np.repeat(normals[:, 1], ntheta)
 
     lines = []
     x = r * np.cos(th)

@@ -4,7 +4,7 @@ The solved curve satisfies two conditions simultaneously:
 
   * the gradient of the discrete weighted length, projected on the point
     normals, vanishes (max |n_m . grad_m| <= grad_tol), and
-  * consecutive segment distances are equal (max/min - 1 <= spacing_tol).
+  * consecutive segment distances are equal (max/min - 1 <= SPACING_TOL).
 
 Only the normal projection of the gradient is driven to zero.  The
 tangential component of an equally spaced critical polygon is O(h^3) and
@@ -15,7 +15,7 @@ step in the normal directions (reduced cyclic tridiagonal system
 N^T H N  delta = -N^T grad) with resampling to equal segment distances.
 
 The seed is a circle of radius 0.5 around (sqrt(2), 0), the cross-section
-radius and axis distance of the self-shrinking cylinder; the Newton damping
+radius and axis distance of the self-shrinking cylinder; the Newton step
 starts at 1.0 and is halved whenever the trial residual increases.
 """
 
@@ -28,6 +28,9 @@ import scipy.sparse.linalg
 from . import curve as curve_mod
 from . import metric
 from . import stability
+
+#: Largest accepted max/min - 1 of the segment distances of a solved curve.
+SPACING_TOL = 1e-8
 
 
 class NonConvergence(RuntimeError):
@@ -46,9 +49,7 @@ class SolveConfig:
     seed_center: tuple = (math.sqrt(2.0), 0.0)
     seed_radius: float = 0.5
     grad_tol: float = 1e-10
-    spacing_tol: float = 1e-8
     max_iters: int = 200
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.M < 8:
@@ -57,12 +58,10 @@ class SolveConfig:
             raise ValueError("seed_radius must be positive")
         if self.seed_center[0] - self.seed_radius <= 0.0:
             raise ValueError("seed circle must stay inside r > 0")
-        if self.grad_tol <= 0.0 or self.spacing_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.grad_tol <= 0.0:
+            raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
 
 
 def seed_circle(config):
@@ -119,11 +118,11 @@ def solve_geodesic(config=None):
 
     for _ in range(config.max_iters):
         if (state.residual <= config.grad_tol
-                and state.spacing <= config.spacing_tol):
+                and state.spacing <= SPACING_TOL):
             c = curve_mod.canonicalize(curve_mod.DiscreteCurve(state.points))
             return c
         delta = _newton_direction(state)
-        step = config.damping
+        step = 1.0
         accepted = None
         for _ in range(40):
             try:

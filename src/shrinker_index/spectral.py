@@ -35,6 +35,9 @@ ARPACK_SEED = 20240817
 #: clears this margin; eigenvalues grow monotonically with k.
 INDEX_STOP_MARGIN = 1e-3
 
+#: Largest k the index computation walks before giving up.
+INDEX_K_CAP = 64
+
 
 class ExclusionMismatch(RuntimeError):
     """Raised when the expected dilation/translation modes are not found."""
@@ -102,7 +105,7 @@ def _cyclic_solve(diag, up, shifts, rhs):
     return y - q * (v_y / (1.0 + v_q))[None, :]
 
 
-def _refine_pairs(diag, up, vals, vecs, steps=2):
+def _refine_pairs(diag, up, vals, vecs):
     """Polish eigenpairs by inverse iteration in extended precision.
 
     ARPACK pairs carry residual ~ eps ||A||, which at M = 2048 exceeds the
@@ -117,7 +120,7 @@ def _refine_pairs(diag, up, vals, vecs, steps=2):
     up_ld = up.astype(ld)
     work = vecs.astype(ld)
     shifts = vals.astype(ld) + ld(1e-13)
-    for _ in range(steps):
+    for _ in range(2):
         # the solves are deliberately near singular; a column that blows
         # up keeps its previous iterate
         with np.errstate(all="ignore"):
@@ -167,9 +170,8 @@ def spectrum(matrix, count):
     return modes
 
 
-def _templates(k, curve, normals):
-    """Known eigenfunction shapes restricted to Fourier mode k."""
-    n = normals.normals
+def _templates(k, curve, n):
+    """Known eigenfunction shapes at Fourier mode k, from the normals n."""
     pts = curve.points
     if k == 0:
         return {
@@ -261,11 +263,11 @@ class IndexReport:
         }, indent=2)
 
 
-def compute_index(curve, count=8, stop_margin=INDEX_STOP_MARGIN, k_cap=64):
+def compute_index(curve, count=8):
     """Morse index of the solved curve, excluding dilation and translations.
 
     Walks k = 0, 1, 2, ... until the smallest eigenvalue exceeds
-    stop_margin (they are monotone in k), counting negative eigenvalues
+    INDEX_STOP_MARGIN (they are monotone in k), counting negative eigenvalues
     with multiplicity.  While the last of the `count` modes at a k is
     negative the count doubles (up to M - 1, else ExclusionMismatch), so
     no negative mode is dropped.  Raises ExclusionMismatch unless exactly one
@@ -280,7 +282,7 @@ def compute_index(curve, count=8, stop_margin=INDEX_STOP_MARGIN, k_cap=64):
     found = {"dilation": 0, "vertical_translation": 0,
              "horizontal_translation": 0}
     total = 0
-    for k in range(k_cap + 1):
+    for k in range(INDEX_K_CAP + 1):
         n = min(count, cap)
         modes = pipe.modes(k, n)
         while modes[-1].eigenvalue < 0.0:
@@ -299,10 +301,10 @@ def compute_index(curve, count=8, stop_margin=INDEX_STOP_MARGIN, k_cap=64):
                 excluded.append({"k": k, "j": m.j,
                                  "eigenvalue": m.eigenvalue,
                                  "label": m.label, "multiplicity": mult})
-        if modes[0].eigenvalue >= stop_margin:
+        if modes[0].eigenvalue >= INDEX_STOP_MARGIN:
             break
     else:
-        raise ExclusionMismatch("negative modes persist beyond k = %d" % k_cap)
+        raise ExclusionMismatch("negative modes persist beyond k = %d" % k)
 
     if (found["dilation"] != 1 or found["vertical_translation"] != 1
             or found["horizontal_translation"] != 1):

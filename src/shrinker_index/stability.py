@@ -19,9 +19,10 @@ The normal at a point is read off the 2x2 point block
     H_m = h_bb(q_{m-1}, q_m) + h_aa(q_m, q_{m+1})
 
 as the eigenvector of the larger eigenvalue, oriented outward (away from
-the curve centroid).  The normal direction is stiff (the |b - a|^{-1}
-projector term dominates), so the two eigenvalues are well separated and
-the eigenvector is stable even far from the solved curve.
+the curve centroid); normal_field returns them as an (M, 2) array.  The
+normal direction is stiff (the |b - a|^{-1} projector term dominates), so
+the two eigenvalues are well separated and the eigenvector is stable even
+far from the solved curve.
 
 An independent second-order discretization of the same operators via the
 geodesic ODE in weighted arc length is provided for cross-checking.
@@ -42,13 +43,6 @@ NORMAL_GAP_CUTOFF = 1e-12
 
 class AmbiguousNormal(RuntimeError):
     """Raised when a point block's eigenvalues are too close to pick a normal."""
-
-
-@dataclasses.dataclass
-class NormalField:
-    """Unit outward normals n_m, shape (M, 2), aligned with curve indices."""
-
-    normals: np.ndarray
 
 
 @dataclasses.dataclass
@@ -82,16 +76,16 @@ def _point_blocks(points):
     return h_m, blocks
 
 
-def _normals(h_m, points, gap_cutoff=NORMAL_GAP_CUTOFF):
+def _normals(h_m, points):
     """Unit outward eigenvector of the larger eigenvalue of each H_m."""
     a = h_m[:, 0, 0]
     b = h_m[:, 0, 1]
     c = h_m[:, 1, 1]
     half_diff = 0.5 * (a - c)
     disc = np.sqrt(half_diff * half_diff + b * b)
-    if np.any(2.0 * disc < gap_cutoff):
+    if np.any(2.0 * disc < NORMAL_GAP_CUTOFF):
         raise AmbiguousNormal(
-            "point block eigenvalue gap below %.1e" % gap_cutoff)
+            "point block eigenvalue gap below %.1e" % NORMAL_GAP_CUTOFF)
     lam_min = 0.5 * (a + c) - disc
     # (H - lam_min I) has rank one; its larger column spans the top
     # eigenvector.  Pick per point for stability.
@@ -108,9 +102,9 @@ def _normals(h_m, points, gap_cutoff=NORMAL_GAP_CUTOFF):
 
 
 def normal_field(curve):
-    """Outward unit normal field of a discrete curve."""
+    """Outward unit normals n_m of a discrete curve, shape (M, 2)."""
     h_m, _ = _point_blocks(curve.points)
-    return NormalField(normals=_normals(h_m, curve.points))
+    return _normals(h_m, curve.points)
 
 
 def _reduced_tridiagonal(blocks, normals):
@@ -133,10 +127,10 @@ def assemble_L0(curve, normals):
     """
     points = curve.points
     m_count = curve.M
-    if normals.normals.shape != (m_count, 2):
+    if normals.shape != (m_count, 2):
         raise ValueError("normal field does not match curve size")
     _, blocks = _point_blocks(points)
-    diag, off = _reduced_tridiagonal(blocks, normals.normals)
+    diag, off = _reduced_tridiagonal(blocks, normals)
     scale = m_count / blocks["dist"].sum()
     return StabilityMatrix(k=0, diag=scale * diag, up=scale * off)
 

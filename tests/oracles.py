@@ -158,7 +158,7 @@ def full_L0(curve, normals):
         H[sl_b, sl_b] += d.hessian[2:, 2:]
     N = np.zeros((2 * m_count, m_count))
     for m in range(m_count):
-        N[2 * m:2 * m + 2, m] = normals.normals[m]
+        N[2 * m:2 * m + 2, m] = normals[m]
     A = (m_count / total) * (N.T @ H @ N)
     return 0.5 * (A + A.T)
 

@@ -108,7 +108,7 @@ def test_06_quadratic_form_identity(pipe, note):
         u = rng.standard_normal(2048)
         u /= np.linalg.norm(u)
         quad = float(u @ a @ u) * ell / 2048
-        disp = h * u[:, None] * nf.normals
+        disp = h * u[:, None] * nf
         lp = discrete_length(DiscreteCurve(crv.points + disp))
         lm = discrete_length(DiscreteCurve(crv.points - disp))
         fd = (lp - 2.0 * ell + lm) / h**2

@@ -103,7 +103,7 @@ def test_drift_diagnostic(pipe):
 def test_drift_diagnostic_validation(pipe):
     crv = pipe.curve(1024)
     with pytest.raises(ValueError):
-        drift_diagnostic(crv, 0, 5)
+        drift_diagnostic(crv, 0, 5, eigenvalues=[0.0] * 11)
     with pytest.raises(ValueError):
         drift_diagnostic(crv, 0, 50, eigenvalues=[0.0] * 10)
 
@@ -126,7 +126,8 @@ def test_csv_formats(pipe):
     assert int(row[0]) == 4
     assert float(row[2]) == p.V[4]
 
-    diag = drift_diagnostic(crv, 0, 10)
+    diag = drift_diagnostic(crv, 0, 10,
+                            eigenvalues=pipe.eigenvalues(128, 0, 21))
     dlines = drift_csv(diag).strip().split("\n")
     assert dlines[0] == "j,lambda,estimate,deviation"
     assert len(dlines) == 11

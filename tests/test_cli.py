@@ -124,6 +124,14 @@ def test_malformed_curve_file(tmp_path, capsys):
     (["convergence", "--points-list", "4,64,128", "--out", "d"],
      "--points-list"),
     ([], "subcommand"),
+    (["convergence", "--points-list", "64,64,128", "--out", "d"],
+     "at least 3 distinct resolutions"),
+    (["convergence", "--points-list", "64,128,128", "--out", "d"],
+     "at least 3 distinct resolutions"),
+    (["asymptotics", "--curve", "x.csv", "--k-scan", "1", "--out", "d"],
+     "--k-scan must be 0 or at least 2"),
+    (["asymptotics", "--curve", "x.csv", "--k-scan", "-2", "--out", "d"],
+     "--k-scan must be 0 or at least 2"),
 ])
 def test_usage_errors(argv, needle, capsys):
     rc = main(argv)

@@ -47,7 +47,7 @@ def test_obj_axisymmetric_mode_displaces_rings(pipe):
     rings = verts.reshape(128, 16, 3)
     radius = np.hypot(rings[:, :, 0], rings[:, :, 1])
     # k = 0 with cos phase keeps every ring circular, at a shifted radius
-    expected = crv.r + eps * mode * pipe.normals(128).normals[:, 0]
+    expected = crv.r + eps * mode * pipe.normals(128)[:, 0]
     assert np.allclose(radius, expected[:, None], rtol=1e-10, atol=1e-12)
 
 

