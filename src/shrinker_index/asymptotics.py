@@ -126,17 +126,16 @@ class DriftDiagnostic:
     fit_range: tuple
 
 
-def drift_diagnostic(curve, k, j_max, eigenvalues):
+def drift_diagnostic(profile, eigenvalues):
     """Tabulate lambda_{2j} - high_j_estimate(j) and fit its growth.
 
-    `eigenvalues` is the ascending spectrum of -L_k, at least 2 j_max + 1
-    entries of it.
+    `eigenvalues` is the ascending spectrum of -L_k for the k of the
+    potential `profile`; j runs to j_max = (len(eigenvalues) - 1) // 2,
+    which must be at least 10 for the decade fit (21 eigenvalues).
     """
+    j_max = (len(eigenvalues) - 1) // 2
     if j_max < 10:
-        raise ValueError("j_max must be at least 10 for the decade fit")
-    profile = potential_profile(curve, k)
-    if len(eigenvalues) < 2 * j_max + 1:
-        raise ValueError("need at least 2 j_max + 1 eigenvalues")
+        raise ValueError("need at least 21 eigenvalues for the decade fit")
 
     rows = []
     for j in range(1, j_max + 1):
@@ -150,7 +149,7 @@ def drift_diagnostic(curve, k, j_max, eigenvalues):
     x = np.log10([j for j, _ in pts])
     y = np.log10([d for _, d in pts])
     exponent = float(np.polyfit(x, y, 1)[0])
-    return DriftDiagnostic(k=int(k), rows=rows, exponent=exponent,
+    return DriftDiagnostic(k=profile.k, rows=rows, exponent=exponent,
                            fit_range=(j_lo, j_max))
 
 

@@ -9,6 +9,7 @@ prefix: "error: usage:", "error: runtime:" or "error: consistency:".
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -30,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite(text):
+    """argparse type of the float flags: nan and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="shrinker-index",
                      description="Self-shrinker cross-section spectra and index")
@@ -38,11 +47,11 @@ def _build_parser():
     def add_solver_flags(p):
         p.add_argument("-M", "--points", type=int, default=2048,
                        help="number of curve points (default 2048)")
-        p.add_argument("--grad-tol", type=float, default=1e-10)
+        p.add_argument("--grad-tol", type=_finite, default=1e-10)
         p.add_argument("--max-iter", type=int, default=200)
-        p.add_argument("--seed-r", type=float, default=solver.SolveConfig().seed_center[0])
-        p.add_argument("--seed-z", type=float, default=0.0)
-        p.add_argument("--seed-radius", type=float, default=0.5)
+        p.add_argument("--seed-r", type=_finite, default=solver.SolveConfig().seed_center[0])
+        p.add_argument("--seed-z", type=_finite, default=0.0)
+        p.add_argument("--seed-radius", type=_finite, default=0.5)
 
     p = sub.add_parser("solve", help="solve the closed geodesic, write CSV")
     add_solver_flags(p)
@@ -81,7 +90,7 @@ def _build_parser():
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--j", type=int, default=None,
                    help="eigenmode to display (default: undisplaced)")
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_finite, default=None)
     p.add_argument("--ntheta", type=int, default=64)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--cos", dest="phase", action="store_const",
@@ -210,7 +219,7 @@ def _cmd_asymptotics(args):
            asymptotics.profile_csv(profile))
     pipe = spectral.Pipeline(crv)
     lam = [m.eigenvalue for m in pipe.modes(args.k, 2 * args.j_max + 1)]
-    diag = asymptotics.drift_diagnostic(crv, args.k, args.j_max, lam)
+    diag = asymptotics.drift_diagnostic(profile, lam)
     _write(os.path.join(args.out, "drift_k%d.csv" % args.k),
            asymptotics.drift_csv(diag))
     print("V_avg %.17g length %.17g drift_exponent %.4f"

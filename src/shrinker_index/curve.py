@@ -46,9 +46,6 @@ class DiscreteCurve:
     def z(self):
         return self.points[:, 1]
 
-    def copy(self):
-        return DiscreteCurve(self.points.copy())
-
     def __repr__(self):
         return "DiscreteCurve(M=%d)" % self.M
 

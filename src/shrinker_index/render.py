@@ -15,10 +15,6 @@ EPSILON_FRACTION = 0.15
 SVG_SIZE = 640.0
 
 
-def _fmt(x):
-    return "%.17g" % x
-
-
 def default_epsilon(curve):
     """0.15 times the bounding-box diameter of the cross-section."""
     spread_r = curve.r.max() - curve.r.min()
@@ -26,13 +22,22 @@ def default_epsilon(curve):
     return EPSILON_FRACTION * float(np.hypot(spread_r, spread_z))
 
 
+def _amplitude(curve, mode, normals, epsilon):
+    """Displacement epsilon u_m per curve point, and the normals n_m."""
+    mode = np.asarray(mode, dtype=float)
+    if mode.shape != (curve.M,):
+        raise ValueError("mode must have one value per curve point")
+    if normals is None:
+        normals = stability.normal_field(curve)
+    if epsilon is None:
+        epsilon = default_epsilon(curve)
+    return epsilon * mode, normals
+
+
 def _polyline(points, scale, origin):
-    steps = []
-    for m in range(points.shape[0]):
-        x = (points[m, 0] - origin[0]) * scale
-        y = (origin[1] - points[m, 1]) * scale
-        steps.append("%s%s,%s" % ("M" if m == 0 else "L", _fmt(x), _fmt(y)))
-    return " ".join(steps) + " Z"
+    xs = (points[:, 0] - origin[0]) * scale
+    ys = (origin[1] - points[:, 1]) * scale
+    return "M" + " L".join("%.17g,%.17g" % xy for xy in zip(xs, ys)) + " Z"
 
 
 def svg_cross_section(curve, mode=None, normals=None, epsilon=None):
@@ -44,14 +49,8 @@ def svg_cross_section(curve, mode=None, normals=None, epsilon=None):
     pts = curve.points
     curves = [pts]
     if mode is not None:
-        mode = np.asarray(mode, dtype=float)
-        if mode.shape != (curve.M,):
-            raise ValueError("mode must have one value per curve point")
-        if normals is None:
-            normals = stability.normal_field(curve)
-        if epsilon is None:
-            epsilon = default_epsilon(curve)
-        curves.append(pts + epsilon * mode[:, None] * normals)
+        amp, normals = _amplitude(curve, mode, normals, epsilon)
+        curves.append(pts + amp[:, None] * normals)
 
     allpts = np.vstack(curves)
     lo = allpts.min(axis=0)
@@ -67,10 +66,10 @@ def svg_cross_section(curve, mode=None, normals=None, epsilon=None):
         body.append('<path d="%s" fill="none" stroke="#d2691e" '
                     'stroke-width="2" stroke-dasharray="8 5"/>'
                     % _polyline(curves[1], scale, origin))
-    width = _fmt((hi[0] - lo[0] + 2.0 * margin) * scale)
-    height = _fmt((hi[1] - lo[1] + 2.0 * margin) * scale)
-    return ('<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s">\n'
-            '%s\n</svg>\n' % (width, height, "\n".join(body)))
+    return ('<svg xmlns="http://www.w3.org/2000/svg" width="%.17g" '
+            'height="%.17g">\n%s\n</svg>\n'
+            % ((hi[0] - lo[0] + 2.0 * margin) * scale,
+               (hi[1] - lo[1] + 2.0 * margin) * scale, "\n".join(body)))
 
 
 def obj_surface(curve, mode=None, normals=None, k=0, ntheta=64,
@@ -94,24 +93,14 @@ def obj_surface(curve, mode=None, normals=None, k=0, ntheta=64,
     z = np.repeat(pts[:, 1], ntheta)
     th = np.tile(theta, m_count)
     if mode is not None:
-        mode = np.asarray(mode, dtype=float)
-        if mode.shape != (m_count,):
-            raise ValueError("mode must have one value per curve point")
-        if normals is None:
-            normals = stability.normal_field(curve)
-        if epsilon is None:
-            epsilon = default_epsilon(curve)
+        amp, normals = _amplitude(curve, mode, normals, epsilon)
         g = np.cos(k * th) if phase == "cos" else np.sin(k * th)
-        amp = epsilon * np.repeat(mode, ntheta) * g
+        amp = np.repeat(amp, ntheta) * g
         r = r + amp * np.repeat(normals[:, 0], ntheta)
         z = z + amp * np.repeat(normals[:, 1], ntheta)
 
-    lines = []
-    x = r * np.cos(th)
-    y = r * np.sin(th)
-    for idx in range(m_count * ntheta):
-        lines.append("v %s %s %s" % (_fmt(x[idx]), _fmt(y[idx]),
-                                     _fmt(z[idx])))
+    lines = ["v %.17g %.17g %.17g" % v
+             for v in zip(r * np.cos(th), r * np.sin(th), z)]
     for m in range(m_count):
         m1 = (m + 1) % m_count
         for i in range(ntheta):

@@ -268,9 +268,11 @@ def compute_index(curve, count=8):
 
     Walks k = 0, 1, 2, ... until the smallest eigenvalue exceeds
     INDEX_STOP_MARGIN (they are monotone in k), counting negative eigenvalues
-    with multiplicity.  While the last of the `count` modes at a k is
-    negative the count doubles (up to M - 1, else ExclusionMismatch), so
-    no negative mode is dropped.  Raises ExclusionMismatch unless exactly one
+    with multiplicity.  The rotation mode (k = 1) is exactly 0 in the
+    continuum, so it is never counted, whatever the sign of its discrete
+    value.  While the last of the `count` modes at a k is negative the
+    count doubles (up to M - 1, else ExclusionMismatch), so no negative
+    mode is dropped.  Raises ExclusionMismatch unless exactly one
     negative dilation mode (k = 0), one negative vertical translation
     (k = 0) and one negative horizontal translation (k = 1, multiplicity
     2) are found.
@@ -292,7 +294,8 @@ def compute_index(curve, count=8):
             n = min(2 * n, cap)
             modes = pipe.modes(k, n)
         mult = 1 if k == 0 else 2
-        negative = [m for m in modes if m.eigenvalue < 0.0]
+        negative = [m for m in modes
+                    if m.eigenvalue < 0.0 and m.label != "rotation"]
         per_k.append((k, [m.eigenvalue for m in negative]))
         total += mult * len(negative)
         for m in negative:

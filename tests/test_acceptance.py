@@ -128,7 +128,8 @@ def test_07_spectral_drift(pipe, note):
     diags = {}
     for m in (512, 1024, 2048):
         lam = pipe.eigenvalues(m, 0, 201)
-        diags[m] = drift_diagnostic(pipe.curve(m), 0, 100, eigenvalues=lam)
+        diags[m] = drift_diagnostic(potential_profile(pipe.curve(m), 0),
+                                    eigenvalues=lam)
     top = diags[2048]
     assert 3.5 <= top.exponent <= 4.5
     assert all(dev < 0.0 for j, _, _, dev in top.rows if j >= 30)

@@ -90,7 +90,7 @@ def test_law_error_shrinks_before_drift_onset(pipe):
 def test_drift_diagnostic(pipe):
     crv = pipe.curve(1024)
     lam = pipe.eigenvalues(1024, 0, 201)
-    diag = drift_diagnostic(crv, 0, 100, eigenvalues=lam)
+    diag = drift_diagnostic(potential_profile(crv, 0), eigenvalues=lam)
     assert diag.fit_range == (10, 100)
     assert len(diag.rows) == 100
     assert 3.5 < diag.exponent < 4.5
@@ -103,9 +103,9 @@ def test_drift_diagnostic(pipe):
 def test_drift_diagnostic_validation(pipe):
     crv = pipe.curve(1024)
     with pytest.raises(ValueError):
-        drift_diagnostic(crv, 0, 5, eigenvalues=[0.0] * 11)
+        drift_diagnostic(potential_profile(crv, 0), eigenvalues=[0.0] * 20)
     with pytest.raises(ValueError):
-        drift_diagnostic(crv, 0, 50, eigenvalues=[0.0] * 10)
+        drift_diagnostic(potential_profile(crv, 0), eigenvalues=[])
 
 
 def test_no_well_raises():
@@ -126,7 +126,7 @@ def test_csv_formats(pipe):
     assert int(row[0]) == 4
     assert float(row[2]) == p.V[4]
 
-    diag = drift_diagnostic(crv, 0, 10,
+    diag = drift_diagnostic(potential_profile(crv, 0),
                             eigenvalues=pipe.eigenvalues(128, 0, 21))
     dlines = drift_csv(diag).strip().split("\n")
     assert dlines[0] == "j,lambda,estimate,deviation"

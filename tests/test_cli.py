@@ -132,6 +132,18 @@ def test_malformed_curve_file(tmp_path, capsys):
      "--k-scan must be 0 or at least 2"),
     (["asymptotics", "--curve", "x.csv", "--k-scan", "-2", "--out", "d"],
      "--k-scan must be 0 or at least 2"),
+    (["solve", "--points", "64", "--grad-tol", "inf", "--out", "x.csv"],
+     "--grad-tol: must be finite"),
+    (["solve", "--grad-tol", "nan", "--out", "x.csv"],
+     "--grad-tol: must be finite"),
+    (["solve", "--seed-r", "nan", "--out", "x.csv"],
+     "--seed-r: must be finite"),
+    (["solve", "--seed-z", "inf", "--out", "x.csv"],
+     "--seed-z: must be finite"),
+    (["index", "--seed-radius=-inf"],
+     "--seed-radius: must be finite"),
+    (["render", "--curve", "x.csv", "--j", "0", "--epsilon", "nan",
+      "--out", "p"], "--epsilon: must be finite"),
 ])
 def test_usage_errors(argv, needle, capsys):
     rc = main(argv)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shrinker_index import DiscreteCurve, normal_field
 from shrinker_index.render import (default_epsilon, obj_surface,
                                    svg_cross_section)
 
@@ -26,6 +27,26 @@ def test_obj_mesh_counts(pipe):
     assert all(len(f) == 3 for f in faces)
     flat = [i for f in faces for i in f]
     assert min(flat) == 1 and max(flat) == 128 * 16
+
+
+def test_obj_faces_close_a_torus_and_normals_default():
+    # every directed edge of a closed, consistently oriented mesh appears
+    # once, and so does its reverse; omitted normals mean normal_field's
+    theta = 2.0 * np.pi * np.arange(8) / 8
+    crv = DiscreteCurve(np.column_stack([1.0 + 0.5 * np.cos(theta),
+                                         0.5 * np.sin(theta)]))
+    _, faces = _parse_obj(obj_surface(crv, ntheta=5))
+    edges = [(f[i], f[(i + 1) % 3]) for f in faces for i in range(3)]
+    assert len(set(edges)) == len(edges)
+    assert set(edges) == {(b, a) for a, b in edges}
+    assert {i for f in faces for i in f} == set(range(1, 8 * 5 + 1))
+
+    mode = np.cos(2.0 * theta)
+    normals = normal_field(crv)
+    assert svg_cross_section(crv, mode=mode) == svg_cross_section(
+        crv, mode=mode, normals=normals)
+    assert obj_surface(crv, mode=mode, k=1, ntheta=5) == obj_surface(
+        crv, mode=mode, normals=normals, k=1, ntheta=5)
 
 
 def test_obj_rings_are_circles(pipe):

@@ -234,6 +234,26 @@ def test_index_raises_count_instead_of_truncating(pipe):
     assert [len(vals) for _, vals in rep.per_k][:3] == [3, 2, 1]
 
 
+def test_index_skips_rotation_mode_of_either_sign(pipe, monkeypatch):
+    # the rotation mode is 0 in the continuum and +2.5e-4 at M = 256; the
+    # index must not change when the discretisation error is negative
+    original = spectral.spectrum
+    flipped = []
+
+    def rotation_below_zero(matrix, count):
+        modes = original(matrix, count)
+        for m in modes:
+            if matrix.k == 1 and abs(m.eigenvalue) < 1e-3:
+                m.eigenvalue = -m.eigenvalue
+                flipped.append(m.eigenvalue)
+        return modes
+    monkeypatch.setattr(spectral, "spectrum", rotation_below_zero)
+    rep = compute_index(pipe.curve(256))
+    assert flipped and all(lam < 0.0 for lam in flipped)
+    assert rep.index == 5
+    assert rep.total_negative == 9
+
+
 def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
     # an operator pushed far down has more negative modes than the M - 1
     # the eigensolver can return; the count must fail, not truncate
