@@ -155,10 +155,11 @@ def _cmd_spectrum(args):
 def _cmd_index(args):
     if args.count < 1:
         raise UsageError("--count must be positive")
+    config = _solve_config(args)
     if args.curve:
         crv = curve_mod.read_curve(args.curve)
     else:
-        crv = solver.solve_geodesic(_solve_config(args))
+        crv = solver.solve_geodesic(config)
     report = spectral.compute_index(crv, count=args.count)
     print("index %d (%d negative, %d excluded)"
           % (report.index, report.total_negative,
@@ -242,12 +243,12 @@ def _cmd_render(args):
         raise UsageError("--ntheta must be at least 3")
     if args.k < 0:
         raise UsageError("--k must be nonnegative")
+    if args.j is not None and args.j < 0:
+        raise UsageError("--j must be nonnegative")
     crv = curve_mod.read_curve(args.curve)
     mode = None
     normals = None
     if args.j is not None:
-        if args.j < 0:
-            raise UsageError("--j must be nonnegative")
         if args.j + 1 >= crv.M:
             raise UsageError("--j must be less than the number of curve "
                              "points minus 1")

@@ -11,13 +11,13 @@ rate.  True values are exact where a geometric variation pins them down:
     (k, j) = (1, 1) -> -1/2    horizontal translation
     (k, j) = (1, 2) ->  0      rotation
 
-For the remaining quantities the true value is fitted: a one-dimensional
-search over candidate values minimizing the least-squares residual of the
-same log-log regression.  The search must be localized before golden
-section is safe: the residual has a pole at every estimate (the log of a
-vanishing error) and flattens out far away (all log-errors equal, so a
-horizontal line fits), so the global basin is bracketed first with a
-Richardson extrapolation from the two finest resolutions.
+For the remaining quantities (the "fitted" rows) the true value is the
+Richardson extrapolation of an O(M^-2) error from the two finest
+resolutions M_prev < M_last:
+
+    true = e_last + (e_last - e_prev) / ((M_last / M_prev)^2 - 1)
+
+and the slope is regressed against that value like against an exact one.
 """
 
 import dataclasses
@@ -40,11 +40,9 @@ KNOWN_TRUE = {
     (1, 2): 0.0,
 }
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 class DegenerateFit(RuntimeError):
-    """Raised when a candidate true value coincides with an estimate."""
+    """Raised when an estimate coincides with the true value."""
 
 
 @dataclasses.dataclass
@@ -69,37 +67,19 @@ class ConvergenceStudy:
     true_value: float
     true_known: bool
     slope: float
-    intercept: float
-    fit_residual: float
 
     @property
     def errors(self):
         return tuple(e - self.true_value for e in self.estimates)
 
 
-def _regress(m_values, errors_abs):
-    x = np.log10(np.asarray(m_values, float))
-    y = np.log10(errors_abs)
-    slope, intercept = np.polyfit(x, y, 1)
-    ssr = float(np.sum((y - (slope * x + intercept)) ** 2))
-    return float(slope), float(intercept), ssr
-
-
-def _ssr_at(m_values, estimates, candidate):
-    diffs = np.abs(np.asarray(estimates, float) - candidate)
-    if np.any(diffs == 0.0):
-        raise DegenerateFit(
-            "candidate true value coincides with an estimate")
-    return _regress(m_values, diffs)[2]
-
-
 def fit_loglog(m_values, estimates, true_value=None):
     """Slope/intercept of log10|estimate - true| vs log10 M.
 
-    With true_value None the true value is fitted by minimizing the
-    regression residual over candidates: Richardson extrapolation from the
-    two finest resolutions brackets the basin, golden section refines it.
-    Returns FitResult; raises DegenerateFit when an error vanishes exactly.
+    With true_value None the true value is extrapolated from the two
+    finest resolutions, assuming an error c / M^2 (see module docstring).
+    Returns FitResult; raises DegenerateFit when an error vanishes exactly
+    and ValueError when the two finest resolutions coincide.
     """
     m_values = tuple(int(m) for m in m_values)
     estimates = tuple(float(e) for e in estimates)
@@ -107,40 +87,21 @@ def fit_loglog(m_values, estimates, true_value=None):
         raise ValueError("need at least 3 (M, estimate) pairs")
 
     if true_value is None:
-        order = np.argsort(m_values)
-        e_prev = estimates[order[-2]]
-        e_last = estimates[order[-1]]
-        gap = e_last - e_prev
-        if gap == 0.0:
-            raise DegenerateFit("finest two estimates coincide")
-        anchor = e_last + gap / 3.0
-        lo = anchor - abs(gap) / 4.0
-        hi = anchor + abs(gap) / 4.0
-        # golden section; the SSR basin around the true value is smooth
-        # and the bracket excludes every estimate pole.
-        a, b = lo, hi
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        fc = _ssr_at(m_values, estimates, c)
-        fd = _ssr_at(m_values, estimates, d)
-        for _ in range(120):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - GOLDEN * (b - a)
-                fc = _ssr_at(m_values, estimates, c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + GOLDEN * (b - a)
-                fd = _ssr_at(m_values, estimates, d)
-            if b - a <= 1e-15 * max(1.0, abs(anchor)):
-                break
-        true_value = 0.5 * (a + b)
+        prev, last = np.argsort(m_values)[-2:]
+        if m_values[prev] == m_values[last]:
+            raise ValueError("the two finest resolutions must differ")
+        e_prev, e_last = estimates[prev], estimates[last]
+        true_value = e_last + (e_last - e_prev) / (
+            (m_values[last] / m_values[prev]) ** 2 - 1.0)
 
     diffs = np.abs(np.asarray(estimates) - true_value)
     if np.any(diffs == 0.0):
         raise DegenerateFit("an estimate equals the true value exactly")
-    slope, intercept, ssr = _regress(m_values, diffs)
-    return FitResult(slope=slope, intercept=intercept,
+    x = np.log10(np.asarray(m_values, float))
+    y = np.log10(diffs)
+    slope, intercept = np.polyfit(x, y, 1)
+    ssr = float(np.sum((y - (slope * x + intercept)) ** 2))
+    return FitResult(slope=float(slope), intercept=float(intercept),
                      true_value=float(true_value), residual=ssr)
 
 
@@ -187,8 +148,7 @@ def run_study(quantities, m_values=DEFAULT_M, progress=None):
         studies.append(ConvergenceStudy(
             quantity=q, M_values=m_values, estimates=estimates,
             true_value=fit.true_value, true_known=known,
-            slope=fit.slope, intercept=fit.intercept,
-            fit_residual=fit.residual))
+            slope=fit.slope))
     return studies
 
 

@@ -144,6 +144,9 @@ def test_malformed_curve_file(tmp_path, capsys):
      "--seed-radius: must be finite"),
     (["render", "--curve", "x.csv", "--j", "0", "--epsilon", "nan",
       "--out", "p"], "--epsilon: must be finite"),
+    (["render", "--curve", "/no/such.csv", "--j", "-1", "--out", "p"],
+     "--j"),
+    (["index", "--curve", "/no/such.csv", "--points", "0"], "--points"),
 ])
 def test_usage_errors(argv, needle, capsys):
     rc = main(argv)

@@ -19,9 +19,10 @@ def test_fit_known_truth_recovers_slope():
     assert fit.residual < 1e-12
 
 
-def test_fit_unknown_truth_pure_power():
-    est = [3.0 + 5.0 / m**2 for m in M_SYNTH]
-    fit = fit_loglog(M_SYNTH, est)
+@pytest.mark.parametrize("m_values", [M_SYNTH, (64, 96, 128, 192)])
+def test_fit_unknown_truth_pure_power(m_values):
+    est = [3.0 + 5.0 / m**2 for m in m_values]
+    fit = fit_loglog(m_values, est)
     assert abs(fit.true_value - 3.0) < 1e-8
     assert abs(fit.slope + 2.0) < 1e-4
 
@@ -45,6 +46,8 @@ def test_fit_validation():
         fit_loglog((64, 128), [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_loglog(M_SYNTH, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        fit_loglog((64, 128, 128), [1.0, 2.0, 3.0])
 
 
 def test_quantity_names():
@@ -88,6 +91,26 @@ def test_study_error_ratios_near_four(study16):
         errs = np.abs(st.errors)
         ratios = errs[:-1] / errs[1:]
         assert 3.5 < np.mean(ratios) < 4.5
+
+
+# Fourier collocation of the continuum operator at N = 256 points
+# (Trefethen, Spectral Methods in MATLAB, ch. 3), keyed by (k, j).
+COLLOCATION_REFERENCE = {
+    (0, 0): -3.73976012324, (0, 3): 0.99199453233,
+    (1, 3): 1.72695488794,
+    (2, 0): -0.48764685558, (2, 1): 0.86402874621,
+    (2, 2): 2.06671605104, (2, 3): 3.7123555112,
+    (3, 0): 0.1129486608, (3, 1): 1.86256033772,
+    (3, 2): 3.51168927216, (3, 3): 5.53597833708,
+}
+
+
+def test_fitted_true_values_match_reference(study16):
+    fitted = {st.quantity: st.true_value
+              for st in study16 if not st.true_known}
+    assert fitted.keys() == COLLOCATION_REFERENCE.keys()
+    for q, ref in COLLOCATION_REFERENCE.items():
+        assert abs(fitted[q] - ref) < 1e-7, q
 
 
 def test_table_report_round_trip(study16):
