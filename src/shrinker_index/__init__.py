@@ -12,7 +12,7 @@ as independent validation.
 from .curve import (DiscreteCurve, discrete_length, read_curve,
                     resample_uniform, write_curve)
 from .metric import segment_distance, sigma
-from .solver import CurveCollapse, NonConvergence, SolveConfig, solve_geodesic
+from .solver import CurveCollapse, NonConvergence, solve_geodesic
 from .stability import (AmbiguousNormal, StabilityMatrix, assemble_L0,
                         assemble_Lk, assemble_Lk_ode, normal_field)
 from .spectral import (EigenMode, ExclusionMismatch, IndexReport, Pipeline,
@@ -28,7 +28,7 @@ __all__ = [
     "AmbiguousNormal", "ConvergenceStudy", "CurveCollapse", "DegenerateFit",
     "DiscreteCurve", "EigenMode", "ExclusionMismatch", "IndexReport",
     "NoWell", "NonConvergence", "Pipeline",
-    "SchrodingerProfile", "SolveConfig", "StabilityMatrix", "assemble_L0",
+    "SchrodingerProfile", "StabilityMatrix", "assemble_L0",
     "assemble_Lk", "assemble_Lk_ode", "compute_index", "discrete_length",
     "drift_diagnostic", "fit_loglog", "high_j_estimate", "high_k_estimate",
     "normal_field", "potential_profile", "read_curve", "resample_uniform",

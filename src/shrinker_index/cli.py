@@ -32,8 +32,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite(text):
-    """argparse type of the float flags: nan and infinities are refused."""
-    value = float(text)
+    """argparse type of --epsilon: nan and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("must be finite, got %r" % text)
     return value
@@ -44,17 +47,12 @@ def _build_parser():
                      description="Self-shrinker cross-section spectra and index")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_solver_flags(p):
+    def add_points(p):
         p.add_argument("-M", "--points", type=int, default=2048,
                        help="number of curve points (default 2048)")
-        p.add_argument("--grad-tol", type=_finite, default=1e-10)
-        p.add_argument("--max-iter", type=int, default=200)
-        p.add_argument("--seed-r", type=_finite, default=solver.SolveConfig().seed_center[0])
-        p.add_argument("--seed-z", type=_finite, default=0.0)
-        p.add_argument("--seed-radius", type=_finite, default=0.5)
 
     p = sub.add_parser("solve", help="solve the closed geodesic, write CSV")
-    add_solver_flags(p)
+    add_points(p)
     p.add_argument("--out", required=True, help="output curve CSV path")
 
     p = sub.add_parser("spectrum", help="low eigenpairs of -L_k")
@@ -65,9 +63,9 @@ def _build_parser():
     p.add_argument("--csv", help="optional flat CSV path")
 
     p = sub.add_parser("index", help="Morse index with exclusions")
-    add_solver_flags(p)
-    p.add_argument("--curve", help="curve CSV (skips the solve)")
-    p.add_argument("--count", type=int, default=8)
+    grp = p.add_mutually_exclusive_group()
+    add_points(grp)
+    grp.add_argument("--curve", help="curve CSV (skips the solve)")
     p.add_argument("--out", help="JSON report path")
 
     p = sub.add_parser("convergence", help="mesh-refinement study")
@@ -101,19 +99,10 @@ def _build_parser():
     return parser
 
 
-def _solve_config(args):
+def _points(args):
     if args.points < 8:
         raise UsageError("--points must be at least 8")
-    if args.max_iter < 1:
-        raise UsageError("--max-iter must be positive")
-    if args.grad_tol <= 0.0:
-        raise UsageError("--grad-tol must be positive")
-    if args.seed_radius <= 0.0 or args.seed_r - args.seed_radius <= 0.0:
-        raise UsageError("--seed-r/--seed-radius must keep the seed in r > 0")
-    return solver.SolveConfig(M=args.points, grad_tol=args.grad_tol,
-                              max_iters=args.max_iter,
-                              seed_center=(args.seed_r, args.seed_z),
-                              seed_radius=args.seed_radius)
+    return args.points
 
 
 def _write(path, text):
@@ -122,7 +111,7 @@ def _write(path, text):
 
 
 def _cmd_solve(args):
-    crv = solver.solve_geodesic(_solve_config(args))
+    crv = solver.solve_geodesic(_points(args))
     curve_mod.write_curve(crv, args.out)
     print("entropy %.17g M %d" % (curve_mod.discrete_length(crv), crv.M))
     return 0
@@ -153,14 +142,12 @@ def _cmd_spectrum(args):
 
 
 def _cmd_index(args):
-    if args.count < 1:
-        raise UsageError("--count must be positive")
-    config = _solve_config(args)
+    m = _points(args)
     if args.curve:
         crv = curve_mod.read_curve(args.curve)
     else:
-        crv = solver.solve_geodesic(config)
-    report = spectral.compute_index(crv, count=args.count)
+        crv = solver.solve_geodesic(m)
+    report = spectral.compute_index(crv)
     print("index %d (%d negative, %d excluded)"
           % (report.index, report.total_negative,
              sum(e["multiplicity"] for e in report.excluded)))
@@ -176,6 +163,8 @@ def _cmd_convergence(args):
         raise UsageError("--points-list must be comma-separated integers")
     if len(set(m_values)) < 3:
         raise UsageError("--points-list needs at least 3 distinct resolutions")
+    if len(set(m_values)) < len(m_values):
+        raise UsageError("--points-list must not repeat a resolution")
     if any(m < 8 for m in m_values):
         raise UsageError("--points-list entries must be at least 8")
     if args.k_max < 0:

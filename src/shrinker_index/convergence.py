@@ -110,7 +110,7 @@ def _eig_tables(m_values, k_list, j_max, progress):
     tables = {}
     lengths = {}
     for m in m_values:
-        crv = solver.solve_geodesic(solver.SolveConfig(M=m))
+        crv = solver.solve_geodesic(m)
         lengths[m] = curve_mod.discrete_length(crv)
         pipe = spectral.Pipeline(crv)
         tables[m] = {k: [md.eigenvalue for md in pipe.modes(k, j_max + 1)]

@@ -3,7 +3,7 @@
 The solved curve satisfies two conditions simultaneously:
 
   * the gradient of the discrete weighted length, projected on the point
-    normals, vanishes (max |n_m . grad_m| <= grad_tol), and
+    normals, vanishes (max |n_m . grad_m| <= GRAD_TOL), and
   * consecutive segment distances are equal (max/min - 1 <= SPACING_TOL).
 
 Only the normal projection of the gradient is driven to zero.  The
@@ -16,10 +16,12 @@ N^T H N  delta = -N^T grad) with resampling to equal segment distances.
 
 The seed is a circle of radius 0.5 around (sqrt(2), 0), the cross-section
 radius and axis distance of the self-shrinking cylinder; the Newton step
-starts at 1.0 and is halved whenever the trial residual increases.
+starts at 1.0 and is halved whenever the trial residual increases.  The
+point count M is the only input: the seed (SEED_CENTER, SEED_RADIUS), the
+tolerances and the iteration cap (MAX_ITERS) are module constants, read at
+call time.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +33,13 @@ from . import stability
 
 #: Largest accepted max/min - 1 of the segment distances of a solved curve.
 SPACING_TOL = 1e-8
+#: Largest accepted normal component of the length gradient of a solved curve.
+GRAD_TOL = 1e-10
+#: Newton iterations allowed before NonConvergence.
+MAX_ITERS = 200
+#: Center and radius of the seed circle.
+SEED_CENTER = (math.sqrt(2.0), 0.0)
+SEED_RADIUS = 0.5
 
 
 class NonConvergence(RuntimeError):
@@ -41,35 +50,12 @@ class CurveCollapse(RuntimeError):
     """Raised when the iterate degenerates (r <= 0 or a vanishing segment)."""
 
 
-@dataclasses.dataclass
-class SolveConfig:
-    """Parameters of the geodesic solve."""
-
-    M: int = 2048
-    seed_center: tuple = (math.sqrt(2.0), 0.0)
-    seed_radius: float = 0.5
-    grad_tol: float = 1e-10
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if self.M < 8:
-            raise ValueError("M must be at least 8")
-        if self.seed_radius <= 0.0:
-            raise ValueError("seed_radius must be positive")
-        if self.seed_center[0] - self.seed_radius <= 0.0:
-            raise ValueError("seed circle must stay inside r > 0")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-
-
-def seed_circle(config):
+def seed_circle(m):
     """Seed polygon: circle traversed counterclockwise from angle 0."""
-    theta = 2.0 * np.pi * np.arange(config.M) / config.M
-    pts = np.empty((config.M, 2))
-    pts[:, 0] = config.seed_center[0] + config.seed_radius * np.cos(theta)
-    pts[:, 1] = config.seed_center[1] + config.seed_radius * np.sin(theta)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    pts = np.empty((m, 2))
+    pts[:, 0] = SEED_CENTER[0] + SEED_RADIUS * np.cos(theta)
+    pts[:, 1] = SEED_CENTER[1] + SEED_RADIUS * np.sin(theta)
     return pts
 
 
@@ -104,23 +90,21 @@ def _newton_direction(state):
                                        -state.grad_normal)
 
 
-def solve_geodesic(config=None):
-    """Solve for the closed geodesic; returns a canonicalized DiscreteCurve.
+def solve_geodesic(m):
+    """Solve for the closed m-point geodesic; returns a canonical DiscreteCurve.
 
-    Raises NonConvergence if the tolerances are not met within max_iters
-    and CurveCollapse if an iterate degenerates.  Deterministic: identical
-    configs give bitwise identical curves.
+    Raises ValueError below 8 points, NonConvergence if the tolerances are
+    not met within MAX_ITERS and CurveCollapse if an iterate degenerates.
+    Deterministic: the same m gives a bitwise identical curve.
     """
-    if config is None:
-        config = SolveConfig()
-    points = curve_mod._resample_points(seed_circle(config), config.M)
-    state = _State(points)
+    if m < 8:
+        raise ValueError("M must be at least 8")
+    state = _State(curve_mod._resample_points(seed_circle(m), m))
 
-    for _ in range(config.max_iters):
-        if (state.residual <= config.grad_tol
-                and state.spacing <= SPACING_TOL):
-            c = curve_mod.canonicalize(curve_mod.DiscreteCurve(state.points))
-            return c
+    for _ in range(MAX_ITERS):
+        if state.residual <= GRAD_TOL and state.spacing <= SPACING_TOL:
+            return curve_mod.canonicalize(
+                curve_mod.DiscreteCurve(state.points))
         delta = _newton_direction(state)
         step = 1.0
         accepted = None
@@ -128,7 +112,7 @@ def solve_geodesic(config=None):
             try:
                 trial = state.points + step * delta[:, None] * state.normals
                 _check_alive(trial)
-                trial = curve_mod._resample_points(trial, config.M)
+                trial = curve_mod._resample_points(trial, m)
                 trial_state = _State(trial)
             except CurveCollapse:
                 step *= 0.5
@@ -144,4 +128,4 @@ def solve_geodesic(config=None):
 
     raise NonConvergence(
         "no convergence in %d iterations (residual %.3e, spacing %.3e)"
-        % (config.max_iters, state.residual, state.spacing))
+        % (MAX_ITERS, state.residual, state.spacing))

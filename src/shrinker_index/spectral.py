@@ -38,6 +38,9 @@ INDEX_STOP_MARGIN = 1e-3
 #: Largest k the index computation walks before giving up.
 INDEX_K_CAP = 64
 
+#: Modes the index computation starts from at each k (doubled as needed).
+INDEX_COUNT = 8
+
 
 class ExclusionMismatch(RuntimeError):
     """Raised when the expected dilation/translation modes are not found."""
@@ -263,16 +266,16 @@ class IndexReport:
         }, indent=2)
 
 
-def compute_index(curve, count=8):
+def compute_index(curve):
     """Morse index of the solved curve, excluding dilation and translations.
 
     Walks k = 0, 1, 2, ... until the smallest eigenvalue exceeds
     INDEX_STOP_MARGIN (they are monotone in k), counting negative eigenvalues
     with multiplicity.  The rotation mode (k = 1) is exactly 0 in the
     continuum, so it is never counted, whatever the sign of its discrete
-    value.  While the last of the `count` modes at a k is negative the
-    count doubles (up to M - 1, else ExclusionMismatch), so no negative
-    mode is dropped.  Raises ExclusionMismatch unless exactly one
+    value.  Each k starts from INDEX_COUNT modes; while the last of them is
+    negative the count doubles (up to M - 1, else ExclusionMismatch), so no
+    negative mode is dropped.  Raises ExclusionMismatch unless exactly one
     negative dilation mode (k = 0), one negative vertical translation
     (k = 0) and one negative horizontal translation (k = 1, multiplicity
     2) are found.
@@ -285,7 +288,7 @@ def compute_index(curve, count=8):
              "horizontal_translation": 0}
     total = 0
     for k in range(INDEX_K_CAP + 1):
-        n = min(count, cap)
+        n = min(INDEX_COUNT, cap)
         modes = pipe.modes(k, n)
         while modes[-1].eigenvalue < 0.0:
             if n == cap:

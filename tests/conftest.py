@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import shrinker_index
-from shrinker_index import SolveConfig, assemble_Lk, run_study, solve_geodesic
+from shrinker_index import assemble_Lk, run_study, solve_geodesic
 
 FD_SURVEY_SEED = 20240817
 FD_SURVEY_COUNT = 1000
@@ -25,8 +25,7 @@ class Pipeline:
 
     def _pipe(self, m):
         if m not in self._pipes:
-            self._pipes[m] = shrinker_index.Pipeline(
-                solve_geodesic(SolveConfig(M=m)))
+            self._pipes[m] = shrinker_index.Pipeline(solve_geodesic(m))
         return self._pipes[m]
 
     def curve(self, m):

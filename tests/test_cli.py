@@ -2,11 +2,13 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shrinker_index import DiscreteCurve, write_curve
+from shrinker_index import DiscreteCurve, cli, write_curve
 from shrinker_index.cli import main
 
 
@@ -112,7 +114,7 @@ def test_malformed_curve_file(tmp_path, capsys):
     (["solve", "--points", "0", "--out", "x.csv"], "--points"),
     (["spectrum", "--curve", "x.csv", "--k", "-1"], "--k"),
     (["spectrum", "--curve", "x.csv", "--count", "0"], "--count"),
-    (["index", "--count", "0"], "--count"),
+    (["index", "--count", "0"], "unrecognized arguments: --count"),
     (["asymptotics", "--curve", "x.csv", "--j-max", "5", "--out", "d"],
      "--j-max"),
     (["render", "--curve", "x.csv", "--ntheta", "2", "--out", "p"],
@@ -133,27 +135,47 @@ def test_malformed_curve_file(tmp_path, capsys):
     (["asymptotics", "--curve", "x.csv", "--k-scan", "-2", "--out", "d"],
      "--k-scan must be 0 or at least 2"),
     (["solve", "--points", "64", "--grad-tol", "inf", "--out", "x.csv"],
-     "--grad-tol: must be finite"),
+     "unrecognized arguments: --grad-tol"),
     (["solve", "--grad-tol", "nan", "--out", "x.csv"],
-     "--grad-tol: must be finite"),
+     "unrecognized arguments: --grad-tol"),
     (["solve", "--seed-r", "nan", "--out", "x.csv"],
-     "--seed-r: must be finite"),
+     "unrecognized arguments: --seed-r"),
     (["solve", "--seed-z", "inf", "--out", "x.csv"],
-     "--seed-z: must be finite"),
+     "unrecognized arguments: --seed-z"),
     (["index", "--seed-radius=-inf"],
-     "--seed-radius: must be finite"),
+     "unrecognized arguments: --seed-radius"),
     (["render", "--curve", "x.csv", "--j", "0", "--epsilon", "nan",
       "--out", "p"], "--epsilon: must be finite"),
     (["render", "--curve", "/no/such.csv", "--j", "-1", "--out", "p"],
      "--j"),
     (["index", "--curve", "/no/such.csv", "--points", "0"], "--points"),
+    (["convergence", "--points-list", "64,128,256,256", "--out", "d"],
+     "--points-list must not repeat a resolution"),
+    (["index", "--curve", "curve64.csv", "--points", "4096"], "--points"),
+    (["render", "--curve", "x.csv", "--epsilon", "abc", "--out", "p"],
+     "--epsilon: invalid float value"),
 ])
-def test_usage_errors(argv, needle, capsys):
+def test_usage_errors(argv, needle, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.err.startswith("error: usage:")
     assert needle in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_commands_parse():
+    # every documented command line must name only flags the parser has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").split("\n")
+    commands = [shlex.split(ln)[1:] for ln in lines
+                if ln.startswith("shrinker-index ")]
+    assert len(commands) == 6
+    parser = cli._build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -7,8 +7,8 @@ primitives rather than trusting the solver's own reported residuals.
 import numpy as np
 import pytest
 
-from shrinker_index import (DiscreteCurve, SolveConfig, discrete_length,
-                            solve_geodesic)
+from shrinker_index import DiscreteCurve, discrete_length, solve_geodesic
+from shrinker_index import solver
 from oracles import reflect_z
 from shrinker_index.curve import canonicalize, spacing_deviation
 from shrinker_index.metric import segment_blocks
@@ -37,8 +37,8 @@ def test_solution_is_critical_and_uniform(pipe, m):
 
 
 def test_determinism_bitwise():
-    a = solve_geodesic(SolveConfig(M=96))
-    b = solve_geodesic(SolveConfig(M=96))
+    a = solve_geodesic(96)
+    b = solve_geodesic(96)
     assert np.array_equal(a.points, b.points)
 
 
@@ -79,24 +79,21 @@ def test_entropy_ballpark(pipe):
     assert abs(discrete_length(pipe.curve(128)) - 1.8512185858) < 5e-3
 
 
-def test_max_iters_exhaustion_raises():
+def test_max_iters_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
     with pytest.raises(NonConvergence):
-        solve_geodesic(SolveConfig(M=64, max_iters=1))
+        solve_geodesic(64)
 
 
-def test_collapsed_seed_raises():
+def test_collapsed_seed_raises(monkeypatch):
+    monkeypatch.setattr(solver, "SEED_RADIUS", 1e-13)
     with pytest.raises(CurveCollapse):
-        solve_geodesic(SolveConfig(M=128, seed_radius=1e-13))
+        solve_geodesic(128)
 
 
 def test_config_validation():
+    # the point count is the solve's only input
     with pytest.raises(ValueError):
-        SolveConfig(M=4)
+        solve_geodesic(4)
     with pytest.raises(ValueError):
-        SolveConfig(seed_radius=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(seed_center=(0.3, 0.0), seed_radius=0.5)
-    with pytest.raises(ValueError):
-        SolveConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(max_iters=0)
+        solve_geodesic(7)

@@ -225,9 +225,10 @@ def test_index_report(pipe):
     assert len(parsed["per_k"][0]["negative_eigenvalues"]) == 3
 
 
-def test_index_raises_count_instead_of_truncating(pipe):
+def test_index_raises_count_instead_of_truncating(pipe, monkeypatch):
     # k = 0 has 3 negative modes; a count of 2 must grow, not drop one
-    rep = compute_index(pipe.curve(256), count=2)
+    monkeypatch.setattr(spectral, "INDEX_COUNT", 2)
+    rep = compute_index(pipe.curve(256))
     assert rep.index == 5
     assert rep.total_negative == 9
     assert sum(e["multiplicity"] for e in rep.excluded) == 4
