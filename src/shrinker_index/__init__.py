@@ -9,8 +9,7 @@ modes).  Convergence studies and Schroedinger-operator asymptotics serve
 as independent validation.
 """
 
-from .curve import (DiscreteCurve, discrete_length, read_curve,
-                    resample_uniform, write_curve)
+from .curve import DiscreteCurve, discrete_length, read_curve, write_curve
 from .metric import segment_distance, sigma
 from .solver import CurveCollapse, NonConvergence, solve_geodesic
 from .stability import (AmbiguousNormal, StabilityMatrix, assemble_L0,
@@ -31,7 +30,7 @@ __all__ = [
     "SchrodingerProfile", "StabilityMatrix", "assemble_L0",
     "assemble_Lk", "assemble_Lk_ode", "compute_index", "discrete_length",
     "drift_diagnostic", "fit_loglog", "high_j_estimate", "high_k_estimate",
-    "normal_field", "potential_profile", "read_curve", "resample_uniform",
+    "normal_field", "potential_profile", "read_curve",
     "run_study", "segment_distance", "sigma",
     "solve_geodesic", "spectrum", "table_report", "write_curve",
 ]

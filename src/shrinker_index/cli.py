@@ -100,8 +100,8 @@ def _build_parser():
 
 
 def _points(args):
-    if args.points < 8:
-        raise UsageError("--points must be at least 8")
+    if args.points < 10:
+        raise UsageError("--points must be at least 10")
     return args.points
 
 
@@ -165,8 +165,8 @@ def _cmd_convergence(args):
         raise UsageError("--points-list needs at least 3 distinct resolutions")
     if len(set(m_values)) < len(m_values):
         raise UsageError("--points-list must not repeat a resolution")
-    if any(m < 8 for m in m_values):
-        raise UsageError("--points-list entries must be at least 8")
+    if any(m < 10 for m in m_values):
+        raise UsageError("--points-list entries must be at least 10")
     if args.k_max < 0:
         raise UsageError("--k-max must be nonnegative")
     quantities = [(k, j) for k in range(args.k_max + 1) for j in range(4)]

@@ -1,9 +1,11 @@
 """Mesh-refinement studies of eigenvalues and entropy.
 
 Each quantity is recomputed from scratch at every resolution (fresh solve,
-fresh assembly), errors against the true value follow c / M^2, and the
-fitted slope of log10 |error| against log10 M certifies the quadratic
-rate.  True values are exact where a geometric variation pins them down:
+fresh assembly; each M walks its own solver ladder up from the circle seed,
+so no resolution of a study depends on another), errors against the true
+value follow c / M^2, and the fitted slope of log10 |error| against
+log10 M certifies the quadratic rate.  True values are exact where a
+geometric variation pins them down:
 
     (k, j) = (0, 1) -> -1      dilation
     (k, j) = (0, 2) -> -1/2    vertical translation

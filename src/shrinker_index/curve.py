@@ -61,12 +61,6 @@ def discrete_length(curve):
     return float(segment_distances(curve).sum())
 
 
-def spacing_deviation(curve):
-    """max/min segment distance ratio minus 1 (0 for perfectly even)."""
-    d = segment_distances(curve)
-    return float(d.max() / d.min() - 1.0)
-
-
 def _interpolate(points, cum, t):
     """Points on the closed polygon at accumulated-length parameters t."""
     seg_len = np.diff(cum)
@@ -106,18 +100,6 @@ def _resample_points(points, m_new):
         t[0] = 0.0
         out = _interpolate(points, cum, t)
     return out
-
-
-def resample_uniform(curve, m_new):
-    """Resample to m_new points with equal segment distances.
-
-    The output points lie on the piecewise-linear interpolant of the input
-    and the first output point is the input's q_0.  Applying this to an
-    already uniform curve with m_new = M reproduces it.
-    """
-    if m_new < 3:
-        raise ValueError("m_new must be at least 3")
-    return DiscreteCurve(_resample_points(curve.points, m_new))
 
 
 def canonicalize(curve):

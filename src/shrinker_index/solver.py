@@ -16,10 +16,16 @@ N^T H N  delta = -N^T grad) with resampling to equal segment distances.
 
 The seed is a circle of radius 0.5 around (sqrt(2), 0), the cross-section
 radius and axis distance of the self-shrinking cylinder; the Newton step
-starts at 1.0 and is halved whenever the trial residual increases.  The
-point count M is the only input: the seed (SEED_CENTER, SEED_RADIUS), the
-tolerances and the iteration cap (MAX_ITERS) are module constants, read at
-call time.
+starts at 1.0 and is halved whenever the trial residual increases.  From
+that seed the iteration stalls at large M (at 4096 and 8192 the line search
+sticks near residual 5e-4 and 2.5e-4), so the solve uses nested iteration:
+it halves M with ceiling while the count is above COARSE_M, solves that
+coarsest level from the seed, and climbs back to M level by level, each
+level resampled from the canonical curve of the level below and polished
+by the same Newton loop.  M <= COARSE_M is a single level solved from the
+seed.  The point count M is the only input: the seed (SEED_CENTER,
+SEED_RADIUS), the tolerances, the iteration cap per level (MAX_ITERS) and
+COARSE_M are module constants, read at call time.
 """
 
 import math
@@ -40,6 +46,9 @@ MAX_ITERS = 200
 #: Center and radius of the seed circle.
 SEED_CENTER = (math.sqrt(2.0), 0.0)
 SEED_RADIUS = 0.5
+#: Largest point count solved from the seed; larger M climb from a level at
+#: or below it.
+COARSE_M = 512
 
 
 class NonConvergence(RuntimeError):
@@ -61,10 +70,12 @@ def seed_circle(m):
 
 def _check_alive(points):
     if np.any(points[:, 0] <= 0.0) or not np.all(np.isfinite(points)):
-        raise CurveCollapse("iterate left the half-plane")
+        raise CurveCollapse("iterate left the half-plane at M = %d"
+                            % len(points))
     d = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
     if d.min() < metric.DEGENERACY_CUTOFF:
-        raise CurveCollapse("segment collapsed during iteration")
+        raise CurveCollapse("segment collapsed during iteration at M = %d"
+                            % len(points))
 
 
 class _State:
@@ -93,14 +104,26 @@ def _newton_direction(state):
 def solve_geodesic(m):
     """Solve for the closed m-point geodesic; returns a canonical DiscreteCurve.
 
-    Raises ValueError below 8 points, NonConvergence if the tolerances are
-    not met within MAX_ITERS and CurveCollapse if an iterate degenerates.
+    Raises ValueError below 10 points, NonConvergence if a ladder level does
+    not meet the tolerances within MAX_ITERS and CurveCollapse if an iterate
+    degenerates; both messages name the level's point count.
     Deterministic: the same m gives a bitwise identical curve.
     """
-    if m < 8:
-        raise ValueError("M must be at least 8")
-    state = _State(curve_mod._resample_points(seed_circle(m), m))
+    if m < 10:
+        raise ValueError("M must be at least 10")
+    levels = [m]
+    while levels[-1] > COARSE_M:
+        levels.append((levels[-1] + 1) // 2)
+    crv = curve_mod.DiscreteCurve(seed_circle(levels[-1]))
+    for level in reversed(levels):
+        crv = _polish(curve_mod._resample_points(crv.points, level))
+    return crv
 
+
+def _polish(points):
+    """Damped Newton iteration from points to a canonical solved curve."""
+    m = len(points)
+    state = _State(points)
     for _ in range(MAX_ITERS):
         if state.residual <= GRAD_TOL and state.spacing <= SPACING_TOL:
             return curve_mod.canonicalize(
@@ -123,9 +146,10 @@ def solve_geodesic(m):
             step *= 0.5
         if accepted is None:
             raise NonConvergence(
-                "line search stalled at residual %.3e" % state.residual)
+                "line search stalled at residual %.3e at M = %d"
+                % (state.residual, m))
         state = accepted
 
     raise NonConvergence(
-        "no convergence in %d iterations (residual %.3e, spacing %.3e)"
-        % (MAX_ITERS, state.residual, state.spacing))
+        "no convergence in %d iterations (residual %.3e, spacing %.3e) "
+        "at M = %d" % (MAX_ITERS, state.residual, state.spacing, m))

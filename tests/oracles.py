@@ -7,7 +7,8 @@ of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
 and the dense M x M form of a banded operator, so the tests can check the
 bands and the sparse eigensolver against LAPACK.  Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one
-segment, the 2x2 point block at one point, and the mirror image of a curve.
+segment, the 2x2 point block at one point, the mirror image of a curve, the
+spacing deviation of a curve and its resampling to another point count.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from shrinker_index import DiscreteCurve
+from shrinker_index.curve import _resample_points, segment_distances
 from shrinker_index.metric import segment_blocks
 from shrinker_index.stability import _point_blocks
 
@@ -76,6 +78,24 @@ def reflect_z(curve):
     pts = curve.points.copy()
     pts[:, 1] = -pts[:, 1]
     return DiscreteCurve(pts)
+
+
+def spacing_deviation(curve):
+    """max/min segment distance ratio minus 1 (0 for perfectly even)."""
+    d = segment_distances(curve)
+    return float(d.max() / d.min() - 1.0)
+
+
+def resample_uniform(curve, m_new):
+    """Resample to m_new points with equal segment distances.
+
+    The output points lie on the piecewise-linear interpolant of the input
+    and the first output point is the input's q_0.  Applying this to an
+    already uniform curve with m_new = M reproduces it.
+    """
+    if m_new < 3:
+        raise ValueError("m_new must be at least 3")
+    return DiscreteCurve(_resample_points(curve.points, m_new))
 
 
 def fd_segment_derivatives(a, b, step=FD_STEP, dps=FD_DPS):

@@ -154,6 +154,7 @@ def test_malformed_curve_file(tmp_path, capsys):
     (["index", "--curve", "curve64.csv", "--points", "4096"], "--points"),
     (["render", "--curve", "x.csv", "--epsilon", "abc", "--out", "p"],
      "--epsilon: invalid float value"),
+    (["solve", "--points", "9", "--out", "x.csv"], "--points"),
 ])
 def test_usage_errors(argv, needle, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from shrinker_index import (DiscreteCurve, discrete_length, read_curve,
-                            resample_uniform, write_curve)
-from oracles import reflect_z
-from shrinker_index.curve import (CurveFileError, canonicalize,
-                                  spacing_deviation)
+                            write_curve)
+from oracles import reflect_z, resample_uniform, spacing_deviation
+from shrinker_index.curve import CurveFileError, canonicalize
 from shrinker_index.metric import segment_distance
 
 

@@ -7,10 +7,11 @@ primitives rather than trusting the solver's own reported residuals.
 import numpy as np
 import pytest
 
-from shrinker_index import DiscreteCurve, discrete_length, solve_geodesic
+from shrinker_index import (DiscreteCurve, compute_index, discrete_length,
+                            solve_geodesic)
 from shrinker_index import solver
-from oracles import reflect_z
-from shrinker_index.curve import canonicalize, spacing_deviation
+from oracles import reflect_z, resample_uniform, spacing_deviation
+from shrinker_index.curve import _resample_points, canonicalize
 from shrinker_index.metric import segment_blocks
 from shrinker_index.solver import CurveCollapse, NonConvergence
 
@@ -63,7 +64,6 @@ def test_one_point_criticality(pipe):
 
 
 def test_cross_resolution_consistency(pipe):
-    from shrinker_index import resample_uniform
     devs = []
     for big, small in [(256, 128), (512, 256), (1024, 512)]:
         down = resample_uniform(pipe.curve(big), small)
@@ -81,7 +81,7 @@ def test_entropy_ballpark(pipe):
 
 def test_max_iters_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITERS", 1)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match="at M = 64$"):
         solve_geodesic(64)
 
 
@@ -97,3 +97,28 @@ def test_config_validation():
         solve_geodesic(4)
     with pytest.raises(ValueError):
         solve_geodesic(7)
+    with pytest.raises(ValueError):
+        solve_geodesic(9)
+
+
+@pytest.mark.parametrize("m", [3001, 4096, 8192])
+def test_ladder_solve_converges(pipe, m):
+    # above solver.COARSE_M the solve climbs from a coarse level; from the
+    # circle seed alone 4096 and 8192 stall in the line search
+    crv = pipe.curve(m)
+    assert crv.M == m
+    state = solver._State(crv.points)
+    assert state.residual <= solver.GRAD_TOL
+    assert state.spacing <= solver.SPACING_TOL
+    assert abs(discrete_length(crv) - 1.851216671682) < 1e-6
+    assert np.array_equal(solve_geodesic(m).points, crv.points)
+
+
+def test_index_at_8192(pipe):
+    assert compute_index(pipe.curve(8192)).index == 5
+
+
+def test_ladder_levels_are_polished_resamplings(pipe):
+    # 2048 climbs 512 -> 1024 -> 2048, so its last step is this polish
+    up = _resample_points(pipe.curve(1024).points, 2048)
+    assert np.array_equal(solver._polish(up).points, pipe.curve(2048).points)
