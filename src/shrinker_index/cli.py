@@ -216,9 +216,10 @@ def _cmd_asymptotics(args):
           % (profile.V_avg, profile.euclidean_length, diag.exponent))
     if args.k_scan:
         lines = ["k,lambda0,estimate,deviation"]
-        for k in range(2, args.k_scan + 1):
+        ks = range(2, args.k_scan + 1)
+        for k, ground in zip(ks, pipe.scan(ks, 1)):
             prof = asymptotics.potential_profile(crv, k)
-            lam0 = pipe.modes(k, 1)[0].eigenvalue
+            lam0 = ground.eigenvalue
             est = asymptotics.high_k_estimate(prof, 0)
             lines.append("%d,%.17g,%.17g,%.17g"
                          % (k, lam0, est, lam0 - est))

@@ -115,7 +115,8 @@ def _eig_tables(m_values, k_list, j_max, progress):
         crv = solver.solve_geodesic(m)
         lengths[m] = curve_mod.discrete_length(crv)
         pipe = spectral.Pipeline(crv)
-        tables[m] = {k: [md.eigenvalue for md in pipe.modes(k, j_max + 1)]
+        modes = pipe.scan(k_list, j_max + 1) if k_list else []
+        tables[m] = {k: [md.eigenvalue for md in modes if md.k == k]
                      for k in k_list}
         if progress is not None:
             progress(m)

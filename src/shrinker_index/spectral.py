@@ -59,14 +59,13 @@ class EigenMode:
 
 
 def _band_matvec(diag, up, vecs):
-    """A @ vecs for the cyclic tridiagonal bands, any dtype."""
-    return (diag[:, None] * vecs
-            + up[:, None] * np.roll(vecs, -1, axis=0)
-            + np.roll(up, 1)[:, None] * np.roll(vecs, 1, axis=0))
+    """A @ v for each row v of vecs, on the cyclic tridiagonal bands."""
+    return (diag * vecs + up * np.roll(vecs, -1, axis=-1)
+            + np.roll(up, 1) * np.roll(vecs, 1, axis=-1))
 
 
 def _cyclic_solve(diag, up, shifts, rhs):
-    """Solve (A - shift_j I) x_j = rhs_j for each column, extended precision.
+    """Solve (A - shift I) x = rhs for each row of rhs, extended precision.
 
     Thomas elimination plus a Sherman-Morrison correction for the cyclic
     corner; near-zero pivots are bumped (the shifts sit on eigenvalues, so
@@ -74,38 +73,36 @@ def _cyclic_solve(diag, up, shifts, rhs):
     used as inverse-iteration directions).
     """
     ld = np.longdouble
-    m = len(diag)
-    b = diag[:, None] - shifts[None, :]
+    m = rhs.shape[-1]
+    b = diag - shifts[..., None]
     corner = up[-1]
-    gamma = np.where(np.abs(b[0]) > 1e-300, -b[0], ld(-1.0))
-    b_mod = b.copy()
-    b_mod[0] = b[0] - gamma
-    b_mod[-1] = b[-1] - (corner * corner) / gamma
+    gamma = np.where(np.abs(b[..., 0]) > 1e-300, -b[..., 0], ld(-1.0))
+    b[..., 0] -= gamma
+    b[..., -1] -= (corner * corner) / gamma
 
-    work = np.empty((m,) + rhs.shape[1:] + (2,), dtype=ld)
+    work = np.empty(rhs.shape + (2,), dtype=ld)
     work[..., 0] = rhs
     work[..., 1] = 0.0
-    work[0, :, 1] = gamma
-    work[-1, :, 1] = corner
+    work[..., 0, 1] = gamma
+    work[..., -1, 1] = corner
 
-    piv = np.empty_like(b)
-    piv[0] = b_mod[0]
+    piv = b
     for row in range(1, m):
-        factor = up[row - 1] / piv[row - 1]
-        piv[row] = b_mod[row] - factor * up[row - 1]
-        work[row] -= factor[:, None] * work[row - 1]
-    piv = np.where(np.abs(piv) < 1e-300, ld(1e-300), piv)
+        factor = up[row - 1] / piv[..., row - 1]
+        piv[..., row] -= factor * up[row - 1]
+        work[..., row, :] -= factor[..., None] * work[..., row - 1, :]
+    piv[np.abs(piv) < 1e-300] = 1e-300
 
-    sol = np.empty_like(work)
-    sol[-1] = work[-1] / piv[-1][:, None]
+    work[..., -1, :] /= piv[..., -1, None]
     for row in range(m - 2, -1, -1):
-        sol[row] = (work[row] - up[row] * sol[row + 1]) / piv[row][:, None]
+        work[..., row, :] -= up[row] * work[..., row + 1, :]
+        work[..., row, :] /= piv[..., row, None]
 
-    y = sol[..., 0]
-    q = sol[..., 1]
-    v_y = y[0] + (corner / gamma) * y[-1]
-    v_q = q[0] + (corner / gamma) * q[-1]
-    return y - q * (v_y / (1.0 + v_q))[None, :]
+    y = work[..., 0]
+    q = work[..., 1]
+    v_y = y[..., 0] + (corner / gamma) * y[..., -1]
+    v_q = q[..., 0] + (corner / gamma) * q[..., -1]
+    return y - q * (v_y / (1.0 + v_q))[..., None]
 
 
 def _refine_pairs(diag, up, vals, vecs):
@@ -116,60 +113,72 @@ def _refine_pairs(diag, up, vals, vecs):
     cyclic tridiagonal bands in 80-bit arithmetic push the pair to the
     limit a float64 vector can represent; the reported eigenvalue is the
     Rayleigh quotient of the returned float64 vector and the residual its
-    true residual, both evaluated in extended precision.
+    true residual, both evaluated in extended precision.  The pairs are
+    the rows of vecs (..., M); diag broadcasts against them and `up` is
+    shared.  Each pair sums along its own row, so no batch changes it.
     """
     ld = np.longdouble
     diag_ld = diag.astype(ld)
     up_ld = up.astype(ld)
-    work = vecs.astype(ld)
+    work = np.ascontiguousarray(vecs, dtype=ld)
     shifts = vals.astype(ld) + ld(1e-13)
     for _ in range(2):
-        # the solves are deliberately near singular; a column that blows
-        # up keeps its previous iterate
+        # the solves are deliberately near singular; a row that blows up
+        # keeps its previous iterate
         with np.errstate(all="ignore"):
             trial = _cyclic_solve(diag_ld, up_ld, shifts, work)
-            norms = np.sqrt(np.einsum("mj,mj->j", trial, trial))
+            norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
             good = np.isfinite(norms) & (norms > 0.0)
-            good &= np.all(np.isfinite(trial), axis=0)
-            work = np.where(good[None, :], trial / norms[None, :], work)
-        shifts = np.einsum("mj,mj->j", work,
+            good &= np.all(np.isfinite(trial), axis=-1)
+            work = np.where(good[..., None], trial / norms[..., None], work)
+        shifts = np.einsum("...m,...m->...", work,
                            _band_matvec(diag_ld, up_ld, work))
     out = work.astype(float)
-    out = out / np.linalg.norm(out, axis=0)
+    out = out / np.linalg.norm(out, axis=-1)[..., None]
     out_ld = out.astype(ld)
     av = _band_matvec(diag_ld, up_ld, out_ld)
-    lam = np.einsum("mj,mj->j", out_ld, av)
-    resid = np.linalg.norm((av - lam[None, :] * out_ld).astype(float), axis=0)
-    return lam.astype(float), out, resid
+    lam = np.einsum("...m,...m->...", out_ld, av)
+    res = (av - lam[..., None] * out_ld).astype(float)
+    return lam.astype(float), out, np.linalg.norm(res, axis=-1)
 
 
-def spectrum(matrix, count):
-    """Lowest `count` (1..M-1) eigenpairs of a StabilityMatrix, ascending.
+def spectrum(matrices, count):
+    """Lowest `count` (1..M-1) eigenpairs of each StabilityMatrix, in one list.
 
-    Shift-invert Lanczos (ARPACK) on the bands, shifted one below the
-    Gershgorin bound so the modes nearest the shift are the lowest, then
-    an extended-precision polish, O(M) per mode.  A fixed start vector and
-    restart seed make repeated calls bitwise identical.  Eigenvectors are
-    unit norm with the largest-magnitude entry positive; residual is the
-    true ||A u - lambda u||_2 of the returned pair.
+    The list is grouped by matrix in input order, ascending within each.
+    The matrices must share M and the `up` band, as the -L_k of one curve
+    do.  Shift-invert Lanczos (ARPACK) on each matrix's bands, shifted one
+    below the Gershgorin bound so the modes nearest the shift are the
+    lowest, then one extended-precision polish of all pairs, O(M) per
+    mode.  A fixed start vector and restart seed make calls bitwise
+    repeatable, and a pair's result does not depend on the batch.
+    Eigenvectors are unit norm with the largest-magnitude entry positive;
+    residual is the true ||A u - lambda u||_2 of the returned pair.
     """
-    m = matrix.M
+    matrices = list(matrices)
+    if not matrices:
+        raise ValueError("spectrum needs at least one matrix")
+    m, up = matrices[0].M, matrices[0].up
+    if any(a.M != m or not np.array_equal(a.up, up) for a in matrices):
+        raise ValueError("matrices must share M and the up band")
     if count < 1 or count >= m:
         raise ValueError("count must be in 1..M-1")
-    diag, up = matrix.diag, matrix.up
-    shift = float(np.min(diag - np.abs(up) - np.abs(np.roll(up, 1)))) - 1.0
-    vals, vecs = scipy.sparse.linalg.eigsh(
-        stability.cyclic_csc(diag, up), k=count, sigma=shift, which="LM",
-        v0=np.ones(m), rng=ARPACK_SEED)
-    vals, vecs, resids = _refine_pairs(diag, up, vals, vecs)
-    order = np.argsort(vals, kind="stable")
+    reach = np.abs(up) + np.abs(np.roll(up, 1))
+    pairs = [scipy.sparse.linalg.eigsh(
+        stability.cyclic_csc(a.diag, up), k=count, which="LM",
+        sigma=float(np.min(a.diag - reach)) - 1.0, v0=np.ones(m),
+        rng=ARPACK_SEED) for a in matrices]
+    vals, vecs, resids = _refine_pairs(
+        np.array([a.diag for a in matrices])[:, None, :], up,
+        np.array([p[0] for p in pairs]), np.array([p[1].T for p in pairs]))
     modes = []
-    for j, col in enumerate(order):
-        u = vecs[:, col]
-        if u[np.argmax(np.abs(u))] < 0.0:
-            u = -u
-        modes.append(EigenMode(k=matrix.k, j=j, eigenvalue=float(vals[col]),
-                               vector=u, residual=float(resids[col])))
+    for a, lam, vec, res in zip(matrices, vals, vecs, resids):
+        for j, row in enumerate(np.argsort(lam, kind="stable")):
+            u = vec[row]
+            if u[np.argmax(np.abs(u))] < 0.0:
+                u = -u
+            modes.append(EigenMode(k=a.k, j=j, eigenvalue=float(lam[row]),
+                                   vector=u, residual=float(res[row])))
     return modes
 
 
@@ -221,10 +230,14 @@ class Pipeline:
         self.normals = stability.normal_field(curve)
         self.L0 = stability.assemble_L0(curve, self.normals)
 
+    def scan(self, ks, count):
+        """`modes(k, count)` for each k in ks, from one `spectrum` call."""
+        mats = [stability.assemble_Lk(self.L0, self.curve, k) for k in ks]
+        return classify_modes(spectrum(mats, count), self.curve, self.normals)
+
     def modes(self, k, count):
         """Lowest `count` eigenpairs of -L_k, ascending and labelled."""
-        Lk = stability.assemble_Lk(self.L0, self.curve, k)
-        return classify_modes(spectrum(Lk, count), self.curve, self.normals)
+        return self.scan([k], count)
 
 
 def spectrum_report(curve, modes):

@@ -47,9 +47,9 @@ def test_modes_sorted_normalized_canonical(pipe):
 def test_spectrum_count_validation(pipe):
     L0 = pipe.L0(64)
     with pytest.raises(ValueError):
-        spectrum(L0, 0)
+        spectrum([L0], 0)
     with pytest.raises(ValueError):
-        spectrum(L0, 65)
+        spectrum([L0], 65)
 
 
 def test_spectrum_matches_lapack(pipe):
@@ -58,22 +58,50 @@ def test_spectrum_matches_lapack(pipe):
     cases = [(512, k, 8) for k in range(4)] + [(512, 0, 201), (64, 0, 63)]
     for m, k, count in cases:
         a = pipe.Lk(m, k)
-        lam = [md.eigenvalue for md in spectrum(a, count)]
+        lam = [md.eigenvalue for md in spectrum([a], count)]
         ref = scipy.linalg.eigvalsh(oracles.dense(a),
                                     subset_by_index=(0, count - 1))
         assert np.max(np.abs(lam - ref)) <= 1e-9
     with pytest.raises(ValueError):
-        spectrum(pipe.L0(64), 64)
+        spectrum([pipe.L0(64)], 64)
 
 
 def test_spectrum_repeats_bitwise(pipe):
     a = pipe.Lk(512, 1)
-    first = spectrum(a, 8)
-    second = spectrum(a, 8)
+    first = spectrum([a], 8)
+    second = spectrum([a], 8)
     for p, q in zip(first, second):
         assert p.eigenvalue == q.eigenvalue
         assert p.residual == q.residual
         assert np.array_equal(p.vector, q.vector)
+
+
+@pytest.mark.parametrize("ks,count", [((0, 1, 2, 5), 8),
+                                      (tuple(range(2, 21)), 1)])
+def test_batched_spectrum_equals_single_calls(pipe, ks, count):
+    # one polish over several -L_k gives each pair bitwise the result of
+    # its own single-matrix call, grouped by matrix in input order
+    mats = [pipe.Lk(512, k) for k in ks]
+    batched = spectrum(mats, count)
+    single = [md for a in mats for md in spectrum([a], count)]
+    assert [md.k for md in batched] == [k for k in ks for _ in range(count)]
+    assert len(batched) == len(single)
+    for p, q in zip(batched, single):
+        assert (p.k, p.j) == (q.k, q.j)
+        assert p.eigenvalue == q.eigenvalue
+        assert p.residual == q.residual
+        assert np.array_equal(p.vector, q.vector)
+
+
+def test_batched_spectrum_refuses_mixed_operators(pipe):
+    a = pipe.Lk(64, 1)
+    with pytest.raises(ValueError):
+        spectrum([], 4)
+    with pytest.raises(ValueError):
+        spectrum([a, pipe.Lk(128, 1)], 4)
+    foreign = StabilityMatrix(k=2, diag=a.diag, up=2.0 * a.up)
+    with pytest.raises(ValueError):
+        spectrum([a, foreign], 4)
 
 
 _SPECTRA_SCRIPT = """
@@ -83,7 +111,7 @@ from shrinker_index import (assemble_L0, assemble_Lk, normal_field,
                             read_curve, spectrum)
 crv = read_curve(sys.argv[1])
 L0 = assemble_L0(crv, normal_field(crv))
-modes = [md for k in range(4) for md in spectrum(assemble_Lk(L0, crv, k), 8)]
+modes = spectrum([assemble_Lk(L0, crv, k) for k in range(4)], 8)
 np.save(sys.argv[2], np.concatenate(
     [[md.eigenvalue for md in modes]] + [md.vector for md in modes]))
 """
@@ -127,7 +155,8 @@ def test_pipeline_matches_explicit_chain(pipe):
     L0 = assemble_L0(crv, nf)
     for k in range(4):
         got = chain.modes(k, 8)
-        ref = classify_modes(spectrum(assemble_Lk(L0, crv, k), 8), crv, nf)
+        ref = classify_modes(spectrum([assemble_Lk(L0, crv, k)], 8), crv,
+                             nf)
         assert len(got) == len(ref) == 8
         for p, q in zip(got, ref):
             assert (p.k, p.j, p.label) == (q.k, q.j, q.label)
@@ -140,14 +169,15 @@ def test_pipeline_matches_explicit_chain(pipe):
     (["spectrum"], 1),
     (["render", "--j", "0", "--out", "{tmp}/r"], 1),
     (["asymptotics", "--j-max", "10", "--k-scan", "3", "--out", "{tmp}/a"],
-     3),
+     2),
 ])
 def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
                                                    monkeypatch, argv,
                                                    expected):
     # the benchmark collects residuals by replacing spectral.spectrum, so
     # every spectrum a subcommand computes must be looked up there; each
-    # subcommand assembles -L_0 once
+    # subcommand assembles -L_0 once, and asymptotics polishes its k-scan
+    # in one call after the drift spectrum
     curve_path = tmp_path / "curve64.csv"
     write_curve(pipe.curve(64), str(curve_path))
     original = spectral.spectrum
@@ -155,9 +185,9 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
     calls = []
     L0_calls = []
 
-    def counted(matrix, count):
+    def counted(matrices, count):
         calls.append(count)
-        return original(matrix, count)
+        return original(matrices, count)
 
     def counted_L0(curve, normals):
         L0_calls.append(curve.M)
@@ -196,7 +226,7 @@ def test_eigenvalue_interlacing_in_k(pipe):
 def test_reflection_leaves_spectrum(pipe):
     crv = canonicalize(reflect_z(pipe.curve(256)))
     a = assemble_L0(crv, normal_field(crv))
-    vals = [md.eigenvalue for md in spectrum(a, 4)]
+    vals = [md.eigenvalue for md in spectrum([a], 4)]
     assert np.max(np.abs(np.array(vals)
                          - pipe.eigenvalues(256, 0, 4))) < 1e-8
 
@@ -241,10 +271,10 @@ def test_index_skips_rotation_mode_of_either_sign(pipe, monkeypatch):
     original = spectral.spectrum
     flipped = []
 
-    def rotation_below_zero(matrix, count):
-        modes = original(matrix, count)
+    def rotation_below_zero(matrices, count):
+        modes = original(matrices, count)
         for m in modes:
-            if matrix.k == 1 and abs(m.eigenvalue) < 1e-3:
+            if m.k == 1 and abs(m.eigenvalue) < 1e-3:
                 m.eigenvalue = -m.eigenvalue
                 flipped.append(m.eigenvalue)
         return modes
