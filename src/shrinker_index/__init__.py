@@ -13,7 +13,7 @@ from .curve import DiscreteCurve, discrete_length, read_curve, write_curve
 from .metric import segment_distance, sigma
 from .solver import CurveCollapse, NonConvergence, solve_geodesic
 from .stability import (AmbiguousNormal, StabilityMatrix, assemble_L0,
-                        assemble_Lk, assemble_Lk_ode, normal_field)
+                        assemble_Lk, normal_field)
 from .spectral import (EigenMode, ExclusionMismatch, IndexReport, Pipeline,
                        compute_index, spectrum)
 from .convergence import (ConvergenceStudy, DegenerateFit, fit_loglog,
@@ -28,7 +28,7 @@ __all__ = [
     "DiscreteCurve", "EigenMode", "ExclusionMismatch", "IndexReport",
     "NoWell", "NonConvergence", "Pipeline",
     "SchrodingerProfile", "StabilityMatrix", "assemble_L0",
-    "assemble_Lk", "assemble_Lk_ode", "compute_index", "discrete_length",
+    "assemble_Lk", "compute_index", "discrete_length",
     "drift_diagnostic", "fit_loglog", "high_j_estimate", "high_k_estimate",
     "normal_field", "potential_profile", "read_curve",
     "run_study", "segment_distance", "sigma",

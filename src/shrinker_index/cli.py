@@ -42,13 +42,29 @@ def _finite(text):
     return value
 
 
+def _int_at_least(low, high=None):
+    """argparse type of an integer flag: at least `low`, at most `high`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be at most %d" % high)
+        return value
+    return parse
+
+
 def _build_parser():
     parser = _Parser(prog="shrinker-index",
                      description="Self-shrinker cross-section spectra and index")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    mode_number = _int_at_least(0, 2 ** 26)  # k^2 is exact in float64
 
     def add_points(p):
-        p.add_argument("-M", "--points", type=int, default=2048,
+        p.add_argument("-M", "--points", type=_int_at_least(10), default=2048,
                        help="number of curve points (default 2048)")
 
     p = sub.add_parser("solve", help="solve the closed geodesic, write CSV")
@@ -57,8 +73,8 @@ def _build_parser():
 
     p = sub.add_parser("spectrum", help="low eigenpairs of -L_k")
     p.add_argument("--curve", required=True, help="curve CSV from solve")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--k", type=mode_number, default=0)
+    p.add_argument("--count", type=_int_at_least(1), default=8)
     p.add_argument("--out", help="JSON report path (default stdout)")
     p.add_argument("--csv", help="optional flat CSV path")
 
@@ -69,27 +85,28 @@ def _build_parser():
     p.add_argument("--out", help="JSON report path")
 
     p = sub.add_parser("convergence", help="mesh-refinement study")
-    p.add_argument("--points-list", default="128,256,512,1024,2048",
+    p.add_argument("--points-list",
+                   default=",".join(map(str, convergence.DEFAULT_M)),
                    help="comma-separated resolutions")
-    p.add_argument("--k-max", type=int, default=3,
+    p.add_argument("--k-max", type=_int_at_least(0), default=3,
                    help="table rows cover k = 0..k_max, j = 0..3")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("asymptotics", help="potential profile and drift")
     p.add_argument("--curve", required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--j-max", type=int, default=100)
+    p.add_argument("--k", type=mode_number, default=0)
+    p.add_argument("--j-max", type=_int_at_least(10), default=100)
     p.add_argument("--k-scan", type=int, default=0,
                    help="also scan ground states for k = 2..k_scan")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("render", help="SVG cross-section and OBJ surface")
     p.add_argument("--curve", required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--j", type=int, default=None,
+    p.add_argument("--k", type=mode_number, default=0)
+    p.add_argument("--j", type=_int_at_least(0), default=None,
                    help="eigenmode to display (default: undisplaced)")
     p.add_argument("--epsilon", type=_finite, default=None)
-    p.add_argument("--ntheta", type=int, default=64)
+    p.add_argument("--ntheta", type=_int_at_least(3), default=64)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--cos", dest="phase", action="store_const",
                      const="cos", default="cos")
@@ -99,29 +116,19 @@ def _build_parser():
     return parser
 
 
-def _points(args):
-    if args.points < 10:
-        raise UsageError("--points must be at least 10")
-    return args.points
-
-
 def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def _cmd_solve(args):
-    crv = solver.solve_geodesic(_points(args))
+    crv = solver.solve_geodesic(args.points)
     curve_mod.write_curve(crv, args.out)
     print("entropy %.17g M %d" % (curve_mod.discrete_length(crv), crv.M))
     return 0
 
 
 def _cmd_spectrum(args):
-    if args.k < 0:
-        raise UsageError("--k must be nonnegative")
-    if args.count < 1:
-        raise UsageError("--count must be positive")
     crv = curve_mod.read_curve(args.curve)
     if args.count >= crv.M:
         raise UsageError(
@@ -142,11 +149,10 @@ def _cmd_spectrum(args):
 
 
 def _cmd_index(args):
-    m = _points(args)
     if args.curve:
         crv = curve_mod.read_curve(args.curve)
     else:
-        crv = solver.solve_geodesic(m)
+        crv = solver.solve_geodesic(args.points)
     report = spectral.compute_index(crv)
     print("index %d (%d negative, %d excluded)"
           % (report.index, report.total_negative,
@@ -157,18 +163,15 @@ def _cmd_index(args):
 
 
 def _cmd_convergence(args):
+    entry = _int_at_least(10)
     try:
-        m_values = tuple(int(tok) for tok in args.points_list.split(","))
-    except ValueError:
-        raise UsageError("--points-list must be comma-separated integers")
+        m_values = tuple(entry(tok) for tok in args.points_list.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError("--points-list: %s" % exc)
     if len(set(m_values)) < 3:
         raise UsageError("--points-list needs at least 3 distinct resolutions")
     if len(set(m_values)) < len(m_values):
         raise UsageError("--points-list must not repeat a resolution")
-    if any(m < 10 for m in m_values):
-        raise UsageError("--points-list entries must be at least 10")
-    if args.k_max < 0:
-        raise UsageError("--k-max must be nonnegative")
     quantities = [(k, j) for k in range(args.k_max + 1) for j in range(4)]
     quantities.append("entropy")
     os.makedirs(args.out, exist_ok=True)
@@ -193,10 +196,6 @@ def _cmd_convergence(args):
 
 
 def _cmd_asymptotics(args):
-    if args.k < 0:
-        raise UsageError("--k must be nonnegative")
-    if args.j_max < 10:
-        raise UsageError("--j-max must be at least 10")
     if args.k_scan != 0 and args.k_scan < 2:
         raise UsageError("--k-scan must be 0 or at least 2")
     crv = curve_mod.read_curve(args.curve)
@@ -229,15 +228,8 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_render(args):
-    if args.ntheta < 3:
-        raise UsageError("--ntheta must be at least 3")
-    if args.k < 0:
-        raise UsageError("--k must be nonnegative")
-    if args.j is not None and args.j < 0:
-        raise UsageError("--j must be nonnegative")
     crv = curve_mod.read_curve(args.curve)
-    mode = None
-    normals = None
+    mode = normals = None
     if args.j is not None:
         if args.j + 1 >= crv.M:
             raise UsageError("--j must be less than the number of curve "

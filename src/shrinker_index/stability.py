@@ -23,9 +23,6 @@ the curve centroid); normal_field returns them as an (M, 2) array.  The
 normal direction is stiff (the |b - a|^{-1} projector term dominates), so
 the two eigenvalues are well separated and the eigenvector is stable even
 far from the solved curve.
-
-An independent second-order discretization of the same operators via the
-geodesic ODE in weighted arc length is provided for cross-checking.
 """
 
 import dataclasses
@@ -33,7 +30,6 @@ import dataclasses
 import numpy as np
 import scipy.sparse
 
-from . import curve as curve_mod
 from . import metric
 
 #: Below this eigenvalue gap of the 2x2 point block the normal direction is
@@ -150,30 +146,3 @@ def assemble_Lk(L0, curve, k):
         return L0
     return StabilityMatrix(k=int(k), diag=L0.diag + (k * k) / curve.r ** 2,
                            up=L0.up)
-
-
-def assemble_Lk_ode(curve, k):
-    """Independent -L_k discretization from the arc-length ODE.
-
-    In the weighted arc-length parameter t (equal increments dt = l / M
-    along the solved curve) the stability operator reads
-
-        (-L_k u)_m = -sigma_m (sigma_{m+1} u_{m+1} - 2 sigma_m u_m
-                               + sigma_{m-1} u_{m-1}) / dt^2
-                     - (1 + (1 - k^2) / r_m^2) u_m,
-
-    which is symmetric as written.  Second order accurate, like the
-    Hessian-based assembly, but with a different error constant; agreement
-    of low eigenvalues to ~1e-3 at M = 2048 is the cross-check.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError("mode number k must be a nonnegative integer")
-    points = curve.points
-    m_count = curve.M
-    s = metric.sigma(points)
-    dt = curve_mod.discrete_length(curve) / m_count
-    r = curve.r
-
-    diag = 2.0 * s * s / dt**2 - 1.0 - (1.0 - k * k) / (r * r)
-    up = -s * np.roll(s, -1) / dt**2
-    return StabilityMatrix(k=int(k), diag=diag, up=up)

@@ -1,9 +1,11 @@
 """Independent oracles and test-only views used only by the tests.
 
-Three oracles live here: a high-precision finite-difference evaluation of
+Four oracles live here: a high-precision finite-difference evaluation of
 the segment-distance derivatives (mpmath, so truncation error dominates and
 the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
 of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
+a second discretization of -L_k from the geodesic ODE in weighted arc
+length, whose low eigenvalues must agree with the Hessian-based assembly,
 and the dense M x M form of a banded operator, so the tests can check the
 bands and the sparse eigensolver against LAPACK.  Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one
@@ -16,7 +18,8 @@ import dataclasses
 import mpmath as mp
 import numpy as np
 
-from shrinker_index import DiscreteCurve
+from shrinker_index import (DiscreteCurve, StabilityMatrix, discrete_length,
+                            sigma)
 from shrinker_index.curve import _resample_points, segment_distances
 from shrinker_index.metric import segment_blocks
 from shrinker_index.stability import _point_blocks
@@ -181,6 +184,33 @@ def full_L0(curve, normals):
         N[2 * m:2 * m + 2, m] = normals[m]
     A = (m_count / total) * (N.T @ H @ N)
     return 0.5 * (A + A.T)
+
+
+def assemble_Lk_ode(curve, k):
+    """Independent -L_k discretization from the arc-length ODE.
+
+    In the weighted arc-length parameter t (equal increments dt = l / M
+    along the solved curve) the stability operator reads
+
+        (-L_k u)_m = -sigma_m (sigma_{m+1} u_{m+1} - 2 sigma_m u_m
+                               + sigma_{m-1} u_{m-1}) / dt^2
+                     - (1 + (1 - k^2) / r_m^2) u_m,
+
+    which is symmetric as written.  Second order accurate, like the
+    Hessian-based assembly, but with a different error constant; agreement
+    of low eigenvalues to ~1e-3 at M = 2048 is the cross-check.
+    """
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError("mode number k must be a nonnegative integer")
+    points = curve.points
+    m_count = curve.M
+    s = sigma(points)
+    dt = discrete_length(curve) / m_count
+    r = curve.r
+
+    diag = 2.0 * s * s / dt**2 - 1.0 - (1.0 - k * k) / (r * r)
+    up = -s * np.roll(s, -1) / dt**2
+    return StabilityMatrix(k=int(k), diag=diag, up=up)
 
 
 def dense(matrix):

@@ -11,11 +11,11 @@ import numpy as np
 import scipy.linalg
 
 import oracles
+from oracles import assemble_Lk_ode
 from shrinker_index import (DiscreteCurve, compute_index, discrete_length,
                             drift_diagnostic, potential_profile)
 from shrinker_index.asymptotics import high_k_estimate
 from shrinker_index.spectral import classify_modes
-from shrinker_index.stability import assemble_Lk_ode
 
 # eigenvalues of -L_k at M = 2048, k = 0..3, lowest four per k,
 # frozen from the converged pipeline

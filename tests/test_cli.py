@@ -11,6 +11,8 @@ import pytest
 from shrinker_index import DiscreteCurve, cli, write_curve
 from shrinker_index.cli import main
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 @pytest.fixture(scope="module")
 def curve_csv(tmp_path_factory):
@@ -155,6 +157,15 @@ def test_malformed_curve_file(tmp_path, capsys):
     (["render", "--curve", "x.csv", "--epsilon", "abc", "--out", "p"],
      "--epsilon: invalid float value"),
     (["solve", "--points", "9", "--out", "x.csv"], "--points"),
+    (["spectrum", "--curve", "x.csv", "--k", str(10 ** 160)],
+     "--k: must be at most"),
+    (["render", "--curve", "x.csv", "--k", str(10 ** 160), "--j", "0",
+      "--out", "p"], "--k: must be at most"),
+    (["asymptotics", "--curve", "x.csv", "--k", str(10 ** 160),
+      "--out", "d"], "--k: must be at most"),
+    (["convergence", "--k-max", "-1", "--out", "d"], "--k-max"),
+    (["asymptotics", "--curve", "x.csv", "--k", "-1", "--out", "d"], "--k"),
+    (["render", "--curve", "x.csv", "--k", "-1", "--out", "p"], "--k"),
 ])
 def test_usage_errors(argv, needle, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -168,8 +179,8 @@ def test_usage_errors(argv, needle, capsys, tmp_path, monkeypatch):
 
 def test_readme_commands_parse():
     # every documented command line must name only flags the parser has
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
     lines = "\n".join(blocks).replace("\\\n", " ").split("\n")
     commands = [shlex.split(ln)[1:] for ln in lines
                 if ln.startswith("shrinker-index ")]
@@ -177,6 +188,28 @@ def test_readme_commands_parse():
     parser = cli._build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_library_example(capsys):
+    # the Library block prints what its comments say
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                          re.M | re.S)
+    exec(block, {})
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0].startswith("[-0.4876")
+    assert lines[1] == "['sigma_inverse', 'horizontal_translation', 'rotation']"
+    assert lines[2] == "5"
+
+
+def test_main_dispatches_through_command_table(monkeypatch):
+    # perfbench's tracer times these handlers by replacing their entries
+    assert {"solve", "index", "convergence", "asymptotics",
+            "render"} <= set(cli._COMMANDS)
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "solve",
+                        lambda args: seen.append(args.out) or 0)
+    assert main(["solve", "--out", "x.csv"]) == 0
+    assert seen == ["x.csv"]
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -11,10 +11,9 @@ import scipy.linalg
 
 import oracles
 from shrinker_index import assemble_L0, assemble_Lk, normal_field
-from oracles import point_block, reflect_z
+from oracles import assemble_Lk_ode, point_block, reflect_z
 from shrinker_index.metric import segment_blocks
-from shrinker_index.stability import (AmbiguousNormal, _normals,
-                                      assemble_Lk_ode)
+from shrinker_index.stability import AmbiguousNormal, _normals
 
 
 def test_matches_full_hessian_assembly(pipe):
