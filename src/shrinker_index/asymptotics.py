@@ -152,18 +152,3 @@ def drift_diagnostic(profile, eigenvalues):
     return DriftDiagnostic(k=profile.k, rows=rows, exponent=exponent,
                            fit_range=(j_lo, j_max))
 
-
-def profile_csv(profile):
-    """CSV dump m,s,V of a potential profile."""
-    lines = ["m,s,V"]
-    for m in range(len(profile.V)):
-        lines.append("%d,%.17g,%.17g" % (m, profile.s[m], profile.V[m]))
-    return "\n".join(lines) + "\n"
-
-
-def drift_csv(diag):
-    """CSV dump j,lambda,estimate,deviation of a drift diagnostic."""
-    lines = ["j,lambda,estimate,deviation"]
-    for j, lam, est, dev in diag.rows:
-        lines.append("%d,%.17g,%.17g,%.17g" % (j, lam, est, dev))
-    return "\n".join(lines) + "\n"

@@ -13,6 +13,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import asymptotics
 from . import convergence
 from . import curve as curve_mod
@@ -121,6 +123,15 @@ def _write(path, text):
         fh.write(text)
 
 
+def _write_csv(path, header, rows):
+    """CSV with a header line: floats at 17 significant digits, else str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join("%.17g" % cell if isinstance(cell, float)
+                              else str(cell) for cell in row))
+    _write(path, "\n".join(lines) + "\n")
+
+
 def _cmd_solve(args):
     crv = solver.solve_geodesic(args.points)
     curve_mod.write_curve(crv, args.out)
@@ -134,17 +145,20 @@ def _cmd_spectrum(args):
         raise UsageError(
             "--count must be less than the number of curve points")
     modes = spectral.Pipeline(crv).modes(args.k, args.count)
-    report = json.dumps(spectral.spectrum_report(crv, modes), indent=2)
+    report = json.dumps({
+        "M": crv.M,
+        "k": modes[0].k,
+        "eigenvalues": [m.eigenvalue for m in modes],
+        "labels": [m.label for m in modes],
+        "residuals": [m.residual for m in modes],
+    }, indent=2)
     if args.out:
         _write(args.out, report + "\n")
     else:
         print(report)
     if args.csv:
-        lines = ["j,eigenvalue,label,residual"]
-        for m in modes:
-            lines.append("%d,%.17g,%s,%.17g"
-                         % (m.j, m.eigenvalue, m.label, m.residual))
-        _write(args.csv, "\n".join(lines) + "\n")
+        _write_csv(args.csv, "j,eigenvalue,label,residual",
+                   [(m.j, m.eigenvalue, m.label, m.residual) for m in modes])
     return 0
 
 
@@ -158,7 +172,13 @@ def _cmd_index(args):
           % (report.index, report.total_negative,
              sum(e["multiplicity"] for e in report.excluded)))
     if args.out:
-        _write(args.out, report.to_json() + "\n")
+        _write(args.out, json.dumps({
+            "per_k": [{"k": k, "negative_eigenvalues": vals}
+                      for k, vals in report.per_k],
+            "excluded": report.excluded,
+            "total": report.total_negative,
+            "index": report.index,
+        }, indent=2) + "\n")
     return 0
 
 
@@ -178,19 +198,24 @@ def _cmd_convergence(args):
     studies = convergence.run_study(
         quantities, m_values,
         progress=lambda m: print("solved M = %d" % m))
-    text, csv_table = convergence.table_report(studies)
+    text, rows = convergence.table_report(studies)
     _write(os.path.join(args.out, "table.txt"), text)
-    _write(os.path.join(args.out, "table.csv"), csv_table)
-    _write(os.path.join(args.out, "study.csv"),
-           convergence.study_csv(studies))
-    slopes = {convergence.quantity_name(st.quantity): st.slope
-              for st in studies}
+    _write_csv(os.path.join(args.out, "table.csv"),
+               "k,j,computed,true_value,error,true_known,slope", rows)
+    names = [convergence.quantity_name(st.quantity) for st in studies]
+    _write_csv(os.path.join(args.out, "study.csv"),
+               "quantity,M,estimate,true_value,abs_error",
+               [(name, m, est, st.true_value, abs(err))
+                for name, st in zip(names, studies)
+                for m, est, err in zip(st.M_values, st.estimates, st.errors)])
+    slopes = {name: st.slope for name, st in zip(names, studies)}
     _write(os.path.join(args.out, "slopes.json"),
            json.dumps(slopes, indent=2) + "\n")
-    for st in studies:
-        name = convergence.quantity_name(st.quantity)
-        _write(os.path.join(args.out, "loglog_%s.csv" % name),
-               convergence.loglog_csv(st))
+    for name, st in zip(names, studies):
+        _write_csv(os.path.join(args.out, "loglog_%s.csv" % name),
+                   "M,log10_M,abs_error,log10_abs_error",
+                   [(m, np.log10(m), abs(err), np.log10(abs(err)))
+                    for m, err in zip(st.M_values, st.errors)])
     print(text, end="")
     return 0
 
@@ -204,26 +229,25 @@ def _cmd_asymptotics(args):
             "--j-max must be less than half the number of curve points")
     os.makedirs(args.out, exist_ok=True)
     profile = asymptotics.potential_profile(crv, args.k)
-    _write(os.path.join(args.out, "profile_k%d.csv" % args.k),
-           asymptotics.profile_csv(profile))
+    _write_csv(os.path.join(args.out, "profile_k%d.csv" % args.k), "m,s,V",
+               zip(range(crv.M), profile.s, profile.V))
     pipe = spectral.Pipeline(crv)
     lam = [m.eigenvalue for m in pipe.modes(args.k, 2 * args.j_max + 1)]
     diag = asymptotics.drift_diagnostic(profile, lam)
-    _write(os.path.join(args.out, "drift_k%d.csv" % args.k),
-           asymptotics.drift_csv(diag))
+    _write_csv(os.path.join(args.out, "drift_k%d.csv" % args.k),
+               "j,lambda,estimate,deviation", diag.rows)
     print("V_avg %.17g length %.17g drift_exponent %.4f"
           % (profile.V_avg, profile.euclidean_length, diag.exponent))
     if args.k_scan:
-        lines = ["k,lambda0,estimate,deviation"]
+        rows = []
         ks = range(2, args.k_scan + 1)
         for k, ground in zip(ks, pipe.scan(ks, 1)):
             prof = asymptotics.potential_profile(crv, k)
             lam0 = ground.eigenvalue
             est = asymptotics.high_k_estimate(prof, 0)
-            lines.append("%d,%.17g,%.17g,%.17g"
-                         % (k, lam0, est, lam0 - est))
-        _write(os.path.join(args.out, "groundstate.csv"),
-               "\n".join(lines) + "\n")
+            rows.append((k, lam0, est, lam0 - est))
+        _write_csv(os.path.join(args.out, "groundstate.csv"),
+                   "k,lambda0,estimate,deviation", rows)
     return 0
 
 

@@ -165,51 +165,19 @@ def quantity_name(quantity):
 def table_report(studies):
     """Eigenvalue table: computed at the finest M, true value, signed error.
 
-    Returns (text, csv) renderings; the error column is
-    computed(finest M) - true.
+    Returns (text, rows).  Each row is (k, j, computed, true_value, error,
+    source, slope), sorted by (k, j); error is computed(finest M) - true
+    and source is "exact" or "fitted".
     """
-    rows = []
-    for st in studies:
-        if st.quantity == "entropy":
-            continue
-        k, j = st.quantity
-        computed = st.estimates[-1]
-        rows.append((k, j, computed, st.true_value,
-                     computed - st.true_value, st.true_known, st.slope))
-    rows.sort(key=lambda row: (row[0], row[1]))
-
-    csv_lines = ["k,j,computed,true_value,error,true_known,slope"]
-    for k, j, comp, true, err, known, slope in rows:
-        csv_lines.append("%d,%d,%.17g,%.17g,%.17g,%s,%.17g"
-                         % (k, j, comp, true, err,
-                            "exact" if known else "fitted", slope))
-
+    rows = sorted(((st.quantity[0], st.quantity[1], st.estimates[-1],
+                    st.true_value, st.estimates[-1] - st.true_value,
+                    "exact" if st.true_known else "fitted", st.slope)
+                   for st in studies if st.quantity != "entropy"),
+                  key=lambda row: row[:2])
     text_lines = [
         "  k  j      computed          true        error      source  slope",
         "  -  -  ------------  ------------  -----------  ----------  -----",
     ]
-    for k, j, comp, true, err, known, slope in rows:
-        text_lines.append(
-            "  %d  %d  %12.8f  %12.8f  %+.2e  %10s  %5.2f"
-            % (k, j, comp, true, err, "exact" if known else "fitted", slope))
-    return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
-
-
-def study_csv(studies):
-    """Flat CSV of all study data: quantity,M,estimate,true_value,abs_error."""
-    lines = ["quantity,M,estimate,true_value,abs_error"]
-    for st in studies:
-        name = quantity_name(st.quantity)
-        for m, est, err in zip(st.M_values, st.estimates, st.errors):
-            lines.append("%s,%d,%.17g,%.17g,%.17g"
-                         % (name, m, est, st.true_value, abs(err)))
-    return "\n".join(lines) + "\n"
-
-
-def loglog_csv(study):
-    """Per-quantity log-log data for external plotting."""
-    lines = ["M,log10_M,abs_error,log10_abs_error"]
-    for m, err in zip(study.M_values, study.errors):
-        lines.append("%d,%.17g,%.17g,%.17g"
-                     % (m, np.log10(m), abs(err), np.log10(abs(err))))
-    return "\n".join(lines) + "\n"
+    text_lines += ["  %d  %d  %12.8f  %12.8f  %+.2e  %10s  %5.2f" % row
+                   for row in rows]
+    return "\n".join(text_lines) + "\n", rows

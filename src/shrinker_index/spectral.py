@@ -17,7 +17,6 @@ of every self-shrinker and carry no geometric information.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import scipy.sparse.linalg
@@ -240,19 +239,6 @@ class Pipeline:
         return self.scan([k], count)
 
 
-def spectrum_report(curve, modes):
-    """JSON-ready dict for one k: eigenvalues, labels, residuals."""
-    if not modes:
-        raise ValueError("empty spectrum")
-    return {
-        "M": curve.M,
-        "k": modes[0].k,
-        "eigenvalues": [m.eigenvalue for m in modes],
-        "labels": [m.label for m in modes],
-        "residuals": [m.residual for m in modes],
-    }
-
-
 @dataclasses.dataclass
 class IndexReport:
     """Morse index bookkeeping across Fourier modes.
@@ -268,15 +254,6 @@ class IndexReport:
     excluded: list
     total_negative: int
     index: int
-
-    def to_json(self):
-        return json.dumps({
-            "per_k": [{"k": k, "negative_eigenvalues": vals}
-                      for k, vals in self.per_k],
-            "excluded": self.excluded,
-            "total": self.total_negative,
-            "index": self.index,
-        }, indent=2)
 
 
 def compute_index(curve):

@@ -5,8 +5,7 @@ import pytest
 
 from shrinker_index import drift_diagnostic, potential_profile
 from shrinker_index.asymptotics import (NoWell, SchrodingerProfile,
-                                        drift_csv, high_j_estimate,
-                                        high_k_estimate, profile_csv)
+                                        high_j_estimate, high_k_estimate)
 from shrinker_index.metric import sigma
 
 
@@ -115,22 +114,3 @@ def test_no_well_raises():
     with pytest.raises(NoWell):
         high_k_estimate(p, 0)
 
-
-def test_csv_formats(pipe):
-    crv = pipe.curve(128)
-    p = potential_profile(crv, 2)
-    lines = profile_csv(p).strip().split("\n")
-    assert lines[0] == "m,s,V"
-    assert len(lines) == 129
-    row = lines[5].split(",")
-    assert int(row[0]) == 4
-    assert float(row[2]) == p.V[4]
-
-    diag = drift_diagnostic(potential_profile(crv, 0),
-                            eigenvalues=pipe.eigenvalues(128, 0, 21))
-    dlines = drift_csv(diag).strip().split("\n")
-    assert dlines[0] == "j,lambda,estimate,deviation"
-    assert len(dlines) == 11
-    j, lam_j, est, dev = dlines[1].split(",")
-    assert int(j) == 1
-    assert np.isclose(float(lam_j) - float(est), float(dev), rtol=1e-12)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shrinker_index import DiscreteCurve, cli, write_curve
+from shrinker_index import (DiscreteCurve, Pipeline, cli, drift_diagnostic,
+                            potential_profile, read_curve, write_curve)
 from shrinker_index.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,6 +48,7 @@ def test_spectrum_stdout_json(curve_csv, capsys):
     assert report["M"] == 64
     assert report["k"] == 1
     assert len(report["eigenvalues"]) == 5
+    assert len(report["labels"]) == len(report["residuals"]) == 5
     assert report["eigenvalues"] == sorted(report["eigenvalues"])
     assert report["labels"][0] == "sigma_inverse"
     assert max(report["residuals"]) < 1e-10
@@ -75,6 +77,9 @@ def test_index_from_fresh_solve(tmp_path, capsys):
     assert captured.out.strip() == "index 5 (9 negative, 4 excluded)"
     report = json.loads(out.read_text())
     assert report["index"] == 5
+    assert report["total"] == 9
+    assert report["per_k"][0]["k"] == 0
+    assert len(report["per_k"][0]["negative_eigenvalues"]) == 3
 
 
 def test_index_from_curve_file(curve_csv, capsys):
@@ -241,14 +246,24 @@ def test_asymptotics_outputs(curve_csv, tmp_path, capsys):
     profile = (out / "profile_k0.csv").read_text().strip().split("\n")
     assert profile[0] == "m,s,V"
     assert len(profile) == 65
+    p = potential_profile(read_curve(curve_csv), 0)
+    row = profile[5].split(",")
+    assert int(row[0]) == 4
+    assert float(row[2]) == p.V[4]
 
     drift = (out / "drift_k0.csv").read_text().strip().split("\n")
     assert drift[0] == "j,lambda,estimate,deviation"
     assert len(drift) == 11
+    j, lam_j, est, dev = drift[1].split(",")
+    assert int(j) == 1
+    assert np.isclose(float(lam_j) - float(est), float(dev), rtol=1e-12)
 
     ground = (out / "groundstate.csv").read_text().strip().split("\n")
     assert ground[0] == "k,lambda0,estimate,deviation"
     assert [row.split(",")[0] for row in ground[1:]] == ["2", "3"]
+    for row in ground[1:]:
+        _, lam0, est, dev = map(float, row.split(","))
+        assert dev == lam0 - est
 
 
 def test_convergence_outputs(tmp_path, capsys):
@@ -266,11 +281,27 @@ def test_convergence_outputs(tmp_path, capsys):
     table = (out / "table.csv").read_text().strip().split("\n")
     assert table[0] == "k,j,computed,true_value,error,true_known,slope"
     assert len(table) == 5
+    row01 = table[2].split(",")
+    assert row01[0] == "0" and row01[1] == "1"
+    assert float(row01[3]) == -1.0
+    assert row01[5] == "exact"
+    assert abs(float(row01[2]) - float(row01[3]) - float(row01[4])) < 1e-15
+    assert table[1].split(",")[5] == "fitted"
     study = (out / "study.csv").read_text().strip().split("\n")
+    assert study[0] == "quantity,M,estimate,true_value,abs_error"
     assert len(study) == 1 + 5 * 3
+    first = study[1].split(",")
+    assert first[0] == "lambda_k0_j0"
+    assert int(first[1]) == 32
+    assert float(first[4]) >= 0.0
     for name in slopes:
-        ll = (out / ("loglog_%s.csv" % name)).read_text()
-        assert ll.startswith("M,log10_M,abs_error,log10_abs_error")
+        ll = (out / ("loglog_%s.csv" % name)).read_text().strip().split("\n")
+        assert ll[0] == "M,log10_M,abs_error,log10_abs_error"
+        assert len(ll) == 4
+        for row in ll[1:]:
+            m, log_m, err, log_err = map(float, row.split(","))
+            assert np.isclose(log_m, np.log10(m))
+            assert np.isclose(log_err, np.log10(err))
     assert (out / "table.txt").read_text().strip()
 
 
@@ -297,3 +328,46 @@ def test_render_plain(curve_csv, tmp_path, capsys):
     assert rc == 0
     svg = (prefix.parent / "plain.svg").read_text()
     assert svg.count("<path") == 1
+
+
+def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):
+    # floats keep every bit, other cells are written with str
+    path = tmp_path / "cells.csv"
+    floats = [-0.0, 5e-324, 1e308, np.float64(0.1)]
+    big = np.int64(2 ** 62 + 1)
+    cli._write_csv(path, "a,b,c,d,n,label",
+                   [floats + [big, "sigma_inverse"]])
+    header, row, end = path.read_text().split("\n")
+    assert header == "a,b,c,d,n,label" and end == ""
+    cells = row.split(",")
+    for cell, value in zip(cells, floats):
+        assert np.float64(cell).tobytes() == np.float64(value).tobytes()
+    assert cells[3] == "0.10000000000000001"  # 17 significant digits
+    assert np.int64(cells[4]).tobytes() == big.tobytes()
+    assert cells[5] == "sigma_inverse"
+
+    out = tmp_path / "asy"
+    assert main(["asymptotics", "--curve", curve_csv, "--j-max", "10",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    crv = read_curve(curve_csv)
+    lam = [m.eigenvalue for m in Pipeline(crv).modes(0, 21)]
+    diag = drift_diagnostic(potential_profile(crv, 0), lam)
+    rows = (out / "drift_k0.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == len(diag.rows)
+    for text, (j, *values) in zip(rows, diag.rows):
+        cells = text.split(",")
+        assert int(cells[0]) == j
+        for cell, value in zip(cells[1:], values):
+            assert np.float64(cell).tobytes() == np.float64(value).tobytes()
+
+
+def test_output_formatting_stays_in_writers():
+    # the library returns data; only these modules format output files
+    package = Path(cli.__file__).parent
+    formatting = {
+        path.stem for path in package.glob("*.py")
+        if re.search(r"^\s*(import|from) json\b|%\.17g", path.read_text(),
+                     re.M)}
+    assert "cli" in formatting
+    assert formatting <= {"cli", "curve", "render"}

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from shrinker_index import fit_loglog, run_study
-from shrinker_index.convergence import (DegenerateFit, loglog_csv,
-                                        quantity_name, study_csv,
+from shrinker_index.convergence import (DegenerateFit, quantity_name,
                                         table_report)
 
 M_SYNTH = (64, 128, 256, 512)
@@ -114,33 +113,13 @@ def test_fitted_true_values_match_reference(study16):
 
 
 def test_table_report_round_trip(study16):
-    text, csv = table_report(study16)
-    csv_lines = csv.strip().split("\n")
-    assert csv_lines[0] == "k,j,computed,true_value,error,true_known,slope"
-    assert len(csv_lines) == 17
-    row01 = csv_lines[2].split(",")
-    assert row01[0] == "0" and row01[1] == "1"
-    assert float(row01[3]) == -1.0
+    text, rows = table_report(study16)
+    assert len(rows) == 16
+    row01 = rows[1]
+    assert row01[:2] == (0, 1)
+    assert row01[3] == -1.0
     assert row01[5] == "exact"
-    assert abs(float(row01[2]) - float(row01[3]) - float(row01[4])) < 1e-15
-    row00 = csv_lines[1].split(",")
-    assert row00[5] == "fitted"
+    assert abs(row01[2] - row01[3] - row01[4]) < 1e-15
+    assert rows[0][5] == "fitted"
     # text rendering carries the same 16 rows
     assert len(text.strip().split("\n")) == 18
-
-
-def test_flat_csv_formats(study16):
-    flat = study_csv(study16).strip().split("\n")
-    assert flat[0] == "quantity,M,estimate,true_value,abs_error"
-    assert len(flat) == 1 + 16 * 5
-    first = flat[1].split(",")
-    assert first[0] == "lambda_k0_j0"
-    assert int(first[1]) == 128
-    assert float(first[4]) >= 0.0
-
-    ll = loglog_csv(study16[0]).strip().split("\n")
-    assert ll[0] == "M,log10_M,abs_error,log10_abs_error"
-    assert len(ll) == 6
-    row = ll[1].split(",")
-    assert np.isclose(float(row[1]), np.log10(float(row[0])))
-    assert np.isclose(float(row[3]), np.log10(float(row[2])))

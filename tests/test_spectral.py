@@ -1,6 +1,5 @@
 """Spectrum computation, mode labeling and the index count."""
 
-import json
 import os
 import subprocess
 import sys
@@ -18,8 +17,7 @@ from shrinker_index import cli, spectral, stability
 from oracles import reflect_z
 from shrinker_index.curve import DiscreteCurve, canonicalize
 from shrinker_index.metric import sigma
-from shrinker_index.spectral import (ExclusionMismatch, classify_modes,
-                                     spectrum_report)
+from shrinker_index.spectral import ExclusionMismatch, classify_modes
 
 
 def test_residuals_small(pipe):
@@ -231,16 +229,6 @@ def test_reflection_leaves_spectrum(pipe):
                          - pipe.eigenvalues(256, 0, 4))) < 1e-8
 
 
-def test_spectrum_report_shape(pipe):
-    crv = pipe.curve(256)
-    rep = spectrum_report(crv, list(pipe.modes(256, 1, 4)))
-    assert rep["M"] == 256 and rep["k"] == 1
-    assert len(rep["eigenvalues"]) == 4
-    assert len(rep["labels"]) == len(rep["residuals"]) == 4
-    with pytest.raises(ValueError):
-        spectrum_report(crv, [])
-
-
 def test_index_report(pipe):
     rep = compute_index(pipe.curve(256))
     assert rep.index == 5
@@ -248,11 +236,6 @@ def test_index_report(pipe):
     assert sum(e["multiplicity"] for e in rep.excluded) == 4
     counts = [(k, len(vals)) for k, vals in rep.per_k]
     assert counts[:4] == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    parsed = json.loads(rep.to_json())
-    assert parsed["index"] == 5
-    assert parsed["total"] == 9
-    assert parsed["per_k"][0]["k"] == 0
-    assert len(parsed["per_k"][0]["negative_eigenvalues"]) == 3
 
 
 def test_index_raises_count_instead_of_truncating(pipe, monkeypatch):
