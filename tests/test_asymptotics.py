@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shrinker_index import drift_diagnostic, potential_profile
+from shrinker_index import (cli, drift_diagnostic, potential_profile,
+                            write_curve)
 from shrinker_index.asymptotics import (NoWell, SchrodingerProfile,
                                         high_j_estimate, high_k_estimate)
 from shrinker_index.metric import sigma
@@ -114,3 +115,28 @@ def test_no_well_raises():
     with pytest.raises(NoWell):
         high_k_estimate(p, 0)
 
+
+def test_csv_formats(pipe, tmp_path, capsys):
+    crv = pipe.curve(128)
+    path = str(tmp_path / "curve.csv")
+    write_curve(crv, path)
+    out = tmp_path / "out"
+    assert cli.main(["asymptotics", "--curve", path, "--k", "2",
+                     "--j-max", "10", "--out", str(out)]) == 0
+    assert cli.main(["asymptotics", "--curve", path, "--k", "0",
+                     "--j-max", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    p = potential_profile(crv, 2)
+    lines = (out / "profile_k2.csv").read_text().strip().split("\n")
+    assert lines[0] == "m,s,V"
+    assert len(lines) == 129
+    row = lines[5].split(",")
+    assert int(row[0]) == 4
+    assert float(row[2]) == p.V[4]
+
+    dlines = (out / "drift_k0.csv").read_text().strip().split("\n")
+    assert dlines[0] == "j,lambda,estimate,deviation"
+    assert len(dlines) == 11
+    j, lam_j, est, dev = dlines[1].split(",")
+    assert int(j) == 1
+    assert np.isclose(float(lam_j) - float(est), float(dev), rtol=1e-12)

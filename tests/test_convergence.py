@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shrinker_index import fit_loglog, run_study
+from shrinker_index import cli, convergence, fit_loglog, run_study
 from shrinker_index.convergence import (DegenerateFit, quantity_name,
                                         table_report)
 
@@ -123,3 +123,25 @@ def test_table_report_round_trip(study16):
     assert rows[0][5] == "fitted"
     # text rendering carries the same 16 rows
     assert len(text.strip().split("\n")) == 18
+
+
+def test_flat_csv_formats(study16, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(convergence, "run_study", lambda *a, **kw: study16)
+    assert cli.main(["convergence", "--points-list", "128,256,512,1024,2048",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    flat = (tmp_path / "study.csv").read_text().strip().split("\n")
+    assert flat[0] == "quantity,M,estimate,true_value,abs_error"
+    assert len(flat) == 1 + 16 * 5
+    first = flat[1].split(",")
+    assert first[0] == "lambda_k0_j0"
+    assert int(first[1]) == 128
+    assert float(first[4]) >= 0.0
+
+    name = quantity_name(study16[0].quantity)
+    ll = (tmp_path / ("loglog_%s.csv" % name)).read_text().strip().split("\n")
+    assert ll[0] == "M,log10_M,abs_error,log10_abs_error"
+    assert len(ll) == 6
+    row = ll[1].split(",")
+    assert np.isclose(float(row[1]), np.log10(float(row[0])))
+    assert np.isclose(float(row[3]), np.log10(float(row[2])))

@@ -1,5 +1,6 @@
 """Spectrum computation, mode labeling and the index count."""
 
+import json
 import os
 import subprocess
 import sys
@@ -227,6 +228,19 @@ def test_reflection_leaves_spectrum(pipe):
     vals = [md.eigenvalue for md in spectrum([a], 4)]
     assert np.max(np.abs(np.array(vals)
                          - pipe.eigenvalues(256, 0, 4))) < 1e-8
+
+
+def test_spectrum_report_shape(pipe, tmp_path, capsys):
+    path = str(tmp_path / "curve.csv")
+    shrinker_index.write_curve(pipe.curve(256), path)
+    assert cli.main(["spectrum", "--curve", path, "--k", "1",
+                     "--count", "4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["M"] == 256 and rep["k"] == 1
+    assert len(rep["eigenvalues"]) == 4
+    assert len(rep["labels"]) == len(rep["residuals"]) == 4
+    assert cli.main(["spectrum", "--curve", path, "--k", "1",
+                     "--count", "0"]) == 3
 
 
 def test_index_report(pipe):
