@@ -69,39 +69,45 @@ def _cyclic_solve(diag, up, shifts, rhs):
     Thomas elimination plus a Sherman-Morrison correction for the cyclic
     corner; near-zero pivots are bumped (the shifts sit on eigenvalues, so
     the systems are deliberately near singular and the solutions are only
-    used as inverse-iteration directions).
+    used as inverse-iteration directions).  rhs is (..., M) with one shift
+    per row, and diag has one axis per axis of rhs.  The sweep runs with
+    the M axis leading, so each of its Python steps touches one contiguous
+    row of every pair; the result comes back C-contiguous and pair-leading,
+    which the callers' reductions sum over in a fixed order.
     """
     ld = np.longdouble
     m = rhs.shape[-1]
-    b = diag - shifts[..., None]
-    corner = up[-1]
-    gamma = np.where(np.abs(b[..., 0]) > 1e-300, -b[..., 0], ld(-1.0))
-    b[..., 0] -= gamma
-    b[..., -1] -= (corner * corner) / gamma
+    piv = np.moveaxis(diag, -1, 0) - shifts
+    upl = list(up)
+    corner = upl[-1]
+    gamma = np.where(np.abs(piv[0]) > 1e-300, -piv[0], ld(-1.0))
+    piv[0] -= gamma
+    piv[-1] -= (corner * corner) / gamma
 
-    work = np.empty(rhs.shape + (2,), dtype=ld)
-    work[..., 0] = rhs
+    work = np.empty(piv.shape + (2,), dtype=ld)
+    work[..., 0] = np.moveaxis(rhs, -1, 0)
     work[..., 1] = 0.0
-    work[..., 0, 1] = gamma
-    work[..., -1, 1] = corner
+    work[0, ..., 1] = gamma
+    work[-1, ..., 1] = corner
 
-    piv = b
     for row in range(1, m):
-        factor = up[row - 1] / piv[..., row - 1]
-        piv[..., row] -= factor * up[row - 1]
-        work[..., row, :] -= factor[..., None] * work[..., row - 1, :]
+        factor = upl[row - 1] / piv[row - 1]
+        piv[row] -= factor * upl[row - 1]
+        work[row] -= factor[..., None] * work[row - 1]
     piv[np.abs(piv) < 1e-300] = 1e-300
 
-    work[..., -1, :] /= piv[..., -1, None]
+    work[-1] /= piv[-1][..., None]
     for row in range(m - 2, -1, -1):
-        work[..., row, :] -= up[row] * work[..., row + 1, :]
-        work[..., row, :] /= piv[..., row, None]
+        work[row] -= upl[row] * work[row + 1]
+        work[row] /= piv[row][..., None]
 
     y = work[..., 0]
     q = work[..., 1]
-    v_y = y[..., 0] + (corner / gamma) * y[..., -1]
-    v_q = q[..., 0] + (corner / gamma) * q[..., -1]
-    return y - q * (v_y / (1.0 + v_q))[..., None]
+    v_y = y[0] + (corner / gamma) * y[-1]
+    v_q = q[0] + (corner / gamma) * q[-1]
+    q *= v_y / (1.0 + v_q)
+    return np.subtract(np.moveaxis(y, 0, -1), np.moveaxis(q, 0, -1),
+                       out=np.empty(rhs.shape, dtype=ld))
 
 
 def _refine_pairs(diag, up, vals, vecs):
@@ -141,18 +147,31 @@ def _refine_pairs(diag, up, vals, vecs):
     return lam.astype(float), out, np.linalg.norm(res, axis=-1)
 
 
+def _lanczos(a, count):
+    """ARPACK's lowest `count` eigenpairs of one StabilityMatrix, unpolished.
+
+    Shift-invert Lanczos on the bands, shifted one below the Gershgorin
+    bound so the modes nearest the shift are the lowest.  A fixed start
+    vector and restart seed make it bitwise repeatable.  Returns
+    (eigenvalues, eigenvectors as columns), with residuals ~ eps ||A||.
+    """
+    reach = np.abs(a.up) + np.abs(np.roll(a.up, 1))
+    return scipy.sparse.linalg.eigsh(
+        stability.cyclic_csc(a.diag, a.up), k=count, which="LM",
+        sigma=float(np.min(a.diag - reach)) - 1.0, v0=np.ones(a.M),
+        rng=ARPACK_SEED)
+
+
 def spectrum(matrices, count):
     """Lowest `count` (1..M-1) eigenpairs of each StabilityMatrix, in one list.
 
     The list is grouped by matrix in input order, ascending within each.
     The matrices must share M and the `up` band, as the -L_k of one curve
-    do.  Shift-invert Lanczos (ARPACK) on each matrix's bands, shifted one
-    below the Gershgorin bound so the modes nearest the shift are the
-    lowest, then one extended-precision polish of all pairs, O(M) per
-    mode.  A fixed start vector and restart seed make calls bitwise
-    repeatable, and a pair's result does not depend on the batch.
-    Eigenvectors are unit norm with the largest-magnitude entry positive;
-    residual is the true ||A u - lambda u||_2 of the returned pair.
+    do.  `_lanczos` on each matrix, then one extended-precision polish of
+    all pairs, O(M) per mode.  Calls are bitwise repeatable, and a pair's
+    result does not depend on the batch.  Eigenvectors are unit norm with
+    the largest-magnitude entry positive; residual is the true
+    ||A u - lambda u||_2 of the returned pair.
     """
     matrices = list(matrices)
     if not matrices:
@@ -162,11 +181,7 @@ def spectrum(matrices, count):
         raise ValueError("matrices must share M and the up band")
     if count < 1 or count >= m:
         raise ValueError("count must be in 1..M-1")
-    reach = np.abs(up) + np.abs(np.roll(up, 1))
-    pairs = [scipy.sparse.linalg.eigsh(
-        stability.cyclic_csc(a.diag, up), k=count, which="LM",
-        sigma=float(np.min(a.diag - reach)) - 1.0, v0=np.ones(m),
-        rng=ARPACK_SEED) for a in matrices]
+    pairs = [_lanczos(a, count) for a in matrices]
     vals, vecs, resids = _refine_pairs(
         np.array([a.diag for a in matrices])[:, None, :], up,
         np.array([p[0] for p in pairs]), np.array([p[1].T for p in pairs]))
@@ -256,36 +271,68 @@ class IndexReport:
     index: int
 
 
+def _doubled(n, cap, k):
+    """The next mode count at k once all n computed modes are negative."""
+    if n == cap:
+        raise ExclusionMismatch(
+            "all %d computed modes at k = %d are negative" % (n, k))
+    return min(2 * n, cap)
+
+
 def compute_index(curve):
     """Morse index of the solved curve, excluding dilation and translations.
 
-    Walks k = 0, 1, 2, ... until the smallest eigenvalue exceeds
-    INDEX_STOP_MARGIN (they are monotone in k), counting negative eigenvalues
-    with multiplicity.  The rotation mode (k = 1) is exactly 0 in the
-    continuum, so it is never counted, whatever the sign of its discrete
-    value.  Each k starts from INDEX_COUNT modes; while the last of them is
-    negative the count doubles (up to M - 1, else ExclusionMismatch), so no
-    negative mode is dropped.  Raises ExclusionMismatch unless exactly one
-    negative dilation mode (k = 0), one negative vertical translation
-    (k = 0) and one negative horizontal translation (k = 1, multiplicity
-    2) are found.
+    Walks k = 0, 1, 2, ... on ARPACK's unpolished values (`_lanczos`) until
+    the smallest exceeds INDEX_STOP_MARGIN (they are monotone in k).  Each
+    k starts from INDEX_COUNT modes and the count doubles while the last of
+    them is negative (up to M - 1, else ExclusionMismatch), so no negative
+    mode is dropped.  Then every kept pair is polished at once, in one
+    `spectrum` call per distinct count (one for the torus); a k whose last
+    polished eigenvalue is still negative doubles its count and is polished
+    again.  Negative polished eigenvalues are counted with multiplicity.
+    The rotation mode (k = 1) is exactly 0 in the continuum, so it is never
+    counted, whatever the sign of its discrete value.  Raises
+    ExclusionMismatch unless exactly one negative dilation mode (k = 0),
+    one negative vertical translation (k = 0) and one negative horizontal
+    translation (k = 1, multiplicity 2) are found.
     """
     pipe = Pipeline(curve)
     cap = curve.M - 1
+    mats = []
+    counts = []
+    for k in range(INDEX_K_CAP + 1):
+        a = stability.assemble_Lk(pipe.L0, curve, k)
+        n = min(INDEX_COUNT, cap)
+        vals = _lanczos(a, n)[0]
+        while vals.max() < 0.0:
+            n = _doubled(n, cap, k)
+            vals = _lanczos(a, n)[0]
+        mats.append(a)
+        counts.append(n)
+        if vals.min() >= INDEX_STOP_MARGIN:
+            break
+    else:
+        raise ExclusionMismatch("negative modes persist beyond k = %d" % k)
+
+    modes_at = [None] * len(mats)
+    pending = list(range(len(mats)))
+    while pending:
+        for n in sorted({counts[k] for k in pending}):
+            ks = [k for k in pending if counts[k] == n]
+            modes = classify_modes(spectrum([mats[k] for k in ks], n),
+                                   curve, pipe.normals)
+            for i, k in enumerate(ks):
+                modes_at[k] = modes[i * n:(i + 1) * n]
+        pending = [k for k in pending if modes_at[k][-1].eigenvalue < 0.0]
+        for k in pending:
+            counts[k] = _doubled(counts[k], cap, k)
+
     per_k = []
     excluded = []
     found = {"dilation": 0, "vertical_translation": 0,
              "horizontal_translation": 0}
     total = 0
-    for k in range(INDEX_K_CAP + 1):
-        n = min(INDEX_COUNT, cap)
-        modes = pipe.modes(k, n)
-        while modes[-1].eigenvalue < 0.0:
-            if n == cap:
-                raise ExclusionMismatch(
-                    "all %d computed modes at k = %d are negative" % (n, k))
-            n = min(2 * n, cap)
-            modes = pipe.modes(k, n)
+    for k, modes in enumerate(modes_at):
         mult = 1 if k == 0 else 2
         negative = [m for m in modes
                     if m.eigenvalue < 0.0 and m.label != "rotation"]
@@ -297,10 +344,6 @@ def compute_index(curve):
                 excluded.append({"k": k, "j": m.j,
                                  "eigenvalue": m.eigenvalue,
                                  "label": m.label, "multiplicity": mult})
-        if modes[0].eigenvalue >= INDEX_STOP_MARGIN:
-            break
-    else:
-        raise ExclusionMismatch("negative modes persist beyond k = %d" % k)
 
     if (found["dilation"] != 1 or found["vertical_translation"] != 1
             or found["horizontal_translation"] != 1):

@@ -1,13 +1,15 @@
 """Independent oracles and test-only views used only by the tests.
 
-Four oracles live here: a high-precision finite-difference evaluation of
+Five oracles live here: a high-precision finite-difference evaluation of
 the segment-distance derivatives (mpmath, so truncation error dominates and
 the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
 of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
 a second discretization of -L_k from the geodesic ODE in weighted arc
 length, whose low eigenvalues must agree with the Hessian-based assembly,
-and the dense M x M form of a banded operator, so the tests can check the
-bands and the sparse eigensolver against LAPACK.  Alongside them sit small
+the dense M x M form of a banded operator, so the tests can check the
+bands and the sparse eigensolver against LAPACK, and the pair-leading
+form of the extended-precision cyclic Thomas sweep, which the production
+sweep must match bit for bit.  Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one
 segment, the 2x2 point block at one point, the mirror image of a curve, the
 spacing deviation of a curve and its resampling to another point count.
@@ -223,3 +225,44 @@ def dense(matrix):
     a[i, j] = matrix.up
     a[j, i] = matrix.up
     return a
+
+
+def cyclic_solve_pair_leading(diag, up, shifts, rhs):
+    """The pair-leading form of spectral._cyclic_solve, as the reference.
+
+    The same Thomas elimination and Sherman-Morrison corner, with the same
+    operations in the same order, but indexed [..., row, :] on pair-leading
+    arrays; the production sweep runs with the M axis leading instead and
+    must agree with this bit for bit.
+    """
+    ld = np.longdouble
+    m = rhs.shape[-1]
+    b = diag - shifts[..., None]
+    corner = up[-1]
+    gamma = np.where(np.abs(b[..., 0]) > 1e-300, -b[..., 0], ld(-1.0))
+    b[..., 0] -= gamma
+    b[..., -1] -= (corner * corner) / gamma
+
+    work = np.empty(rhs.shape + (2,), dtype=ld)
+    work[..., 0] = rhs
+    work[..., 1] = 0.0
+    work[..., 0, 1] = gamma
+    work[..., -1, 1] = corner
+
+    piv = b
+    for row in range(1, m):
+        factor = up[row - 1] / piv[..., row - 1]
+        piv[..., row] -= factor * up[row - 1]
+        work[..., row, :] -= factor[..., None] * work[..., row - 1, :]
+    piv[np.abs(piv) < 1e-300] = 1e-300
+
+    work[..., -1, :] /= piv[..., -1, None]
+    for row in range(m - 2, -1, -1):
+        work[..., row, :] -= up[row] * work[..., row + 1, :]
+        work[..., row, :] /= piv[..., row, None]
+
+    y = work[..., 0]
+    q = work[..., 1]
+    v_y = y[..., 0] + (corner / gamma) * y[..., -1]
+    v_q = q[..., 0] + (corner / gamma) * q[..., -1]
+    return y - q * (v_y / (1.0 + v_q))[..., None]

@@ -164,19 +164,43 @@ def test_pipeline_matches_explicit_chain(pipe):
             assert np.array_equal(p.vector, q.vector)
 
 
+@pytest.mark.parametrize("ks,count", [((0,), 8), ((0, 1, 2, 3), 8),
+                                      ((0,), 201)])
+def test_cyclic_solve_matches_pair_leading_sweep(pipe, ks, count):
+    # the M-leading sweep does the reference's operations in its order, so
+    # it must agree bit for bit; the polish's reductions sum in memory
+    # order, so the result must also come back C-contiguous, pair-leading
+    ld = np.longdouble
+    mats = [pipe.Lk(512, k) for k in ks]
+    pairs = [spectral._lanczos(a, count) for a in mats]
+    diag = np.array([a.diag for a in mats], dtype=ld)[:, None, :]
+    up = mats[0].up.astype(ld)
+    shifts = np.array([p[0] for p in pairs], dtype=ld) + ld(1e-13)
+    rhs = np.array([p[1].T for p in pairs], dtype=ld)
+    with np.errstate(all="ignore"):
+        got = spectral._cyclic_solve(diag, up, shifts, rhs)
+        ref = oracles.cyclic_solve_pair_leading(diag, up, shifts, rhs)
+    assert got.shape == rhs.shape == (len(ks), count, 512)
+    assert got.dtype == ld
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["spectrum"], 1),
     (["render", "--j", "0", "--out", "{tmp}/r"], 1),
     (["asymptotics", "--j-max", "10", "--k-scan", "3", "--out", "{tmp}/a"],
      2),
+    (["index"], 1),
 ])
 def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
                                                    monkeypatch, argv,
                                                    expected):
     # the benchmark collects residuals by replacing spectral.spectrum, so
     # every spectrum a subcommand computes must be looked up there; each
-    # subcommand assembles -L_0 once, and asymptotics polishes its k-scan
-    # in one call after the drift spectrum
+    # subcommand assembles -L_0 once, index polishes all its k in one call,
+    # and asymptotics polishes its k-scan in one call after the drift
+    # spectrum
     curve_path = tmp_path / "curve64.csv"
     write_curve(pipe.curve(64), str(curve_path))
     original = spectral.spectrum
@@ -260,6 +284,51 @@ def test_index_raises_count_instead_of_truncating(pipe, monkeypatch):
     assert rep.total_negative == 9
     assert sum(e["multiplicity"] for e in rep.excluded) == 4
     assert [len(vals) for _, vals in rep.per_k][:3] == [3, 2, 1]
+
+
+def test_index_pairs_equal_per_k_modes(pipe):
+    # the index polishes every k in one batch; a pair's polish does not
+    # depend on its batch, so each k's counted eigenvalues are bitwise
+    # those of its own Pipeline.modes call
+    crv = pipe.curve(256)
+    rep = compute_index(crv)
+    chain = Pipeline(crv)
+    assert [k for k, _ in rep.per_k] == [0, 1, 2, 3]
+    for k, vals in rep.per_k:
+        ref = [m.eigenvalue for m in chain.modes(k, 8)
+               if m.eigenvalue < 0.0 and m.label != "rotation"]
+        assert vals == ref
+
+
+def test_index_doubles_count_on_polished_values(pipe, monkeypatch):
+    # the walk decides on ARPACK's values; when the last of them reads >= 0
+    # but its polished value is < 0, the count must still double
+    monkeypatch.setattr(spectral, "INDEX_COUNT", 2)
+    original_lanczos = spectral._lanczos
+    original_spectrum = spectral.spectrum
+    lanczos_calls = []
+    spectrum_calls = []
+
+    def lanczos(a, count):
+        vals, vecs = original_lanczos(a, count)
+        lanczos_calls.append((a.k, count))
+        if len(lanczos_calls) == 1:
+            # the walk's first look at k = 0: -1 (j = 1) reads +1
+            vals = np.where(vals == vals.max(), -vals, vals)
+        return vals, vecs
+
+    def counted(matrices, count):
+        matrices = list(matrices)
+        spectrum_calls.append(([a.k for a in matrices], count))
+        return original_spectrum(matrices, count)
+    monkeypatch.setattr(spectral, "_lanczos", lanczos)
+    monkeypatch.setattr(spectral, "spectrum", counted)
+    rep = compute_index(pipe.curve(256))
+    assert lanczos_calls[0] == (0, 2)
+    assert spectrum_calls == [([0, 2, 3], 2), ([1], 4), ([0], 4)]
+    assert len(rep.per_k[0][1]) == 3
+    assert rep.index == 5
+    assert rep.total_negative == 9
 
 
 def test_index_skips_rotation_mode_of_either_sign(pipe, monkeypatch):
