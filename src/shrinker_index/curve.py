@@ -116,6 +116,17 @@ def canonicalize(curve):
     return DiscreteCurve(pts)
 
 
+def mirror_points(points):
+    """The reflection z -> -z of points, read at indices -m mod M.
+
+    Row m is (r, -z) of point -m mod M.  A canonical solved curve is its
+    own mirror image: q_0 lies on the axis, and so does q_{M/2} for even M.
+    """
+    out = np.roll(points[::-1], 1, axis=0)
+    out[:, 1] = -out[:, 1]
+    return out
+
+
 def write_curve(curve, path):
     """Write CSV with header m,r,z and 17 significant digits."""
     lines = ["m,r,z"]

@@ -23,9 +23,11 @@ it halves M with ceiling while the count is above COARSE_M, solves that
 coarsest level from the seed, and climbs back to M level by level, each
 level resampled from the canonical curve of the level below and polished
 by the same Newton loop.  M <= COARSE_M is a single level solved from the
-seed.  The point count M is the only input: the seed (SEED_CENTER,
-SEED_RADIUS), the tolerances, the iteration cap per level (MAX_ITERS) and
-COARSE_M are module constants, read at call time.
+seed.  Every iterate is averaged with its mirror image under z -> -z,
+so the returned curve is exactly mirror-symmetric.  The point count M is
+the only input: the seed (SEED_CENTER, SEED_RADIUS), the tolerances, the
+iteration cap per level (MAX_ITERS) and COARSE_M are module constants,
+read at call time.
 """
 
 import math
@@ -101,6 +103,11 @@ def _newton_direction(state):
                                        -state.grad_normal)
 
 
+def _mirror_average(points):
+    """Points averaged with their mirror image: exactly mirror-symmetric."""
+    return 0.5 * (points + curve_mod.mirror_points(points))
+
+
 def solve_geodesic(m):
     """Solve for the closed m-point geodesic; returns a canonical DiscreteCurve.
 
@@ -121,9 +128,16 @@ def solve_geodesic(m):
 
 
 def _polish(points):
-    """Damped Newton iteration from points to a canonical solved curve."""
+    """Damped Newton iteration from points to a canonical solved curve.
+
+    Every iterate is averaged with its mirror image before it is
+    evaluated, so the tolerances are met by a curve whose point -m mod M
+    is (r_m, -z_m) bitwise, as the symmetry-reduced spectra need.  q_0 of
+    points must lie near the axis, as on the seed circle and on every
+    resampled canonical level.
+    """
     m = len(points)
-    state = _State(points)
+    state = _State(_mirror_average(points))
     for _ in range(MAX_ITERS):
         if state.residual <= GRAD_TOL and state.spacing <= SPACING_TOL:
             return curve_mod.canonicalize(
@@ -136,7 +150,7 @@ def _polish(points):
                 trial = state.points + step * delta[:, None] * state.normals
                 _check_alive(trial)
                 trial = curve_mod._resample_points(trial, m)
-                trial_state = _State(trial)
+                trial_state = _State(_mirror_average(trial))
             except CurveCollapse:
                 step *= 0.5
                 continue

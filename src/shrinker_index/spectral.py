@@ -14,21 +14,27 @@ The Morse index counts negative eigenvalues over all Fourier modes (modes
 with k >= 1 count twice, for the cos and sin branches) and then excludes
 the one dilation and the three translations, which are negative directions
 of every self-shrinker and carry no geometric information.
+
+The solved curve is symmetric under z -> -z, which maps point m to point
+-m mod M, so each -L_k splits into an even and an odd symmetric
+tridiagonal matrix with no cyclic corner.  LAPACK finds the low pairs of
+each half; an extended-precision polish on the full cyclic bands then
+brings every pair to the residual a float64 vector can carry.  Each mode
+is even or odd: dilation, horizontal translation and 1/sigma are even,
+vertical translation and rotation odd.
 """
 
 import dataclasses
 
 import numpy as np
-import scipy.sparse.linalg
+import scipy.linalg
 
+from . import curve as curve_mod
 from . import metric
 from . import stability
 
 #: |cosine| threshold for matching an eigenfunction to a known template.
 CLASSIFY_COSINE = 0.999
-
-#: Seed of ARPACK's restart vectors, fixed for bitwise-repeatable spectra.
-ARPACK_SEED = 20240817
 
 #: The k loop of the index computation stops once the smallest eigenvalue
 #: clears this margin; eigenvalues grow monotonically with k.
@@ -42,7 +48,8 @@ INDEX_COUNT = 8
 
 
 class ExclusionMismatch(RuntimeError):
-    """Raised when the expected dilation/translation modes are not found."""
+    """Raised when a curve is not mirror-symmetric or lacks the expected
+    dilation/translation modes."""
 
 
 @dataclasses.dataclass
@@ -58,9 +65,22 @@ class EigenMode:
 
 
 def _band_matvec(diag, up, vecs):
-    """A @ v for each row v of vecs, on the cyclic tridiagonal bands."""
-    return (diag * vecs + up * np.roll(vecs, -1, axis=-1)
-            + np.roll(up, 1) * np.roll(vecs, 1, axis=-1))
+    """A @ v for each row v of vecs, on the cyclic tridiagonal bands.
+
+    Sums diag v + up v_{+1} + up_{-1} v_{-1} in that order, in one output
+    buffer plus one buffer for the shifted copies of vecs.
+    """
+    out = diag * vecs
+    shifted = np.empty_like(out)
+    shifted[..., :-1] = vecs[..., 1:]
+    shifted[..., -1] = vecs[..., 0]
+    shifted *= up
+    out += shifted
+    shifted[..., 1:] = vecs[..., :-1]
+    shifted[..., 0] = vecs[..., -1]
+    shifted *= np.roll(up, 1)
+    out += shifted
+    return out
 
 
 def _cyclic_solve(diag, up, shifts, rhs):
@@ -94,7 +114,8 @@ def _cyclic_solve(diag, up, shifts, rhs):
         factor = upl[row - 1] / piv[row - 1]
         piv[row] -= factor * upl[row - 1]
         work[row] -= factor[..., None] * work[row - 1]
-    piv[np.abs(piv) < 1e-300] = 1e-300
+    # |piv| < 1e-300 without an extended-precision copy of piv
+    piv[(piv < 1e-300) & (piv > -1e-300)] = 1e-300
 
     work[-1] /= piv[-1][..., None]
     for row in range(m - 2, -1, -1):
@@ -106,6 +127,7 @@ def _cyclic_solve(diag, up, shifts, rhs):
     v_y = y[0] + (corner / gamma) * y[-1]
     v_q = q[0] + (corner / gamma) * q[-1]
     q *= v_y / (1.0 + v_q)
+    del piv  # one batch-sized buffer fewer while the result is allocated
     return np.subtract(np.moveaxis(y, 0, -1), np.moveaxis(q, 0, -1),
                        out=np.empty(rhs.shape, dtype=ld))
 
@@ -113,14 +135,17 @@ def _cyclic_solve(diag, up, shifts, rhs):
 def _refine_pairs(diag, up, vals, vecs):
     """Polish eigenpairs by inverse iteration in extended precision.
 
-    ARPACK pairs carry residual ~ eps ||A||, which at M = 2048 exceeds the
-    1e-10 contract (||A|| ~ 1e6 there).  Two inverse-iteration steps on the
-    cyclic tridiagonal bands in 80-bit arithmetic push the pair to the
-    limit a float64 vector can represent; the reported eigenvalue is the
-    Rayleigh quotient of the returned float64 vector and the residual its
-    true residual, both evaluated in extended precision.  The pairs are
-    the rows of vecs (..., M); diag broadcasts against them and `up` is
-    shared.  Each pair sums along its own row, so no batch changes it.
+    The LAPACK pairs of the folded halves carry residual ~ eps ||A||, which
+    at M = 2048 exceeds the 1e-10 contract (||A|| ~ 1e6 there).  Two
+    inverse-iteration steps on the full cyclic tridiagonal bands in 80-bit
+    arithmetic push the pair to the limit a float64 vector can represent;
+    the reported eigenvalue is the Rayleigh quotient of the returned
+    float64 vector and the residual its true residual, both evaluated in
+    extended precision.  The pairs are the rows of vecs (..., M); diag
+    broadcasts against them and `up` is shared.  Each pair sums along its
+    own row, so no batch changes it.  Each step normalizes its solve in
+    place, so the peak is about four extended-precision copies of the
+    batch: the iterate and the three buffers of `_cyclic_solve`.
     """
     ld = np.longdouble
     diag_ld = diag.astype(ld)
@@ -135,7 +160,9 @@ def _refine_pairs(diag, up, vals, vecs):
             norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
             good = np.isfinite(norms) & (norms > 0.0)
             good &= np.all(np.isfinite(trial), axis=-1)
-            work = np.where(good[..., None], trial / norms[..., None], work)
+            trial /= norms[..., None]
+            trial[~good] = work[~good]
+            work = trial
         shifts = np.einsum("...m,...m->...", work,
                            _band_matvec(diag_ld, up_ld, work))
     out = work.astype(float)
@@ -143,23 +170,55 @@ def _refine_pairs(diag, up, vals, vecs):
     out_ld = out.astype(ld)
     av = _band_matvec(diag_ld, up_ld, out_ld)
     lam = np.einsum("...m,...m->...", out_ld, av)
-    res = (av - lam[..., None] * out_ld).astype(float)
+    av -= lam[..., None] * out_ld
+    res = av.astype(float)
     return lam.astype(float), out, np.linalg.norm(res, axis=-1)
 
 
-def _lanczos(a, count):
-    """ARPACK's lowest `count` eigenpairs of one StabilityMatrix, unpolished.
+def _folded_pairs(a, count):
+    """Lowest `count` eigenpairs of one StabilityMatrix, unpolished.
 
-    Shift-invert Lanczos on the bands, shifted one below the Gershgorin
-    bound so the modes nearest the shift are the lowest.  A fixed start
-    vector and restart seed make it bitwise repeatable.  Returns
-    (eigenvalues, eigenvectors as columns), with residuals ~ eps ||A||.
+    -L_k of a mirror-symmetric curve commutes with the reflection
+    m -> -m mod M.  On its mirror-averaged bands it splits into an even
+    half (points 0..M//2) and an odd half (points 1..(M-1)//2), symmetric
+    tridiagonal matrices with no cyclic corner; the couplings to the fixed
+    points 0 and M/2 carry a factor sqrt(2), and for odd M the pair
+    M//2, M//2 + 1 adds +-up[M//2] to the last diagonal entry.  LAPACK's
+    bisection and inverse iteration (stebz/stein) give the lowest pairs of
+    each half, which are unfolded to length M and merged.  Returns
+    (eigenvalues ascending, eigenvectors as columns), with residuals
+    ~ eps ||A||.
     """
-    reach = np.abs(a.up) + np.abs(np.roll(a.up, 1))
-    return scipy.sparse.linalg.eigsh(
-        stability.cyclic_csc(a.diag, a.up), k=count, which="LM",
-        sigma=float(np.min(a.diag - reach)) - 1.0, v0=np.ones(a.M),
-        rng=ARPACK_SEED)
+    m = a.M
+    h = m // 2
+    diag = 0.5 * (a.diag + np.roll(a.diag[::-1], 1))
+    up = 0.5 * (a.up + a.up[::-1])
+    d_even = diag[:h + 1].copy()
+    e_even = up[:h].copy()
+    d_odd = diag[1:(m + 1) // 2].copy()
+    e_odd = up[1:(m - 1) // 2]
+    e_even[0] *= np.sqrt(2.0)
+    if m % 2:
+        d_even[h] += up[h]
+        d_odd[-1] -= up[h]
+    else:
+        e_even[h - 1] *= np.sqrt(2.0)
+    (lam_even, x), (lam_odd, y) = [
+        scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(0, min(count, len(d)) - 1))
+        for d, e in ((d_even, e_even), (d_odd, e_odd))]
+    # point m unfolds from row fold[m] of a half; the odd rows, padded with
+    # zeros on the fixed points, change sign past M/2
+    idx = np.arange(m)
+    fold = np.minimum(idx, m - idx)
+    weight = np.where((fold == 0) | (2 * fold == m), 1.0, np.sqrt(0.5))
+    y = np.pad(y, ((1, h - len(d_odd)), (0, 0)))
+    vals = np.concatenate([lam_even, lam_odd])
+    vecs = np.concatenate(
+        [x[fold] * weight[:, None],
+         y[fold] * np.where(idx > h, -weight, weight)[:, None]], axis=1)
+    order = np.argsort(vals, kind="stable")[:count]
+    return vals[order], vecs[:, order]
 
 
 def spectrum(matrices, count):
@@ -167,10 +226,13 @@ def spectrum(matrices, count):
 
     The list is grouped by matrix in input order, ascending within each.
     The matrices must share M and the `up` band, as the -L_k of one curve
-    do.  `_lanczos` on each matrix, then one extended-precision polish of
-    all pairs, O(M) per mode.  Calls are bitwise repeatable, and a pair's
-    result does not depend on the batch.  Eigenvectors are unit norm with
-    the largest-magnitude entry positive; residual is the true
+    do, and commute with the reflection m -> -m mod M, as those of a
+    mirror-symmetric curve do (`Pipeline` checks the curve).
+    `_folded_pairs` on each matrix, then one extended-precision polish of
+    all pairs on the full cyclic bands, O(M) per mode.  Calls are bitwise
+    repeatable on any BLAS thread count, and a pair's result does not
+    depend on the batch.  Eigenvectors are unit norm with the
+    largest-magnitude entry positive; residual is the true
     ||A u - lambda u||_2 of the returned pair.
     """
     matrices = list(matrices)
@@ -181,7 +243,7 @@ def spectrum(matrices, count):
         raise ValueError("matrices must share M and the up band")
     if count < 1 or count >= m:
         raise ValueError("count must be in 1..M-1")
-    pairs = [_lanczos(a, count) for a in matrices]
+    pairs = [_folded_pairs(a, count) for a in matrices]
     vals, vecs, resids = _refine_pairs(
         np.array([a.diag for a in matrices])[:, None, :], up,
         np.array([p[0] for p in pairs]), np.array([p[1].T for p in pairs]))
@@ -237,11 +299,33 @@ def classify_modes(modes, curve, normals):
 
 
 class Pipeline:
-    """One solved curve's chain: normals, -L_0, then labelled modes per k."""
+    """One solved curve's chain: normals, -L_0, then labelled modes per k.
+
+    The curve must be its own mirror image bit for bit (point -m mod M is
+    (r_m, -z_m), as `solve_geodesic` returns it), and so must the sides
+    its normals point to, because the spectra are taken on the mirror
+    halves of -L_k; any other curve raises ExclusionMismatch naming the
+    largest mismatch.  The normals fail this below M = 18, where the
+    larger eigenvector of the point block at the axis points is the
+    tangent.
+    """
 
     def __init__(self, curve):
+        gap = np.abs(curve.points - curve_mod.mirror_points(curve.points))
+        if gap.max() > 0.0:
+            m = int(np.argmax(gap.max(axis=1)))
+            raise ExclusionMismatch(
+                "curve is not mirror-symmetric: point %d is off the mirror "
+                "image of point %d by %.3e" % (m, -m % curve.M, gap[m].max()))
         self.curve = curve
         self.normals = stability.normal_field(curve)
+        facing = np.einsum("mi,mi->m", self.normals,
+                           curve_mod.mirror_points(self.normals))
+        if facing.min() <= 0.0:
+            m = int(np.argmin(facing))
+            raise ExclusionMismatch(
+                "the normal at point %d is not the mirror image of the "
+                "normal at point %d" % (m, -m % curve.M))
         self.L0 = stability.assemble_L0(curve, self.normals)
 
     def scan(self, ks, count):
@@ -282,7 +366,7 @@ def _doubled(n, cap, k):
 def compute_index(curve):
     """Morse index of the solved curve, excluding dilation and translations.
 
-    Walks k = 0, 1, 2, ... on ARPACK's unpolished values (`_lanczos`) until
+    Walks k = 0, 1, 2, ... on unpolished values (`_folded_pairs`) until
     the smallest exceeds INDEX_STOP_MARGIN (they are monotone in k).  Each
     k starts from INDEX_COUNT modes and the count doubles while the last of
     them is negative (up to M - 1, else ExclusionMismatch), so no negative
@@ -292,7 +376,8 @@ def compute_index(curve):
     again.  Negative polished eigenvalues are counted with multiplicity.
     The rotation mode (k = 1) is exactly 0 in the continuum, so it is never
     counted, whatever the sign of its discrete value.  Raises
-    ExclusionMismatch unless exactly one negative dilation mode (k = 0),
+    ExclusionMismatch for a curve that is not exactly mirror-symmetric
+    (see Pipeline), and unless exactly one negative dilation mode (k = 0),
     one negative vertical translation (k = 0) and one negative horizontal
     translation (k = 1, multiplicity 2) are found.
     """
@@ -303,10 +388,10 @@ def compute_index(curve):
     for k in range(INDEX_K_CAP + 1):
         a = stability.assemble_Lk(pipe.L0, curve, k)
         n = min(INDEX_COUNT, cap)
-        vals = _lanczos(a, n)[0]
+        vals = _folded_pairs(a, n)[0]
         while vals.max() < 0.0:
             n = _doubled(n, cap, k)
-            vals = _lanczos(a, n)[0]
+            vals = _folded_pairs(a, n)[0]
         mats.append(a)
         counts.append(n)
         if vals.min() >= INDEX_STOP_MARGIN:

@@ -7,7 +7,7 @@ of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
 a second discretization of -L_k from the geodesic ODE in weighted arc
 length, whose low eigenvalues must agree with the Hessian-based assembly,
 the dense M x M form of a banded operator, so the tests can check the
-bands and the sparse eigensolver against LAPACK, and the pair-leading
+bands and the folded eigensolver against a dense LAPACK solve, and the pair-leading
 form of the extended-precision cyclic Thomas sweep, which the production
 sweep must match bit for bit.  Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one

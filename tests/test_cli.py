@@ -101,6 +101,24 @@ def test_index_rejects_random_polygon(tmp_path, capsys):
     assert captured.err.startswith("error: consistency:")
 
 
+@pytest.mark.parametrize("perturbation", ["roll", "ulp"])
+def test_index_rejects_asymmetric_curve(curve_csv, tmp_path, capsys,
+                                        perturbation):
+    # the spectra fold on point -m mod M = (r_m, -z_m); a solved curve
+    # rolled off its axis point, or with one z off by one ulp, breaks that
+    pts = read_curve(curve_csv).points
+    if perturbation == "roll":
+        pts = np.roll(pts, 1, axis=0)
+    else:
+        pts[5, 1] = np.nextafter(pts[5, 1], np.inf)
+    path = tmp_path / "asym.csv"
+    write_curve(DiscreteCurve(pts), path)
+    rc = main(["index", "--curve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.startswith("error: consistency:")
+
+
 def test_missing_curve_file(capsys):
     rc = main(["spectrum", "--curve", "/no/such/file.csv"])
     captured = capsys.readouterr()

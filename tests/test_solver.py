@@ -49,6 +49,18 @@ def test_reflection_symmetry(pipe):
     assert np.max(np.abs(mirrored.points - crv.points)) < 1e-8
 
 
+@pytest.mark.parametrize("m", [64, 65, 2049, 8192])
+def test_solution_is_mirror_symmetric(pipe, m):
+    # point -m mod M is (r_m, -z_m) bit for bit, within both tolerances
+    crv = pipe.curve(m)
+    mirror = -np.arange(m) % m
+    assert np.array_equal(crv.r[mirror], crv.r)
+    assert np.array_equal(crv.z[mirror], -crv.z)
+    state = solver._State(crv.points)
+    assert state.residual <= solver.GRAD_TOL
+    assert state.spacing <= solver.SPACING_TOL
+
+
 def test_one_point_criticality(pipe):
     # move a single vertex along its normal: the length change must be even
     crv = pipe.curve(128)

@@ -13,7 +13,7 @@ import oracles
 import shrinker_index
 from shrinker_index import (Pipeline, StabilityMatrix, assemble_L0,
                             assemble_Lk, compute_index, normal_field,
-                            spectrum, write_curve)
+                            solve_geodesic, spectrum, write_curve)
 from shrinker_index import cli, spectral, stability
 from oracles import reflect_z
 from shrinker_index.curve import DiscreteCurve, canonicalize
@@ -52,9 +52,10 @@ def test_spectrum_count_validation(pipe):
 
 
 def test_spectrum_matches_lapack(pipe):
-    # shift-invert on the bands against a dense LAPACK solve of the same
-    # operator, including the 201-mode drift spectrum and count = M - 1
-    cases = [(512, k, 8) for k in range(4)] + [(512, 0, 201), (64, 0, 63)]
+    # the folded halves against a dense LAPACK solve of the same operator,
+    # including the 201-mode drift spectrum, count = M - 1 and odd M
+    cases = [(512, k, 8) for k in range(4)] + [
+        (512, 0, 201), (64, 0, 63), (65, 0, 1), (65, 1, 64)]
     for m, k, count in cases:
         a = pipe.Lk(m, k)
         lam = [md.eigenvalue for md in spectrum([a], count)]
@@ -110,17 +111,17 @@ from shrinker_index import (assemble_L0, assemble_Lk, normal_field,
                             read_curve, spectrum)
 crv = read_curve(sys.argv[1])
 L0 = assemble_L0(crv, normal_field(crv))
-modes = spectrum([assemble_Lk(L0, crv, k) for k in range(4)], 8)
+modes = spectrum([assemble_Lk(L0, crv, int(k)) for k in sys.argv[4:]],
+                 int(sys.argv[3]))
 np.save(sys.argv[2], np.concatenate(
     [[md.eigenvalue for md in modes]] + [md.vector for md in modes]))
 """
 
 
-def test_low_spectra_identical_across_thread_counts(pipe, tmp_path):
-    # the 8-mode spectra carry no BLAS-order dependence; the 201-mode
-    # drift spectrum is not covered by this guarantee
-    curve_path = tmp_path / "curve1024.csv"
-    write_curve(pipe.curve(1024), str(curve_path))
+def _spectra_per_thread_count(curve, tmp_path, ks, count):
+    """One `spectrum` call in a fresh process with 1, then 2 BLAS threads."""
+    curve_path = tmp_path / "curve.csv"
+    write_curve(curve, str(curve_path))
     src = os.path.dirname(os.path.dirname(shrinker_index.__file__))
     results = []
     for threads in ("1", "2"):
@@ -129,11 +130,29 @@ def test_low_spectra_identical_across_thread_counts(pipe, tmp_path):
                        [src, os.environ.get("PYTHONPATH", "")]))
         out = tmp_path / ("spectra%s.npy" % threads)
         subprocess.run([sys.executable, "-c", _SPECTRA_SCRIPT,
-                        str(curve_path), str(out)],
+                        str(curve_path), str(out), str(count)]
+                       + [str(k) for k in ks],
                        env=env, check=True, timeout=300)
         results.append(np.load(out))
-    assert results[0].shape == (32 + 32 * 1024,)
-    assert np.array_equal(results[0], results[1])
+    return results
+
+
+def test_low_spectra_identical_across_thread_counts(pipe, tmp_path):
+    # the 8-mode spectra carry no BLAS-order dependence
+    one, two = _spectra_per_thread_count(pipe.curve(1024), tmp_path,
+                                         range(4), 8)
+    assert one.shape == (32 + 32 * 1024,)
+    assert np.array_equal(one, two)
+
+
+def test_drift_spectra_identical_across_thread_counts(pipe, tmp_path):
+    # neither do the 201-mode drift spectra, values and vectors, at
+    # M = 2048: a size where shift-invert Lanczos (ARPACK) gives different
+    # bits under 1 and 2 threads
+    one, two = _spectra_per_thread_count(pipe.curve(2048), tmp_path,
+                                         range(2), 201)
+    assert one.shape == (402 + 402 * 2048,)
+    assert np.array_equal(one, two)
 
 
 def test_labels_low_modes(pipe):
@@ -145,6 +164,33 @@ def test_labels_low_modes(pipe):
     modes1 = classify_modes(pipe.modes(256, 1, 3), crv, nf)
     assert [m.label for m in modes1] == [
         "sigma_inverse", "horizontal_translation", "rotation"]
+
+
+def test_low_modes_have_template_parity(pipe):
+    # each low mode is even or odd under m -> -m mod M, as its template is
+    parity = {"dilation": 1.0, "horizontal_translation": 1.0,
+              "sigma_inverse": 1.0, "vertical_translation": -1.0,
+              "rotation": -1.0}
+    mirror = -np.arange(256) % 256
+    labels = []
+    for k in (0, 1):
+        for md in pipe.modes(256, k, 3):
+            u = md.vector
+            if md.label == "generic":
+                assert min(np.linalg.norm(u[mirror] - u),
+                           np.linalg.norm(u[mirror] + u)) <= 1e-8
+            else:
+                labels.append(md.label)
+                assert np.linalg.norm(
+                    u[mirror] - parity[md.label] * u) <= 1e-8
+    assert sorted(labels) == sorted(parity)
+
+
+def test_pipeline_refuses_normals_that_do_not_mirror():
+    # at M = 12 the normal picked at the two axis points is the tangent,
+    # which the reflection reverses, so -L_k does not split into halves
+    with pytest.raises(ExclusionMismatch, match="normal at point"):
+        Pipeline(solve_geodesic(12))
 
 
 def test_pipeline_matches_explicit_chain(pipe):
@@ -172,7 +218,7 @@ def test_cyclic_solve_matches_pair_leading_sweep(pipe, ks, count):
     # order, so the result must also come back C-contiguous, pair-leading
     ld = np.longdouble
     mats = [pipe.Lk(512, k) for k in ks]
-    pairs = [spectral._lanczos(a, count) for a in mats]
+    pairs = [spectral._folded_pairs(a, count) for a in mats]
     diag = np.array([a.diag for a in mats], dtype=ld)[:, None, :]
     up = mats[0].up.astype(ld)
     shifts = np.array([p[0] for p in pairs], dtype=ld) + ld(1e-13)
@@ -301,10 +347,10 @@ def test_index_pairs_equal_per_k_modes(pipe):
 
 
 def test_index_doubles_count_on_polished_values(pipe, monkeypatch):
-    # the walk decides on ARPACK's values; when the last of them reads >= 0
+    # the walk decides on unpolished values; when the last of them reads >= 0
     # but its polished value is < 0, the count must still double
     monkeypatch.setattr(spectral, "INDEX_COUNT", 2)
-    original_lanczos = spectral._lanczos
+    original_lanczos = spectral._folded_pairs
     original_spectrum = spectral.spectrum
     lanczos_calls = []
     spectrum_calls = []
@@ -321,7 +367,7 @@ def test_index_doubles_count_on_polished_values(pipe, monkeypatch):
         matrices = list(matrices)
         spectrum_calls.append(([a.k for a in matrices], count))
         return original_spectrum(matrices, count)
-    monkeypatch.setattr(spectral, "_lanczos", lanczos)
+    monkeypatch.setattr(spectral, "_folded_pairs", lanczos)
     monkeypatch.setattr(spectral, "spectrum", counted)
     rep = compute_index(pipe.curve(256))
     assert lanczos_calls[0] == (0, 2)
