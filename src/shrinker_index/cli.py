@@ -66,7 +66,7 @@ def _build_parser():
     mode_number = _int_at_least(0, 2 ** 26)  # k^2 is exact in float64
 
     def add_points(p):
-        p.add_argument("-M", "--points", type=_int_at_least(10), default=2048,
+        p.add_argument("-M", "--points", type=_int_at_least(18), default=2048,
                        help="number of curve points (default 2048)")
 
     p = sub.add_parser("solve", help="solve the closed geodesic, write CSV")
@@ -183,7 +183,7 @@ def _cmd_index(args):
 
 
 def _cmd_convergence(args):
-    entry = _int_at_least(10)
+    entry = _int_at_least(18)
     try:
         m_values = tuple(entry(tok) for tok in args.points_list.split(","))
     except argparse.ArgumentTypeError as exc:
@@ -223,6 +223,8 @@ def _cmd_convergence(args):
 def _cmd_asymptotics(args):
     if args.k_scan != 0 and args.k_scan < 2:
         raise UsageError("--k-scan must be 0 or at least 2")
+    if args.k_scan > 2 ** 26:
+        raise UsageError("--k-scan must be at most %d" % 2 ** 26)
     crv = curve_mod.read_curve(args.curve)
     if 2 * args.j_max + 1 >= crv.M:
         raise UsageError(

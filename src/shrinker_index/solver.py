@@ -111,13 +111,16 @@ def _mirror_average(points):
 def solve_geodesic(m):
     """Solve for the closed m-point geodesic; returns a canonical DiscreteCurve.
 
-    Raises ValueError below 10 points, NonConvergence if a ladder level does
-    not meet the tolerances within MAX_ITERS and CurveCollapse if an iterate
-    degenerates; both messages name the level's point count.
+    Raises ValueError below 18 points, where the normal picked at the two
+    axis points is the tangent, so GRAD_TOL there would bound the gradient
+    along the curve and the returned curve would not be critical.  Raises
+    NonConvergence if a ladder level does not meet the tolerances within
+    MAX_ITERS and CurveCollapse if an iterate degenerates; both messages
+    name the level's point count.
     Deterministic: the same m gives a bitwise identical curve.
     """
-    if m < 10:
-        raise ValueError("M must be at least 10")
+    if m < 18:
+        raise ValueError("M must be at least 18")
     levels = [m]
     while levels[-1] > COARSE_M:
         levels.append((levels[-1] + 1) // 2)

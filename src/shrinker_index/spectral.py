@@ -305,9 +305,10 @@ class Pipeline:
     (r_m, -z_m), as `solve_geodesic` returns it), and so must the sides
     its normals point to, because the spectra are taken on the mirror
     halves of -L_k; any other curve raises ExclusionMismatch naming the
-    largest mismatch.  The normals fail this below M = 18, where the
-    larger eigenvector of the point block at the axis points is the
-    tangent.
+    largest mismatch.  The normals fail this on a curve of fewer than 18
+    points, such as one read from a file, where the larger eigenvector of
+    the point block at the axis points is the tangent; `solve_geodesic`
+    refuses such M.
     """
 
     def __init__(self, curve):
@@ -355,78 +356,56 @@ class IndexReport:
     index: int
 
 
-def _doubled(n, cap, k):
-    """The next mode count at k once all n computed modes are negative."""
-    if n == cap:
-        raise ExclusionMismatch(
-            "all %d computed modes at k = %d are negative" % (n, k))
-    return min(2 * n, cap)
-
-
 def compute_index(curve):
     """Morse index of the solved curve, excluding dilation and translations.
 
-    Walks k = 0, 1, 2, ... on unpolished values (`_folded_pairs`) until
-    the smallest exceeds INDEX_STOP_MARGIN (they are monotone in k).  Each
-    k starts from INDEX_COUNT modes and the count doubles while the last of
-    them is negative (up to M - 1, else ExclusionMismatch), so no negative
-    mode is dropped.  Then every kept pair is polished at once, in one
-    `spectrum` call per distinct count (one for the torus); a k whose last
-    polished eigenvalue is still negative doubles its count and is polished
-    again.  Negative polished eigenvalues are counted with multiplicity.
-    The rotation mode (k = 1) is exactly 0 in the continuum, so it is never
-    counted, whatever the sign of its discrete value.  Raises
-    ExclusionMismatch for a curve that is not exactly mirror-symmetric
-    (see Pipeline), and unless exactly one negative dilation mode (k = 0),
-    one negative vertical translation (k = 0) and one negative horizontal
-    translation (k = 1, multiplicity 2) are found.
+    Walks k = 0, 1, 2, ... on the lowest unpolished value of each -L_k
+    (`_folded_pairs`) and stops at the first k where it clears
+    INDEX_STOP_MARGIN (the values are monotone in k).  Then one
+    `Pipeline.scan` polishes and labels INDEX_COUNT modes at every kept k;
+    while the last polished mode of any k is negative, the count doubles
+    (up to M - 1, else ExclusionMismatch) and the scan is repeated, so no
+    negative mode is dropped.  Negative polished eigenvalues are counted
+    with multiplicity.  The rotation mode (k = 1) is exactly 0 in the
+    continuum, so it is never counted, whatever the sign of its discrete
+    value.  Raises ExclusionMismatch for a curve that is not exactly
+    mirror-symmetric (see Pipeline), and unless exactly one negative
+    dilation mode (k = 0), one negative vertical translation (k = 0) and
+    one negative horizontal translation (k = 1, multiplicity 2) are found.
     """
     pipe = Pipeline(curve)
-    cap = curve.M - 1
-    mats = []
-    counts = []
     for k in range(INDEX_K_CAP + 1):
         a = stability.assemble_Lk(pipe.L0, curve, k)
-        n = min(INDEX_COUNT, cap)
-        vals = _folded_pairs(a, n)[0]
-        while vals.max() < 0.0:
-            n = _doubled(n, cap, k)
-            vals = _folded_pairs(a, n)[0]
-        mats.append(a)
-        counts.append(n)
-        if vals.min() >= INDEX_STOP_MARGIN:
+        if _folded_pairs(a, 1)[0][0] >= INDEX_STOP_MARGIN:
             break
     else:
         raise ExclusionMismatch("negative modes persist beyond k = %d" % k)
 
-    modes_at = [None] * len(mats)
-    pending = list(range(len(mats)))
-    while pending:
-        for n in sorted({counts[k] for k in pending}):
-            ks = [k for k in pending if counts[k] == n]
-            modes = classify_modes(spectrum([mats[k] for k in ks], n),
-                                   curve, pipe.normals)
-            for i, k in enumerate(ks):
-                modes_at[k] = modes[i * n:(i + 1) * n]
-        pending = [k for k in pending if modes_at[k][-1].eigenvalue < 0.0]
-        for k in pending:
-            counts[k] = _doubled(counts[k], cap, k)
+    cap = curve.M - 1
+    n = min(INDEX_COUNT, cap)
+    while True:
+        modes = pipe.scan(range(k + 1), n)
+        sunk = [m.k for m in modes[n - 1::n] if m.eigenvalue < 0.0]
+        if not sunk:
+            break
+        if n == cap:
+            raise ExclusionMismatch(
+                "all %d computed modes at k = %d are negative" % (n, sunk[0]))
+        n = min(2 * n, cap)
 
-    per_k = []
+    per_k = [(i, []) for i in range(k + 1)]
     excluded = []
     found = {"dilation": 0, "vertical_translation": 0,
              "horizontal_translation": 0}
     total = 0
-    for k, modes in enumerate(modes_at):
-        mult = 1 if k == 0 else 2
-        negative = [m for m in modes
-                    if m.eigenvalue < 0.0 and m.label != "rotation"]
-        per_k.append((k, [m.eigenvalue for m in negative]))
-        total += mult * len(negative)
-        for m in negative:
+    for m in modes:
+        if m.eigenvalue < 0.0 and m.label != "rotation":
+            mult = 1 if m.k == 0 else 2
+            per_k[m.k][1].append(m.eigenvalue)
+            total += mult
             if m.label in found:
                 found[m.label] += 1
-                excluded.append({"k": k, "j": m.j,
+                excluded.append({"k": m.k, "j": m.j,
                                  "eigenvalue": m.eigenvalue,
                                  "label": m.label, "multiplicity": mult})
 

@@ -189,6 +189,9 @@ def test_malformed_curve_file(tmp_path, capsys):
     (["convergence", "--k-max", "-1", "--out", "d"], "--k-max"),
     (["asymptotics", "--curve", "x.csv", "--k", "-1", "--out", "d"], "--k"),
     (["render", "--curve", "x.csv", "--k", "-1", "--out", "p"], "--k"),
+    (["solve", "--points", "17", "--out", "x.csv"], "--points"),
+    (["asymptotics", "--curve", "x.csv", "--k-scan", str(10 ** 160),
+      "--out", "d"], "--k-scan must be at most 67108864"),
 ])
 def test_usage_errors(argv, needle, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

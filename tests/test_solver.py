@@ -111,6 +111,18 @@ def test_config_validation():
         solve_geodesic(7)
     with pytest.raises(ValueError):
         solve_geodesic(9)
+    with pytest.raises(ValueError, match="at least 18"):
+        solve_geodesic(17)
+
+
+@pytest.mark.parametrize("m", range(18, 41))
+def test_axis_points_are_critical(m):
+    # below 18 points the normal at the axis points is the tangent, so the
+    # solve would bound the gradient along the curve there, not across it
+    crv = solve_geodesic(m)
+    axis = [0] if m % 2 else [0, m // 2]
+    assert np.all(crv.z[axis] == 0.0)
+    assert np.max(np.abs(_length_gradient(crv)[axis, 0])) <= solver.GRAD_TOL
 
 
 @pytest.mark.parametrize("m", [3001, 4096, 8192])

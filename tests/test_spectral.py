@@ -1,9 +1,11 @@
 """Spectrum computation, mode labeling and the index count."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ import oracles
 import shrinker_index
 from shrinker_index import (Pipeline, StabilityMatrix, assemble_L0,
                             assemble_Lk, compute_index, normal_field,
-                            solve_geodesic, spectrum, write_curve)
-from shrinker_index import cli, spectral, stability
+                            spectrum, write_curve)
+from shrinker_index import cli, solver, spectral, stability
 from oracles import reflect_z
-from shrinker_index.curve import DiscreteCurve, canonicalize
+from shrinker_index.curve import (DiscreteCurve, _resample_points,
+                                  canonicalize)
 from shrinker_index.metric import sigma
 from shrinker_index.spectral import ExclusionMismatch, classify_modes
 
@@ -189,8 +192,10 @@ def test_low_modes_have_template_parity(pipe):
 def test_pipeline_refuses_normals_that_do_not_mirror():
     # at M = 12 the normal picked at the two axis points is the tangent,
     # which the reflection reverses, so -L_k does not split into halves
+    # solve_geodesic refuses M < 18, so polish the 12-point seed directly
+    crv = solver._polish(_resample_points(solver.seed_circle(12), 12))
     with pytest.raises(ExclusionMismatch, match="normal at point"):
-        Pipeline(solve_geodesic(12))
+        Pipeline(crv)
 
 
 def test_pipeline_matches_explicit_chain(pipe):
@@ -208,6 +213,41 @@ def test_pipeline_matches_explicit_chain(pipe):
             assert p.eigenvalue == q.eigenvalue
             assert p.residual == q.residual
             assert np.array_equal(p.vector, q.vector)
+
+
+def _calls_to(names, tree):
+    """(line, name) of each call in tree to a function or method in names."""
+    calls = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in names:
+                calls.add((node.lineno, name))
+    return calls
+
+
+def test_spectra_are_taken_only_in_pipeline_scan():
+    # one curve -> normals -> L0 -> L_k -> modes chain: no module of the
+    # library calls spectrum or classify_modes outside Pipeline.scan
+    names = {"spectrum", "classify_modes"}
+    outside = {}
+    scans = 0
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = _calls_to(names, tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Pipeline":
+                (scan,) = [f for f in node.body
+                           if isinstance(f, ast.FunctionDef)
+                           and f.name == "scan"]
+                in_scan = _calls_to(names, scan)
+                assert {name for _, name in in_scan} == names
+                calls -= in_scan
+                scans += 1
+        if calls:
+            outside[path.name] = sorted(calls)
+    assert scans == 1
+    assert outside == {}
 
 
 @pytest.mark.parametrize("ks,count", [((0,), 8), ((0, 1, 2, 3), 8),
@@ -347,32 +387,20 @@ def test_index_pairs_equal_per_k_modes(pipe):
 
 
 def test_index_doubles_count_on_polished_values(pipe, monkeypatch):
-    # the walk decides on unpolished values; when the last of them reads >= 0
-    # but its polished value is < 0, the count must still double
+    # k = 0 has 3 negative modes, so from a count of 2 its last polished
+    # value is negative and the scan of every kept k runs again at 4
     monkeypatch.setattr(spectral, "INDEX_COUNT", 2)
-    original_lanczos = spectral._folded_pairs
-    original_spectrum = spectral.spectrum
-    lanczos_calls = []
-    spectrum_calls = []
-
-    def lanczos(a, count):
-        vals, vecs = original_lanczos(a, count)
-        lanczos_calls.append((a.k, count))
-        if len(lanczos_calls) == 1:
-            # the walk's first look at k = 0: -1 (j = 1) reads +1
-            vals = np.where(vals == vals.max(), -vals, vals)
-        return vals, vecs
+    original = spectral.spectrum
+    calls = []
 
     def counted(matrices, count):
         matrices = list(matrices)
-        spectrum_calls.append(([a.k for a in matrices], count))
-        return original_spectrum(matrices, count)
-    monkeypatch.setattr(spectral, "_folded_pairs", lanczos)
+        calls.append(([a.k for a in matrices], count))
+        return original(matrices, count)
     monkeypatch.setattr(spectral, "spectrum", counted)
     rep = compute_index(pipe.curve(256))
-    assert lanczos_calls[0] == (0, 2)
-    assert spectrum_calls == [([0, 2, 3], 2), ([1], 4), ([0], 4)]
-    assert len(rep.per_k[0][1]) == 3
+    assert calls == [([0, 1, 2, 3], 2), ([0, 1, 2, 3], 4)]
+    assert [len(vals) for _, vals in rep.per_k] == [3, 2, 1, 0]
     assert rep.index == 5
     assert rep.total_negative == 9
 
@@ -398,12 +426,18 @@ def test_index_skips_rotation_mode_of_either_sign(pipe, monkeypatch):
 
 
 def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
-    # an operator pushed far down has more negative modes than the M - 1
-    # the eigensolver can return; the count must fail, not truncate
+    # -L_0 pushed far down has more negative modes than the M - 1 the
+    # eigensolver can return; the count must fail, not truncate
+    original = stability.assemble_Lk
+
     def sunk(L0, curve, k):
-        return StabilityMatrix(k=k, diag=L0.diag - 1e9, up=L0.up)
+        a = original(L0, curve, k)
+        if k == 0:
+            a = StabilityMatrix(k=0, diag=a.diag - 1e9, up=a.up)
+        return a
     monkeypatch.setattr(stability, "assemble_Lk", sunk)
-    with pytest.raises(ExclusionMismatch):
+    with pytest.raises(ExclusionMismatch,
+                       match="all 63 computed modes at k = 0 are negative"):
         compute_index(pipe.curve(64))
 
 
