@@ -90,7 +90,7 @@ def _build_parser():
     p.add_argument("--points-list",
                    default=",".join(map(str, convergence.DEFAULT_M)),
                    help="comma-separated resolutions")
-    p.add_argument("--k-max", type=_int_at_least(0), default=3,
+    p.add_argument("--k-max", type=mode_number, default=3,
                    help="table rows cover k = 0..k_max, j = 0..3")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -255,21 +255,17 @@ def _cmd_asymptotics(args):
 
 def _cmd_render(args):
     crv = curve_mod.read_curve(args.curve)
-    mode = normals = None
+    mode = None
     if args.j is not None:
         if args.j + 1 >= crv.M:
             raise UsageError("--j must be less than the number of curve "
                              "points minus 1")
-        pipe = spectral.Pipeline(crv)
-        mode = pipe.modes(args.k, args.j + 1)[args.j].vector
-        normals = pipe.normals
+        mode = spectral.Pipeline(crv).modes(args.k, args.j + 1)[args.j].vector
     _write(args.out + ".svg",
-           render.svg_cross_section(crv, mode=mode, normals=normals,
-                                    epsilon=args.epsilon))
+           render.svg_cross_section(crv, mode=mode, epsilon=args.epsilon))
     _write(args.out + ".obj",
-           render.obj_surface(crv, mode=mode, normals=normals, k=args.k,
-                              ntheta=args.ntheta, epsilon=args.epsilon,
-                              phase=args.phase))
+           render.obj_surface(crv, mode=mode, k=args.k, ntheta=args.ntheta,
+                              epsilon=args.epsilon, phase=args.phase))
     return 0
 
 

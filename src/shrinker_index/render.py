@@ -22,16 +22,14 @@ def default_epsilon(curve):
     return EPSILON_FRACTION * float(np.hypot(spread_r, spread_z))
 
 
-def _amplitude(curve, mode, normals, epsilon):
+def _amplitude(curve, mode, epsilon):
     """Displacement epsilon u_m per curve point, and the normals n_m."""
     mode = np.asarray(mode, dtype=float)
     if mode.shape != (curve.M,):
         raise ValueError("mode must have one value per curve point")
-    if normals is None:
-        normals = stability.normal_field(curve)
     if epsilon is None:
         epsilon = default_epsilon(curve)
-    return epsilon * mode, normals
+    return epsilon * mode, stability.normal_field(curve)
 
 
 def _polyline(points, scale, origin):
@@ -40,16 +38,16 @@ def _polyline(points, scale, origin):
     return "M" + " L".join("%.17g,%.17g" % xy for xy in zip(xs, ys)) + " Z"
 
 
-def svg_cross_section(curve, mode=None, normals=None, epsilon=None):
+def svg_cross_section(curve, mode=None, epsilon=None):
     """SVG of the cross-section, optionally with a perturbed copy (dashed).
 
     `mode` is an eigenfunction u over the curve points; the overlay is
-    q_m + epsilon u_m n_m.  Normals are computed if not supplied.
+    q_m + epsilon u_m n_m, with the normals n_m of the curve.
     """
     pts = curve.points
     curves = [pts]
     if mode is not None:
-        amp, normals = _amplitude(curve, mode, normals, epsilon)
+        amp, normals = _amplitude(curve, mode, epsilon)
         curves.append(pts + amp[:, None] * normals)
 
     allpts = np.vstack(curves)
@@ -72,8 +70,8 @@ def svg_cross_section(curve, mode=None, normals=None, epsilon=None):
                (hi[1] - lo[1] + 2.0 * margin) * scale, "\n".join(body)))
 
 
-def obj_surface(curve, mode=None, normals=None, k=0, ntheta=64,
-                epsilon=None, phase="cos"):
+def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
+                phase="cos"):
     """OBJ mesh of the surface of revolution, optionally displaced.
 
     The displacement field is epsilon u_m g(k theta) along the surface
@@ -93,7 +91,7 @@ def obj_surface(curve, mode=None, normals=None, k=0, ntheta=64,
     z = np.repeat(pts[:, 1], ntheta)
     th = np.tile(theta, m_count)
     if mode is not None:
-        amp, normals = _amplitude(curve, mode, normals, epsilon)
+        amp, normals = _amplitude(curve, mode, epsilon)
         g = np.cos(k * th) if phase == "cos" else np.sin(k * th)
         amp = np.repeat(amp, ntheta) * g
         r = r + amp * np.repeat(normals[:, 0], ntheta)

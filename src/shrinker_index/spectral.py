@@ -36,15 +36,12 @@ from . import stability
 #: |cosine| threshold for matching an eigenfunction to a known template.
 CLASSIFY_COSINE = 0.999
 
-#: The k loop of the index computation stops once the smallest eigenvalue
-#: clears this margin; eigenvalues grow monotonically with k.
+#: The index computation polishes, at each k, the modes below this margin
+#: and stops at the first k that has none; eigenvalues grow with k.
 INDEX_STOP_MARGIN = 1e-3
 
 #: Largest k the index computation walks before giving up.
 INDEX_K_CAP = 64
-
-#: Modes the index computation starts from at each k (doubled as needed).
-INDEX_COUNT = 8
 
 
 class ExclusionMismatch(RuntimeError):
@@ -175,19 +172,16 @@ def _refine_pairs(diag, up, vals, vecs):
     return lam.astype(float), out, np.linalg.norm(res, axis=-1)
 
 
-def _folded_pairs(a, count):
-    """Lowest `count` eigenpairs of one StabilityMatrix, unpolished.
+def _halves(a):
+    """The even and odd mirror halves of one StabilityMatrix, as (d, e).
 
     -L_k of a mirror-symmetric curve commutes with the reflection
     m -> -m mod M.  On its mirror-averaged bands it splits into an even
     half (points 0..M//2) and an odd half (points 1..(M-1)//2), symmetric
     tridiagonal matrices with no cyclic corner; the couplings to the fixed
     points 0 and M/2 carry a factor sqrt(2), and for odd M the pair
-    M//2, M//2 + 1 adds +-up[M//2] to the last diagonal entry.  LAPACK's
-    bisection and inverse iteration (stebz/stein) give the lowest pairs of
-    each half, which are unfolded to length M and merged.  Returns
-    (eigenvalues ascending, eigenvectors as columns), with residuals
-    ~ eps ||A||.
+    M//2, M//2 + 1 adds +-up[M//2] to the last diagonal entry.  Each half
+    is its diagonal d and off-diagonal e.
     """
     m = a.M
     h = m // 2
@@ -203,16 +197,29 @@ def _folded_pairs(a, count):
         d_odd[-1] -= up[h]
     else:
         e_even[h - 1] *= np.sqrt(2.0)
+    return (d_even, e_even), (d_odd, e_odd)
+
+
+def _folded_pairs(a, count):
+    """Lowest `count` eigenpairs of one StabilityMatrix, unpolished.
+
+    LAPACK's bisection and inverse iteration (stebz/stein) give the lowest
+    pairs of each of the mirror `_halves`, which are unfolded to length M
+    and merged.  Returns (eigenvalues ascending, eigenvectors as columns),
+    with residuals ~ eps ||A||.
+    """
+    m = a.M
+    h = m // 2
     (lam_even, x), (lam_odd, y) = [
         scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, min(count, len(d)) - 1))
-        for d, e in ((d_even, e_even), (d_odd, e_odd))]
+        for d, e in _halves(a)]
     # point m unfolds from row fold[m] of a half; the odd rows, padded with
     # zeros on the fixed points, change sign past M/2
     idx = np.arange(m)
     fold = np.minimum(idx, m - idx)
     weight = np.where((fold == 0) | (2 * fold == m), 1.0, np.sqrt(0.5))
-    y = np.pad(y, ((1, h - len(d_odd)), (0, 0)))
+    y = np.pad(y, ((1, h - len(y)), (0, 0)))
     vals = np.concatenate([lam_even, lam_odd])
     vecs = np.concatenate(
         [x[fold] * weight[:, None],
@@ -359,39 +366,37 @@ class IndexReport:
 def compute_index(curve):
     """Morse index of the solved curve, excluding dilation and translations.
 
-    Walks k = 0, 1, 2, ... on the lowest unpolished value of each -L_k
-    (`_folded_pairs`) and stops at the first k where it clears
-    INDEX_STOP_MARGIN (the values are monotone in k).  Then one
-    `Pipeline.scan` polishes and labels INDEX_COUNT modes at every kept k;
-    while the last polished mode of any k is negative, the count doubles
-    (up to M - 1, else ExclusionMismatch) and the scan is repeated, so no
-    negative mode is dropped.  Negative polished eigenvalues are counted
-    with multiplicity.  The rotation mode (k = 1) is exactly 0 in the
-    continuum, so it is never counted, whatever the sign of its discrete
-    value.  Raises ExclusionMismatch for a curve that is not exactly
-    mirror-symmetric (see Pipeline), and unless exactly one negative
-    dilation mode (k = 0), one negative vertical translation (k = 0) and
-    one negative horizontal translation (k = 1, multiplicity 2) are found.
+    Walks k = 0, 1, 2, ..., counting the eigenvalues of -L_k below
+    INDEX_STOP_MARGIN by bisection on its mirror `_halves`, and stops at
+    the first k with none (the values are monotone in k); a k whose M
+    modes all lie below the margin raises ExclusionMismatch.  The counts
+    are exact to ~eps ||A||, far inside the margin, so one `Pipeline.scan`
+    of the largest count at every k before the stop polishes and labels
+    every mode that can be negative.  Negative polished eigenvalues are
+    counted with multiplicity.  The rotation mode (k = 1) is exactly 0 in
+    the continuum, so it is never counted, whatever the sign of its
+    discrete value.  Raises ExclusionMismatch for a curve that is not
+    exactly mirror-symmetric (see Pipeline), and unless exactly one
+    negative dilation mode (k = 0), one negative vertical translation
+    (k = 0) and one negative horizontal translation (k = 1, multiplicity
+    2) are found.
     """
     pipe = Pipeline(curve)
+    counts = []
     for k in range(INDEX_K_CAP + 1):
         a = stability.assemble_Lk(pipe.L0, curve, k)
-        if _folded_pairs(a, 1)[0][0] >= INDEX_STOP_MARGIN:
+        n = sum(len(scipy.linalg.eigvalsh_tridiagonal(
+            d, e, select="v", select_range=(-np.inf, INDEX_STOP_MARGIN)))
+            for d, e in _halves(a))
+        if n == 0:
             break
+        if n == curve.M:
+            raise ExclusionMismatch("all %d modes at k = %d are below %g"
+                                    % (n, k, INDEX_STOP_MARGIN))
+        counts.append(n)
     else:
         raise ExclusionMismatch("negative modes persist beyond k = %d" % k)
-
-    cap = curve.M - 1
-    n = min(INDEX_COUNT, cap)
-    while True:
-        modes = pipe.scan(range(k + 1), n)
-        sunk = [m.k for m in modes[n - 1::n] if m.eigenvalue < 0.0]
-        if not sunk:
-            break
-        if n == cap:
-            raise ExclusionMismatch(
-                "all %d computed modes at k = %d are negative" % (n, sunk[0]))
-        n = min(2 * n, cap)
+    modes = pipe.scan(range(k), max(counts)) if counts else []
 
     per_k = [(i, []) for i in range(k + 1)]
     excluded = []
@@ -412,8 +417,8 @@ def compute_index(curve):
     if (found["dilation"] != 1 or found["vertical_translation"] != 1
             or found["horizontal_translation"] != 1):
         raise ExclusionMismatch(
-            "expected one dilation and three translation modes, found %r"
-            % found)
+            "expected one dilation and three translation modes, found %r "
+            "at M = %d" % (found, curve.M))
     excluded_mult = sum(e["multiplicity"] for e in excluded)
     return IndexReport(per_k=per_k, excluded=excluded,
                        total_negative=total, index=total - excluded_mult)

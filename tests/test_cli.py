@@ -89,6 +89,19 @@ def test_index_from_curve_file(curve_csv, capsys):
     assert captured.out.strip() == "index 5 (9 negative, 4 excluded)"
 
 
+def test_index_names_the_point_count_below_60(capsys):
+    # below M = 60 the horizontal translation's cosine to its template is
+    # under CLASSIFY_COSINE, so the index refuses and says at which M
+    rc = main(["index", "--points", "59"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "at M = 59" in captured.err
+    rc = main(["index", "--points", "60"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.strip() == "index 5 (9 negative, 4 excluded)"
+
+
 def test_index_rejects_random_polygon(tmp_path, capsys):
     rng = np.random.default_rng(5)
     bad = DiscreteCurve(np.column_stack([rng.uniform(0.5, 3.0, 64),
@@ -192,6 +205,8 @@ def test_malformed_curve_file(tmp_path, capsys):
     (["solve", "--points", "17", "--out", "x.csv"], "--points"),
     (["asymptotics", "--curve", "x.csv", "--k-scan", str(10 ** 160),
       "--out", "d"], "--k-scan must be at most 67108864"),
+    (["convergence", "--k-max", "67108865", "--out", "d"],
+     "--k-max: must be at most"),
 ])
 def test_usage_errors(argv, needle, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shrinker_index import DiscreteCurve, normal_field
+from shrinker_index import DiscreteCurve
 from shrinker_index.render import (default_epsilon, obj_surface,
                                    svg_cross_section)
 
@@ -31,7 +31,7 @@ def test_obj_mesh_counts(pipe):
 
 def test_obj_faces_close_a_torus_and_normals_default():
     # every directed edge of a closed, consistently oriented mesh appears
-    # once, and so does its reverse; omitted normals mean normal_field's
+    # once, and so does its reverse
     theta = 2.0 * np.pi * np.arange(8) / 8
     crv = DiscreteCurve(np.column_stack([1.0 + 0.5 * np.cos(theta),
                                          0.5 * np.sin(theta)]))
@@ -40,13 +40,6 @@ def test_obj_faces_close_a_torus_and_normals_default():
     assert len(set(edges)) == len(edges)
     assert set(edges) == {(b, a) for a, b in edges}
     assert {i for f in faces for i in f} == set(range(1, 8 * 5 + 1))
-
-    mode = np.cos(2.0 * theta)
-    normals = normal_field(crv)
-    assert svg_cross_section(crv, mode=mode) == svg_cross_section(
-        crv, mode=mode, normals=normals)
-    assert obj_surface(crv, mode=mode, k=1, ntheta=5) == obj_surface(
-        crv, mode=mode, normals=normals, k=1, ntheta=5)
 
 
 def test_obj_rings_are_circles(pipe):
@@ -62,9 +55,8 @@ def test_obj_axisymmetric_mode_displaces_rings(pipe):
     crv = pipe.curve(128)
     mode = pipe.modes(128, 0, 2)[1].vector
     eps = 0.05
-    verts, _ = _parse_obj(obj_surface(crv, mode=mode,
-                                      normals=pipe.normals(128),
-                                      k=0, ntheta=16, epsilon=eps))
+    verts, _ = _parse_obj(obj_surface(crv, mode=mode, k=0, ntheta=16,
+                                      epsilon=eps))
     rings = verts.reshape(128, 16, 3)
     radius = np.hypot(rings[:, :, 0], rings[:, :, 1])
     # k = 0 with cos phase keeps every ring circular, at a shifted radius
@@ -104,7 +96,7 @@ def test_svg_paths(pipe):
     assert "dasharray" not in plain
 
     mode = pipe.modes(128, 0, 2)[1].vector
-    overlay = svg_cross_section(crv, mode=mode, normals=pipe.normals(128))
+    overlay = svg_cross_section(crv, mode=mode)
     assert overlay.count("<path") == 2
     assert 'stroke="#1f4e9c"' in overlay
     assert 'stroke="#d2691e"' in overlay
@@ -116,7 +108,7 @@ def test_svg_paths(pipe):
 def test_outputs_deterministic(pipe):
     crv = pipe.curve(128)
     mode = pipe.modes(128, 0, 2)[1].vector
-    kwargs = dict(mode=mode, normals=pipe.normals(128), k=2, ntheta=12)
+    kwargs = dict(mode=mode, k=2, ntheta=12)
     assert obj_surface(crv, **kwargs) == obj_surface(crv, **kwargs)
     assert svg_cross_section(crv, mode=mode) == svg_cross_section(
         crv, mode=mode)

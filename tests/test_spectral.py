@@ -249,6 +249,26 @@ def test_spectra_are_taken_only_in_pipeline_scan():
     assert scans == 1
     assert outside == {}
 
+    # one eigensolver path: only spectrum folds -L_k for pairs, and only
+    # the fold and the index count call LAPACK on the mirror halves
+    for names, owners in [
+            ({"_folded_pairs"}, {"spectrum"}),
+            ({"eigh_tridiagonal", "eigvalsh_tridiagonal"},
+             {"_folded_pairs", "compute_index"})]:
+        seen = set()
+        for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            calls = _calls_to(names, tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name in owners:
+                    inside = _calls_to(names, node)
+                    seen |= {name for _, name in inside}
+                    calls -= inside
+            if calls:
+                outside[path.name] = sorted(calls)
+        assert seen == names
+        assert outside == {}
+
 
 @pytest.mark.parametrize("ks,count", [((0,), 8), ((0, 1, 2, 3), 8),
                                       ((0,), 201)])
@@ -362,16 +382,6 @@ def test_index_report(pipe):
     assert counts[:4] == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
 
-def test_index_raises_count_instead_of_truncating(pipe, monkeypatch):
-    # k = 0 has 3 negative modes; a count of 2 must grow, not drop one
-    monkeypatch.setattr(spectral, "INDEX_COUNT", 2)
-    rep = compute_index(pipe.curve(256))
-    assert rep.index == 5
-    assert rep.total_negative == 9
-    assert sum(e["multiplicity"] for e in rep.excluded) == 4
-    assert [len(vals) for _, vals in rep.per_k][:3] == [3, 2, 1]
-
-
 def test_index_pairs_equal_per_k_modes(pipe):
     # the index polishes every k in one batch; a pair's polish does not
     # depend on its batch, so each k's counted eigenvalues are bitwise
@@ -386,23 +396,31 @@ def test_index_pairs_equal_per_k_modes(pipe):
         assert vals == ref
 
 
-def test_index_doubles_count_on_polished_values(pipe, monkeypatch):
-    # k = 0 has 3 negative modes, so from a count of 2 its last polished
-    # value is negative and the scan of every kept k runs again at 4
-    monkeypatch.setattr(spectral, "INDEX_COUNT", 2)
-    original = spectral.spectrum
+def test_index_counts_every_negative_mode(pipe, monkeypatch):
+    # -L_0 shifted down by 20 has 11 negative modes, more than any fixed
+    # guess of 8; the bisection count must polish them all in one spectrum
+    original = stability.assemble_Lk
+    original_spectrum = spectral.spectrum
+    sunk0 = []
     calls = []
 
+    def sunk(L0, curve, k):
+        a = original(L0, curve, k)
+        if k == 0:
+            a = StabilityMatrix(k=0, diag=a.diag - 20.0, up=a.up)
+            sunk0.append(a)
+        return a
+
     def counted(matrices, count):
-        matrices = list(matrices)
-        calls.append(([a.k for a in matrices], count))
-        return original(matrices, count)
+        calls.append(count)
+        return original_spectrum(matrices, count)
+    monkeypatch.setattr(stability, "assemble_Lk", sunk)
     monkeypatch.setattr(spectral, "spectrum", counted)
     rep = compute_index(pipe.curve(256))
-    assert calls == [([0, 1, 2, 3], 2), ([0, 1, 2, 3], 4)]
-    assert [len(vals) for _, vals in rep.per_k] == [3, 2, 1, 0]
-    assert rep.index == 5
-    assert rep.total_negative == 9
+    a = sunk0[0]
+    dense = np.linalg.eigvalsh(stability.cyclic_csc(a.diag, a.up).toarray())
+    assert len(rep.per_k[0][1]) == np.sum(dense < 0.0) == 11
+    assert len(calls) == 1
 
 
 def test_index_skips_rotation_mode_of_either_sign(pipe, monkeypatch):
@@ -426,8 +444,8 @@ def test_index_skips_rotation_mode_of_either_sign(pipe, monkeypatch):
 
 
 def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
-    # -L_0 pushed far down has more negative modes than the M - 1 the
-    # eigensolver can return; the count must fail, not truncate
+    # -L_0 pushed far down has all M modes negative, more than the M - 1
+    # the eigensolver can return; the count must fail, not truncate
     original = stability.assemble_Lk
 
     def sunk(L0, curve, k):
@@ -437,7 +455,7 @@ def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
         return a
     monkeypatch.setattr(stability, "assemble_Lk", sunk)
     with pytest.raises(ExclusionMismatch,
-                       match="all 63 computed modes at k = 0 are negative"):
+                       match="all 64 modes at k = 0 are below 0.001"):
         compute_index(pipe.curve(64))
 
 
