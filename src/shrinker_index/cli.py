@@ -144,7 +144,7 @@ def _cmd_spectrum(args):
     if args.count >= crv.M:
         raise UsageError(
             "--count must be less than the number of curve points")
-    modes = spectral.Pipeline(crv).modes(args.k, args.count)
+    modes = spectral.Pipeline(crv).scan([args.k], args.count)
     report = json.dumps({
         "M": crv.M,
         "k": modes[0].k,
@@ -229,12 +229,12 @@ def _cmd_asymptotics(args):
     if 2 * args.j_max + 1 >= crv.M:
         raise UsageError(
             "--j-max must be less than half the number of curve points")
+    pipe = spectral.Pipeline(crv)
     os.makedirs(args.out, exist_ok=True)
     profile = asymptotics.potential_profile(crv, args.k)
     _write_csv(os.path.join(args.out, "profile_k%d.csv" % args.k), "m,s,V",
                zip(range(crv.M), profile.s, profile.V))
-    pipe = spectral.Pipeline(crv)
-    lam = [m.eigenvalue for m in pipe.modes(args.k, 2 * args.j_max + 1)]
+    lam = [m.eigenvalue for m in pipe.scan([args.k], 2 * args.j_max + 1)]
     diag = asymptotics.drift_diagnostic(profile, lam)
     _write_csv(os.path.join(args.out, "drift_k%d.csv" % args.k),
                "j,lambda,estimate,deviation", diag.rows)
@@ -260,7 +260,8 @@ def _cmd_render(args):
         if args.j + 1 >= crv.M:
             raise UsageError("--j must be less than the number of curve "
                              "points minus 1")
-        mode = spectral.Pipeline(crv).modes(args.k, args.j + 1)[args.j].vector
+        mode = spectral.Pipeline(crv).scan(
+            [args.k], args.j + 1)[args.j].vector
     _write(args.out + ".svg",
            render.svg_cross_section(crv, mode=mode, epsilon=args.epsilon))
     _write(args.out + ".obj",

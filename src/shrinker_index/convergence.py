@@ -48,14 +48,6 @@ class DegenerateFit(RuntimeError):
 
 
 @dataclasses.dataclass
-class FitResult:
-    slope: float
-    intercept: float
-    true_value: float
-    residual: float
-
-
-@dataclasses.dataclass
 class ConvergenceStudy:
     """One quantity across resolutions with its log-log fit.
 
@@ -76,12 +68,13 @@ class ConvergenceStudy:
 
 
 def fit_loglog(m_values, estimates, true_value=None):
-    """Slope/intercept of log10|estimate - true| vs log10 M.
+    """Slope of log10|estimate - true| vs log10 M, and the true value.
 
     With true_value None the true value is extrapolated from the two
     finest resolutions, assuming an error c / M^2 (see module docstring).
-    Returns FitResult; raises DegenerateFit when an error vanishes exactly
-    and ValueError when the two finest resolutions coincide.
+    Returns (slope, true_value); raises DegenerateFit when an error
+    vanishes exactly and ValueError when the two finest resolutions
+    coincide.
     """
     m_values = tuple(int(m) for m in m_values)
     estimates = tuple(float(e) for e in estimates)
@@ -99,12 +92,9 @@ def fit_loglog(m_values, estimates, true_value=None):
     diffs = np.abs(np.asarray(estimates) - true_value)
     if np.any(diffs == 0.0):
         raise DegenerateFit("an estimate equals the true value exactly")
-    x = np.log10(np.asarray(m_values, float))
-    y = np.log10(diffs)
-    slope, intercept = np.polyfit(x, y, 1)
-    ssr = float(np.sum((y - (slope * x + intercept)) ** 2))
-    return FitResult(slope=float(slope), intercept=float(intercept),
-                     true_value=float(true_value), residual=ssr)
+    slope, _ = np.polyfit(np.log10(np.asarray(m_values, float)),
+                          np.log10(diffs), 1)
+    return float(slope), float(true_value)
 
 
 def _eig_tables(m_values, k_list, j_max, progress):
@@ -141,17 +131,16 @@ def run_study(quantities, m_values=DEFAULT_M, progress=None):
         if q == "entropy":
             estimates = tuple(lengths[m] for m in m_values)
             known = False
-            fit = fit_loglog(m_values, estimates)
+            slope, true_value = fit_loglog(m_values, estimates)
         else:
             k, j = q
             estimates = tuple(float(tables[m][k][j]) for m in m_values)
             known = q in KNOWN_TRUE
-            fit = fit_loglog(m_values, estimates,
-                             KNOWN_TRUE.get(q))
+            slope, true_value = fit_loglog(m_values, estimates,
+                                           KNOWN_TRUE.get(q))
         studies.append(ConvergenceStudy(
             quantity=q, M_values=m_values, estimates=estimates,
-            true_value=fit.true_value, true_known=known,
-            slope=fit.slope))
+            true_value=true_value, true_known=known, slope=slope))
     return studies
 
 

@@ -306,7 +306,7 @@ def classify_modes(modes, curve, normals):
 
 
 class Pipeline:
-    """One solved curve's chain: normals, -L_0, then labelled modes per k.
+    """One solved curve's chain: normals and -L_0, then `scan` for modes.
 
     The curve must be its own mirror image bit for bit (point -m mod M is
     (r_m, -z_m), as `solve_geodesic` returns it), and so must the sides
@@ -334,16 +334,16 @@ class Pipeline:
             raise ExclusionMismatch(
                 "the normal at point %d is not the mirror image of the "
                 "normal at point %d" % (m, -m % curve.M))
-        self.L0 = stability.assemble_L0(curve, self.normals)
+        self.L0 = stability.assemble_L0(curve)
 
     def scan(self, ks, count):
-        """`modes(k, count)` for each k in ks, from one `spectrum` call."""
+        """Lowest `count` eigenpairs of -L_k for each k in ks, labelled.
+
+        One `spectrum` call; the list is grouped by k in the order of ks,
+        ascending within each k.
+        """
         mats = [stability.assemble_Lk(self.L0, self.curve, k) for k in ks]
         return classify_modes(spectrum(mats, count), self.curve, self.normals)
-
-    def modes(self, k, count):
-        """Lowest `count` eigenpairs of -L_k, ascending and labelled."""
-        return self.scan([k], count)
 
 
 @dataclasses.dataclass

@@ -19,10 +19,11 @@ The normal at a point is read off the 2x2 point block
     H_m = h_bb(q_{m-1}, q_m) + h_aa(q_m, q_{m+1})
 
 as the eigenvector of the larger eigenvalue, oriented outward (away from
-the curve centroid); normal_field returns them as an (M, 2) array.  The
-normal direction is stiff (the |b - a|^{-1} projector term dominates), so
-the two eigenvalues are well separated and the eigenvector is stable even
-far from the solved curve.
+the curve centroid).  normal_field returns them as an (M, 2) array, and
+assemble_L0 reads them off the same blocks, so it needs only the curve.
+The normal direction is stiff (the |b - a|^{-1} projector term
+dominates), so the two eigenvalues are well separated and the
+eigenvector is stable even far from the solved curve.
 """
 
 import dataclasses
@@ -114,20 +115,17 @@ def _reduced_tridiagonal(blocks, normals):
     return diag, off
 
 
-def assemble_L0(curve, normals):
+def assemble_L0(curve):
     """-L_0 = (M / l) N^T H N, assembled segment by segment.
 
+    The normals are those of normal_field, read off the same point blocks.
     Never materializes the 2M x 2M Hessian: each segment contributes its
     four 2x2 endpoint blocks, reduced through the normals, to the diagonal
     and the first cyclic off-diagonals.
     """
-    points = curve.points
-    m_count = curve.M
-    if normals.shape != (m_count, 2):
-        raise ValueError("normal field does not match curve size")
-    _, blocks = _point_blocks(points)
-    diag, off = _reduced_tridiagonal(blocks, normals)
-    scale = m_count / blocks["dist"].sum()
+    h_m, blocks = _point_blocks(curve.points)
+    diag, off = _reduced_tridiagonal(blocks, _normals(h_m, curve.points))
+    scale = curve.M / blocks["dist"].sum()
     return StabilityMatrix(k=0, diag=scale * diag, up=scale * off)
 
 

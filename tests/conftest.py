@@ -44,7 +44,7 @@ class Pipeline:
         key = (m, k)
         cached = self._modes.get(key)
         if cached is None or len(cached) < count:
-            self._modes[key] = self._pipe(m).modes(k, count)
+            self._modes[key] = self._pipe(m).scan([k], count)
         return self._modes[key][:count]
 
     def eigenvalues(self, m, k, count):

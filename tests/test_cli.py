@@ -11,6 +11,7 @@ import pytest
 from shrinker_index import (DiscreteCurve, Pipeline, cli, drift_diagnostic,
                             potential_profile, read_curve, write_curve)
 from shrinker_index.cli import main
+from shrinker_index.render import obj_surface, svg_cross_section
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -130,6 +131,28 @@ def test_index_rejects_asymmetric_curve(curve_csv, tmp_path, capsys,
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.err.startswith("error: consistency:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "--j-max", "10", "--out", "{out}/asy"],
+    ["spectrum", "--out", "{out}/spec.json", "--csv", "{out}/spec.csv"],
+    ["render", "--j", "0", "--out", "{out}/r"],
+])
+def test_asymmetric_curve_refused_before_any_output(curve_csv, tmp_path,
+                                                    capsys, argv):
+    # every command that takes spectra refuses the rolled curve before it
+    # writes a file or makes a directory
+    path = tmp_path / "asym.csv"
+    write_curve(DiscreteCurve(np.roll(read_curve(curve_csv).points, 1,
+                                      axis=0)), path)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(argv[:1] + ["--curve", str(path)]
+              + [a.format(out=out) for a in argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.startswith("error: consistency:")
+    assert list(out.iterdir()) == []
 
 
 def test_missing_curve_file(capsys):
@@ -356,6 +379,22 @@ def test_render_outputs(curve_csv, tmp_path, capsys):
     assert len(f_lines) == 2 * 64 * 8
 
 
+def test_render_epsilon_matches_library(curve_csv, tmp_path, capsys):
+    # a finite --epsilon reaches both renderers as given
+    prefix = tmp_path / "eps"
+    rc = main(["render", "--curve", curve_csv, "--j", "0", "--epsilon",
+               "0.05", "--out", str(prefix)])
+    capsys.readouterr()
+    assert rc == 0
+    crv = read_curve(curve_csv)
+    mode = Pipeline(crv).scan([0], 1)[0].vector
+    assert (tmp_path / "eps.svg").read_bytes() == svg_cross_section(
+        crv, mode=mode, epsilon=0.05).encode("utf-8")
+    assert (tmp_path / "eps.obj").read_bytes() == obj_surface(
+        crv, mode=mode, k=0, ntheta=64, epsilon=0.05,
+        phase="cos").encode("utf-8")
+
+
 def test_render_plain(curve_csv, tmp_path, capsys):
     prefix = tmp_path / "plain"
     rc = main(["render", "--curve", curve_csv, "--ntheta", "6",
@@ -387,7 +426,7 @@ def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     crv = read_curve(curve_csv)
-    lam = [m.eigenvalue for m in Pipeline(crv).modes(0, 21)]
+    lam = [m.eigenvalue for m in Pipeline(crv).scan([0], 21)]
     diag = drift_diagnostic(potential_profile(crv, 0), lam)
     rows = (out / "drift_k0.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == len(diag.rows)

@@ -110,10 +110,9 @@ def test_batched_spectrum_refuses_mixed_operators(pipe):
 _SPECTRA_SCRIPT = """
 import sys
 import numpy as np
-from shrinker_index import (assemble_L0, assemble_Lk, normal_field,
-                            read_curve, spectrum)
+from shrinker_index import assemble_L0, assemble_Lk, read_curve, spectrum
 crv = read_curve(sys.argv[1])
-L0 = assemble_L0(crv, normal_field(crv))
+L0 = assemble_L0(crv)
 modes = spectrum([assemble_Lk(L0, crv, int(k)) for k in sys.argv[4:]],
                  int(sys.argv[3]))
 np.save(sys.argv[2], np.concatenate(
@@ -202,9 +201,9 @@ def test_pipeline_matches_explicit_chain(pipe):
     crv = pipe.curve(256)
     chain = Pipeline(crv)
     nf = normal_field(crv)
-    L0 = assemble_L0(crv, nf)
+    L0 = assemble_L0(crv)
     for k in range(4):
-        got = chain.modes(k, 8)
+        got = chain.scan([k], 8)
         ref = classify_modes(spectrum([assemble_Lk(L0, crv, k)], 8), crv,
                              nf)
         assert len(got) == len(ref) == 8
@@ -227,8 +226,9 @@ def _calls_to(names, tree):
 
 
 def test_spectra_are_taken_only_in_pipeline_scan():
-    # one curve -> normals -> L0 -> L_k -> modes chain: no module of the
-    # library calls spectrum or classify_modes outside Pipeline.scan
+    # one curve -> normals -> L0 -> L_k -> modes chain: scan is the one
+    # public method of Pipeline, and no module of the library calls
+    # spectrum or classify_modes outside it
     names = {"spectrum", "classify_modes"}
     outside = {}
     scans = 0
@@ -237,9 +237,11 @@ def test_spectra_are_taken_only_in_pipeline_scan():
         calls = _calls_to(names, tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name == "Pipeline":
-                (scan,) = [f for f in node.body
-                           if isinstance(f, ast.FunctionDef)
-                           and f.name == "scan"]
+                methods = {f.name: f for f in node.body
+                           if isinstance(f, ast.FunctionDef)}
+                assert [name for name in methods
+                        if not name.startswith("_")] == ["scan"]
+                scan = methods["scan"]
                 in_scan = _calls_to(names, scan)
                 assert {name for _, name in in_scan} == names
                 calls -= in_scan
@@ -318,9 +320,9 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
         calls.append(count)
         return original(matrices, count)
 
-    def counted_L0(curve, normals):
+    def counted_L0(curve):
         L0_calls.append(curve.M)
-        return original_L0(curve, normals)
+        return original_L0(curve)
     monkeypatch.setattr(spectral, "spectrum", counted)
     monkeypatch.setattr(stability, "assemble_L0", counted_L0)
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -354,7 +356,7 @@ def test_eigenvalue_interlacing_in_k(pipe):
 
 def test_reflection_leaves_spectrum(pipe):
     crv = canonicalize(reflect_z(pipe.curve(256)))
-    a = assemble_L0(crv, normal_field(crv))
+    a = assemble_L0(crv)
     vals = [md.eigenvalue for md in spectrum([a], 4)]
     assert np.max(np.abs(np.array(vals)
                          - pipe.eigenvalues(256, 0, 4))) < 1e-8
@@ -385,13 +387,13 @@ def test_index_report(pipe):
 def test_index_pairs_equal_per_k_modes(pipe):
     # the index polishes every k in one batch; a pair's polish does not
     # depend on its batch, so each k's counted eigenvalues are bitwise
-    # those of its own Pipeline.modes call
+    # those of its own one-k Pipeline.scan
     crv = pipe.curve(256)
     rep = compute_index(crv)
     chain = Pipeline(crv)
     assert [k for k, _ in rep.per_k] == [0, 1, 2, 3]
     for k, vals in rep.per_k:
-        ref = [m.eigenvalue for m in chain.modes(k, 8)
+        ref = [m.eigenvalue for m in chain.scan([k], 8)
                if m.eigenvalue < 0.0 and m.label != "rotation"]
         assert vals == ref
 
@@ -457,6 +459,20 @@ def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
     with pytest.raises(ExclusionMismatch,
                        match="all 64 modes at k = 0 are below 0.001"):
         compute_index(pipe.curve(64))
+
+
+def test_index_refuses_modes_beyond_k_cap(pipe, monkeypatch, tmp_path,
+                                          capsys):
+    # at M = 64 the counts below the stop margin are 3, 2 and 1 at
+    # k = 0, 1, 2, so a walk capped at k = 1 never reaches a k with none
+    monkeypatch.setattr(spectral, "INDEX_K_CAP", 1)
+    with pytest.raises(ExclusionMismatch,
+                       match="negative modes persist beyond k = 1"):
+        compute_index(pipe.curve(64))
+    path = tmp_path / "curve64.csv"
+    write_curve(pipe.curve(64), str(path))
+    assert cli.main(["index", "--curve", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error: consistency:")
 
 
 def test_index_requires_recognizable_exclusions():

@@ -78,8 +78,6 @@ def test_assembly_validation(pipe):
     with pytest.raises(ValueError):
         assemble_Lk(L0, pipe.curve(128), 1)
     with pytest.raises(ValueError):
-        assemble_L0(pipe.curve(128), pipe.normals(64))
-    with pytest.raises(ValueError):
         assemble_Lk_ode(crv, -3)
 
 
@@ -129,7 +127,7 @@ def test_reflection_flips_normals_bitwise(pipe):
 def test_reflection_preserves_operator_bitwise(pipe):
     crv = pipe.curve(128)
     mirrored = reflect_z(crv)
-    a_ref = oracles.dense(assemble_L0(mirrored, normal_field(mirrored)))
+    a_ref = oracles.dense(assemble_L0(mirrored))
     assert np.array_equal(a_ref, oracles.dense(pipe.L0(128)))
 
 
