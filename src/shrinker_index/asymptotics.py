@@ -48,15 +48,13 @@ class SchrodingerProfile:
 
     s holds accumulated Euclidean arc length from q_0; V_avg is the
     arc-length average of V; V0, Vpp0 describe the quadratic well at the
-    discrete argmin (Vpp0 from a three-point fit in s).
+    discrete argmin of V (Vpp0 from a three-point fit in s).
     """
 
-    k: int
     s: np.ndarray
     V: np.ndarray
     V_avg: float
     euclidean_length: float
-    argmin_index: int
     V0: float
     Vpp0: float
 
@@ -90,8 +88,7 @@ def potential_profile(curve, k):
     # leading coefficient of the parabola through the three points
     lead = (((v_next - V[m0]) / ds_next + (v_prev - V[m0]) / ds_prev)
             / (ds_prev + ds_next))
-    return SchrodingerProfile(k=int(k), s=s, V=V, V_avg=v_avg,
-                              euclidean_length=euclid, argmin_index=m0,
+    return SchrodingerProfile(s=s, V=V, V_avg=v_avg, euclidean_length=euclid,
                               V0=float(V[m0]), Vpp0=float(2.0 * lead))
 
 
@@ -111,27 +108,16 @@ def high_k_estimate(profile, j):
     return profile.V0 + (2 * j + 1) * np.sqrt(profile.Vpp0 / 2.0)
 
 
-@dataclasses.dataclass
-class DriftDiagnostic:
-    """Deviation of lambda_{2j} from the free-circle law per j.
-
-    rows are (j, eigenvalue, estimate, deviation); the fitted exponent of
-    |deviation| against j is taken over the largest decade [j_max/10,
-    j_max], where the grid-scale bending dominates.
-    """
-
-    k: int
-    rows: list
-    exponent: float
-    fit_range: tuple
-
-
 def drift_diagnostic(profile, eigenvalues):
-    """Tabulate lambda_{2j} - high_j_estimate(j) and fit its growth.
+    """Deviation of lambda_{2j} from the free-circle law, and its growth.
 
     `eigenvalues` is the ascending spectrum of -L_k for the k of the
     potential `profile`; j runs to j_max = (len(eigenvalues) - 1) // 2,
     which must be at least 10 for the decade fit (21 eigenvalues).
+    Returns (rows, exponent): rows are (j, eigenvalue, estimate,
+    deviation) for j = 1..j_max, and exponent is the log-log slope of
+    |deviation| against j over the largest decade [j_max // 10, j_max],
+    where the grid-scale bending dominates.
     """
     j_max = (len(eigenvalues) - 1) // 2
     if j_max < 10:
@@ -148,7 +134,5 @@ def drift_diagnostic(profile, eigenvalues):
            if j >= j_lo and dev != 0.0]
     x = np.log10([j for j, _ in pts])
     y = np.log10([d for _, d in pts])
-    exponent = float(np.polyfit(x, y, 1)[0])
-    return DriftDiagnostic(k=profile.k, rows=rows, exponent=exponent,
-                           fit_range=(j_lo, j_max))
+    return rows, float(np.polyfit(x, y, 1)[0])
 

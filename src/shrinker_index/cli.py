@@ -2,7 +2,9 @@
 
 Subcommands: solve, spectrum, index, convergence, asymptotics, render.
 Exit codes: 0 success, 2 runtime failure (no convergence, bad input file),
-3 bad arguments, 4 consistency failure (mode classification mismatch).
+3 bad arguments, 4 consistency failure (an input curve that is not exactly
+mirror-symmetric, or whose spectrum does not carry the expected near-kernel
+modes).
 Errors are reported as a single line on stderr with a machine-parseable
 prefix: "error: usage:", "error: runtime:" or "error: consistency:".
 """
@@ -227,19 +229,19 @@ def _cmd_asymptotics(args):
         raise UsageError("--k-scan must be at most %d" % 2 ** 26)
     crv = curve_mod.read_curve(args.curve)
     if 2 * args.j_max + 1 >= crv.M:
-        raise UsageError(
-            "--j-max must be less than half the number of curve points")
+        raise UsageError("--j-max must be at most %d for %d curve points"
+                         % ((crv.M - 2) // 2, crv.M))
     pipe = spectral.Pipeline(crv)
     os.makedirs(args.out, exist_ok=True)
     profile = asymptotics.potential_profile(crv, args.k)
     _write_csv(os.path.join(args.out, "profile_k%d.csv" % args.k), "m,s,V",
                zip(range(crv.M), profile.s, profile.V))
     lam = [m.eigenvalue for m in pipe.scan([args.k], 2 * args.j_max + 1)]
-    diag = asymptotics.drift_diagnostic(profile, lam)
+    drift, exponent = asymptotics.drift_diagnostic(profile, lam)
     _write_csv(os.path.join(args.out, "drift_k%d.csv" % args.k),
-               "j,lambda,estimate,deviation", diag.rows)
+               "j,lambda,estimate,deviation", drift)
     print("V_avg %.17g length %.17g drift_exponent %.4f"
-          % (profile.V_avg, profile.euclidean_length, diag.exponent))
+          % (profile.V_avg, profile.euclidean_length, exponent))
     if args.k_scan:
         rows = []
         ks = range(2, args.k_scan + 1)

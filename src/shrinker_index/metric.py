@@ -13,10 +13,11 @@ A closed polygon is measured with the midpoint rule, one segment at a time:
 
     dist(a, b) = sigma((a + b) / 2) * |b - a|.
 
-This module supplies sigma, its first and second derivatives, and the exact
-gradient and Hessian of dist(a, b) as per-endpoint blocks with (r, z)
-ordering.  Everything downstream (geodesic solve, stability operators) is
-built from these blocks, so the coordinate ordering here is load-bearing.
+This module supplies sigma and the exact gradient and Hessian of
+dist(a, b) as per-endpoint blocks with (r, z) ordering, built from the
+first and second derivatives of sigma at each midpoint.  Everything
+downstream (geodesic solve, stability operators) is built from these
+blocks, so the coordinate ordering here is load-bearing.
 
 Points are numpy arrays whose last axis holds (r, z); all functions
 broadcast over leading axes.
@@ -45,30 +46,20 @@ def sigma(points):
     return 0.5 * r * np.exp(-0.25 * (r * r + z * z))
 
 
-def sigma_gradient(points):
-    """Gradient (d sigma/dr, d sigma/dz), shape (..., 2)."""
-    points = np.asarray(points, dtype=float)
+def _sigma_jet(points):
+    """sigma, its gradient (..., 2) and Hessian (..., 2, 2) from one exp."""
     r = points[..., 0]
     z = points[..., 1]
     e = np.exp(-0.25 * (r * r + z * z))
-    out = np.empty(points.shape, dtype=float)
-    out[..., 0] = 0.25 * e * (2.0 - r * r)
-    out[..., 1] = -0.25 * r * z * e
-    return out
-
-
-def sigma_hessian(points):
-    """Second derivatives of sigma, shape (..., 2, 2)."""
-    points = np.asarray(points, dtype=float)
-    r = points[..., 0]
-    z = points[..., 1]
-    e = np.exp(-0.25 * (r * r + z * z))
-    out = np.empty(points.shape[:-1] + (2, 2), dtype=float)
-    out[..., 0, 0] = -0.125 * r * e * (6.0 - r * r)
-    out[..., 0, 1] = -0.125 * z * e * (2.0 - r * r)
-    out[..., 1, 0] = out[..., 0, 1]
-    out[..., 1, 1] = -0.125 * r * e * (2.0 - z * z)
-    return out
+    g = np.empty(points.shape, dtype=float)
+    g[..., 0] = 0.25 * e * (2.0 - r * r)
+    g[..., 1] = -0.25 * r * z * e
+    h = np.empty(points.shape[:-1] + (2, 2), dtype=float)
+    h[..., 0, 0] = -0.125 * r * e * (6.0 - r * r)
+    h[..., 0, 1] = -0.125 * z * e * (2.0 - r * r)
+    h[..., 1, 0] = h[..., 0, 1]
+    h[..., 1, 1] = -0.125 * r * e * (2.0 - z * z)
+    return 0.5 * r * e, g, h
 
 
 def segment_distance(a, b):
@@ -95,7 +86,8 @@ def segment_blocks(a, b):
         h_bb   (M, 2, 2) d^2 dist / db db
 
     With c = (a+b)/2, D = |b-a|, u = (b-a)/D, g = grad sigma(c),
-    S = hess sigma(c) and P = (I - u u^T)/D:
+    S = hess sigma(c) (sigma, g and S from one Gaussian evaluation per
+    midpoint) and P = (I - u u^T)/D:
 
         grad_a = g D / 2 - sigma(c) u
         grad_b = g D / 2 + sigma(c) u
@@ -113,9 +105,7 @@ def segment_blocks(a, b):
         raise DegenerateSegmentError(
             "segment length below %.1e" % DEGENERACY_CUTOFF)
     mid = 0.5 * (a + b)
-    s = sigma(mid)
-    g = sigma_gradient(mid)
-    hess_s = sigma_hessian(mid)
+    s, g, hess_s = _sigma_jet(mid)
     u = diff / dist_e[..., None]
 
     guT = g[..., :, None] * u[..., None, :]

@@ -135,21 +135,26 @@ def _refine_pairs(diag, up, vals, vecs):
     The LAPACK pairs of the folded halves carry residual ~ eps ||A||, which
     at M = 2048 exceeds the 1e-10 contract (||A|| ~ 1e6 there).  Two
     inverse-iteration steps on the full cyclic tridiagonal bands in 80-bit
-    arithmetic push the pair to the limit a float64 vector can represent;
-    the reported eigenvalue is the Rayleigh quotient of the returned
-    float64 vector and the residual its true residual, both evaluated in
-    extended precision.  The pairs are the rows of vecs (..., M); diag
-    broadcasts against them and `up` is shared.  Each pair sums along its
-    own row, so no batch changes it.  Each step normalizes its solve in
-    place, so the peak is about four extended-precision copies of the
-    batch: the iterate and the three buffers of `_cyclic_solve`.
+    arithmetic, the first shifted just above the LAPACK value and the
+    second at the Rayleigh quotient of the first step's iterate, push the
+    pair to the limit a float64 vector can represent.  The reported
+    eigenvalue is the Rayleigh quotient of the returned float64 vector and
+    the residual its true residual, both evaluated in extended precision.
+    The pairs are the rows of vecs (..., M); diag broadcasts against them
+    and `up` is shared.  Each pair sums along its own row, so no batch
+    changes it.  Each step normalizes its solve in place, so the peak is
+    about four extended-precision copies of the batch: the iterate and the
+    three buffers of `_cyclic_solve`.
     """
     ld = np.longdouble
     diag_ld = diag.astype(ld)
     up_ld = up.astype(ld)
     work = np.ascontiguousarray(vecs, dtype=ld)
     shifts = vals.astype(ld) + ld(1e-13)
-    for _ in range(2):
+    for step in range(2):
+        if step:
+            shifts = np.einsum("...m,...m->...", work,
+                               _band_matvec(diag_ld, up_ld, work))
         # the solves are deliberately near singular; a row that blows up
         # keeps its previous iterate
         with np.errstate(all="ignore"):
@@ -160,8 +165,6 @@ def _refine_pairs(diag, up, vals, vecs):
             trial /= norms[..., None]
             trial[~good] = work[~good]
             work = trial
-        shifts = np.einsum("...m,...m->...", work,
-                           _band_matvec(diag_ld, up_ld, work))
     out = work.astype(float)
     out = out / np.linalg.norm(out, axis=-1)[..., None]
     out_ld = out.astype(ld)

@@ -34,7 +34,7 @@ def test_arc_length_quadrature(pipe):
 def test_well_sits_at_widest_point(pipe, k):
     # canonical indexing starts at the largest radius, where the well bottoms
     p = potential_profile(pipe.curve(512), k)
-    assert p.argmin_index in (0, 1, 511)
+    assert np.argmin(p.V) in (0, 1, 511)
     assert p.Vpp0 > 0.0
 
 
@@ -90,13 +90,18 @@ def test_law_error_shrinks_before_drift_onset(pipe):
 def test_drift_diagnostic(pipe):
     crv = pipe.curve(1024)
     lam = pipe.eigenvalues(1024, 0, 201)
-    diag = drift_diagnostic(potential_profile(crv, 0), eigenvalues=lam)
-    assert diag.fit_range == (10, 100)
-    assert len(diag.rows) == 100
-    assert 3.5 < diag.exponent < 4.5
-    tail = [dev for j, _, _, dev in diag.rows if j >= 30]
+    rows, exponent = drift_diagnostic(potential_profile(crv, 0),
+                                      eigenvalues=lam)
+    assert len(rows) == 100
+    assert 3.5 < exponent < 4.5
+    # the fit window is the last decade, j = 10..100
+    decade = [(j, abs(dev)) for j, _, _, dev in rows if j >= 10]
+    assert exponent == float(np.polyfit(np.log10([j for j, _ in decade]),
+                                        np.log10([d for _, d in decade]),
+                                        1)[0])
+    tail = [dev for j, _, _, dev in rows if j >= 30]
     assert all(dev < 0.0 for dev in tail)
-    for j, lam_j, est, dev in diag.rows[:3]:
+    for j, lam_j, est, dev in rows[:3]:
         assert dev == lam_j - est
 
 
@@ -109,9 +114,8 @@ def test_drift_diagnostic_validation(pipe):
 
 
 def test_no_well_raises():
-    p = SchrodingerProfile(k=5, s=np.zeros(4), V=np.zeros(4), V_avg=0.0,
-                           euclidean_length=1.0, argmin_index=0,
-                           V0=0.0, Vpp0=-1.0)
+    p = SchrodingerProfile(s=np.zeros(4), V=np.zeros(4), V_avg=0.0,
+                           euclidean_length=1.0, V0=0.0, Vpp0=-1.0)
     with pytest.raises(NoWell):
         high_k_estimate(p, 0)
 

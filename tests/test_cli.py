@@ -282,7 +282,7 @@ def test_main_dispatches_through_command_table(monkeypatch):
     (["render", "--j", "63", "--out", "p"],
      "--j must be less than the number of curve points minus 1"),
     (["asymptotics", "--j-max", "32", "--out", "d"],
-     "--j-max must be less than half"),
+     "--j-max must be at most 31"),
 ])
 def test_mode_count_limited_by_curve_size(curve_csv, argv, needle, capsys):
     # the eigensolver computes at most M - 1 modes of an M-point curve
@@ -291,6 +291,21 @@ def test_mode_count_limited_by_curve_size(curve_csv, argv, needle, capsys):
     assert rc == 3
     assert captured.err.startswith("error: usage:")
     assert needle in captured.err
+
+
+def test_j_max_bound_is_exact_at_odd_m(tmp_path, capsys):
+    # 2 j_max + 1 modes of a 25-point curve: j_max = 11 fits, 12 does not
+    path = str(tmp_path / "curve25.csv")
+    assert main(["solve", "--points", "25", "--out", path]) == 0
+    argv = ["asymptotics", "--curve", path, "--out", str(tmp_path / "a")]
+    capsys.readouterr()
+    assert main(argv + ["--j-max", "12"]) == 3
+    assert capsys.readouterr().err == (
+        "error: usage: --j-max must be at most 11 for 25 curve points\n")
+    assert not (tmp_path / "a").exists()
+    assert main(argv + ["--j-max", "11"]) == 0
+    assert len((tmp_path / "a" / "drift_k0.csv").read_text()
+               .strip().split("\n")) == 12
 
 
 def test_asymptotics_outputs(curve_csv, tmp_path, capsys):
@@ -427,10 +442,10 @@ def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):
     capsys.readouterr()
     crv = read_curve(curve_csv)
     lam = [m.eigenvalue for m in Pipeline(crv).scan([0], 21)]
-    diag = drift_diagnostic(potential_profile(crv, 0), lam)
+    drift, _ = drift_diagnostic(potential_profile(crv, 0), lam)
     rows = (out / "drift_k0.csv").read_text().strip().split("\n")[1:]
-    assert len(rows) == len(diag.rows)
-    for text, (j, *values) in zip(rows, diag.rows):
+    assert len(rows) == len(drift)
+    for text, (j, *values) in zip(rows, drift):
         cells = text.split(",")
         assert int(cells[0]) == j
         for cell, value in zip(cells[1:], values):

@@ -12,9 +12,8 @@ import pytest
 
 import oracles
 from oracles import segment_derivatives
-from shrinker_index.metric import (DegenerateSegmentError, segment_blocks,
-                                   segment_distance, sigma, sigma_gradient,
-                                   sigma_hessian)
+from shrinker_index.metric import (DegenerateSegmentError, _sigma_jet,
+                                   segment_blocks, segment_distance, sigma)
 
 
 def test_sigma_values():
@@ -41,8 +40,8 @@ def test_sigma_z_reflection_bitwise():
                            rng.uniform(-2.0, 2.0, 64)])
     flipped = pts * np.array([1.0, -1.0])
     assert np.array_equal(sigma(pts), sigma(flipped))
-    g = sigma_gradient(pts)
-    gf = sigma_gradient(flipped)
+    _, g, _ = _sigma_jet(pts)
+    _, gf, _ = _sigma_jet(flipped)
     assert np.array_equal(g[:, 0], gf[:, 0])
     assert np.array_equal(g[:, 1], -gf[:, 1])
 
@@ -51,10 +50,11 @@ def test_sigma_gradient_hessian_closed_forms():
     # spot check against the explicit formulas at one generic point
     r, z = 1.3, -0.7
     e = math.exp(-(r * r + z * z) / 4.0)
-    g = sigma_gradient(np.array([r, z]))
+    s, g, h = _sigma_jet(np.array([r, z]))
+    assert s == sigma(np.array([r, z]))
+    assert np.isclose(s, r * e / 2.0, rtol=0, atol=1e-15)
     assert np.allclose(g, [e * (2 - r * r) / 4.0, -r * z * e / 4.0],
                        rtol=0, atol=1e-15)
-    h = sigma_hessian(np.array([r, z]))
     expected = np.array([
         [-r * e * (6 - r * r) / 8.0, -z * e * (2 - r * r) / 8.0],
         [-z * e * (2 - r * r) / 8.0, -r * e * (2 - z * z) / 8.0],
