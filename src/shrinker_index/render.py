@@ -35,7 +35,8 @@ def _amplitude(curve, mode, epsilon):
 def _polyline(points, scale, origin):
     xs = (points[:, 0] - origin[0]) * scale
     ys = (origin[1] - points[:, 1]) * scale
-    return "M" + " L".join("%.17g,%.17g" % xy for xy in zip(xs, ys)) + " Z"
+    template = "M%.17g,%.17g" + " L%.17g,%.17g" * (len(xs) - 1) + " Z"
+    return template % tuple(np.column_stack([xs, ys]).ravel().tolist())
 
 
 def svg_cross_section(curve, mode=None, epsilon=None):
@@ -76,8 +77,13 @@ def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
 
     The displacement field is epsilon u_m g(k theta) along the surface
     normal (n_r cos theta, n_r sin theta, n_z), with g = cos or sin per
-    `phase`.  Mesh has M * ntheta vertices and 2 M ntheta triangles, both
-    directions closed.
+    `phase`.  The text holds M * ntheta `v x y z` lines, one ring of
+    ntheta per curve point in curve order, theta = 2 pi i / ntheta
+    ascending within a ring; then 2 M ntheta `f a b c` lines with 1-based
+    vertex indices: the triangles (a, b, c) and (a, c, d) of each quad,
+    m outer and i inner, with a = (m, i), b = (m + 1, i),
+    c = (m + 1, i + 1) and d = (m, i + 1), indices taken mod M and mod
+    ntheta, so the mesh is closed in both directions.
     """
     if ntheta < 3:
         raise ValueError("ntheta must be at least 3")
@@ -97,16 +103,17 @@ def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
         r = r + amp * np.repeat(normals[:, 0], ntheta)
         z = z + amp * np.repeat(normals[:, 1], ntheta)
 
-    lines = ["v %.17g %.17g %.17g" % v
-             for v in zip(r * np.cos(th), r * np.sin(th), z)]
-    for m in range(m_count):
-        m1 = (m + 1) % m_count
-        for i in range(ntheta):
-            i1 = (i + 1) % ntheta
-            a = m * ntheta + i + 1
-            b = m1 * ntheta + i + 1
-            c = m1 * ntheta + i1 + 1
-            d = m * ntheta + i1 + 1
-            lines.append("f %d %d %d" % (a, b, c))
-            lines.append("f %d %d %d" % (a, c, d))
-    return "\n".join(lines) + "\n"
+    verts = np.column_stack([r * np.cos(th), r * np.sin(th), z])
+    v_ring = "v %.17g %.17g %.17g\n" * ntheta
+    a = np.arange(1, m_count * ntheta + 1).reshape(m_count, ntheta)
+    b = np.roll(a, -1, axis=0)
+    c = np.roll(b, -1, axis=1)
+    d = np.roll(a, -1, axis=1)
+    faces = np.stack([a, b, c, a, c, d], axis=-1)
+    f_ring = "f %d %d %d\n" * (2 * ntheta)
+    # one format operation per ring keeps the Python objects to one ring
+    return "".join(
+        [v_ring % tuple(row.tolist())
+         for row in verts.reshape(m_count, 3 * ntheta)]
+        + [f_ring % tuple(row.tolist())
+           for row in faces.reshape(m_count, 6 * ntheta)])

@@ -1,15 +1,17 @@
 """Independent oracles and test-only views used only by the tests.
 
-Five oracles live here: a high-precision finite-difference evaluation of
+Seven oracles live here: a high-precision finite-difference evaluation of
 the segment-distance derivatives (mpmath, so truncation error dominates and
 the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
 of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
 a second discretization of -L_k from the geodesic ODE in weighted arc
 length, whose low eigenvalues must agree with the Hessian-based assembly,
 the dense M x M form of a banded operator, so the tests can check the
-bands and the folded eigensolver against a dense LAPACK solve, and the pair-leading
+bands and the folded eigensolver against a dense LAPACK solve, the pair-leading
 form of the extended-precision cyclic Thomas sweep, which the production
-sweep must match bit for bit.  Alongside them sit small
+sweep must match bit for bit, and the OBJ and SVG path writers that format
+one line or one point at a time, whose bytes the production writers must
+reproduce exactly.  Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one
 segment, the 2x2 point block at one point, the mirror image of a curve, the
 spacing deviation of a curve and its resampling to another point count.
@@ -24,6 +26,7 @@ from shrinker_index import (DiscreteCurve, StabilityMatrix, discrete_length,
                             sigma)
 from shrinker_index.curve import _resample_points, segment_distances
 from shrinker_index.metric import segment_blocks
+from shrinker_index.render import _amplitude
 from shrinker_index.stability import _point_blocks
 
 FD_STEP = 1e-5
@@ -266,3 +269,47 @@ def cyclic_solve_pair_leading(diag, up, shifts, rhs):
     v_y = y[..., 0] + (corner / gamma) * y[..., -1]
     v_q = q[..., 0] + (corner / gamma) * q[..., -1]
     return y - q * (v_y / (1.0 + v_q))[..., None]
+
+
+def obj_surface_per_line(curve, mode=None, k=0, ntheta=64, epsilon=None,
+                         phase="cos"):
+    """render.obj_surface formatted one line at a time, as the reference.
+
+    The same vertices, from the same operations, and the faces counted out
+    quad by quad; the production writer formats whole rings at once and
+    must give exactly this string.
+    """
+    pts = curve.points
+    m_count = curve.M
+    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
+
+    r = np.repeat(pts[:, 0], ntheta)
+    z = np.repeat(pts[:, 1], ntheta)
+    th = np.tile(theta, m_count)
+    if mode is not None:
+        amp, normals = _amplitude(curve, mode, epsilon)
+        g = np.cos(k * th) if phase == "cos" else np.sin(k * th)
+        amp = np.repeat(amp, ntheta) * g
+        r = r + amp * np.repeat(normals[:, 0], ntheta)
+        z = z + amp * np.repeat(normals[:, 1], ntheta)
+
+    lines = ["v %.17g %.17g %.17g" % v
+             for v in zip(r * np.cos(th), r * np.sin(th), z)]
+    for m in range(m_count):
+        m1 = (m + 1) % m_count
+        for i in range(ntheta):
+            i1 = (i + 1) % ntheta
+            a = m * ntheta + i + 1
+            b = m1 * ntheta + i + 1
+            c = m1 * ntheta + i1 + 1
+            d = m * ntheta + i1 + 1
+            lines.append("f %d %d %d" % (a, b, c))
+            lines.append("f %d %d %d" % (a, c, d))
+    return "\n".join(lines) + "\n"
+
+
+def polyline_per_point(points, scale, origin):
+    """render._polyline formatted one point at a time, as the reference."""
+    xs = (points[:, 0] - origin[0]) * scale
+    ys = (origin[1] - points[:, 1]) * scale
+    return "M" + " L".join("%.17g,%.17g" % xy for xy in zip(xs, ys)) + " Z"

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinker_index import (DiscreteCurve, Pipeline, cli, drift_diagnostic,
                             potential_profile, read_curve, write_curve)
@@ -450,6 +452,37 @@ def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):
         assert int(cells[0]) == j
         for cell, value in zip(cells[1:], values):
             assert np.float64(cell).tobytes() == np.float64(value).tobytes()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, float("inf"), float("-inf")]
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(width=64),
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(rows=st.lists(st.lists(_CSV_FLOATS, min_size=1, max_size=8),
+                     min_size=1, max_size=12))
+def test_write_csv_floats_round_trip_bitwise(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "cells.csv"
+    cli._write_csv(path, "h", rows)
+    header, *lines, end = path.read_text().split("\n")
+    assert header == "h" and end == "" and len(lines) == len(rows)
+    for text, row in zip(lines, rows):
+        cells = text.split(",")
+        assert len(cells) == len(row)
+        for cell, value in zip(cells, row):
+            if np.isnan(value):
+                # a NaN's sign and payload have no decimal form
+                assert np.isnan(np.float64(cell))
+            else:
+                assert (np.float64(cell).tobytes()
+                        == np.float64(value).tobytes())
 
 
 def test_output_formatting_stays_in_writers():

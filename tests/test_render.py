@@ -1,9 +1,15 @@
 """SVG and OBJ output checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from shrinker_index import DiscreteCurve
+import oracles
+from shrinker_index import DiscreteCurve, render
 from shrinker_index.render import (default_epsilon, obj_surface,
                                    svg_cross_section)
 
@@ -120,3 +126,43 @@ def test_default_epsilon_scale(pipe):
     spread = np.hypot(crv.r.max() - crv.r.min(), crv.z.max() - crv.z.min())
     assert eps == pytest.approx(0.15 * spread, rel=1e-12)
     assert eps > 0.0
+
+
+def _assert_matches_oracles(crv, mode, k, ntheta, epsilon, phase):
+    got = obj_surface(crv, mode=mode, k=k, ntheta=ntheta, epsilon=epsilon,
+                      phase=phase)
+    assert got == oracles.obj_surface_per_line(
+        crv, mode=mode, k=k, ntheta=ntheta, epsilon=epsilon, phase=phase)
+    svg = svg_cross_section(crv, mode=mode, epsilon=epsilon)
+    with mock.patch.object(render, "_polyline", oracles.polyline_per_point):
+        assert svg == svg_cross_section(crv, mode=mode, epsilon=epsilon)
+
+
+@st.composite
+def ellipse_curves(draw):
+    """An ellipse of M = 8..64 points, anywhere in r > 0."""
+    m = draw(st.integers(8, 64))
+    r0 = draw(st.floats(0.5, 4.0))
+    a_r = draw(st.floats(0.05, 0.9)) * r0
+    a_z = draw(st.floats(0.05, 3.0))
+    t = draw(st.floats(0.0, 2.0 * np.pi)) + 2.0 * np.pi * np.arange(m) / m
+    return DiscreteCurve(np.column_stack([r0 + a_r * np.cos(t),
+                                          a_z * np.sin(t)]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data(), crv=ellipse_curves(), ntheta=st.integers(3, 24),
+       k=st.integers(0, 6), phase=st.sampled_from(["cos", "sin"]),
+       epsilon=st.one_of(st.none(), st.floats(-10.0, 10.0)))
+def test_writers_match_per_line_oracles(data, crv, ntheta, k, phase,
+                                        epsilon):
+    # the writers format whole rings and paths at once; the bytes must be
+    # those of formatting one line or one point at a time
+    mode = data.draw(st.one_of(st.none(), arrays(
+        float, crv.M, elements=st.floats(-1e3, 1e3))), label="mode")
+    _assert_matches_oracles(crv, mode, k, ntheta, epsilon, phase)
+
+
+def test_writers_match_oracles_on_solved_curve(pipe):
+    mode = pipe.modes(256, 2, 2)[1].vector
+    _assert_matches_oracles(pipe.curve(256), mode, 2, 96, None, "cos")

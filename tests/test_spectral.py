@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 import shrinker_index
@@ -292,6 +295,49 @@ def test_cyclic_solve_matches_pair_leading_sweep(pipe, ks, count):
     assert got.dtype == ld
     assert got.flags.c_contiguous
     assert np.array_equal(got, ref)
+
+
+#: Least distance of a drawn shift from the dense spectrum.
+_SHIFT_GAP = 1e-2
+
+
+@st.composite
+def separated_systems(draw):
+    """A cyclic band at M = 18..200, shifts away from its spectrum, rhs."""
+    m = draw(st.integers(18, 200))
+    entry = st.floats(-4.0, 4.0, allow_subnormal=False)
+    a = StabilityMatrix(k=0, diag=draw(arrays(float, m, elements=entry)),
+                        up=draw(arrays(float, m, elements=entry)))
+    lam = scipy.linalg.eigvalsh(oracles.dense(a))
+    # the stretches of the real line at least _SHIFT_GAP from every
+    # eigenvalue: both sides of the spectrum and each wide enough gap
+    lo = np.concatenate([[lam[0] - 4.0], lam + _SHIFT_GAP])
+    hi = np.concatenate([lam - _SHIFT_GAP, [lam[-1] + 4.0]])
+    usable = np.flatnonzero(hi >= lo)
+    count = draw(st.integers(1, 4))
+    shifts = []
+    for _ in range(count):
+        i = usable[draw(st.integers(0, len(usable) - 1))]
+        shifts.append(lo[i] + draw(st.floats(0.0, 1.0)) * (hi[i] - lo[i]))
+    rhs = draw(arrays(float, (count, m), elements=st.floats(-1.0, 1.0)))
+    return a, lam, np.array(shifts), rhs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(system=separated_systems())
+def test_cyclic_solve_matches_dense_solve(system):
+    a, lam, shifts, rhs = system
+    ld = np.longdouble
+    got = spectral._cyclic_solve(a.diag.astype(ld)[None, :],
+                                 a.up.astype(ld), shifts.astype(ld),
+                                 rhs.astype(ld))
+    eps = np.finfo(float).eps
+    for x, s, b in zip(got, shifts, rhs):
+        ref = np.linalg.solve(oracles.dense(a) - s * np.eye(a.M), b)
+        dist = np.abs(lam - s)
+        cond = dist.max() / dist.min()
+        assert (np.linalg.norm(x.astype(float) - ref)
+                <= 100.0 * eps * cond * np.linalg.norm(ref))
 
 
 @pytest.mark.parametrize("argv,expected", [
