@@ -172,7 +172,7 @@ def _cmd_index(args):
     report = spectral.compute_index(crv)
     print("index %d (%d negative, %d excluded)"
           % (report.index, report.total_negative,
-             sum(e["multiplicity"] for e in report.excluded)))
+             report.total_negative - report.index))
     if args.out:
         _write(args.out, json.dumps({
             "per_k": [{"k": k, "negative_eigenvalues": vals}
@@ -264,11 +264,11 @@ def _cmd_render(args):
                              "points minus 1")
         mode = spectral.Pipeline(crv).scan(
             [args.k], args.j + 1)[args.j].vector
-    _write(args.out + ".svg",
-           render.svg_cross_section(crv, mode=mode, epsilon=args.epsilon))
-    _write(args.out + ".obj",
-           render.obj_surface(crv, mode=mode, k=args.k, ntheta=args.ntheta,
-                              epsilon=args.epsilon, phase=args.phase))
+    svg = render.svg_cross_section(crv, mode=mode, epsilon=args.epsilon)
+    obj = render.obj_surface(crv, mode=mode, k=args.k, ntheta=args.ntheta,
+                             epsilon=args.epsilon, phase=args.phase)
+    _write(args.out + ".svg", svg)
+    _write(args.out + ".obj", obj)
     return 0
 
 

@@ -61,16 +61,6 @@ def discrete_length(curve):
     return float(segment_distances(curve).sum())
 
 
-def _interpolate(points, cum, t):
-    """Points on the closed polygon at accumulated-length parameters t."""
-    seg_len = np.diff(cum)
-    idx = np.searchsorted(cum, t, side="right") - 1
-    idx = np.clip(idx, 0, len(seg_len) - 1)
-    alpha = (t - cum[idx]) / seg_len[idx]
-    nxt = np.roll(points, -1, axis=0)
-    return points[idx] + alpha[:, None] * (nxt[idx] - points[idx])
-
-
 def _resample_points(points, m_new):
     """Equal-segment-distance resampling on the input interpolant.
 
@@ -86,10 +76,15 @@ def _resample_points(points, m_new):
         raise ValueError("curve has a zero-length segment")
     cum = np.concatenate([[0.0], np.cumsum(d)])
     total = cum[-1]
+    seg_len = np.diff(cum)
+    step = np.roll(points, -1, axis=0) - points
 
     t = np.arange(m_new) * (total / m_new)
-    out = _interpolate(points, cum, t)
-    for _ in range(60):
+    for _ in range(61):  # the first placement and up to 60 corrections
+        idx = np.clip(np.searchsorted(cum, t, side="right") - 1,
+                      0, len(points) - 1)
+        alpha = (t - cum[idx]) / seg_len[idx]
+        out = points[idx] + alpha[:, None] * step[idx]
         d_new = metric.segment_distance(out, np.roll(out, -1, axis=0))
         e = np.concatenate([[0.0], np.cumsum(d_new[:-1])])
         target = np.arange(m_new) * (d_new.sum() / m_new)
@@ -98,7 +93,6 @@ def _resample_points(points, m_new):
             break
         t = np.mod(t + err, total)
         t[0] = 0.0
-        out = _interpolate(points, cum, t)
     return out
 
 
@@ -129,12 +123,10 @@ def mirror_points(points):
 
 def write_curve(curve, path):
     """Write CSV with header m,r,z and 17 significant digits."""
-    lines = ["m,r,z"]
-    for m in range(curve.M):
-        lines.append("%d,%.17g,%.17g" % (m, curve.points[m, 0],
-                                         curve.points[m, 1]))
+    cells = np.column_stack([np.arange(curve.M), curve.points])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("m,r,z\n" + "%d,%.17g,%.17g\n" * curve.M
+                 % tuple(cells.ravel().tolist()))
 
 
 def read_curve(path):

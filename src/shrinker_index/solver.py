@@ -81,26 +81,16 @@ def _check_alive(points):
 
 
 class _State:
-    """Everything evaluated at one iterate: blocks, normals, residuals."""
+    """One iterate and its `stability._reduce`: the normals, the normal
+    gradient, the bands of the Newton system N^T H N, and the residuals."""
 
     def __init__(self, points):
         _check_alive(points)
         self.points = points
-        h_m, blocks = stability._point_blocks(points)
-        self.blocks = blocks
-        self.normals = stability._normals(h_m, points)
-        grad = blocks["grad_a"] + np.roll(blocks["grad_b"], 1, axis=0)
-        self.grad_normal = np.einsum("mi,mi->m", self.normals, grad)
+        self.normals, self.grad_normal, self.diag, self.up, dist = (
+            stability._reduce(points))
         self.residual = float(np.max(np.abs(self.grad_normal)))
-        d = blocks["dist"]
-        self.spacing = float(d.max() / d.min() - 1.0)
-
-
-def _newton_direction(state):
-    """Solve the reduced cyclic tridiagonal system N^T H N delta = -g."""
-    diag, off = stability._reduced_tridiagonal(state.blocks, state.normals)
-    return scipy.sparse.linalg.spsolve(stability.cyclic_csc(diag, off),
-                                       -state.grad_normal)
+        self.spacing = float(dist.max() / dist.min() - 1.0)
 
 
 def _mirror_average(points):
@@ -145,7 +135,8 @@ def _polish(points):
         if state.residual <= GRAD_TOL and state.spacing <= SPACING_TOL:
             return curve_mod.canonicalize(
                 curve_mod.DiscreteCurve(state.points))
-        delta = _newton_direction(state)
+        delta = scipy.sparse.linalg.spsolve(
+            stability.cyclic_csc(state.diag, state.up), -state.grad_normal)
         step = 1.0
         accepted = None
         for _ in range(40):

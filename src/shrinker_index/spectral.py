@@ -385,7 +385,7 @@ def compute_index(curve):
     2) are found.
     """
     pipe = Pipeline(curve)
-    counts = []
+    count = 0
     for k in range(INDEX_K_CAP + 1):
         a = stability.assemble_Lk(pipe.L0, curve, k)
         n = sum(len(scipy.linalg.eigvalsh_tridiagonal(
@@ -396,32 +396,24 @@ def compute_index(curve):
         if n == curve.M:
             raise ExclusionMismatch("all %d modes at k = %d are below %g"
                                     % (n, k, INDEX_STOP_MARGIN))
-        counts.append(n)
+        count = max(count, n)
     else:
         raise ExclusionMismatch("negative modes persist beyond k = %d" % k)
-    modes = pipe.scan(range(k), max(counts)) if counts else []
-
-    per_k = [(i, []) for i in range(k + 1)]
-    excluded = []
-    found = {"dilation": 0, "vertical_translation": 0,
-             "horizontal_translation": 0}
-    total = 0
-    for m in modes:
-        if m.eigenvalue < 0.0 and m.label != "rotation":
-            mult = 1 if m.k == 0 else 2
-            per_k[m.k][1].append(m.eigenvalue)
-            total += mult
-            if m.label in found:
-                found[m.label] += 1
-                excluded.append({"k": m.k, "j": m.j,
-                                 "eigenvalue": m.eigenvalue,
-                                 "label": m.label, "multiplicity": mult})
-
-    if (found["dilation"] != 1 or found["vertical_translation"] != 1
-            or found["horizontal_translation"] != 1):
+    negative = [m for m in (pipe.scan(range(k), count) if k else [])
+                if m.eigenvalue < 0.0 and m.label != "rotation"]
+    found = {label: sum(m.label == label for m in negative)
+             for label in ("dilation", "vertical_translation",
+                           "horizontal_translation")}
+    if set(found.values()) != {1}:
         raise ExclusionMismatch(
             "expected one dilation and three translation modes, found %r "
             "at M = %d" % (found, curve.M))
-    excluded_mult = sum(e["multiplicity"] for e in excluded)
-    return IndexReport(per_k=per_k, excluded=excluded,
-                       total_negative=total, index=total - excluded_mult)
+    excluded = [{"k": m.k, "j": m.j, "eigenvalue": m.eigenvalue,
+                 "label": m.label, "multiplicity": 1 if m.k == 0 else 2}
+                for m in negative if m.label in found]
+    total = sum(1 if m.k == 0 else 2 for m in negative)
+    return IndexReport(
+        per_k=[(i, [m.eigenvalue for m in negative if m.k == i])
+               for i in range(k + 1)],
+        excluded=excluded, total_negative=total,
+        index=total - sum(e["multiplicity"] for e in excluded))

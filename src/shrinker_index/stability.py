@@ -19,8 +19,9 @@ The normal at a point is read off the 2x2 point block
     H_m = h_bb(q_{m-1}, q_m) + h_aa(q_m, q_{m+1})
 
 as the eigenvector of the larger eigenvalue, oriented outward (away from
-the curve centroid).  normal_field returns them as an (M, 2) array, and
-assemble_L0 reads them off the same blocks, so it needs only the curve.
+the curve centroid).  normal_field returns them as an (M, 2) array;
+_reduce reads them, the normal gradient and the unscaled bands of N^T H N
+off the same blocks, for assemble_L0 and the solver's Newton step.
 The normal direction is stiff (the |b - a|^{-1} projector term
 dominates), so the two eigenvalues are well separated and the
 eigenvector is stable even far from the solved curve.
@@ -104,29 +105,32 @@ def normal_field(curve):
     return _normals(h_m, curve.points)
 
 
-def _reduced_tridiagonal(blocks, normals):
-    """Diagonal and upper cyclic off-diagonal of N^T H N (unscaled)."""
-    n = normals
+def _reduce(points):
+    """Normals n_m, normal gradient n_m . grad_m, the unscaled bands (diag,
+    up) of N^T H N and the segment distances, from one evaluation of the
+    point blocks."""
+    h_m, blocks = _point_blocks(points)
+    n = _normals(h_m, points)
     n_next = np.roll(n, -1, axis=0)
+    grad = blocks["grad_a"] + np.roll(blocks["grad_b"], 1, axis=0)
     d_a = np.einsum("mi,mij,mj->m", n, blocks["h_aa"], n)
     d_b = np.einsum("mi,mij,mj->m", n_next, blocks["h_bb"], n_next)
-    off = np.einsum("mi,mij,mj->m", n, blocks["h_ab"], n_next)
-    diag = d_a + np.roll(d_b, 1)
-    return diag, off
+    up = np.einsum("mi,mij,mj->m", n, blocks["h_ab"], n_next)
+    return (n, np.einsum("mi,mi->m", n, grad), d_a + np.roll(d_b, 1), up,
+            blocks["dist"])
 
 
 def assemble_L0(curve):
-    """-L_0 = (M / l) N^T H N, assembled segment by segment.
+    """-L_0 = (M / l) N^T H N: the bands of `_reduce`, scaled.
 
     The normals are those of normal_field, read off the same point blocks.
     Never materializes the 2M x 2M Hessian: each segment contributes its
     four 2x2 endpoint blocks, reduced through the normals, to the diagonal
     and the first cyclic off-diagonals.
     """
-    h_m, blocks = _point_blocks(curve.points)
-    diag, off = _reduced_tridiagonal(blocks, _normals(h_m, curve.points))
-    scale = curve.M / blocks["dist"].sum()
-    return StabilityMatrix(k=0, diag=scale * diag, up=scale * off)
+    _, _, diag, up, dist = _reduce(curve.points)
+    scale = curve.M / dist.sum()
+    return StabilityMatrix(k=0, diag=scale * diag, up=scale * up)
 
 
 def assemble_Lk(L0, curve, k):

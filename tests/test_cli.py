@@ -1,5 +1,8 @@
 """Command line driver, exercised in process through cli.main."""
 
+import argparse
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -7,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shrinker_index import (DiscreteCurve, Pipeline, cli, drift_diagnostic,
@@ -243,6 +246,119 @@ def test_usage_errors(argv, needle, capsys, tmp_path, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+def _subcommands():
+    """Subcommand name -> its parser, as cli._build_parser builds them."""
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _typed_options():
+    """(subcommand, long flag, type) of every optional action with a type."""
+    return [(name, action.option_strings[-1], action.type)
+            for name, p in _subcommands().items() for action in p._actions
+            if action.option_strings and action.type is not None]
+
+
+def _required_paths(command, work):
+    """The required flags of a subcommand, each given a path in work."""
+    argv = []
+    for action in _subcommands()[command]._actions:
+        if action.required:
+            argv += [action.option_strings[-1], str(work / "x")]
+    return argv
+
+
+def _main_quietly(argv):
+    """main(argv) and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+_FLAG_TOKENS = st.one_of(
+    st.integers(-10 ** 40, 10 ** 40).map(str),
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.text(max_size=8))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(option=st.sampled_from(_typed_options()), token=_FLAG_TOKENS)
+def test_values_a_flag_type_rejects_exit_3(tmp_path_factory, option, token):
+    command, flag, parse = option
+    try:
+        parse(token)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        pass
+    else:
+        # an accepted --points, --ntheta, --count, --j or --j-max has no
+        # upper bound and may allocate without limit, so none is run
+        assume(False)
+    work = tmp_path_factory.mktemp("usage")
+    rc, err = _main_quietly([command] + _required_paths(command, work)
+                            + ["%s=%s" % (flag, token)])
+    assert rc == 3
+    assert err.startswith("error: usage:")
+    assert flag in err
+    assert not any(work.iterdir())
+
+
+def _rejects_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_ENTRY = st.integers(18, 1024)
+_POINTS_LISTS = st.one_of(
+    # an entry below 18 or not an integer, anywhere among valid ones
+    st.tuples(st.lists(_ENTRY.map(str), max_size=5),
+              st.one_of(st.integers(-10 ** 40, 17).map(str),
+                        st.text(st.characters(blacklist_characters=","),
+                                max_size=6).filter(_rejects_int)),
+              st.integers(0, 5)).map(
+                  lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+    # a repeated resolution among at least 3 distinct ones
+    st.lists(_ENTRY, min_size=3, max_size=6, unique=True).flatmap(
+        lambda xs: st.permutations(xs + xs[:1])),
+    # fewer than 3 distinct resolutions
+    st.lists(_ENTRY, min_size=1, max_size=2, unique=True).flatmap(
+        lambda xs: st.lists(st.sampled_from(xs), min_size=1, max_size=6)))
+
+# bounds the handlers check against each other or against the M = 64 curve
+_HANDLER_BOUNDS = st.one_of(
+    st.tuples(st.just("asymptotics"), st.just("--k-scan"),
+              st.one_of(st.just(1), st.integers(-10 ** 40, -1),
+                        st.integers(2 ** 26 + 1, 10 ** 40))),
+    st.tuples(st.just("spectrum"), st.just("--count"),
+              st.integers(64, 10 ** 40)),
+    st.tuples(st.just("render"), st.just("--j"), st.integers(63, 10 ** 40)),
+    st.tuples(st.just("asymptotics"), st.just("--j-max"),
+              st.integers(32, 10 ** 40)),
+    st.tuples(st.just("convergence"), st.just("--points-list"),
+              _POINTS_LISTS.map(lambda xs: ",".join(map(str, xs)))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=_HANDLER_BOUNDS)
+def test_values_a_handler_refuses_exit_3(curve_csv, tmp_path_factory, case):
+    command, flag, value = case
+    work = tmp_path_factory.mktemp("usage")
+    curve = [] if command == "convergence" else ["--curve", curve_csv]
+    listing = sorted(Path(curve_csv).parent.iterdir())
+    rc, err = _main_quietly([command] + curve
+                            + ["--out", str(work / "x"),
+                               "%s=%s" % (flag, value)])
+    assert rc == 3
+    assert err.startswith("error: usage:")
+    assert flag in err
+    assert not any(work.iterdir())
+    assert sorted(Path(curve_csv).parent.iterdir()) == listing
+
+
 def test_readme_commands_parse():
     # every documented command line must name only flags the parser has
     blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(),
@@ -420,6 +536,19 @@ def test_render_plain(curve_csv, tmp_path, capsys):
     assert rc == 0
     svg = (prefix.parent / "plain.svg").read_text()
     assert svg.count("<path") == 1
+
+
+def test_failed_render_writes_no_file(curve_csv, tmp_path, capsys):
+    # numpy refuses this ntheta at once, before anything is allocated; the
+    # SVG, built first, must not reach the disk either
+    out = tmp_path / "d"
+    out.mkdir()
+    rc = main(["render", "--curve", curve_csv, "--ntheta", str(10 ** 30),
+               "--out", str(out / "p")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: runtime:")
+    assert not any(out.iterdir())
 
 
 def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):

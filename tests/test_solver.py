@@ -4,6 +4,9 @@ Criticality and spacing are re-measured from scratch with the metric
 primitives rather than trusting the solver's own reported residuals.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -146,3 +149,36 @@ def test_ladder_levels_are_polished_resamplings(pipe):
     # 2048 climbs 512 -> 1024 -> 2048, so its last step is this polish
     up = _resample_points(pipe.curve(1024).points, 2048)
     assert np.array_equal(solver._polish(up).points, pipe.curve(2048).points)
+
+
+def _private_uses(path, modules):
+    """(module, name) of each private name path takes from the modules."""
+    tree = ast.parse(path.read_text())
+    aliases = {}
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif node.module in modules and alias.name.startswith("_"):
+                    uses.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            uses.add((aliases[node.value.id], node.attr))
+    return uses
+
+
+def test_private_functions_stay_in_their_module():
+    # each step of the chain has one owner: across modules, only the
+    # solver reaches a private function, one evaluation of the length's
+    # derivatives per iterate and the resampling of its ladder
+    package = Path(solver.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    uses = {(path.stem,) + use for path in sorted(package.glob("*.py"))
+            for use in _private_uses(path, modules)}
+    assert uses == {("solver", "stability", "_reduce"),
+                    ("solver", "curve", "_resample_points")}
