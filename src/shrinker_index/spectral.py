@@ -18,9 +18,10 @@ of every self-shrinker and carry no geometric information.
 The solved curve is symmetric under z -> -z, which maps point m to point
 -m mod M, so each -L_k splits into an even and an odd symmetric
 tridiagonal matrix with no cyclic corner.  LAPACK finds the low pairs of
-each half; an extended-precision polish on the full cyclic bands then
-brings every pair to the residual a float64 vector can carry.  Each mode
-is even or odd: dilation, horizontal translation and 1/sigma are even,
+each half; one extended-precision inverse-iteration step on the full
+cyclic bands, shifted at the Rayleigh quotient of each LAPACK vector,
+then brings every pair to the residual a float64 vector can carry.  Each
+mode is even or odd: dilation, horizontal translation and 1/sigma are even,
 vertical translation and rotation odd.
 """
 
@@ -129,42 +130,45 @@ def _cyclic_solve(diag, up, shifts, rhs):
                        out=np.empty(rhs.shape, dtype=ld))
 
 
-def _refine_pairs(diag, up, vals, vecs):
-    """Polish eigenpairs by inverse iteration in extended precision.
+def _refine_pairs(diag, up, vecs):
+    """Polish eigenpairs by one inverse-iteration step in extended precision.
 
     The LAPACK pairs of the folded halves carry residual ~ eps ||A||, which
-    at M = 2048 exceeds the 1e-10 contract (||A|| ~ 1e6 there).  Two
-    inverse-iteration steps on the full cyclic tridiagonal bands in 80-bit
-    arithmetic, the first shifted just above the LAPACK value and the
-    second at the Rayleigh quotient of the first step's iterate, push the
-    pair to the limit a float64 vector can represent.  The reported
-    eigenvalue is the Rayleigh quotient of the returned float64 vector and
-    the residual its true residual, both evaluated in extended precision.
-    The pairs are the rows of vecs (..., M); diag broadcasts against them
-    and `up` is shared.  Each pair sums along its own row, so no batch
-    changes it.  Each step normalizes its solve in place, so the peak is
-    about four extended-precision copies of the batch: the iterate and the
-    three buffers of `_cyclic_solve`.
+    at M = 2048 exceeds the 1e-10 contract (||A|| ~ 1e6 there).  The
+    LAPACK vectors, normalized in 80-bit arithmetic, have a Rayleigh
+    quotient on the full cyclic tridiagonal bands that is already accurate
+    to long-double rounding, so one inverse-iteration step shifted there
+    pushes the pair to the limit a float64 vector can represent.  The
+    shift sits 1e-13 above the quotient: at the bare quotient a pair can
+    meet an exact zero pivot (k = 1, j = 11 of the 201-mode scan at
+    M = 2048 does), its solve is not finite, and a row whose solve is not
+    finite keeps its unpolished LAPACK vector (residual 7.9e-11 there,
+    against 1.2e-11 polished).  The reported eigenvalue is the Rayleigh
+    quotient of the returned float64 vector and the residual its true
+    residual, both evaluated in extended precision.  The pairs are the
+    rows of vecs (..., M); diag broadcasts against them and `up` is
+    shared.  Each pair sums along its own row, so the other rows of the
+    batch do not change it.  The step normalizes its solve in place, so
+    the peak is about four extended-precision copies of the batch: the
+    LAPACK vectors and the three buffers of `_cyclic_solve`.
     """
     ld = np.longdouble
     diag_ld = diag.astype(ld)
     up_ld = up.astype(ld)
     work = np.ascontiguousarray(vecs, dtype=ld)
-    shifts = vals.astype(ld) + ld(1e-13)
-    for step in range(2):
-        if step:
-            shifts = np.einsum("...m,...m->...", work,
-                               _band_matvec(diag_ld, up_ld, work))
-        # the solves are deliberately near singular; a row that blows up
-        # keeps its previous iterate
-        with np.errstate(all="ignore"):
-            trial = _cyclic_solve(diag_ld, up_ld, shifts, work)
-            norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
-            good = np.isfinite(norms) & (norms > 0.0)
-            good &= np.all(np.isfinite(trial), axis=-1)
-            trial /= norms[..., None]
-            trial[~good] = work[~good]
-            work = trial
+    work /= np.sqrt(np.einsum("...m,...m->...", work, work))[..., None]
+    shifts = np.einsum("...m,...m->...", work,
+                       _band_matvec(diag_ld, up_ld, work)) + ld(1e-13)
+    # the solve is deliberately near singular; a row that blows up keeps
+    # the LAPACK vector
+    with np.errstate(all="ignore"):
+        trial = _cyclic_solve(diag_ld, up_ld, shifts, work)
+        norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
+        good = np.isfinite(norms) & (norms > 0.0)
+        good &= np.all(np.isfinite(trial), axis=-1)
+        trial /= norms[..., None]
+        trial[~good] = work[~good]
+        work = trial
     out = work.astype(float)
     out = out / np.linalg.norm(out, axis=-1)[..., None]
     out_ld = out.astype(ld)
@@ -241,9 +245,12 @@ def spectrum(matrices, count):
     `_folded_pairs` on each matrix, then one extended-precision polish of
     all pairs on the full cyclic bands, O(M) per mode.  Calls are bitwise
     repeatable on any BLAS thread count, and a pair's result does not
-    depend on the batch.  Eigenvectors are unit norm with the
-    largest-magnitude entry positive; residual is the true
-    ||A u - lambda u||_2 of the returned pair.
+    depend on which other matrices share the call.  It can depend on
+    `count`: LAPACK's bisection and inverse iteration run over the
+    selected index range, so the same pair taken with another count may
+    differ in the last bits of its value and vector.  Eigenvectors are
+    unit norm with the largest-magnitude entry positive; residual is the
+    true ||A u - lambda u||_2 of the returned pair.
     """
     matrices = list(matrices)
     if not matrices:
@@ -256,7 +263,7 @@ def spectrum(matrices, count):
     pairs = [_folded_pairs(a, count) for a in matrices]
     vals, vecs, resids = _refine_pairs(
         np.array([a.diag for a in matrices])[:, None, :], up,
-        np.array([p[0] for p in pairs]), np.array([p[1].T for p in pairs]))
+        np.array([p[1].T for p in pairs]))
     modes = []
     for a, lam, vec, res in zip(matrices, vals, vecs, resids):
         for j, row in enumerate(np.argsort(lam, kind="stable")):
