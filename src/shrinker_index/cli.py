@@ -194,12 +194,9 @@ def _cmd_convergence(args):
         raise UsageError("--points-list needs at least 3 distinct resolutions")
     if len(set(m_values)) < len(m_values):
         raise UsageError("--points-list must not repeat a resolution")
-    quantities = [(k, j) for k in range(args.k_max + 1) for j in range(4)]
-    quantities.append("entropy")
     os.makedirs(args.out, exist_ok=True)
     studies = convergence.run_study(
-        quantities, m_values,
-        progress=lambda m: print("solved M = %d" % m))
+        args.k_max, m_values, progress=lambda m: print("solved M = %d" % m))
     text, rows = convergence.table_report(studies)
     _write(os.path.join(args.out, "table.txt"), text)
     _write_csv(os.path.join(args.out, "table.csv"),

@@ -1,11 +1,13 @@
 """Mesh-refinement studies of eigenvalues and entropy.
 
-Each quantity is recomputed from scratch at every resolution (fresh solve,
-fresh assembly; each M walks its own solver ladder up from the circle seed,
-so no resolution of a study depends on another), errors against the true
-value follow c / M^2, and the fitted slope of log10 |error| against
-log10 M certifies the quadratic rate.  True values are exact where a
-geometric variation pins them down:
+A study covers a fixed grid: the eigenvalues lambda(k, j) of -L_k for
+k = 0..k_max and j = 0..3, then the entropy (the discrete weighted
+length).  Each is recomputed from scratch at every resolution (fresh
+solve, fresh assembly; each M walks its own solver ladder up from the
+circle seed, so no resolution of a study depends on another), errors
+against the true value follow c / M^2, and the fitted slope of log10
+|error| against log10 M certifies the quadratic rate.  True values are
+exact where a geometric variation pins them down:
 
     (k, j) = (0, 1) -> -1      dilation
     (k, j) = (0, 2) -> -1/2    vertical translation
@@ -97,50 +99,31 @@ def fit_loglog(m_values, estimates, true_value=None):
     return float(slope), float(true_value)
 
 
-def _eig_tables(m_values, k_list, j_max, progress):
-    """Fresh solve + spectra per resolution: {M: {k: eigenvalues}}, lengths."""
-    tables = {}
-    lengths = {}
-    for m in m_values:
-        crv = solver.solve_geodesic(m)
-        lengths[m] = curve_mod.discrete_length(crv)
-        pipe = spectral.Pipeline(crv)
-        modes = pipe.scan(k_list, j_max + 1) if k_list else []
-        tables[m] = {k: [md.eigenvalue for md in modes if md.k == k]
-                     for k in k_list}
-        if progress is not None:
-            progress(m)
-    return tables, lengths
+def run_study(k_max, m_values=DEFAULT_M, progress=None):
+    """Convergence studies of lambda(k, j) for k <= k_max, j < 4, and entropy.
 
-
-def run_study(quantities, m_values=DEFAULT_M, progress=None):
-    """Convergence studies for eigenvalue quantities (k, j) and "entropy".
-
-    Every resolution is solved independently.  Returns a list of
-    ConvergenceStudy in the order of `quantities`.
+    One pass over the sorted resolutions: at each M a fresh solve, one
+    `Pipeline.scan` of k = 0..k_max with 4 modes each, and the discrete
+    length; `progress(M)` is called after each.  Returns a list of
+    ConvergenceStudy ordered (0, 0), (0, 1), ..., (k_max, 3), then
+    "entropy".
     """
     m_values = tuple(sorted(int(m) for m in m_values))
-    quantities = list(quantities)
-    eig_q = [q for q in quantities if q != "entropy"]
-    k_list = sorted({k for k, _ in eig_q})
-    j_max = max((j for _, j in eig_q), default=0)
-    tables, lengths = _eig_tables(m_values, k_list, j_max, progress)
-
+    estimates = {}
+    for m in m_values:
+        crv = solver.solve_geodesic(m)
+        for mode in spectral.Pipeline(crv).scan(range(k_max + 1), 4):
+            estimates.setdefault((mode.k, mode.j), []).append(mode.eigenvalue)
+        estimates.setdefault("entropy", []).append(
+            curve_mod.discrete_length(crv))
+        if progress is not None:
+            progress(m)
     studies = []
-    for q in quantities:
-        if q == "entropy":
-            estimates = tuple(lengths[m] for m in m_values)
-            known = False
-            slope, true_value = fit_loglog(m_values, estimates)
-        else:
-            k, j = q
-            estimates = tuple(float(tables[m][k][j]) for m in m_values)
-            known = q in KNOWN_TRUE
-            slope, true_value = fit_loglog(m_values, estimates,
-                                           KNOWN_TRUE.get(q))
+    for q, est in estimates.items():
+        slope, true_value = fit_loglog(m_values, est, KNOWN_TRUE.get(q))
         studies.append(ConvergenceStudy(
-            quantity=q, M_values=m_values, estimates=estimates,
-            true_value=true_value, true_known=known, slope=slope))
+            quantity=q, M_values=m_values, estimates=tuple(est),
+            true_value=true_value, true_known=q in KNOWN_TRUE, slope=slope))
     return studies
 
 

@@ -212,8 +212,9 @@ def _folded_pairs(a, count):
 
     LAPACK's bisection and inverse iteration (stebz/stein) give the lowest
     pairs of each of the mirror `_halves`, which are unfolded to length M
-    and merged.  Returns (eigenvalues ascending, eigenvectors as columns),
-    with residuals ~ eps ||A||.
+    and merged.  Returns the unit eigenvectors as the rows of a (count, M)
+    array, ordered by ascending LAPACK eigenvalue; their residuals are
+    ~ eps ||A||, and `_refine_pairs` takes the eigenvalues from them.
     """
     m = a.M
     h = m // 2
@@ -231,8 +232,7 @@ def _folded_pairs(a, count):
     vecs = np.concatenate(
         [x[fold] * weight[:, None],
          y[fold] * np.where(idx > h, -weight, weight)[:, None]], axis=1)
-    order = np.argsort(vals, kind="stable")[:count]
-    return vals[order], vecs[:, order]
+    return vecs[:, np.argsort(vals, kind="stable")[:count]].T
 
 
 def spectrum(matrices, count):
@@ -260,10 +260,9 @@ def spectrum(matrices, count):
         raise ValueError("matrices must share M and the up band")
     if count < 1 or count >= m:
         raise ValueError("count must be in 1..M-1")
-    pairs = [_folded_pairs(a, count) for a in matrices]
     vals, vecs, resids = _refine_pairs(
         np.array([a.diag for a in matrices])[:, None, :], up,
-        np.array([p[1].T for p in pairs]))
+        np.array([_folded_pairs(a, count) for a in matrices]))
     modes = []
     for a, lam, vec, res in zip(matrices, vals, vecs, resids):
         for j, row in enumerate(np.argsort(lam, kind="stable")):

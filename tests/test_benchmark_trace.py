@@ -35,6 +35,8 @@ def test_traced_commands_report_layer_metrics(tmp_path, capsys):
          "--out", str(tmp_path / "asy")],
         ["render", "--curve", curve, "--k", "2", "--j", "1", "--ntheta", "6",
          "--out", str(tmp_path / "torus")],
+        ["convergence", "--points-list", "64,96,128", "--k-max", "1",
+         "--out", str(tmp_path / "study")],
     ]
     spans = tracer.Tracer(shrinker_index)
     with spans:
@@ -48,8 +50,8 @@ def test_traced_commands_report_layer_metrics(tmp_path, capsys):
     assert not hasattr(cli._COMMANDS["render"], "__wrapped__")
     assert not hasattr(scipy.sparse.linalg.spsolve, "__wrapped__")
 
-    index, asy, render = [tracer.layer_metrics(op)
-                          for op in tracer.per_operation(spans.spans)]
+    index, asy, render, study = [tracer.layer_metrics(op)
+                                 for op in tracer.per_operation(spans.spans)]
     assert index["spectral.compute_index.k_walked"] == 4
     assert [m["spectral.spectrum.modes"] for m in (index, asy, render)] == [
         9, 23, 2]
@@ -57,3 +59,8 @@ def test_traced_commands_report_layer_metrics(tmp_path, capsys):
     assert index["solver.newton_steps"] > 0
     assert render["render.obj_surface.bytes"] > 0
     assert asy["asymptotics.drift_diagnostic.calls"] == 1
+    # 3 resolutions x 2 k x 4 modes, one fit per quantity (8 + entropy)
+    assert study["convergence.fit_loglog.calls"] == 9
+    assert study["spectral.spectrum.modes"] == 24
+    assert study["solver.solve_geodesic.calls"] == 3
+    assert study["convergence.run_study.busy_s"] > 0

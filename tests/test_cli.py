@@ -1,7 +1,9 @@
 """Command line driver, exercised in process through cli.main."""
 
 import argparse
+import ast
 import contextlib
+import fnmatch
 import io
 import json
 import re
@@ -378,9 +380,126 @@ def test_readme_library_example(capsys):
                           re.M | re.S)
     exec(block, {})
     lines = capsys.readouterr().out.split("\n")
-    assert lines[0].startswith("[-0.4876")
+    # each "x..." in the comment is a prefix of the printed eigenvalue
+    prefixes = re.findall(r"(-?\d+\.\d+)\.\.\.", block)
+    assert len(prefixes) == 2
+    values = ast.literal_eval(lines[0])
+    assert len(values) == 4
+    for value, prefix in zip(values, prefixes):
+        assert repr(value).startswith(prefix)
     assert lines[1] == "['sigma_inverse', 'horizontal_translation', 'rotation']"
     assert lines[2] == "5"
+
+
+def _readme_examples():
+    """(argv, comment) of each README sh example that has a "# " line."""
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(),
+                            re.M | re.S):
+        lines = block.replace("\\\n", " ").split("\n")
+        comment = "\n".join(ln[2:] for ln in lines if ln.startswith("# "))
+        if comment:
+            (argv,) = [shlex.split(ln)[1:] for ln in lines
+                       if ln.startswith("shrinker-index ")]
+            examples.append((argv, comment))
+    return examples
+
+
+def test_readme_examples_print_their_comments(tmp_path, monkeypatch, capsys):
+    # in README order, in one directory: each example prints exactly its
+    # comment, or writes exactly the files its "writes" comment names
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["solve", "index", "render"]
+    for argv, comment in examples:
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        written = re.fullmatch(r"writes (\S+) and (\S+)", comment)
+        if written:
+            assert out == ""
+            assert set(tmp_path.iterdir()) - before == {
+                tmp_path / name for name in written.groups()}
+        else:
+            assert out == comment + "\n"
+
+
+def _output_bullets():
+    """The README's "Output files" bullets by command, whitespace folded."""
+    section = README.read_text().split("## Output files\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return {re.match(r"`(\w+)`", item).group(1): " ".join(item.split())
+            for item in re.split(r"^- ", section, flags=re.M)[1:]}
+
+
+def _documented_keys(text):
+    """{key: entry keys or None} of the sentence after "with keys"."""
+    keys, depth, last = {}, 0, None
+    for token in re.findall(r"`[^`]*`|[().]",
+                            text.split("with keys ", 1)[1]):
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        elif depth == 0 and token == ".":
+            break
+        elif depth == 0:
+            last = token.strip("`")
+            keys[last] = None
+        elif token.startswith("`{"):
+            keys[last] = re.findall(r'"(\w+)"', token)
+    return keys
+
+
+def _first_line(path):
+    return Path(path).read_text().split("\n", 1)[0]
+
+
+def test_readme_output_files_match_cli(curve_csv, tmp_path, capsys):
+    # every key list, CSV header and file name in "Output files" is what
+    # the CLI writes at M = 64, and nothing it writes goes unnamed there
+    bullets = _output_bullets()
+    headers = {cmd: set(re.findall(r"`(\w+(?:,\w+)+)`", text))
+               for cmd, text in bullets.items()}
+    assert headers["solve"] == {_first_line(curve_csv)}
+
+    spec, spec_csv = tmp_path / "spec.json", tmp_path / "spec.csv"
+    assert main(["spectrum", "--curve", curve_csv, "--k", "1", "--count",
+                 "5", "--out", str(spec), "--csv", str(spec_csv)]) == 0
+    report = json.loads(spec.read_text())
+    assert list(_documented_keys(bullets["spectrum"]).items()) == [
+        (key, None) for key in report]
+    assert headers["spectrum"] == {_first_line(spec_csv)}
+
+    index = tmp_path / "index.json"
+    assert main(["index", "--points", "64", "--out", str(index)]) == 0
+    report = json.loads(index.read_text())
+    assert list(_documented_keys(bullets["index"]).items()) == [
+        (key, list(value[0]) if isinstance(value, list) else None)
+        for key, value in report.items()]
+
+    runs = {
+        "convergence": ["convergence", "--points-list", "64,96,128",
+                        "--k-max", "0"],
+        "asymptotics": ["asymptotics", "--curve", curve_csv, "--j-max", "10",
+                        "--k-scan", "3"],
+    }
+    for cmd, argv in runs.items():
+        out = tmp_path / cmd
+        assert main(argv + ["--out", str(out)]) == 0
+        written = {path.name: _first_line(path) for path in out.glob("*.csv")}
+        assert set(written.values()) == headers[cmd]
+        names = [re.sub(r"<\w+>", "*", name) for name in re.findall(
+            r"`([\w<>]+\.(?:csv|json|txt))`", bullets[cmd])]
+        files = [path.name for path in out.iterdir()]
+        assert all(any(fnmatch.fnmatch(f, n) for n in names) for f in files)
+        assert all(any(fnmatch.fnmatch(f, n) for f in files) for n in names)
+        for name, header in re.findall(
+                r"`([\w<>]+\.csv)`, `(\w+(?:,\w+)+)`", bullets[cmd]):
+            pattern = re.sub(r"<\w+>", "*", name)
+            assert {h for f, h in written.items()
+                    if fnmatch.fnmatch(f, pattern)} == {header}
+    capsys.readouterr()
 
 
 def test_main_dispatches_through_command_table(monkeypatch):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shrinker_index import cli, convergence, fit_loglog, run_study
+from shrinker_index import (Pipeline, cli, convergence, discrete_length,
+                            fit_loglog, run_study, solve_geodesic)
 from shrinker_index.convergence import (DegenerateFit, quantity_name,
                                         table_report)
 
@@ -55,11 +56,9 @@ def test_quantity_names():
 
 def test_small_study_smoke():
     seen = []
-    studies = run_study([(0, 0), (0, 1), "entropy"],
-                        m_values=(64, 128, 256),
-                        progress=seen.append)
+    studies = run_study(0, m_values=(64, 128, 256), progress=seen.append)
     assert seen == [64, 128, 256]
-    assert len(studies) == 3
+    assert len(studies) == 5
     by_name = {quantity_name(st.quantity): st for st in studies}
 
     lam01 = by_name["lambda_k0_j1"]
@@ -74,6 +73,26 @@ def test_small_study_smoke():
     assert not ent.true_known
     assert len(ent.estimates) == 3
     assert len(ent.errors) == 3
+
+
+def test_run_study_grid_order_and_estimates():
+    # k <= k_max with j = 0..3 in order, then entropy; every estimate is
+    # bitwise the one scan and the discrete length of a fresh solve at M
+    seen = []
+    studies = run_study(1, m_values=(64, 96, 128), progress=seen.append)
+    assert seen == [64, 96, 128]
+    assert [st.quantity for st in studies] == [
+        (k, j) for k in range(2) for j in range(4)] + ["entropy"]
+    expected = {}
+    for m in (64, 96, 128):
+        crv = solve_geodesic(m)
+        for mode in Pipeline(crv).scan(range(2), 4):
+            expected.setdefault((mode.k, mode.j), []).append(mode.eigenvalue)
+        expected.setdefault("entropy", []).append(discrete_length(crv))
+    for st in studies:
+        assert st.M_values == (64, 96, 128)
+        assert st.estimates == tuple(expected[st.quantity])
+        assert st.true_known == (st.quantity in convergence.KNOWN_TRUE)
 
 
 def test_study_error_signs_stable(study16):

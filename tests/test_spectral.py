@@ -311,11 +311,14 @@ def test_cyclic_solve_matches_pair_leading_sweep(pipe, ks, count):
     # order, so the result must also come back C-contiguous, pair-leading
     ld = np.longdouble
     mats = [pipe.Lk(512, k) for k in ks]
-    pairs = [spectral._folded_pairs(a, count) for a in mats]
     diag = np.array([a.diag for a in mats], dtype=ld)[:, None, :]
     up = mats[0].up.astype(ld)
-    shifts = np.array([p[0] for p in pairs], dtype=ld) + ld(1e-13)
-    rhs = np.array([p[1].T for p in pairs], dtype=ld)
+    rhs = np.array([spectral._folded_pairs(a, count) for a in mats],
+                   dtype=ld)
+    # shifted as the polish shifts: 1e-13 above each row's Rayleigh quotient
+    rhs /= np.sqrt(np.einsum("...m,...m->...", rhs, rhs))[..., None]
+    shifts = np.einsum("...m,...m->...", rhs,
+                       spectral._band_matvec(diag, up, rhs)) + ld(1e-13)
     with np.errstate(all="ignore"):
         got = spectral._cyclic_solve(diag, up, shifts, rhs)
         ref = oracles.cyclic_solve_pair_leading(diag, up, shifts, rhs)
