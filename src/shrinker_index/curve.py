@@ -50,15 +50,10 @@ class DiscreteCurve:
         return "DiscreteCurve(M=%d)" % self.M
 
 
-def segment_distances(curve):
-    """Weighted distances of the M segments (q_m, q_{m+1}), shape (M,)."""
-    pts = curve.points
-    return metric.segment_distance(pts, np.roll(pts, -1, axis=0))
-
-
 def discrete_length(curve):
     """Total discrete weighted length: sum of segment distances."""
-    return float(segment_distances(curve).sum())
+    pts = curve.points
+    return float(metric.segment_distance(pts, np.roll(pts, -1, axis=0)).sum())
 
 
 def _resample_points(points, m_new):
@@ -96,25 +91,11 @@ def _resample_points(points, m_new):
     return out
 
 
-def canonicalize(curve):
-    """Roll so q_0 is the max-r point and orient counterclockwise.
-
-    Counterclockwise here means z increases leaving q_0 (the curve ascends
-    on the outer side).
-    """
-    pts = curve.points
-    start = int(np.argmax(pts[:, 0]))
-    pts = np.roll(pts, -start, axis=0)
-    if pts[1, 1] < pts[-1, 1]:
-        pts = np.roll(pts[::-1], 1, axis=0)
-    return DiscreteCurve(pts)
-
-
 def mirror_points(points):
     """The reflection z -> -z of points, read at indices -m mod M.
 
-    Row m is (r, -z) of point -m mod M.  A canonical solved curve is its
-    own mirror image: q_0 lies on the axis, and so does q_{M/2} for even M.
+    Row m is (r, -z) of point -m mod M.  A solved curve is its own mirror
+    image: q_0 lies on the axis, and so does q_{M/2} for even M.
     """
     out = np.roll(points[::-1], 1, axis=0)
     out[:, 1] = -out[:, 1]

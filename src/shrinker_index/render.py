@@ -93,17 +93,18 @@ def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
     m_count = curve.M
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
 
-    r = np.repeat(pts[:, 0], ntheta)
-    z = np.repeat(pts[:, 1], ntheta)
-    th = np.tile(theta, m_count)
+    # rows are curve points, columns the ntheta angles of a ring
+    r = pts[:, :1]
+    z = pts[:, 1:]
     if mode is not None:
         amp, normals = _amplitude(curve, mode, epsilon)
-        g = np.cos(k * th) if phase == "cos" else np.sin(k * th)
-        amp = np.repeat(amp, ntheta) * g
-        r = r + amp * np.repeat(normals[:, 0], ntheta)
-        z = z + amp * np.repeat(normals[:, 1], ntheta)
+        g = np.cos(k * theta) if phase == "cos" else np.sin(k * theta)
+        amp = amp[:, None] * g
+        r = r + amp * normals[:, :1]
+        z = z + amp * normals[:, 1:]
 
-    verts = np.column_stack([r * np.cos(th), r * np.sin(th), z])
+    verts = np.stack(np.broadcast_arrays(r * np.cos(theta),
+                                         r * np.sin(theta), z), axis=-1)
     v_ring = "v %.17g %.17g %.17g\n" * ntheta
     a = np.arange(1, m_count * ntheta + 1).reshape(m_count, ntheta)
     b = np.roll(a, -1, axis=0)

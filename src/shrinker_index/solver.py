@@ -24,10 +24,13 @@ coarsest level from the seed, and climbs back to M level by level, each
 level resampled from the canonical curve of the level below and polished
 by the same Newton loop.  M <= COARSE_M is a single level solved from the
 seed.  Every iterate is averaged with its mirror image under z -> -z,
-so the returned curve is exactly mirror-symmetric.  The point count M is
-the only input: the seed (SEED_CENTER, SEED_RADIUS), the tolerances, the
-iteration cap per level (MAX_ITERS) and COARSE_M are module constants,
-read at call time.
+so the returned curve is exactly mirror-symmetric.  It is also canonical,
+with no step that reorders points: q_0 is the outer axis point and the
+curve rises after it, since the seed starts at angle 0 counterclockwise,
+each resampling is anchored at its input's q_0 and the mirror average
+sets z_0 = 0.  The point count M is the only input: the seed
+(SEED_CENTER, SEED_RADIUS), the tolerances, the iteration cap per level
+(MAX_ITERS) and COARSE_M are module constants, read at call time.
 """
 
 import math
@@ -101,6 +104,9 @@ def _mirror_average(points):
 def solve_geodesic(m):
     """Solve for the closed m-point geodesic; returns a canonical DiscreteCurve.
 
+    Canonical: q_0 is the outer axis point and the curve rises after it,
+    as the seed, the resampling anchor and the mirror average leave it.
+
     Raises ValueError below 18 points, where the normal picked at the two
     axis points is the tangent, so GRAD_TOL there would bound the gradient
     along the curve and the returned curve would not be critical.  Raises
@@ -126,37 +132,37 @@ def _polish(points):
     Every iterate is averaged with its mirror image before it is
     evaluated, so the tolerances are met by a curve whose point -m mod M
     is (r_m, -z_m) bitwise, as the symmetry-reduced spectra need.  q_0 of
-    points must lie near the axis, as on the seed circle and on every
-    resampled canonical level.
+    points must be the outer axis point with the curve rising after it, as
+    on the seed and every resampled level; the average (z_0 = 0) and the
+    resampling anchor at q_0 keep it so.
     """
     m = len(points)
+    i = np.arange(m)
+    j = (i + 1) % m
+    rows, cols = np.concatenate([i, i, j]), np.concatenate([i, j, i])
     state = _State(_mirror_average(points))
     for _ in range(MAX_ITERS):
         if state.residual <= GRAD_TOL and state.spacing <= SPACING_TOL:
-            return curve_mod.canonicalize(
-                curve_mod.DiscreteCurve(state.points))
-        delta = scipy.sparse.linalg.spsolve(
-            stability.cyclic_csc(state.diag, state.up), -state.grad_normal)
-        step = 1.0
-        accepted = None
-        for _ in range(40):
+            return curve_mod.DiscreteCurve(state.points)
+        newton = scipy.sparse.csc_matrix(
+            (np.concatenate([state.diag, state.up, state.up]), (rows, cols)),
+            shape=(m, m))
+        delta = scipy.sparse.linalg.spsolve(newton, -state.grad_normal)
+        for step in 0.5 ** np.arange(40):
+            trial = state.points + step * delta[:, None] * state.normals
             try:
-                trial = state.points + step * delta[:, None] * state.normals
                 _check_alive(trial)
-                trial = curve_mod._resample_points(trial, m)
-                trial_state = _State(_mirror_average(trial))
+                trial_state = _State(_mirror_average(
+                    curve_mod._resample_points(trial, m)))
             except CurveCollapse:
-                step *= 0.5
                 continue
             if trial_state.residual < state.residual:
-                accepted = trial_state
                 break
-            step *= 0.5
-        if accepted is None:
+        else:
             raise NonConvergence(
                 "line search stalled at residual %.3e at M = %d"
                 % (state.residual, m))
-        state = accepted
+        state = trial_state
 
     raise NonConvergence(
         "no convergence in %d iterations (residual %.3e, spacing %.3e) "

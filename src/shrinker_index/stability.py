@@ -30,7 +30,6 @@ eigenvector is stable even far from the solved curve.
 import dataclasses
 
 import numpy as np
-import scipy.sparse
 
 from . import metric
 
@@ -54,17 +53,6 @@ class StabilityMatrix:
     @property
     def M(self):
         return len(self.diag)
-
-
-def cyclic_csc(diag, up):
-    """The symmetric cyclic tridiagonal bands (diag, up) as a csc matrix."""
-    m = len(diag)
-    i = np.arange(m)
-    j = (i + 1) % m
-    return scipy.sparse.csc_matrix(
-        (np.concatenate([diag, up, up]),
-         (np.concatenate([i, i, j]), np.concatenate([i, j, i]))),
-        shape=(m, m))
 
 
 def _point_blocks(points):

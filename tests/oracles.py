@@ -24,8 +24,8 @@ import numpy as np
 
 from shrinker_index import (DiscreteCurve, StabilityMatrix, discrete_length,
                             sigma)
-from shrinker_index.curve import _resample_points, segment_distances
-from shrinker_index.metric import segment_blocks
+from shrinker_index.curve import _resample_points
+from shrinker_index.metric import segment_blocks, segment_distance
 from shrinker_index.render import _amplitude
 from shrinker_index.stability import _point_blocks
 
@@ -90,7 +90,8 @@ def reflect_z(curve):
 
 def spacing_deviation(curve):
     """max/min segment distance ratio minus 1 (0 for perfectly even)."""
-    d = segment_distances(curve)
+    pts = curve.points
+    d = segment_distance(pts, np.roll(pts, -1, axis=0))
     return float(d.max() / d.min() - 1.0)
 
 

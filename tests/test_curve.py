@@ -8,7 +8,7 @@ import pytest
 from shrinker_index import (DiscreteCurve, discrete_length, read_curve,
                             write_curve)
 from oracles import reflect_z, resample_uniform, spacing_deviation
-from shrinker_index.curve import CurveFileError, canonicalize
+from shrinker_index.curve import CurveFileError
 from shrinker_index.metric import segment_distance
 
 
@@ -86,16 +86,6 @@ def test_resample_changes_point_count(pipe):
     assert rel < 1e-4
     with pytest.raises(ValueError):
         resample_uniform(crv, 2)
-
-
-def test_canonicalize_recovers_rolled_and_reversed(pipe):
-    crv = pipe.curve(64)
-    # the solver output is already canonical
-    assert np.array_equal(canonicalize(crv).points, crv.points)
-    rolled = DiscreteCurve(np.roll(crv.points, 7, axis=0))
-    assert np.array_equal(canonicalize(rolled).points, crv.points)
-    reversed_ = DiscreteCurve(crv.points[::-1].copy())
-    assert np.array_equal(canonicalize(reversed_).points, crv.points)
 
 
 def test_csv_round_trip_bitwise(pipe, tmp_path):
