@@ -17,7 +17,7 @@ from .stability import (AmbiguousNormal, StabilityMatrix, assemble_L0,
 from .spectral import (EigenMode, ExclusionMismatch, IndexReport, Pipeline,
                        compute_index, spectrum)
 from .convergence import (ConvergenceStudy, DegenerateFit, fit_loglog,
-                          run_study, table_report)
+                          run_study)
 from .asymptotics import (NoWell, SchrodingerProfile, drift_diagnostic,
                           high_j_estimate, high_k_estimate, potential_profile)
 
@@ -32,5 +32,5 @@ __all__ = [
     "drift_diagnostic", "fit_loglog", "high_j_estimate", "high_k_estimate",
     "normal_field", "potential_profile", "read_curve",
     "run_study", "segment_distance", "sigma",
-    "solve_geodesic", "spectrum", "table_report", "write_curve",
+    "solve_geodesic", "spectrum", "write_curve",
 ]

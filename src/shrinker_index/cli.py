@@ -197,24 +197,36 @@ def _cmd_convergence(args):
     os.makedirs(args.out, exist_ok=True)
     studies = convergence.run_study(
         args.k_max, m_values, progress=lambda m: print("solved M = %d" % m))
-    text, rows = convergence.table_report(studies)
-    _write(os.path.join(args.out, "table.txt"), text)
-    _write_csv(os.path.join(args.out, "table.csv"),
-               "k,j,computed,true_value,error,true_known,slope", rows)
-    names = [convergence.quantity_name(st.quantity) for st in studies]
-    _write_csv(os.path.join(args.out, "study.csv"),
-               "quantity,M,estimate,true_value,abs_error",
-               [(name, m, est, st.true_value, abs(err))
-                for name, st in zip(names, studies)
-                for m, est, err in zip(st.M_values, st.estimates, st.errors)])
-    slopes = {name: st.slope for name, st in zip(names, studies)}
-    _write(os.path.join(args.out, "slopes.json"),
-           json.dumps(slopes, indent=2) + "\n")
-    for name, st in zip(names, studies):
+    # run_study returns (0, 0), (0, 1), ..., (k_max, 3), then entropy, so
+    # the table rows come in (k, j) order and study.csv by quantity, then M
+    rows, study_rows, slopes = [], [], {}
+    for st in studies:
+        if st.quantity == "entropy":
+            name = "entropy"
+        else:
+            name = "lambda_k%d_j%d" % st.quantity
+            rows.append(st.quantity + (
+                st.estimates[-1], st.true_value, st.errors[-1],
+                "exact" if st.true_known else "fitted", st.slope))
+        slopes[name] = st.slope
+        study_rows += [(name, m, est, st.true_value, abs(err)) for m, est, err
+                       in zip(st.M_values, st.estimates, st.errors)]
         _write_csv(os.path.join(args.out, "loglog_%s.csv" % name),
                    "M,log10_M,abs_error,log10_abs_error",
                    [(m, np.log10(m), abs(err), np.log10(abs(err)))
                     for m, err in zip(st.M_values, st.errors)])
+    text = "\n".join([
+        "  k  j      computed          true        error      source  slope",
+        "  -  -  ------------  ------------  -----------  ----------  -----",
+    ] + ["  %d  %d  %12.8f  %12.8f  %+.2e  %10s  %5.2f" % row
+         for row in rows]) + "\n"
+    _write(os.path.join(args.out, "table.txt"), text)
+    _write_csv(os.path.join(args.out, "table.csv"),
+               "k,j,computed,true_value,error,true_known,slope", rows)
+    _write_csv(os.path.join(args.out, "study.csv"),
+               "quantity,M,estimate,true_value,abs_error", study_rows)
+    _write(os.path.join(args.out, "slopes.json"),
+           json.dumps(slopes, indent=2) + "\n")
     print(text, end="")
     return 0
 
@@ -292,8 +304,7 @@ def main(argv=None):
     except (spectral.ExclusionMismatch, stability.AmbiguousNormal) as exc:
         print("error: consistency: %s" % exc, file=sys.stderr)
         return 4
-    except (solver.NonConvergence, solver.CurveCollapse,
-            curve_mod.CurveFileError, asymptotics.NoWell,
+    except (solver.NonConvergence, solver.CurveCollapse, asymptotics.NoWell,
             convergence.DegenerateFit, OSError, ValueError) as exc:
         print("error: runtime: %s" % exc, file=sys.stderr)
         return 2

@@ -126,30 +126,3 @@ def run_study(k_max, m_values=DEFAULT_M, progress=None):
             true_value=true_value, true_known=q in KNOWN_TRUE, slope=slope))
     return studies
 
-
-def quantity_name(quantity):
-    if quantity == "entropy":
-        return "entropy"
-    k, j = quantity
-    return "lambda_k%d_j%d" % (k, j)
-
-
-def table_report(studies):
-    """Eigenvalue table: computed at the finest M, true value, signed error.
-
-    Returns (text, rows).  Each row is (k, j, computed, true_value, error,
-    source, slope), sorted by (k, j); error is computed(finest M) - true
-    and source is "exact" or "fitted".
-    """
-    rows = sorted(((st.quantity[0], st.quantity[1], st.estimates[-1],
-                    st.true_value, st.estimates[-1] - st.true_value,
-                    "exact" if st.true_known else "fitted", st.slope)
-                   for st in studies if st.quantity != "entropy"),
-                  key=lambda row: row[:2])
-    text_lines = [
-        "  k  j      computed          true        error      source  slope",
-        "  -  -  ------------  ------------  -----------  ----------  -----",
-    ]
-    text_lines += ["  %d  %d  %12.8f  %12.8f  %+.2e  %10s  %5.2f" % row
-                   for row in rows]
-    return "\n".join(text_lines) + "\n", rows

@@ -6,8 +6,11 @@ import contextlib
 import fnmatch
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +179,28 @@ def test_malformed_curve_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: runtime:")
+
+
+def test_process_exit_codes(tmp_path):
+    # the real process: cli.entry() and the __main__ guard pass main's
+    # return value on as the exit status
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    cases = [
+        ([], 3, "error: usage:"),
+        (["index", "--points", "18"], 4, "error: consistency:"),
+        (["spectrum", "--curve", str(tmp_path / "missing.csv")], 2,
+         "error: runtime:"),
+        (["solve", "--points", "18", "--out", str(tmp_path / "c.csv")], 0,
+         ""),
+    ]
+    for argv, code, prefix in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "shrinker_index.cli"] + argv, env=env,
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == code, argv
+        assert proc.stderr.startswith(prefix), argv
+        assert bool(proc.stderr) == bool(prefix), argv
+    assert read_curve(str(tmp_path / "c.csv")).M == 18
 
 
 @pytest.mark.parametrize("argv,needle", [
@@ -616,6 +641,19 @@ def test_convergence_outputs(tmp_path, capsys):
     assert (out / "table.txt").read_text().strip()
 
 
+def test_convergence_ignores_points_list_order(tmp_path, capsys):
+    # the table is written in run_study's order, which sorts the resolutions
+    outputs = []
+    for points in ("64,96,128", "128,64,96"):
+        out = tmp_path / points
+        assert main(["convergence", "--points-list", points, "--k-max", "1",
+                     "--out", str(out)]) == 0
+        outputs.append(({p.name: p.read_bytes() for p in out.iterdir()},
+                        capsys.readouterr()))
+    assert len(outputs[0][0]) == 13
+    assert outputs[0] == outputs[1]
+
+
 def test_render_outputs(curve_csv, tmp_path, capsys):
     prefix = tmp_path / "torus"
     rc = main(["render", "--curve", curve_csv, "--k", "1", "--j", "1",
@@ -742,3 +780,32 @@ def test_output_formatting_stays_in_writers():
                      re.M)}
     assert "cli" in formatting
     assert formatting <= {"cli", "curve", "render"}
+
+
+def _is_text_format(node):
+    """A "%" format, f-string or str.format call on a string constant."""
+    if isinstance(node, ast.JoinedStr):
+        return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        target = node.left
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "format"):
+        target = node.func.value
+    else:
+        return False
+    return isinstance(target, ast.Constant) and isinstance(target.value, str)
+
+
+def test_text_formatting_stays_in_writers():
+    # outside the writers a formatted string is only ever an error message
+    package = Path(cli.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in {"cli", "curve", "render"}:
+            continue
+        tree = ast.parse(path.read_text())
+        in_raise = {id(node) for stmt in ast.walk(tree)
+                    if isinstance(stmt, ast.Raise) for node in ast.walk(stmt)}
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if _is_text_format(node) and id(node) not in in_raise]
+    assert found == []

@@ -1,12 +1,13 @@
 """Refinement studies and log-log fitting."""
 
+import json
+
 import numpy as np
 import pytest
 
 from shrinker_index import (Pipeline, cli, convergence, discrete_length,
                             fit_loglog, run_study, solve_geodesic)
-from shrinker_index.convergence import (DegenerateFit, quantity_name,
-                                        table_report)
+from shrinker_index.convergence import DegenerateFit
 
 M_SYNTH = (64, 128, 256, 512)
 
@@ -49,27 +50,22 @@ def test_fit_validation():
         fit_loglog((64, 128, 128), [1.0, 2.0, 3.0])
 
 
-def test_quantity_names():
-    assert quantity_name("entropy") == "entropy"
-    assert quantity_name((2, 3)) == "lambda_k2_j3"
-
-
 def test_small_study_smoke():
     seen = []
     studies = run_study(0, m_values=(64, 128, 256), progress=seen.append)
     assert seen == [64, 128, 256]
     assert len(studies) == 5
-    by_name = {quantity_name(st.quantity): st for st in studies}
+    by_quantity = {st.quantity: st for st in studies}
 
-    lam01 = by_name["lambda_k0_j1"]
+    lam01 = by_quantity[(0, 1)]
     assert lam01.true_known
     assert lam01.true_value == -1.0
 
-    lam00 = by_name["lambda_k0_j0"]
+    lam00 = by_quantity[(0, 0)]
     assert not lam00.true_known
     assert -2.5 < lam00.slope < -1.5
 
-    ent = by_name["entropy"]
+    ent = by_quantity["entropy"]
     assert not ent.true_known
     assert len(ent.estimates) == 3
     assert len(ent.errors) == 3
@@ -130,24 +126,38 @@ def test_fitted_true_values_match_reference(study16):
         assert abs(fitted[q] - ref) < 1e-7, q
 
 
-def test_table_report_round_trip(study16):
-    text, rows = table_report(study16)
+def _cli_study16(study16, out, capsys, monkeypatch):
+    """Run the convergence command on the precomputed 16 studies."""
+    monkeypatch.setattr(convergence, "run_study", lambda *a, **kw: study16)
+    assert cli.main(["convergence", "--points-list", "128,256,512,1024,2048",
+                     "--out", str(out)]) == 0
+    return capsys.readouterr().out
+
+
+def test_table_report_round_trip(study16, tmp_path, capsys, monkeypatch):
+    printed = _cli_study16(study16, tmp_path, capsys, monkeypatch)
+    table = (tmp_path / "table.csv").read_text().strip().split("\n")
+    rows = [row.split(",") for row in table[1:]]
     assert len(rows) == 16
+    assert [(int(r[0]), int(r[1])) for r in rows] == [
+        (k, j) for k in range(4) for j in range(4)]
     row01 = rows[1]
-    assert row01[:2] == (0, 1)
-    assert row01[3] == -1.0
+    assert row01[:2] == ["0", "1"]
+    assert float(row01[3]) == -1.0
     assert row01[5] == "exact"
-    assert abs(row01[2] - row01[3] - row01[4]) < 1e-15
+    assert abs(float(row01[2]) - float(row01[3]) - float(row01[4])) < 1e-15
     assert rows[0][5] == "fitted"
-    # text rendering carries the same 16 rows
+    # the text table carries the same 16 rows and is the one printed
+    text = (tmp_path / "table.txt").read_text()
     assert len(text.strip().split("\n")) == 18
+    assert text == printed
 
 
 def test_flat_csv_formats(study16, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(convergence, "run_study", lambda *a, **kw: study16)
-    assert cli.main(["convergence", "--points-list", "128,256,512,1024,2048",
-                     "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    _cli_study16(study16, tmp_path, capsys, monkeypatch)
+    slopes = json.loads((tmp_path / "slopes.json").read_text())
+    assert list(slopes) == ["lambda_k%d_j%d" % (k, j)
+                            for k in range(4) for j in range(4)]
     flat = (tmp_path / "study.csv").read_text().strip().split("\n")
     assert flat[0] == "quantity,M,estimate,true_value,abs_error"
     assert len(flat) == 1 + 16 * 5
@@ -156,8 +166,7 @@ def test_flat_csv_formats(study16, tmp_path, capsys, monkeypatch):
     assert int(first[1]) == 128
     assert float(first[4]) >= 0.0
 
-    name = quantity_name(study16[0].quantity)
-    ll = (tmp_path / ("loglog_%s.csv" % name)).read_text().strip().split("\n")
+    ll = (tmp_path / "loglog_lambda_k0_j0.csv").read_text().strip().split("\n")
     assert ll[0] == "M,log10_M,abs_error,log10_abs_error"
     assert len(ll) == 6
     row = ll[1].split(",")
