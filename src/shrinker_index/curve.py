@@ -118,16 +118,11 @@ def read_curve(path):
         raise CurveFileError("expected header 'm,r,z' in %s" % path)
     rows = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise CurveFileError("malformed row %r in %s" % (ln, path))
         try:
-            m = int(parts[0])
-            r = float(parts[1])
-            z = float(parts[2])
+            m, r, z = ln.split(",")
+            rows.append((int(m), float(r), float(z)))
         except ValueError as exc:
             raise CurveFileError("malformed row %r in %s" % (ln, path)) from exc
-        rows.append((m, r, z))
     if [m for m, _, _ in rows] != list(range(len(rows))):
         raise CurveFileError("row indices must run 0..M-1 in %s" % path)
     try:

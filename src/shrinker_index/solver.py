@@ -84,21 +84,18 @@ def _check_alive(points):
 
 
 class _State:
-    """One iterate and its `stability._reduce`: the normals, the normal
-    gradient, the bands of the Newton system N^T H N, and the residuals."""
+    """One iterate, averaged with its mirror image, and its
+    `stability._reduce`: the normals, the normal gradient, the bands of the
+    Newton system N^T H N, and the residuals."""
 
     def __init__(self, points):
+        points = 0.5 * (points + curve_mod.mirror_points(points))
         _check_alive(points)
         self.points = points
         self.normals, self.grad_normal, self.diag, self.up, dist = (
             stability._reduce(points))
         self.residual = float(np.max(np.abs(self.grad_normal)))
         self.spacing = float(dist.max() / dist.min() - 1.0)
-
-
-def _mirror_average(points):
-    """Points averaged with their mirror image: exactly mirror-symmetric."""
-    return 0.5 * (points + curve_mod.mirror_points(points))
 
 
 def solve_geodesic(m):
@@ -120,30 +117,30 @@ def solve_geodesic(m):
     levels = [m]
     while levels[-1] > COARSE_M:
         levels.append((levels[-1] + 1) // 2)
-    crv = curve_mod.DiscreteCurve(seed_circle(levels[-1]))
+    points = seed_circle(levels[-1])
     for level in reversed(levels):
-        crv = _polish(curve_mod._resample_points(crv.points, level))
-    return crv
+        points = _polish(points, level)
+    return curve_mod.DiscreteCurve(points)
 
 
-def _polish(points):
-    """Damped Newton iteration from points to a canonical solved curve.
+def _polish(points, m):
+    """Damped Newton iteration from points resampled to m; returns the
+    points of a canonical solved curve.
 
-    Every iterate is averaged with its mirror image before it is
-    evaluated, so the tolerances are met by a curve whose point -m mod M
-    is (r_m, -z_m) bitwise, as the symmetry-reduced spectra need.  q_0 of
-    points must be the outer axis point with the curve rising after it, as
-    on the seed and every resampled level; the average (z_0 = 0) and the
-    resampling anchor at q_0 keep it so.
+    The first iterate and every line-search trial are resampled to m, and
+    `_State` averages each with its mirror image, so the tolerances are met
+    by points whose row -m mod M is (r_m, -z_m) bitwise, as the
+    symmetry-reduced spectra need.  q_0 of points must be the outer axis
+    point with the curve rising after it, as on the seed and every solved
+    level; the average (z_0 = 0) and the resampling anchor at q_0 keep it so.
     """
-    m = len(points)
     i = np.arange(m)
     j = (i + 1) % m
     rows, cols = np.concatenate([i, i, j]), np.concatenate([i, j, i])
-    state = _State(_mirror_average(points))
+    state = _State(curve_mod._resample_points(points, m))
     for _ in range(MAX_ITERS):
         if state.residual <= GRAD_TOL and state.spacing <= SPACING_TOL:
-            return curve_mod.DiscreteCurve(state.points)
+            return state.points
         newton = scipy.sparse.csc_matrix(
             (np.concatenate([state.diag, state.up, state.up]), (rows, cols)),
             shape=(m, m))
@@ -152,8 +149,7 @@ def _polish(points):
             trial = state.points + step * delta[:, None] * state.normals
             try:
                 _check_alive(trial)
-                trial_state = _State(_mirror_average(
-                    curve_mod._resample_points(trial, m)))
+                trial_state = _State(curve_mod._resample_points(trial, m))
             except CurveCollapse:
                 continue
             if trial_state.residual < state.residual:

@@ -85,13 +85,14 @@ def _cyclic_solve(diag, up, shifts, rhs):
     """Solve (A - shift I) x = rhs for each row of rhs, extended precision.
 
     Thomas elimination plus a Sherman-Morrison correction for the cyclic
-    corner; near-zero pivots are bumped (the shifts sit on eigenvalues, so
-    the systems are deliberately near singular and the solutions are only
-    used as inverse-iteration directions).  rhs is (..., M) with one shift
-    per row, and diag has one axis per axis of rhs.  The sweep runs with
-    the M axis leading, so each of its Python steps touches one contiguous
-    row of every pair; the result comes back C-contiguous and pair-leading,
-    which the callers' reductions sum over in a fixed order.
+    corner.  The shifts sit on eigenvalues, so the systems are deliberately
+    near singular and only give inverse-iteration directions.  Pivots are
+    bumped off zero after the forward sweep, which guards only the back
+    substitution: an exact zero pivot inside the sweep makes the row all NaN.
+    rhs is (..., M) with one shift per row, and diag has one axis per axis of
+    rhs.  The sweep runs with the M axis leading, so each Python step touches
+    one contiguous row of every pair; the result comes back C-contiguous and
+    pair-leading, which the callers' reductions sum over in a fixed order.
     """
     ld = np.longdouble
     m = rhs.shape[-1]
@@ -165,7 +166,6 @@ def _refine_pairs(diag, up, vecs):
         trial = _cyclic_solve(diag_ld, up_ld, shifts, work)
         norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
         good = np.isfinite(norms) & (norms > 0.0)
-        good &= np.all(np.isfinite(trial), axis=-1)
         trial /= norms[..., None]
         trial[~good] = work[~good]
         work = trial

@@ -17,7 +17,7 @@ FD_SURVEY_COUNT = 1000
 
 
 class Pipeline:
-    """Per-M memo of shrinker_index.Pipeline, with a prefix cache of modes."""
+    """Per-M memo of shrinker_index.Pipeline, and of its modes per count."""
 
     def __init__(self):
         self._pipes = {}
@@ -41,11 +41,11 @@ class Pipeline:
         return assemble_Lk(self.L0(m), self.curve(m), k)
 
     def modes(self, m, k, count):
-        key = (m, k)
-        cached = self._modes.get(key)
-        if cached is None or len(cached) < count:
+        # a pair can depend on count, so a scan serves only its own count
+        key = (m, k, count)
+        if key not in self._modes:
             self._modes[key] = self._pipe(m).scan([k], count)
-        return self._modes[key][:count]
+        return self._modes[key]
 
     def eigenvalues(self, m, k, count):
         return np.array([md.eigenvalue for md in self.modes(m, k, count)])

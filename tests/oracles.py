@@ -237,7 +237,9 @@ def cyclic_solve_pair_leading(diag, up, shifts, rhs):
     The same Thomas elimination and Sherman-Morrison corner, with the same
     operations in the same order, but indexed [..., row, :] on pair-leading
     arrays; the production sweep runs with the M axis leading instead and
-    must agree with this bit for bit.
+    must agree with this bit for bit.  As there, pivots are bumped only
+    after the forward sweep, so an exact zero pivot inside it gives an
+    all-NaN row.
     """
     ld = np.longdouble
     m = rhs.shape[-1]

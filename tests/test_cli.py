@@ -708,6 +708,27 @@ def test_failed_render_writes_no_file(curve_csv, tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_render_out_of_memory_is_a_runtime_error(curve_csv, tmp_path,
+                                                 capsys, monkeypatch):
+    # numpy raises a MemoryError subclass when an allocation it accepted
+    # fails; that is one runtime line, not a traceback.  No test allocates
+    # for real: the OBJ builder is replaced by one that raises
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(cli.render, "obj_surface", out_of_memory)
+    out = tmp_path / "d"
+    out.mkdir()
+    rc = main(["render", "--curve", curve_csv, "--ntheta", "96",
+               "--out", str(out / "p")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        "error: runtime: Unable to allocate 64.0 GiB for an array\n")
+    assert captured.out == ""
+    assert not any(out.iterdir())
+
+
 def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):
     # floats keep every bit, other cells are written with str
     path = tmp_path / "cells.csv"

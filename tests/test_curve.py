@@ -103,18 +103,22 @@ def test_read_curve_errors(tmp_path):
     with pytest.raises(CurveFileError):
         read_curve(path)
 
-    path.write_text("m,r,z\n0,1.0\n")
-    with pytest.raises(CurveFileError):
-        read_curve(path)
-
-    path.write_text("m,r,z\n0,1.0,0.0\n1,not_a_number,0.1\n2,1.0,0.2\n")
-    with pytest.raises(CurveFileError):
-        read_curve(path)
+    # a wrong field count and a bad number give the same message
+    for body, row in [("0,1.0\n", "0,1.0"),
+                      ("0,1.0,0.0,7\n", "0,1.0,0.0,7"),
+                      ("0,1.0,0.0\n1.5,1.0,0.1\n", "1.5,1.0,0.1"),
+                      ("0,1.0,0.0\n1,not_a_number,0.1\n2,1.0,0.2\n",
+                       "1,not_a_number,0.1")]:
+        path.write_text("m,r,z\n" + body)
+        with pytest.raises(CurveFileError) as err:
+            read_curve(path)
+        assert str(err.value) == "malformed row %r in %s" % (row, path)
 
     # indices must run 0..M-1 in order
     path.write_text("m,r,z\n0,1.0,0.0\n2,1.1,0.1\n1,1.0,0.2\n")
-    with pytest.raises(CurveFileError):
+    with pytest.raises(CurveFileError) as err:
         read_curve(path)
+    assert str(err.value) == "row indices must run 0..M-1 in %s" % path
 
     # structurally valid file holding an invalid curve (r <= 0)
     path.write_text("m,r,z\n0,1.0,0.0\n1,-1.0,0.1\n2,1.0,0.2\n")

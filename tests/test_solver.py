@@ -14,7 +14,6 @@ from shrinker_index import (DiscreteCurve, compute_index, discrete_length,
                             solve_geodesic)
 from shrinker_index import solver
 from oracles import resample_uniform, spacing_deviation
-from shrinker_index.curve import _resample_points
 from shrinker_index.metric import segment_blocks
 from shrinker_index.solver import CurveCollapse, NonConvergence
 
@@ -153,8 +152,8 @@ def test_index_at_8192(pipe):
 
 def test_ladder_levels_are_polished_resamplings(pipe):
     # 2048 climbs 512 -> 1024 -> 2048, so its last step is this polish
-    up = _resample_points(pipe.curve(1024).points, 2048)
-    assert np.array_equal(solver._polish(up).points, pipe.curve(2048).points)
+    assert np.array_equal(solver._polish(pipe.curve(1024).points, 2048),
+                          pipe.curve(2048).points)
 
 
 def _private_uses(path, modules):

@@ -21,7 +21,7 @@ from shrinker_index import (Pipeline, StabilityMatrix, assemble_L0,
                             spectrum, write_curve)
 from shrinker_index import cli, solver, spectral, stability
 from oracles import reflect_z
-from shrinker_index.curve import DiscreteCurve, _resample_points
+from shrinker_index.curve import DiscreteCurve
 from shrinker_index.metric import sigma
 from shrinker_index.spectral import ExclusionMismatch, classify_modes
 
@@ -59,6 +59,32 @@ def test_polish_solves_once_per_spectrum(pipe, monkeypatch):
     monkeypatch.setattr(spectral, "_cyclic_solve", counted)
     spectrum([pipe.Lk(256, k) for k in range(3)], 8)
     assert shapes == [(3, 8, 256)]
+
+
+def test_polish_keeps_lapack_vector_of_a_failed_solve(pipe, monkeypatch):
+    # an exact zero pivot inside the forward sweep turns a pair's whole
+    # solve row NaN; that pair keeps its LAPACK vector and the others are
+    # untouched
+    a = pipe.Lk(256, 0)
+    clean = spectrum([a], 8)
+    original = spectral._cyclic_solve
+
+    def nan_row_1(diag, up, shifts, rhs):
+        out = original(diag, up, shifts, rhs)
+        out[..., 1, :] = np.nan
+        return out
+
+    monkeypatch.setattr(spectral, "_cyclic_solve", nan_row_1)
+    kept = spectrum([a], 8)
+    fallback = kept[1]
+    assert np.all(np.isfinite(fallback.vector))
+    assert abs(np.linalg.norm(fallback.vector) - 1.0) <= 1e-12
+    assert fallback.residual <= 1e-10
+    assert abs(fallback.eigenvalue - clean[1].eigenvalue) <= 1e-9
+    for j in (0, 2, 3, 4, 5, 6, 7):
+        assert kept[j].eigenvalue == clean[j].eigenvalue
+        assert kept[j].residual == clean[j].residual
+        assert np.array_equal(kept[j].vector, clean[j].vector)
 
 
 def test_modes_sorted_normalized_canonical(pipe):
@@ -222,7 +248,7 @@ def test_pipeline_refuses_normals_that_do_not_mirror():
     # at M = 12 the normal picked at the two axis points is the tangent,
     # which the reflection reverses, so -L_k does not split into halves
     # solve_geodesic refuses M < 18, so polish the 12-point seed directly
-    crv = solver._polish(_resample_points(solver.seed_circle(12), 12))
+    crv = DiscreteCurve(solver._polish(solver.seed_circle(12), 12))
     with pytest.raises(ExclusionMismatch, match="normal at point"):
         Pipeline(crv)
 
