@@ -14,8 +14,8 @@ from .metric import segment_distance, sigma
 from .solver import CurveCollapse, NonConvergence, solve_geodesic
 from .stability import (AmbiguousNormal, StabilityMatrix, assemble_L0,
                         assemble_Lk, normal_field)
-from .spectral import (EigenMode, ExclusionMismatch, IndexReport, Pipeline,
-                       compute_index, spectrum)
+from .spectral import (EigenMode, ExclusionMismatch, IndexReport,
+                       NarrowLongDouble, Pipeline, compute_index, spectrum)
 from .convergence import (ConvergenceStudy, DegenerateFit, fit_loglog,
                           run_study)
 from .asymptotics import (NoWell, SchrodingerProfile, drift_diagnostic,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousNormal", "ConvergenceStudy", "CurveCollapse", "DegenerateFit",
     "DiscreteCurve", "EigenMode", "ExclusionMismatch", "IndexReport",
-    "NoWell", "NonConvergence", "Pipeline",
+    "NarrowLongDouble", "NoWell", "NonConvergence", "Pipeline",
     "SchrodingerProfile", "StabilityMatrix", "assemble_L0",
     "assemble_Lk", "compute_index", "discrete_length",
     "drift_diagnostic", "fit_loglog", "high_j_estimate", "high_k_estimate",

@@ -2,9 +2,9 @@
 
 Subcommands: solve, spectrum, index, convergence, asymptotics, render.
 Exit codes: 0 success, 2 runtime failure (no convergence, bad input file,
-out of memory), 3 bad arguments, 4 consistency failure (an input curve that
-is not exactly mirror-symmetric, or whose spectrum does not carry the
-expected near-kernel modes).
+out of memory, a long double too narrow for the polish), 3 bad arguments,
+4 consistency failure (an input curve that is not exactly mirror-symmetric,
+or whose spectrum does not carry the expected near-kernel modes).
 Errors are reported as a single line on stderr with a machine-parseable
 prefix: "error: usage:", "error: runtime:" or "error: consistency:".
 """
@@ -305,7 +305,8 @@ def main(argv=None):
         print("error: consistency: %s" % exc, file=sys.stderr)
         return 4
     except (solver.NonConvergence, solver.CurveCollapse, MemoryError, OSError,
-            asymptotics.NoWell, convergence.DegenerateFit, ValueError) as exc:
+            asymptotics.NoWell, convergence.DegenerateFit,
+            spectral.NarrowLongDouble, ValueError) as exc:
         print("error: runtime: %s" % exc, file=sys.stderr)
         return 2
 

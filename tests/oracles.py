@@ -14,13 +14,17 @@ one line or one point at a time, whose bytes the production writers must
 reproduce exactly.  Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one
 segment, the 2x2 point block at one point, the mirror image of a curve, the
-spacing deviation of a curve and its resampling to another point count.
+spacing deviation of a curve and its resampling to another point count,
+and a record of the pairs each LAPACK tridiagonal eigensolve is asked for.
 """
 
+import contextlib
 import dataclasses
 
 import mpmath as mp
 import numpy as np
+import pytest
+import scipy.linalg
 
 from shrinker_index import (DiscreteCurve, StabilityMatrix, discrete_length,
                             sigma)
@@ -229,6 +233,21 @@ def dense(matrix):
     a[i, j] = matrix.up
     a[j, i] = matrix.up
     return a
+
+
+@contextlib.contextmanager
+def lapack_requests():
+    """(rows, select_range) of each scipy.linalg.eigh_tridiagonal call made
+    inside the block, in call order; the function is restored after it."""
+    requests = []
+    original = scipy.linalg.eigh_tridiagonal
+
+    def recorded(d, e, **kwargs):
+        requests.append((len(d), kwargs["select_range"]))
+        return original(d, e, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+        yield requests
 
 
 def cyclic_solve_pair_leading(diag, up, shifts, rhs):

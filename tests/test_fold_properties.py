@@ -58,3 +58,42 @@ def test_halves_bisection_count_matches_dense(a, cut):
         d, e, select="v", select_range=(-np.inf, cut)))
         for d, e in spectral._halves(a))
     assert n == int(np.count_nonzero(lam < cut))
+
+
+@st.composite
+def tied_diagonal_bands(draw):
+    """A diagonal mirror band of small integers: every value of the odd
+    half is also a value of the even half, bit for bit."""
+    m = draw(st.integers(18, 300))
+    d = draw(arrays(float, m // 2 + 1, elements=st.integers(-3, 3)))
+    idx = np.arange(m)
+    return StabilityMatrix(k=0, diag=d[np.minimum(idx, m - idx)],
+                           up=np.zeros(m))
+
+
+@_SETTINGS
+@given(data=st.data(), a=tied_diagonal_bands())
+def test_folded_pairs_widen_a_half_that_holds_more(data, a):
+    # each half is first asked for count // 2 + 2 pairs.  By interlacing a
+    # half holds more of the lowest count only where values of the two
+    # halves tie at the cut, as they do here exactly; the merge takes the
+    # even copy of a tie first, so at such a count it keeps every pair the
+    # even half returned and must ask that half again
+    halves = spectral._halves(a)
+    rows = [len(d) for d, _ in halves]
+    lam = np.concatenate([np.sort(d) for d, _ in halves])
+    from_even = np.cumsum(np.argsort(lam, kind="stable") < rows[0])
+    wide = [count for count in range(5, a.M)
+            if count // 2 + 2 < min(from_even[count - 1], rows[0])]
+    assume(wide)
+    count = data.draw(st.sampled_from(wide), label="count")
+    with oracles.lapack_requests() as requests:
+        rows_out = spectral._folded_pairs(a, count)
+    first = [(n, (0, min(count // 2 + 2, n) - 1)) for n in rows]
+    assert requests == first + [(rows[0], (0, min(count, rows[0]) - 1))]
+    dense = oracles.dense(a)
+    vals = np.einsum("jm,jm->j", rows_out, rows_out @ dense)
+    assert np.allclose(vals, scipy.linalg.eigvalsh(dense)[:count],
+                       rtol=0, atol=1e-11)
+    assert np.allclose(rows_out @ rows_out.T, np.eye(count), rtol=0,
+                       atol=1e-11)

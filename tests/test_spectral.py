@@ -163,6 +163,50 @@ def test_batched_spectrum_refuses_mixed_operators(pipe):
         spectrum([a, foreign], 4)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_drift_spectrum_asks_each_half_for_half_the_pairs(pipe, k):
+    # stein's cost grows about quadratically with the pairs it is asked
+    # for, and the merge keeps about half of each half's: 201 modes ask
+    # each half for 201 // 2 + 2 = 102 pairs, once
+    with oracles.lapack_requests() as requests:
+        spectrum([pipe.Lk(2048, k)], 201)
+    assert requests == [(1025, (0, 101)), (1023, (0, 101))]
+
+
+def test_solved_curves_never_widen(pipe):
+    # the values of the torus's two mirror halves do not tie at the cut,
+    # so neither half gives the merge all it returned and none is asked
+    # twice
+    for m in (64, 257):
+        for k in range(4):
+            a = pipe.Lk(m, k)
+            rows = [len(d) for d, _ in spectral._halves(a)]
+            for count in range(5, 64):
+                with oracles.lapack_requests() as requests:
+                    spectral._folded_pairs(a, count)
+                assert requests == [(n, (0, min(count // 2 + 2, n) - 1))
+                                    for n in rows]
+
+
+def test_spectrum_refuses_narrow_long_double(pipe, monkeypatch, tmp_path,
+                                             capsys):
+    # where long double is float64 (Windows, macOS arm64) the polish cannot
+    # reach its residuals, so spectrum refuses before any work
+    monkeypatch.setattr(spectral, "LONGDOUBLE_BITS", 52)
+    with pytest.raises(spectral.NarrowLongDouble,
+                       match="63 mantissa bits, and numpy's has 52 here"):
+        spectrum([pipe.L0(64)], 4)
+    curve = tmp_path / "curve64.csv"
+    write_curve(pipe.curve(64), str(curve))
+    out = tmp_path / "f.json"
+    assert cli.main(["spectrum", "--curve", str(curve),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: runtime: ") and err.count("\n") == 1
+    assert "52" in err and "63" in err
+    assert not out.exists()
+
+
 _SPECTRA_SCRIPT = """
 import sys
 import numpy as np
