@@ -27,7 +27,8 @@ independent checks on the computed spectra:
 
 Derivatives in s are taken as central differences in the equal-increment
 parameter t (dt = l / M) through d/ds = sigma d/dt; the curve must be a
-solved geodesic for that identification to hold.
+solved geodesic for that identification to hold, which the CLI checks
+through `spectral.Pipeline`.
 """
 
 import dataclasses

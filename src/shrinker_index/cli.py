@@ -3,8 +3,8 @@
 Subcommands: solve, spectrum, index, convergence, asymptotics, render.
 Exit codes: 0 success, 2 runtime failure (no convergence, bad input file,
 out of memory, a long double too narrow for the polish), 3 bad arguments,
-4 consistency failure (an input curve that is not exactly mirror-symmetric,
-or whose spectrum does not carry the expected near-kernel modes).
+4 consistency failure (an input curve that is not exactly mirror-symmetric
+or not a solved geodesic, or whose spectrum lacks the expected modes).
 Errors are reported as a single line on stderr with a machine-parseable
 prefix: "error: usage:", "error: runtime:" or "error: consistency:".
 """

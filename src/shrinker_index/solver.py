@@ -3,8 +3,9 @@
 The solved curve satisfies two conditions simultaneously:
 
   * the gradient of the discrete weighted length, projected on the point
-    normals, vanishes (max |n_m . grad_m| <= GRAD_TOL), and
-  * consecutive segment distances are equal (max/min - 1 <= SPACING_TOL).
+    normals, vanishes (max |n_m . grad_m| <= stability.GRAD_TOL), and
+  * consecutive segment distances are equal (max/min - 1 <=
+    stability.SPACING_TOL): the `solved` test of a `stability.Evaluation`.
 
 Only the normal projection of the gradient is driven to zero.  The
 tangential component of an equally spaced critical polygon is O(h^3) and
@@ -29,8 +30,9 @@ with no step that reorders points: q_0 is the outer axis point and the
 curve rises after it, since the seed starts at angle 0 counterclockwise,
 each resampling is anchored at its input's q_0 and the mirror average
 sets z_0 = 0.  The point count M is the only input: the seed
-(SEED_CENTER, SEED_RADIUS), the tolerances, the iteration cap per level
-(MAX_ITERS) and COARSE_M are module constants, read at call time.
+(SEED_CENTER, SEED_RADIUS), the iteration cap per level (MAX_ITERS) and
+COARSE_M are module constants, read at call time, as are the tolerances
+in `stability`.
 """
 
 import math
@@ -42,10 +44,6 @@ from . import curve as curve_mod
 from . import metric
 from . import stability
 
-#: Largest accepted max/min - 1 of the segment distances of a solved curve.
-SPACING_TOL = 1e-8
-#: Largest accepted normal component of the length gradient of a solved curve.
-GRAD_TOL = 1e-10
 #: Newton iterations allowed before NonConvergence.
 MAX_ITERS = 200
 #: Center and radius of the seed circle.
@@ -83,19 +81,11 @@ def _check_alive(points):
                             % len(points))
 
 
-class _State:
-    """One iterate, averaged with its mirror image, and its
-    `stability._reduce`: the normals, the normal gradient, the bands of the
-    Newton system N^T H N, and the residuals."""
-
-    def __init__(self, points):
-        points = 0.5 * (points + curve_mod.mirror_points(points))
-        _check_alive(points)
-        self.points = points
-        self.normals, self.grad_normal, self.diag, self.up, dist = (
-            stability._reduce(points))
-        self.residual = float(np.max(np.abs(self.grad_normal)))
-        self.spacing = float(dist.max() / dist.min() - 1.0)
+def _state(points):
+    """The `stability.Evaluation` of one iterate, mirror-averaged."""
+    points = 0.5 * (points + curve_mod.mirror_points(points))
+    _check_alive(points)
+    return stability.Evaluation(points)
 
 
 def solve_geodesic(m):
@@ -105,11 +95,11 @@ def solve_geodesic(m):
     as the seed, the resampling anchor and the mirror average leave it.
 
     Raises ValueError below 18 points, where the normal picked at the two
-    axis points is the tangent, so GRAD_TOL there would bound the gradient
-    along the curve and the returned curve would not be critical.  Raises
-    NonConvergence if a ladder level does not meet the tolerances within
-    MAX_ITERS and CurveCollapse if an iterate degenerates; both messages
-    name the level's point count.
+    axis points is the tangent, so stability.GRAD_TOL there would bound the
+    gradient along the curve and the returned curve would not be critical.
+    Raises NonConvergence if a ladder level does not meet the tolerances
+    within MAX_ITERS and CurveCollapse if an iterate degenerates; both
+    messages name the level's point count.
     Deterministic: the same m gives a bitwise identical curve.
     """
     if m < 18:
@@ -128,7 +118,7 @@ def _polish(points, m):
     points of a canonical solved curve.
 
     The first iterate and every line-search trial are resampled to m, and
-    `_State` averages each with its mirror image, so the tolerances are met
+    `_state` averages each with its mirror image, so the tolerances are met
     by points whose row -m mod M is (r_m, -z_m) bitwise, as the
     symmetry-reduced spectra need.  q_0 of points must be the outer axis
     point with the curve rising after it, as on the seed and every solved
@@ -137,9 +127,9 @@ def _polish(points, m):
     i = np.arange(m)
     j = (i + 1) % m
     rows, cols = np.concatenate([i, i, j]), np.concatenate([i, j, i])
-    state = _State(curve_mod._resample_points(points, m))
+    state = _state(curve_mod._resample_points(points, m))
     for _ in range(MAX_ITERS):
-        if state.residual <= GRAD_TOL and state.spacing <= SPACING_TOL:
+        if state.solved:
             return state.points
         newton = scipy.sparse.csc_matrix(
             (np.concatenate([state.diag, state.up, state.up]), (rows, cols)),
@@ -149,7 +139,7 @@ def _polish(points, m):
             trial = state.points + step * delta[:, None] * state.normals
             try:
                 _check_alive(trial)
-                trial_state = _State(curve_mod._resample_points(trial, m))
+                trial_state = _state(curve_mod._resample_points(trial, m))
             except CurveCollapse:
                 continue
             if trial_state.residual < state.residual:

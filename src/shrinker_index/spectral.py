@@ -54,8 +54,8 @@ LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant
 
 
 class ExclusionMismatch(RuntimeError):
-    """Raised when a curve is not mirror-symmetric or lacks the expected
-    dilation/translation modes."""
+    """Raised when a curve is not mirror-symmetric, is not a solved geodesic
+    or lacks the expected dilation/translation modes."""
 
 
 class NarrowLongDouble(RuntimeError):
@@ -363,14 +363,16 @@ def classify_modes(modes, curve, normals):
 class Pipeline:
     """One solved curve's chain: normals and -L_0, then `scan` for modes.
 
-    The curve must be its own mirror image bit for bit (point -m mod M is
+    The normals and -L_0 come from one `stability.Evaluation`.  The curve
+    must be its own mirror image bit for bit (point -m mod M is
     (r_m, -z_m), as `solve_geodesic` returns it), and so must the sides
     its normals point to, because the spectra are taken on the mirror
     halves of -L_k; any other curve raises ExclusionMismatch naming the
     largest mismatch.  The normals fail this on a curve of fewer than 18
     points, such as one read from a file, where the larger eigenvector of
     the point block at the axis points is the tangent; `solve_geodesic`
-    refuses such M.
+    refuses such M.  The index is defined at a critical point only, so a
+    curve that fails the evaluation's `solved` test raises it too.
     """
 
     def __init__(self, curve):
@@ -380,16 +382,21 @@ class Pipeline:
             raise ExclusionMismatch(
                 "curve is not mirror-symmetric: point %d is off the mirror "
                 "image of point %d by %.3e" % (m, -m % curve.M, gap[m].max()))
-        self.curve = curve
-        self.normals = stability.normal_field(curve)
-        facing = np.einsum("mi,mi->m", self.normals,
-                           curve_mod.mirror_points(self.normals))
+        ev = stability.Evaluation(curve.points)
+        facing = np.einsum("mi,mi->m", ev.normals,
+                           curve_mod.mirror_points(ev.normals))
         if facing.min() <= 0.0:
             m = int(np.argmin(facing))
             raise ExclusionMismatch(
                 "the normal at point %d is not the mirror image of the "
                 "normal at point %d" % (m, -m % curve.M))
-        self.L0 = stability.assemble_L0(curve)
+        if not ev.solved:
+            raise ExclusionMismatch(
+                "curve is not a solved geodesic: normal gradient %.3e "
+                "(tolerance %g), spacing %.3e (tolerance %g)"
+                % (ev.residual, stability.GRAD_TOL, ev.spacing,
+                   stability.SPACING_TOL))
+        self.curve, self.normals, self.L0 = curve, ev.normals, ev.L0
 
     def scan(self, ks, count):
         """Lowest `count` eigenpairs of -L_k for each k in ks, labelled.
@@ -431,10 +438,10 @@ def compute_index(curve):
     counted with multiplicity.  The rotation mode (k = 1) is exactly 0 in
     the continuum, so it is never counted, whatever the sign of its
     discrete value.  Raises ExclusionMismatch for a curve that is not
-    exactly mirror-symmetric (see Pipeline), and unless exactly one
-    negative dilation mode (k = 0), one negative vertical translation
-    (k = 0) and one negative horizontal translation (k = 1, multiplicity
-    2) are found.
+    exactly mirror-symmetric or not a solved geodesic (see Pipeline), and
+    unless exactly one negative dilation mode (k = 0), one negative
+    vertical translation (k = 0) and one negative horizontal translation
+    (k = 1, multiplicity 2) are found.
     """
     pipe = Pipeline(curve)
     count = 0

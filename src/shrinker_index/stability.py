@@ -19,9 +19,10 @@ The normal at a point is read off the 2x2 point block
     H_m = h_bb(q_{m-1}, q_m) + h_aa(q_m, q_{m+1})
 
 as the eigenvector of the larger eigenvalue, oriented outward (away from
-the curve centroid).  normal_field returns them as an (M, 2) array;
-_reduce reads them, the normal gradient and the unscaled bands of N^T H N
-off the same blocks, for assemble_L0 and the solver's Newton step.
+the curve centroid).  normal_field returns them as an (M, 2) array; one
+Evaluation reads them, the normal gradient, the bands of N^T H N and -L_0
+off the same blocks, for the solver and the spectra, and its `solved` test
+is the one definition of a solved geodesic.
 The normal direction is stiff (the |b - a|^{-1} projector term
 dominates), so the two eigenvalues are well separated and the
 eigenvector is stable even far from the solved curve.
@@ -36,6 +37,10 @@ from . import metric
 #: Below this eigenvalue gap of the 2x2 point block the normal direction is
 #: not meaningfully defined.
 NORMAL_GAP_CUTOFF = 1e-12
+#: Largest max/min - 1 of the segment distances of a solved curve.
+SPACING_TOL = 1e-8
+#: Largest normal component of the length gradient of a solved curve.
+GRAD_TOL = 1e-10
 
 
 class AmbiguousNormal(RuntimeError):
@@ -93,32 +98,39 @@ def normal_field(curve):
     return _normals(h_m, curve.points)
 
 
-def _reduce(points):
-    """Normals n_m, normal gradient n_m . grad_m, the unscaled bands (diag,
-    up) of N^T H N and the segment distances, from one evaluation of the
-    point blocks."""
-    h_m, blocks = _point_blocks(points)
-    n = _normals(h_m, points)
-    n_next = np.roll(n, -1, axis=0)
-    grad = blocks["grad_a"] + np.roll(blocks["grad_b"], 1, axis=0)
-    d_a = np.einsum("mi,mij,mj->m", n, blocks["h_aa"], n)
-    d_b = np.einsum("mi,mij,mj->m", n_next, blocks["h_bb"], n_next)
-    up = np.einsum("mi,mij,mj->m", n, blocks["h_ab"], n_next)
-    return (n, np.einsum("mi,mi->m", n, grad), d_a + np.roll(d_b, 1), up,
-            blocks["dist"])
+class Evaluation:
+    """The point blocks of `points`, shape (M, 2), evaluated once: the
+    outward normals, grad_normal = n_m . grad_m, the unscaled bands diag
+    and up of N^T H N (each segment's 2x2 endpoint blocks reduced through
+    the normals; no 2M x 2M Hessian is built), residual = max |grad_normal|,
+    spacing = max/min - 1 of the segment distances, and L0 = -L_0, the
+    bands scaled by M / l; `solved` tests both tolerances."""
+
+    def __init__(self, points):
+        h_m, blocks = _point_blocks(points)
+        self.points = points
+        self.normals = n = _normals(h_m, points)
+        n_next = np.roll(n, -1, axis=0)
+        grad = blocks["grad_a"] + np.roll(blocks["grad_b"], 1, axis=0)
+        d_b = np.einsum("mi,mij,mj->m", n_next, blocks["h_bb"], n_next)
+        self.grad_normal = np.einsum("mi,mi->m", n, grad)
+        self.diag = (np.einsum("mi,mij,mj->m", n, blocks["h_aa"], n)
+                     + np.roll(d_b, 1))
+        self.up = np.einsum("mi,mij,mj->m", n, blocks["h_ab"], n_next)
+        self.residual = float(np.max(np.abs(self.grad_normal)))
+        dist = blocks["dist"]
+        self.spacing = float(dist.max() / dist.min() - 1.0)
+        scale = len(points) / dist.sum()
+        self.L0 = StabilityMatrix(0, scale * self.diag, scale * self.up)
+
+    @property
+    def solved(self):
+        return self.residual <= GRAD_TOL and self.spacing <= SPACING_TOL
 
 
 def assemble_L0(curve):
-    """-L_0 = (M / l) N^T H N: the bands of `_reduce`, scaled.
-
-    The normals are those of normal_field, read off the same point blocks.
-    Never materializes the 2M x 2M Hessian: each segment contributes its
-    four 2x2 endpoint blocks, reduced through the normals, to the diagonal
-    and the first cyclic off-diagonals.
-    """
-    _, _, diag, up, dist = _reduce(curve.points)
-    scale = curve.M / dist.sum()
-    return StabilityMatrix(k=0, diag=scale * diag, up=scale * up)
+    """-L_0 = (M / l) N^T H N of a curve, from its Evaluation."""
+    return Evaluation(curve.points).L0
 
 
 def assemble_Lk(L0, curve, k):

@@ -19,7 +19,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shrinker_index import (DiscreteCurve, Pipeline, cli, drift_diagnostic,
-                            potential_profile, read_curve, write_curve)
+                            potential_profile, read_curve, stability,
+                            write_curve)
 from shrinker_index.cli import main
 from shrinker_index.render import obj_surface, svg_cross_section
 
@@ -140,7 +141,8 @@ def test_index_rejects_asymmetric_curve(curve_csv, tmp_path, capsys,
     rc = main(["index", "--curve", str(path)])
     captured = capsys.readouterr()
     assert rc == 4
-    assert captured.err.startswith("error: consistency:")
+    assert captured.err.startswith(
+        "error: consistency: curve is not mirror-symmetric:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -161,7 +163,41 @@ def test_asymmetric_curve_refused_before_any_output(curve_csv, tmp_path,
               + [a.format(out=out) for a in argv[1:]])
     captured = capsys.readouterr()
     assert rc == 4
-    assert captured.err.startswith("error: consistency:")
+    assert captured.err.startswith(
+        "error: consistency: curve is not mirror-symmetric:")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale", [1.003, 1.005])
+@pytest.mark.parametrize("argv", [
+    ["index", "--out", "{out}/index.json"],
+    ["spectrum", "--out", "{out}/spec.json", "--csv", "{out}/spec.csv"],
+    ["asymptotics", "--out", "{out}/asy"],
+    ["render", "--j", "1", "--out", "{out}/r"],
+])
+def test_unsolved_curve_refused_before_any_output(pipe, tmp_path, capsys,
+                                                  argv, scale):
+    # a solved curve scaled by 1.003 or 1.005 is still its own mirror image
+    # bit for bit, and its normals mirror, but it is not critical: every
+    # command that takes spectra refuses it in one line that names both
+    # residuals and both tolerances, before it writes a file or makes a
+    # directory
+    path = tmp_path / "scaled.csv"
+    write_curve(DiscreteCurve(scale * pipe.curve(512).points), path)
+    ev = stability.Evaluation(read_curve(path).points)
+    assert ev.residual > 1e-5 and ev.spacing > 1e-2
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(argv[:1] + ["--curve", str(path)]
+              + [a.format(out=out) for a in argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 4
+    (line,) = err.splitlines()
+    assert line.startswith(
+        "error: consistency: curve is not a solved geodesic")
+    for number in ("%.3e" % ev.residual, "%.3e" % ev.spacing, "1e-10",
+                   "1e-08"):
+        assert number in line
     assert list(out.iterdir()) == []
 
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shrinker_index import (DiscreteCurve, compute_index, discrete_length,
-                            solve_geodesic)
-from shrinker_index import solver
+from shrinker_index import (DiscreteCurve, Pipeline, compute_index,
+                            discrete_length, solve_geodesic)
+from shrinker_index import solver, stability
 from oracles import resample_uniform, spacing_deviation
 from shrinker_index.metric import segment_blocks
 from shrinker_index.solver import CurveCollapse, NonConvergence
@@ -52,9 +52,9 @@ def test_solution_is_mirror_symmetric(pipe, m):
     mirror = -np.arange(m) % m
     assert np.array_equal(crv.r[mirror], crv.r)
     assert np.array_equal(crv.z[mirror], -crv.z)
-    state = solver._State(crv.points)
-    assert state.residual <= solver.GRAD_TOL
-    assert state.spacing <= solver.SPACING_TOL
+    state = stability.Evaluation(crv.points)
+    assert state.residual <= stability.GRAD_TOL
+    assert state.spacing <= stability.SPACING_TOL
 
 
 def test_one_point_criticality(pipe):
@@ -96,7 +96,7 @@ def test_max_iters_exhaustion_raises(monkeypatch):
 def test_line_search_stall_raises(monkeypatch):
     # with no gradient tolerance to meet, the iteration runs on until no
     # step of the line search lowers the residual
-    monkeypatch.setattr(solver, "GRAD_TOL", 0.0)
+    monkeypatch.setattr(stability, "GRAD_TOL", 0.0)
     stalled = r"^line search stalled at residual .* at M = 64$"
     with pytest.raises(NonConvergence, match=stalled):
         solve_geodesic(64)
@@ -129,7 +129,9 @@ def test_axis_points_are_critical(m):
     assert np.all(crv.z[axis] == 0.0)
     # canonical: q_0 is the outer axis point and the curve rises after it
     assert np.argmax(crv.r) == 0 and crv.z[1] > 0.0
-    assert np.max(np.abs(_length_gradient(crv)[axis, 0])) <= solver.GRAD_TOL
+    assert np.max(np.abs(_length_gradient(crv)[axis, 0])) <= stability.GRAD_TOL
+    # and the spectra take it: it passes Pipeline's solved-geodesic test
+    assert Pipeline(crv).curve is crv
 
 
 @pytest.mark.parametrize("m", [3001, 4096, 8192])
@@ -138,9 +140,9 @@ def test_ladder_solve_converges(pipe, m):
     # circle seed alone 4096 and 8192 stall in the line search
     crv = pipe.curve(m)
     assert crv.M == m
-    state = solver._State(crv.points)
-    assert state.residual <= solver.GRAD_TOL
-    assert state.spacing <= solver.SPACING_TOL
+    state = stability.Evaluation(crv.points)
+    assert state.residual <= stability.GRAD_TOL
+    assert state.spacing <= stability.SPACING_TOL
     assert abs(discrete_length(crv) - 1.851216671682) < 1e-6
     assert np.argmax(crv.r) == 0 and crv.z[1] > 0.0
     assert np.array_equal(solve_geodesic(m).points, crv.points)
@@ -179,14 +181,13 @@ def _private_uses(path, modules):
 
 def test_private_functions_stay_in_their_module():
     # each step of the chain has one owner: across modules, only the
-    # solver reaches a private function, one evaluation of the length's
-    # derivatives per iterate and the resampling of its ladder
+    # solver reaches a private function, the resampling of its ladder; the
+    # length's derivatives are read through the public stability.Evaluation
     package = Path(solver.__file__).parent
     modules = {path.stem for path in package.glob("*.py")}
     uses = {(path.stem,) + use for path in sorted(package.glob("*.py"))
             for use in _private_uses(path, modules)}
-    assert uses == {("solver", "stability", "_reduce"),
-                    ("solver", "curve", "_resample_points")}
+    assert uses == {("solver", "curve", "_resample_points")}
 
 
 def _imported_modules(path):

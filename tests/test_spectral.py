@@ -19,7 +19,7 @@ import shrinker_index
 from shrinker_index import (Pipeline, StabilityMatrix, assemble_L0,
                             assemble_Lk, compute_index, normal_field,
                             spectrum, write_curve)
-from shrinker_index import cli, solver, spectral, stability
+from shrinker_index import cli, metric, solver, spectral, stability
 from oracles import reflect_z
 from shrinker_index.curve import DiscreteCurve
 from shrinker_index.metric import sigma
@@ -452,29 +452,44 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
                                                    expected):
     # the benchmark collects residuals by replacing spectral.spectrum, so
     # every spectrum a subcommand computes must be looked up there; each
-    # subcommand assembles -L_0 once, index polishes all its k in one call,
-    # and asymptotics polishes its k-scan in one call after the drift
-    # spectrum
+    # subcommand evaluates the curve's point blocks once, index polishes
+    # all its k in one call, and asymptotics polishes its k-scan in one
+    # call after the drift spectrum
     curve_path = tmp_path / "curve64.csv"
     write_curve(pipe.curve(64), str(curve_path))
     original = spectral.spectrum
-    original_L0 = stability.assemble_L0
+    original_evaluation = stability.Evaluation
     calls = []
-    L0_calls = []
+    evaluations = []
 
     def counted(matrices, count):
         calls.append(count)
         return original(matrices, count)
 
-    def counted_L0(curve):
-        L0_calls.append(curve.M)
-        return original_L0(curve)
+    def counted_evaluation(points):
+        evaluations.append(len(points))
+        return original_evaluation(points)
     monkeypatch.setattr(spectral, "spectrum", counted)
-    monkeypatch.setattr(stability, "assemble_L0", counted_L0)
+    monkeypatch.setattr(stability, "Evaluation", counted_evaluation)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert cli.main(argv[:1] + ["--curve", str(curve_path)] + argv[1:]) == 0
     assert len(calls) == expected
-    assert len(L0_calls) == 1
+    assert len(evaluations) == 1
+
+
+def test_pipeline_evaluates_the_point_blocks_once(pipe, monkeypatch):
+    # the normals, -L_0 and the solved-geodesic test all come from one
+    # evaluation of the segment blocks
+    crv = pipe.curve(64)
+    original = metric.segment_blocks
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return original(a, b)
+    monkeypatch.setattr(metric, "segment_blocks", counted)
+    Pipeline(crv)
+    assert calls == [64]
 
 
 def test_sigma_inverse_near_kernel(pipe):
