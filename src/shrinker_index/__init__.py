@@ -12,8 +12,8 @@ as independent validation.
 from .curve import DiscreteCurve, discrete_length, read_curve, write_curve
 from .metric import segment_distance, sigma
 from .solver import CurveCollapse, NonConvergence, solve_geodesic
-from .stability import (AmbiguousNormal, StabilityMatrix, assemble_L0,
-                        assemble_Lk, normal_field)
+from .stability import (AmbiguousNormal, Evaluation, StabilityMatrix,
+                        assemble_Lk)
 from .spectral import (EigenMode, ExclusionMismatch, IndexReport,
                        NarrowLongDouble, Pipeline, compute_index, spectrum)
 from .convergence import (ConvergenceStudy, DegenerateFit, fit_loglog,
@@ -25,12 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousNormal", "ConvergenceStudy", "CurveCollapse", "DegenerateFit",
-    "DiscreteCurve", "EigenMode", "ExclusionMismatch", "IndexReport",
-    "NarrowLongDouble", "NoWell", "NonConvergence", "Pipeline",
-    "SchrodingerProfile", "StabilityMatrix", "assemble_L0",
-    "assemble_Lk", "compute_index", "discrete_length",
-    "drift_diagnostic", "fit_loglog", "high_j_estimate", "high_k_estimate",
-    "normal_field", "potential_profile", "read_curve",
-    "run_study", "segment_distance", "sigma",
-    "solve_geodesic", "spectrum", "write_curve",
+    "DiscreteCurve", "EigenMode", "Evaluation", "ExclusionMismatch",
+    "IndexReport", "NarrowLongDouble", "NoWell", "NonConvergence",
+    "Pipeline", "SchrodingerProfile", "StabilityMatrix", "assemble_Lk",
+    "compute_index", "discrete_length", "drift_diagnostic", "fit_loglog",
+    "high_j_estimate", "high_k_estimate", "potential_profile", "read_curve",
+    "run_study", "segment_distance", "sigma", "solve_geodesic", "spectrum",
+    "write_curve",
 ]

@@ -106,10 +106,11 @@ def _build_parser():
 
     p = sub.add_parser("render", help="SVG cross-section and OBJ surface")
     p.add_argument("--curve", required=True)
-    p.add_argument("--k", type=mode_number, default=0)
+    p.add_argument("--k", type=mode_number, default=0,
+                   help="Fourier mode of the --j eigenmode (needs --j)")
     p.add_argument("--j", type=_int_at_least(0), default=None,
                    help="eigenmode to display (default: undisplaced)")
-    p.add_argument("--epsilon", type=_finite, default=None)
+    p.add_argument("--epsilon", type=_finite, help="amplitude (needs --j)")
     p.add_argument("--ntheta", type=_int_at_least(3), default=64)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--cos", dest="phase", action="store_const",
@@ -265,17 +266,21 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_render(args):
+    if args.j is None and (args.k or args.epsilon is not None
+                           or args.phase == "sin"):
+        raise UsageError("--k, --epsilon and --sin displace a mode: give --j")
     crv = curve_mod.read_curve(args.curve)
-    mode = None
+    shown = {}
     if args.j is not None:
         if args.j + 1 >= crv.M:
             raise UsageError("--j must be less than the number of curve "
                              "points minus 1")
-        mode = spectral.Pipeline(crv).scan(
-            [args.k], args.j + 1)[args.j].vector
-    svg = render.svg_cross_section(crv, mode=mode, epsilon=args.epsilon)
-    obj = render.obj_surface(crv, mode=mode, k=args.k, ntheta=args.ntheta,
-                             epsilon=args.epsilon, phase=args.phase)
+        pipe = spectral.Pipeline(crv)
+        shown = dict(mode=pipe.scan([args.k], args.j + 1)[args.j].vector,
+                     normals=pipe.evaluation.normals)
+    svg = render.svg_cross_section(crv, epsilon=args.epsilon, **shown)
+    obj = render.obj_surface(crv, k=args.k, ntheta=args.ntheta,
+                             epsilon=args.epsilon, phase=args.phase, **shown)
     _write(args.out + ".svg", svg)
     _write(args.out + ".obj", obj)
     return 0

@@ -1,12 +1,11 @@
 """Cross-section SVG plots and surface-of-revolution OBJ meshes.
 
-Outputs are plain text with fixed 17-significant-digit float formatting,
-so identical inputs give byte-identical files.
+A mode is drawn along the normals the caller passes.  Outputs are plain
+text with fixed 17-significant-digit float formatting, so identical inputs
+give byte-identical files.
 """
 
 import numpy as np
-
-from . import stability
 
 #: Default perturbation amplitude as a fraction of the cross-section diameter.
 EPSILON_FRACTION = 0.15
@@ -22,14 +21,16 @@ def default_epsilon(curve):
     return EPSILON_FRACTION * float(np.hypot(spread_r, spread_z))
 
 
-def _amplitude(curve, mode, epsilon):
-    """Displacement epsilon u_m per curve point, and the normals n_m."""
+def _amplitude(curve, mode, normals, epsilon):
+    """Displacement epsilon u_m per curve point, to be drawn along normals."""
     mode = np.asarray(mode, dtype=float)
     if mode.shape != (curve.M,):
         raise ValueError("mode must have one value per curve point")
+    if np.shape(normals) != (curve.M, 2):
+        raise ValueError("normals must have shape (M, 2)")
     if epsilon is None:
         epsilon = default_epsilon(curve)
-    return epsilon * mode, stability.normal_field(curve)
+    return epsilon * mode
 
 
 def _polyline(points, scale, origin):
@@ -39,16 +40,16 @@ def _polyline(points, scale, origin):
     return template % tuple(np.column_stack([xs, ys]).ravel().tolist())
 
 
-def svg_cross_section(curve, mode=None, epsilon=None):
+def svg_cross_section(curve, mode=None, epsilon=None, normals=None):
     """SVG of the cross-section, optionally with a perturbed copy (dashed).
 
-    `mode` is an eigenfunction u over the curve points; the overlay is
-    q_m + epsilon u_m n_m, with the normals n_m of the curve.
+    `mode` is an eigenfunction u over the curve points, drawn along the
+    (M, 2) `normals` n_m; the overlay is q_m + epsilon u_m n_m.
     """
     pts = curve.points
     curves = [pts]
     if mode is not None:
-        amp, normals = _amplitude(curve, mode, epsilon)
+        amp = _amplitude(curve, mode, normals, epsilon)
         curves.append(pts + amp[:, None] * normals)
 
     allpts = np.vstack(curves)
@@ -72,18 +73,18 @@ def svg_cross_section(curve, mode=None, epsilon=None):
 
 
 def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
-                phase="cos"):
+                phase="cos", normals=None):
     """OBJ mesh of the surface of revolution, optionally displaced.
 
     The displacement field is epsilon u_m g(k theta) along the surface
     normal (n_r cos theta, n_r sin theta, n_z), with g = cos or sin per
-    `phase`.  The text holds M * ntheta `v x y z` lines, one ring of
-    ntheta per curve point in curve order, theta = 2 pi i / ntheta
-    ascending within a ring; then 2 M ntheta `f a b c` lines with 1-based
-    vertex indices: the triangles (a, b, c) and (a, c, d) of each quad,
-    m outer and i inner, with a = (m, i), b = (m + 1, i),
-    c = (m + 1, i + 1) and d = (m, i + 1), indices taken mod M and mod
-    ntheta, so the mesh is closed in both directions.
+    `phase` and (n_r, n_z) a row of `normals`.  The text holds M * ntheta
+    `v x y z` lines, one ring of ntheta per curve point in curve order,
+    theta = 2 pi i / ntheta ascending within a ring; then 2 M ntheta
+    `f a b c` lines with 1-based vertex indices: the triangles (a, b, c)
+    and (a, c, d) of each quad, m outer and i inner, with a = (m, i),
+    b = (m + 1, i), c = (m + 1, i + 1) and d = (m, i + 1), indices taken
+    mod M and mod ntheta, so the mesh is closed in both directions.
     """
     if ntheta < 3:
         raise ValueError("ntheta must be at least 3")
@@ -97,7 +98,7 @@ def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
     r = pts[:, :1]
     z = pts[:, 1:]
     if mode is not None:
-        amp, normals = _amplitude(curve, mode, epsilon)
+        amp = _amplitude(curve, mode, normals, epsilon)
         g = np.cos(k * theta) if phase == "cos" else np.sin(k * theta)
         amp = amp[:, None] * g
         r = r + amp * normals[:, :1]

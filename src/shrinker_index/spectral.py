@@ -361,18 +361,19 @@ def classify_modes(modes, curve, normals):
 
 
 class Pipeline:
-    """One solved curve's chain: normals and -L_0, then `scan` for modes.
+    """One solved curve's chain: its evaluation, then `scan` for modes.
 
-    The normals and -L_0 come from one `stability.Evaluation`.  The curve
-    must be its own mirror image bit for bit (point -m mod M is
-    (r_m, -z_m), as `solve_geodesic` returns it), and so must the sides
-    its normals point to, because the spectra are taken on the mirror
-    halves of -L_k; any other curve raises ExclusionMismatch naming the
-    largest mismatch.  The normals fail this on a curve of fewer than 18
-    points, such as one read from a file, where the larger eigenvector of
-    the point block at the axis points is the tangent; `solve_geodesic`
-    refuses such M.  The index is defined at a critical point only, so a
-    curve that fails the evaluation's `solved` test raises it too.
+    Holds `curve` and `evaluation`, its one `stability.Evaluation`, whose
+    normals and -L_0 the spectra and renders use.  The curve must be its
+    own mirror image bit for bit (point -m mod M is (r_m, -z_m), as
+    `solve_geodesic` returns it), and so must the sides its normals point
+    to, because the spectra are taken on the mirror halves of -L_k; any
+    other curve raises ExclusionMismatch naming the largest mismatch.  The
+    normals fail this on a curve of fewer than 18 points, such as one read
+    from a file, where the larger eigenvector of the point block at the
+    axis points is the tangent; `solve_geodesic` refuses such M.  The
+    index is defined at a critical point only, so a curve that fails the
+    evaluation's `solved` test raises it too.
     """
 
     def __init__(self, curve):
@@ -396,7 +397,7 @@ class Pipeline:
                 "(tolerance %g), spacing %.3e (tolerance %g)"
                 % (ev.residual, stability.GRAD_TOL, ev.spacing,
                    stability.SPACING_TOL))
-        self.curve, self.normals, self.L0 = curve, ev.normals, ev.L0
+        self.curve, self.evaluation = curve, ev
 
     def scan(self, ks, count):
         """Lowest `count` eigenpairs of -L_k for each k in ks, labelled.
@@ -404,8 +405,9 @@ class Pipeline:
         One `spectrum` call; the list is grouped by k in the order of ks,
         ascending within each k.
         """
-        mats = [stability.assemble_Lk(self.L0, self.curve, k) for k in ks]
-        return classify_modes(spectrum(mats, count), self.curve, self.normals)
+        mats = [stability.assemble_Lk(self.evaluation, k) for k in ks]
+        return classify_modes(spectrum(mats, count), self.curve,
+                              self.evaluation.normals)
 
 
 @dataclasses.dataclass
@@ -446,7 +448,7 @@ def compute_index(curve):
     pipe = Pipeline(curve)
     count = 0
     for k in range(INDEX_K_CAP + 1):
-        a = stability.assemble_Lk(pipe.L0, curve, k)
+        a = stability.assemble_Lk(pipe.evaluation, k)
         n = sum(len(scipy.linalg.eigvalsh_tridiagonal(
             d, e, select="v", select_range=(-np.inf, INDEX_STOP_MARGIN)))
             for d, e in _halves(a))

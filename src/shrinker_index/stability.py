@@ -19,10 +19,10 @@ The normal at a point is read off the 2x2 point block
     H_m = h_bb(q_{m-1}, q_m) + h_aa(q_m, q_{m+1})
 
 as the eigenvector of the larger eigenvalue, oriented outward (away from
-the curve centroid).  normal_field returns them as an (M, 2) array; one
-Evaluation reads them, the normal gradient, the bands of N^T H N and -L_0
-off the same blocks, for the solver and the spectra, and its `solved` test
-is the one definition of a solved geodesic.
+the curve centroid).  One Evaluation reads them, an (M, 2) array, off the
+same blocks as the normal gradient, the bands of N^T H N and -L_0, for
+the solver, the spectra and the renders; its `solved` test is the one
+definition of a solved geodesic, and assemble_Lk shifts its -L_0.
 The normal direction is stiff (the |b - a|^{-1} projector term
 dominates), so the two eigenvalues are well separated and the
 eigenvector is stable even far from the solved curve.
@@ -92,12 +92,6 @@ def _normals(h_m, points):
     return vec
 
 
-def normal_field(curve):
-    """Outward unit normals n_m of a discrete curve, shape (M, 2)."""
-    h_m, _ = _point_blocks(curve.points)
-    return _normals(h_m, curve.points)
-
-
 class Evaluation:
     """The point blocks of `points`, shape (M, 2), evaluated once: the
     outward normals, grad_normal = n_m . grad_m, the unscaled bands diag
@@ -128,23 +122,14 @@ class Evaluation:
         return self.residual <= GRAD_TOL and self.spacing <= SPACING_TOL
 
 
-def assemble_L0(curve):
-    """-L_0 = (M / l) N^T H N of a curve, from its Evaluation."""
-    return Evaluation(curve.points).L0
+def assemble_Lk(evaluation, k):
+    """-L_k from the evaluation's -L_0 by the diagonal shift k^2 / r_m^2.
 
-
-def assemble_Lk(L0, curve, k):
-    """-L_k from -L_0 by the diagonal shift k^2 / r_m^2.
-
-    k = 0 returns L0 unchanged; otherwise the result shares L0's `up` band.
+    k = 0 returns evaluation.L0; otherwise the result shares its `up` band.
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError("mode number k must be a nonnegative integer")
-    if L0.k != 0:
-        raise ValueError("base operator must have k = 0")
-    if L0.M != curve.M:
-        raise ValueError("operator size does not match curve")
+    L0, r = evaluation.L0, evaluation.points[:, 0]
     if k == 0:
         return L0
-    return StabilityMatrix(k=int(k), diag=L0.diag + (k * k) / curve.r ** 2,
-                           up=L0.up)
+    return StabilityMatrix(int(k), L0.diag + (k * k) / r ** 2, L0.up)

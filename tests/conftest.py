@@ -32,13 +32,13 @@ class Pipeline:
         return self._pipe(m).curve
 
     def normals(self, m):
-        return self._pipe(m).normals
+        return self._pipe(m).evaluation.normals
 
     def L0(self, m):
-        return self._pipe(m).L0
+        return self._pipe(m).evaluation.L0
 
     def Lk(self, m, k):
-        return assemble_Lk(self.L0(m), self.curve(m), k)
+        return assemble_Lk(self._pipe(m).evaluation, k)
 
     def modes(self, m, k, count):
         # a pair can depend on count, so a scan serves only its own count

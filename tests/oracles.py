@@ -294,7 +294,7 @@ def cyclic_solve_pair_leading(diag, up, shifts, rhs):
 
 
 def obj_surface_per_line(curve, mode=None, k=0, ntheta=64, epsilon=None,
-                         phase="cos"):
+                         phase="cos", normals=None):
     """render.obj_surface formatted one line at a time, as the reference.
 
     The same vertices, from the same operations, and the faces counted out
@@ -309,7 +309,7 @@ def obj_surface_per_line(curve, mode=None, k=0, ntheta=64, epsilon=None,
     z = np.repeat(pts[:, 1], ntheta)
     th = np.tile(theta, m_count)
     if mode is not None:
-        amp, normals = _amplitude(curve, mode, epsilon)
+        amp = _amplitude(curve, mode, normals, epsilon)
         g = np.cos(k * th) if phase == "cos" else np.sin(k * th)
         amp = np.repeat(amp, ntheta) * g
         r = r + amp * np.repeat(normals[:, 0], ntheta)

@@ -4,9 +4,11 @@ import argparse
 import ast
 import contextlib
 import fnmatch
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import shrinker_index
 from shrinker_index import (DiscreteCurve, Pipeline, cli, drift_diagnostic,
                             potential_profile, read_curve, stability,
                             write_curve)
@@ -298,6 +301,15 @@ def test_process_exit_codes(tmp_path):
       "--out", "d"], "--k-scan must be at most 67108864"),
     (["convergence", "--k-max", "67108865", "--out", "d"],
      "--k-max: must be at most"),
+    # the displacement flags need a mode to displace; the curve is not read
+    (["render", "--curve", "/no/such.csv", "--k", "2", "--out", "p"],
+     "give --j"),
+    (["render", "--curve", "/no/such.csv", "--epsilon", "0.3", "--out", "p"],
+     "give --j"),
+    (["render", "--curve", "/no/such.csv", "--sin", "--out", "p"],
+     "give --j"),
+    (["render", "--curve", "/no/such.csv", "--k", "2", "--epsilon", "0.3",
+      "--sin", "--out", "p"], "give --j"),
 ])
 def test_usage_errors(argv, needle, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -450,6 +462,24 @@ def test_readme_library_example(capsys):
         assert repr(value).startswith(prefix)
     assert lines[1] == "['sigma_inverse', 'horizontal_translation', 'rotation']"
     assert lines[2] == "5"
+
+
+def test_readme_names_resolve(pipe):
+    # every `pipe.<name>...` in a README code span is an attribute chain of
+    # a Pipeline, and every `<module>.<name>...` one of that package module
+    text = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    spans = "\n".join(re.findall(r"`([^`]+)`", text))
+    roots = {m.name: importlib.import_module("shrinker_index." + m.name)
+             for m in pkgutil.iter_modules(shrinker_index.__path__)}
+    roots["pipe"] = Pipeline(pipe.curve(64))
+    found = re.findall(r"(?<![\w.])(%s)((?:\.\w+)+)" % "|".join(roots),
+                       spans)
+    assert {"pipe", "spectral", "stability"} <= {root for root, _ in found}
+    for root, chain in found:
+        obj = roots[root]
+        for name in chain.split(".")[1:]:
+            assert hasattr(obj, name), root + chain
+            obj = getattr(obj, name)
 
 
 def _readme_examples():
@@ -713,12 +743,14 @@ def test_render_epsilon_matches_library(curve_csv, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     crv = read_curve(curve_csv)
-    mode = Pipeline(crv).scan([0], 1)[0].vector
+    chain = Pipeline(crv)
+    mode = chain.scan([0], 1)[0].vector
+    normals = chain.evaluation.normals
     assert (tmp_path / "eps.svg").read_bytes() == svg_cross_section(
-        crv, mode=mode, epsilon=0.05).encode("utf-8")
+        crv, mode=mode, epsilon=0.05, normals=normals).encode("utf-8")
     assert (tmp_path / "eps.obj").read_bytes() == obj_surface(
-        crv, mode=mode, k=0, ntheta=64, epsilon=0.05,
-        phase="cos").encode("utf-8")
+        crv, mode=mode, k=0, ntheta=64, epsilon=0.05, phase="cos",
+        normals=normals).encode("utf-8")
 
 
 def test_render_plain(curve_csv, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from shrinker_index import DiscreteCurve, render
+from shrinker_index import DiscreteCurve, Evaluation, render
 from shrinker_index.render import (default_epsilon, obj_surface,
                                    svg_cross_section)
 
@@ -62,7 +62,8 @@ def test_obj_axisymmetric_mode_displaces_rings(pipe):
     mode = pipe.modes(128, 0, 2)[1].vector
     eps = 0.05
     verts, _ = _parse_obj(obj_surface(crv, mode=mode, k=0, ntheta=16,
-                                      epsilon=eps))
+                                      epsilon=eps,
+                                      normals=pipe.normals(128)))
     rings = verts.reshape(128, 16, 3)
     radius = np.hypot(rings[:, :, 0], rings[:, :, 1])
     # k = 0 with cos phase keeps every ring circular, at a shifted radius
@@ -75,7 +76,7 @@ def test_obj_sin_phase_vanishes_at_zero_angle(pipe):
     mode = pipe.modes(128, 1, 1)[0].vector
     plain, _ = _parse_obj(obj_surface(crv, ntheta=8))
     bent, _ = _parse_obj(obj_surface(crv, mode=mode, k=1, ntheta=8,
-                                     phase="sin"))
+                                     phase="sin", normals=pipe.normals(128)))
     plain_rings = plain.reshape(128, 8, 3)
     bent_rings = bent.reshape(128, 8, 3)
     # sin(k theta) = 0 along theta = 0, so that meridian is untouched
@@ -86,12 +87,18 @@ def test_obj_sin_phase_vanishes_at_zero_angle(pipe):
 
 def test_obj_validation(pipe):
     crv = pipe.curve(128)
+    normals = pipe.normals(128)
     with pytest.raises(ValueError):
         obj_surface(crv, ntheta=2)
     with pytest.raises(ValueError):
-        obj_surface(crv, mode=np.ones(7))
+        obj_surface(crv, mode=np.ones(7), normals=normals)
     with pytest.raises(ValueError):
-        obj_surface(crv, mode=np.ones(128), phase="tan")
+        obj_surface(crv, mode=np.ones(128), phase="tan", normals=normals)
+    # a mode is drawn along normals the caller gives, one per curve point
+    with pytest.raises(ValueError, match="normals"):
+        obj_surface(crv, mode=np.ones(128))
+    with pytest.raises(ValueError, match="normals"):
+        obj_surface(crv, mode=np.ones(128), normals=normals[:-1])
 
 
 def test_svg_paths(pipe):
@@ -102,22 +109,28 @@ def test_svg_paths(pipe):
     assert "dasharray" not in plain
 
     mode = pipe.modes(128, 0, 2)[1].vector
-    overlay = svg_cross_section(crv, mode=mode)
+    normals = pipe.normals(128)
+    overlay = svg_cross_section(crv, mode=mode, normals=normals)
     assert overlay.count("<path") == 2
     assert 'stroke="#1f4e9c"' in overlay
     assert 'stroke="#d2691e"' in overlay
     assert 'stroke-dasharray="8 5"' in overlay
     with pytest.raises(ValueError):
-        svg_cross_section(crv, mode=np.ones(3))
+        svg_cross_section(crv, mode=np.ones(3), normals=normals)
+    with pytest.raises(ValueError, match="normals"):
+        svg_cross_section(crv, mode=mode)
+    with pytest.raises(ValueError, match="normals"):
+        svg_cross_section(crv, mode=mode, normals=normals[:-1])
 
 
 def test_outputs_deterministic(pipe):
     crv = pipe.curve(128)
     mode = pipe.modes(128, 0, 2)[1].vector
-    kwargs = dict(mode=mode, k=2, ntheta=12)
+    normals = pipe.normals(128)
+    kwargs = dict(mode=mode, k=2, ntheta=12, normals=normals)
     assert obj_surface(crv, **kwargs) == obj_surface(crv, **kwargs)
-    assert svg_cross_section(crv, mode=mode) == svg_cross_section(
-        crv, mode=mode)
+    assert svg_cross_section(crv, mode=mode, normals=normals) == (
+        svg_cross_section(crv, mode=mode, normals=normals))
 
 
 def test_default_epsilon_scale(pipe):
@@ -128,14 +141,16 @@ def test_default_epsilon_scale(pipe):
     assert eps > 0.0
 
 
-def _assert_matches_oracles(crv, mode, k, ntheta, epsilon, phase):
+def _assert_matches_oracles(crv, mode, k, ntheta, epsilon, phase, normals):
     got = obj_surface(crv, mode=mode, k=k, ntheta=ntheta, epsilon=epsilon,
-                      phase=phase)
+                      phase=phase, normals=normals)
     assert got == oracles.obj_surface_per_line(
-        crv, mode=mode, k=k, ntheta=ntheta, epsilon=epsilon, phase=phase)
-    svg = svg_cross_section(crv, mode=mode, epsilon=epsilon)
+        crv, mode=mode, k=k, ntheta=ntheta, epsilon=epsilon, phase=phase,
+        normals=normals)
+    svg = svg_cross_section(crv, mode=mode, epsilon=epsilon, normals=normals)
     with mock.patch.object(render, "_polyline", oracles.polyline_per_point):
-        assert svg == svg_cross_section(crv, mode=mode, epsilon=epsilon)
+        assert svg == svg_cross_section(crv, mode=mode, epsilon=epsilon,
+                                        normals=normals)
 
 
 @st.composite
@@ -160,9 +175,11 @@ def test_writers_match_per_line_oracles(data, crv, ntheta, k, phase,
     # those of formatting one line or one point at a time
     mode = data.draw(st.one_of(st.none(), arrays(
         float, crv.M, elements=st.floats(-1e3, 1e3))), label="mode")
-    _assert_matches_oracles(crv, mode, k, ntheta, epsilon, phase)
+    _assert_matches_oracles(crv, mode, k, ntheta, epsilon, phase,
+                            Evaluation(crv.points).normals)
 
 
 def test_writers_match_oracles_on_solved_curve(pipe):
     mode = pipe.modes(256, 2, 2)[1].vector
-    _assert_matches_oracles(pipe.curve(256), mode, 2, 96, None, "cos")
+    _assert_matches_oracles(pipe.curve(256), mode, 2, 96, None, "cos",
+                            pipe.normals(256))

@@ -16,9 +16,9 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import shrinker_index
-from shrinker_index import (Pipeline, StabilityMatrix, assemble_L0,
-                            assemble_Lk, compute_index, normal_field,
-                            spectrum, write_curve)
+from shrinker_index import (Evaluation, Pipeline, StabilityMatrix,
+                            assemble_Lk, compute_index, spectrum,
+                            write_curve)
 from shrinker_index import cli, metric, solver, spectral, stability
 from oracles import reflect_z
 from shrinker_index.curve import DiscreteCurve
@@ -210,10 +210,9 @@ def test_spectrum_refuses_narrow_long_double(pipe, monkeypatch, tmp_path,
 _SPECTRA_SCRIPT = """
 import sys
 import numpy as np
-from shrinker_index import assemble_L0, assemble_Lk, read_curve, spectrum
-crv = read_curve(sys.argv[1])
-L0 = assemble_L0(crv)
-modes = spectrum([assemble_Lk(L0, crv, int(k)) for k in sys.argv[4:]],
+from shrinker_index import Evaluation, assemble_Lk, read_curve, spectrum
+ev = Evaluation(read_curve(sys.argv[1]).points)
+modes = spectrum([assemble_Lk(ev, int(k)) for k in sys.argv[4:]],
                  int(sys.argv[3]))
 np.save(sys.argv[2], np.concatenate(
     [[md.eigenvalue for md in modes]] + [md.vector for md in modes]))
@@ -300,12 +299,11 @@ def test_pipeline_refuses_normals_that_do_not_mirror():
 def test_pipeline_matches_explicit_chain(pipe):
     crv = pipe.curve(256)
     chain = Pipeline(crv)
-    nf = normal_field(crv)
-    L0 = assemble_L0(crv)
+    ev = Evaluation(crv.points)
     for k in range(4):
         got = chain.scan([k], 8)
-        ref = classify_modes(spectrum([assemble_Lk(L0, crv, k)], 8), crv,
-                             nf)
+        ref = classify_modes(spectrum([assemble_Lk(ev, k)], 8), crv,
+                             ev.normals)
         assert len(got) == len(ref) == 8
         for p, q in zip(got, ref):
             assert (p.k, p.j, p.label) == (q.k, q.j, q.label)
@@ -452,15 +450,17 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
                                                    expected):
     # the benchmark collects residuals by replacing spectral.spectrum, so
     # every spectrum a subcommand computes must be looked up there; each
-    # subcommand evaluates the curve's point blocks once, index polishes
-    # all its k in one call, and asymptotics polishes its k-scan in one
-    # call after the drift spectrum
+    # subcommand evaluates the curve's point blocks once, renders included,
+    # index polishes all its k in one call, and asymptotics polishes its
+    # k-scan in one call after the drift spectrum
     curve_path = tmp_path / "curve64.csv"
     write_curve(pipe.curve(64), str(curve_path))
     original = spectral.spectrum
     original_evaluation = stability.Evaluation
+    original_blocks = metric.segment_blocks
     calls = []
     evaluations = []
+    blocks = []
 
     def counted(matrices, count):
         calls.append(count)
@@ -469,12 +469,18 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
     def counted_evaluation(points):
         evaluations.append(len(points))
         return original_evaluation(points)
+
+    def counted_blocks(a, b):
+        blocks.append(len(a))
+        return original_blocks(a, b)
     monkeypatch.setattr(spectral, "spectrum", counted)
     monkeypatch.setattr(stability, "Evaluation", counted_evaluation)
+    monkeypatch.setattr(metric, "segment_blocks", counted_blocks)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert cli.main(argv[:1] + ["--curve", str(curve_path)] + argv[1:]) == 0
     assert len(calls) == expected
     assert len(evaluations) == 1
+    assert len(blocks) == 1
 
 
 def test_pipeline_evaluates_the_point_blocks_once(pipe, monkeypatch):
@@ -519,7 +525,7 @@ def test_reflection_leaves_spectrum(pipe):
     # the solved curve is its own mirror image, so its reflection is the
     # same point set traversed clockwise
     crv = reflect_z(pipe.curve(256))
-    a = assemble_L0(crv)
+    a = Evaluation(crv.points).L0
     vals = [md.eigenvalue for md in spectrum([a], 4)]
     assert np.max(np.abs(np.array(vals)
                          - pipe.eigenvalues(256, 0, 4))) < 1e-8
@@ -569,8 +575,8 @@ def test_index_counts_every_negative_mode(pipe, monkeypatch):
     sunk0 = []
     calls = []
 
-    def sunk(L0, curve, k):
-        a = original(L0, curve, k)
+    def sunk(ev, k):
+        a = original(ev, k)
         if k == 0:
             a = StabilityMatrix(k=0, diag=a.diag - 20.0, up=a.up)
             sunk0.append(a)
@@ -613,8 +619,8 @@ def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
     # the eigensolver can return; the count must fail, not truncate
     original = stability.assemble_Lk
 
-    def sunk(L0, curve, k):
-        a = original(L0, curve, k)
+    def sunk(ev, k):
+        a = original(ev, k)
         if k == 0:
             a = StabilityMatrix(k=0, diag=a.diag - 1e9, up=a.up)
         return a

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from shrinker_index import assemble_L0, assemble_Lk, normal_field
+from shrinker_index import Evaluation, assemble_Lk
 from oracles import assemble_Lk_ode, point_block, reflect_z
 from shrinker_index.metric import segment_blocks
 from shrinker_index.stability import AmbiguousNormal, _normals
@@ -42,9 +42,10 @@ def test_operator_is_cyclic_tridiagonal(pipe):
 
 def test_mode_shift_structure(pipe):
     crv = pipe.curve(128)
-    L0 = pipe.L0(128)
-    L1 = assemble_Lk(L0, crv, 1)
-    L2 = assemble_Lk(L0, crv, 2)
+    ev = Evaluation(crv.points)
+    L0 = ev.L0
+    L1 = assemble_Lk(ev, 1)
+    L2 = assemble_Lk(ev, 2)
     i = np.arange(128)
     off1 = oracles.dense(L1).copy()
     off2 = oracles.dense(L2).copy()
@@ -61,22 +62,17 @@ def test_mode_shift_structure(pipe):
 
 
 def test_mode_zero_returns_same_object(pipe):
-    L0 = pipe.L0(64)
-    assert assemble_Lk(L0, pipe.curve(64), 0) is L0
+    ev = Evaluation(pipe.curve(64).points)
+    assert assemble_Lk(ev, 0) is ev.L0
 
 
 def test_assembly_validation(pipe):
     crv = pipe.curve(64)
-    L0 = pipe.L0(64)
+    ev = Evaluation(crv.points)
     with pytest.raises(ValueError):
-        assemble_Lk(L0, crv, -1)
+        assemble_Lk(ev, -1)
     with pytest.raises(ValueError):
-        assemble_Lk(L0, crv, 1.5)
-    L1 = assemble_Lk(L0, crv, 1)
-    with pytest.raises(ValueError):
-        assemble_Lk(L1, crv, 2)
-    with pytest.raises(ValueError):
-        assemble_Lk(L0, pipe.curve(128), 1)
+        assemble_Lk(ev, 1.5)
     with pytest.raises(ValueError):
         assemble_Lk_ode(crv, -3)
 
@@ -120,14 +116,14 @@ def test_normal_at_widest_point_is_radial(pipe):
 def test_reflection_flips_normals_bitwise(pipe):
     crv = pipe.curve(128)
     n = pipe.normals(128)
-    n_ref = normal_field(reflect_z(crv))
+    n_ref = Evaluation(reflect_z(crv).points).normals
     assert np.array_equal(n_ref, n * np.array([1.0, -1.0]))
 
 
 def test_reflection_preserves_operator_bitwise(pipe):
     crv = pipe.curve(128)
     mirrored = reflect_z(crv)
-    a_ref = oracles.dense(assemble_L0(mirrored))
+    a_ref = oracles.dense(Evaluation(mirrored.points).L0)
     assert np.array_equal(a_ref, oracles.dense(pipe.L0(128)))
 
 
