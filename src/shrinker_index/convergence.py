@@ -2,12 +2,13 @@
 
 A study covers a fixed grid: the eigenvalues lambda(k, j) of -L_k for
 k = 0..k_max and j = 0..3, then the entropy (the discrete weighted
-length).  Each is recomputed from scratch at every resolution (fresh
-solve, fresh assembly; each M walks its own solver ladder up from the
-circle seed, so no resolution of a study depends on another), errors
-against the true value follow c / M^2, and the fitted slope of log10
-|error| against log10 M certifies the quadratic rate.  True values are
-exact where a geometric variation pins them down:
+length).  Each is recomputed at every resolution (fresh assembly, and a
+curve bitwise equal to the standalone solve at that M; the study polishes
+each solver ladder level once, since a level shared by the ladders of two
+resolutions is the same bits in both), errors against the true value
+follow c / M^2, and the fitted slope of log10 |error| against log10 M
+certifies the quadratic rate.  True values are exact where a geometric
+variation pins them down:
 
     (k, j) = (0, 1) -> -1      dilation
     (k, j) = (0, 2) -> -1/2    vertical translation
@@ -102,16 +103,19 @@ def fit_loglog(m_values, estimates, true_value=None):
 def run_study(k_max, m_values=DEFAULT_M, progress=None):
     """Convergence studies of lambda(k, j) for k <= k_max, j < 4, and entropy.
 
-    One pass over the sorted resolutions: at each M a fresh solve, one
+    One pass over the sorted resolutions: at each M a solve, one
     `Pipeline.scan` of k = 0..k_max with 4 modes each, and the discrete
-    length; `progress(M)` is called after each.  Returns a list of
+    length; `progress(M)` is called after each.  The solves share one dict
+    of polished ladder levels, so each level is polished once per study and
+    each curve is bitwise `solver.solve_geodesic(M)`.  Returns a list of
     ConvergenceStudy ordered (0, 0), (0, 1), ..., (k_max, 3), then
     "entropy".
     """
     m_values = tuple(sorted(int(m) for m in m_values))
     estimates = {}
+    solved = {}
     for m in m_values:
-        crv = solver.solve_geodesic(m)
+        crv = solver.solve_geodesic(m, solved)
         for mode in spectral.Pipeline(crv).scan(range(k_max + 1), 4):
             estimates.setdefault((mode.k, mode.j), []).append(mode.eigenvalue)
         estimates.setdefault("entropy", []).append(

@@ -29,10 +29,12 @@ so the returned curve is exactly mirror-symmetric.  It is also canonical,
 with no step that reorders points: q_0 is the outer axis point and the
 curve rises after it, since the seed starts at angle 0 counterclockwise,
 each resampling is anchored at its input's q_0 and the mirror average
-sets z_0 = 0.  The point count M is the only input: the seed
-(SEED_CENTER, SEED_RADIUS), the iteration cap per level (MAX_ITERS) and
-COARSE_M are module constants, read at call time, as are the tolerances
-in `stability`.
+sets z_0 = 0.  Each level is bitwise the standalone solve at its count,
+so a caller solving several M can share the levels through
+`solve_geodesic`'s `solved` dict.  The point count M is the only input
+that shapes the curve: the seed (SEED_CENTER, SEED_RADIUS), the
+iteration cap per level (MAX_ITERS) and COARSE_M are module constants,
+read at call time, as are the tolerances in `stability`.
 """
 
 import math
@@ -88,11 +90,19 @@ def _state(points):
     return stability.Evaluation(points)
 
 
-def solve_geodesic(m):
+def solve_geodesic(m, solved=None):
     """Solve for the closed m-point geodesic; returns a canonical DiscreteCurve.
 
     Canonical: q_0 is the outer axis point and the curve rises after it,
     as the seed, the resampling anchor and the mirror average leave it.
+
+    solved, if given, is a dict owned by the caller that maps a point count
+    to the polished points of that ladder level.  The descent stops at the
+    first level found there and climbs from its points instead of the
+    seed, and every level polished is stored in it.  A level is bitwise the
+    standalone solve at its count, since the ladder below it is the same,
+    so the returned curve does not depend on what the dict holds, as long
+    as it was filled under the same module constants.
 
     Raises ValueError below 18 points, where the normal picked at the two
     axis points is the tangent, so stability.GRAD_TOL there would bound the
@@ -104,12 +114,17 @@ def solve_geodesic(m):
     """
     if m < 18:
         raise ValueError("M must be at least 18")
+    if solved is None:
+        solved = {}
     levels = [m]
-    while levels[-1] > COARSE_M:
+    while levels[-1] not in solved and levels[-1] > COARSE_M:
         levels.append((levels[-1] + 1) // 2)
-    points = seed_circle(levels[-1])
+    if levels[-1] in solved:
+        points = solved[levels.pop()]
+    else:
+        points = seed_circle(levels[-1])
     for level in reversed(levels):
-        points = _polish(points, level)
+        points = solved[level] = _polish(points, level)
     return curve_mod.DiscreteCurve(points)
 
 

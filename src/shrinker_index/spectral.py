@@ -103,12 +103,12 @@ def _cyclic_solve(diag, up, shifts, rhs):
     bumped off zero after the forward sweep, which guards only the back
     substitution: an exact zero pivot inside the sweep makes the row all NaN.
     rhs is (..., M) with one shift per row, and diag has one axis per axis of
-    rhs.  The sweep runs with the M axis leading, so each Python step touches
-    one contiguous row of every pair; the result comes back C-contiguous and
-    pair-leading, which the callers' reductions sum over in a fixed order.
+    rhs.  The sweep (`_sweep`) runs with the M axis leading, so each Python
+    step touches one contiguous row of every pair, walked by zip with no
+    per-row indexing.  The result comes back C-contiguous and pair-leading,
+    which the callers' reductions sum over in a fixed order.
     """
     ld = np.longdouble
-    m = rhs.shape[-1]
     piv = np.moveaxis(diag, -1, 0) - shifts
     upl = list(up)
     corner = upl[-1]
@@ -122,18 +122,7 @@ def _cyclic_solve(diag, up, shifts, rhs):
     work[0, ..., 1] = gamma
     work[-1, ..., 1] = corner
 
-    for row in range(1, m):
-        factor = upl[row - 1] / piv[row - 1]
-        piv[row] -= factor * upl[row - 1]
-        work[row] -= factor[..., None] * work[row - 1]
-    # |piv| < 1e-300 without an extended-precision copy of piv
-    piv[(piv < 1e-300) & (piv > -1e-300)] = 1e-300
-
-    work[-1] /= piv[-1][..., None]
-    for row in range(m - 2, -1, -1):
-        work[row] -= upl[row] * work[row + 1]
-        work[row] /= piv[row][..., None]
-
+    _sweep(piv, work, upl)
     y = work[..., 0]
     q = work[..., 1]
     v_y = y[0] + (corner / gamma) * y[-1]
@@ -142,6 +131,35 @@ def _cyclic_solve(diag, up, shifts, rhs):
     del piv  # one batch-sized buffer fewer while the result is allocated
     return np.subtract(np.moveaxis(y, 0, -1), np.moveaxis(q, 0, -1),
                        out=np.empty(rhs.shape, dtype=ld))
+
+
+def _sweep(piv, work, upl):
+    """Thomas elimination of work (M, ..., 2) in place, pivots piv (M, ...).
+
+    zip walks the rows of piv and work as views, and each row is carried
+    into the next step, so no step indexes a row; each product goes into a
+    preallocated row and is subtracted in place.  The views hold piv, so
+    they live only in this call.
+    """
+    cols = piv[..., None]
+    factor = np.empty(cols.shape[1:], dtype=piv.dtype)
+    piv_prod = np.empty_like(factor)
+    work_prod = np.empty(work.shape[1:], dtype=work.dtype)
+    p_prev, w_prev = cols[0], work[0]
+    for u, p, w in zip(upl, cols[1:], work[1:]):
+        np.divide(u, p_prev, out=factor)
+        p -= np.multiply(factor, u, out=piv_prod)
+        w -= np.multiply(factor, w_prev, out=work_prod)
+        p_prev, w_prev = p, w
+    # |piv| < 1e-300 without an extended-precision copy of piv
+    piv[(piv < 1e-300) & (piv > -1e-300)] = 1e-300
+
+    w_next = work[-1]
+    w_next /= cols[-1]
+    for u, p, w in zip(upl[-2::-1], cols[-2::-1], work[-2::-1]):
+        w -= np.multiply(u, w_next, out=work_prod)
+        w /= p
+        w_next = w
 
 
 def _refine_pairs(diag, up, vecs):

@@ -17,15 +17,21 @@ FD_SURVEY_COUNT = 1000
 
 
 class Pipeline:
-    """Per-M memo of shrinker_index.Pipeline, and of its modes per count."""
+    """Per-M memo of shrinker_index.Pipeline, and of its modes per count.
+
+    The solves share one dict of polished ladder levels, so a test run
+    polishes each level once; each curve is still bitwise solve_geodesic(m).
+    """
 
     def __init__(self):
         self._pipes = {}
         self._modes = {}
+        self._solved = {}
 
     def _pipe(self, m):
         if m not in self._pipes:
-            self._pipes[m] = shrinker_index.Pipeline(solve_geodesic(m))
+            self._pipes[m] = shrinker_index.Pipeline(
+                solve_geodesic(m, self._solved))
         return self._pipes[m]
 
     def curve(self, m):
@@ -54,6 +60,20 @@ class Pipeline:
 @pytest.fixture(scope="session")
 def pipe():
     return Pipeline()
+
+
+@pytest.fixture
+def polished(monkeypatch):
+    """(m, points) of every solver._polish call the test makes, in order."""
+    calls = []
+    original = shrinker_index.solver._polish
+
+    def recorded(points, m):
+        out = original(points, m)
+        calls.append((m, out))
+        return out
+    monkeypatch.setattr(shrinker_index.solver, "_polish", recorded)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -91,6 +91,30 @@ def test_run_study_grid_order_and_estimates():
         assert st.true_known == (st.quantity in convergence.KNOWN_TRUE)
 
 
+def test_run_study_overlapping_ladders_match_fresh_solves(polished):
+    # 1200 and 2400 climb through 600 and 1200, so the study polishes each
+    # of 300, 600, 1200 and 2400 once, and every estimate is bitwise the
+    # one scan of a fresh solve at M
+    studies = run_study(0, m_values=(600, 1200, 2400))
+    assert [m for m, _ in polished] == [300, 600, 1200, 2400]
+    expected = {}
+    for m in (600, 1200, 2400):
+        crv = solve_geodesic(m)
+        for mode in Pipeline(crv).scan(range(1), 4):
+            expected.setdefault((mode.k, mode.j), []).append(mode.eigenvalue)
+        expected.setdefault("entropy", []).append(discrete_length(crv))
+    assert [st.quantity for st in studies] == [
+        (0, j) for j in range(4)] + ["entropy"]
+    for st in studies:
+        assert st.estimates == tuple(expected[st.quantity])
+
+
+def test_default_study_polishes_each_level_once(polished):
+    # one polish per resolution: 512 and 1024 are reused, not re-solved
+    run_study(0)
+    assert [m for m, _ in polished] == [128, 256, 512, 1024, 2048]
+
+
 def test_study_error_signs_stable(study16):
     # the discretization bias never changes sign as M grows
     for st in study16:

@@ -5,6 +5,7 @@ primitives rather than trusting the solver's own reported residuals.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,40 @@ def test_ladder_levels_are_polished_resamplings(pipe):
     # 2048 climbs 512 -> 1024 -> 2048, so its last step is this polish
     assert np.array_equal(solver._polish(pipe.curve(1024).points, 2048),
                           pipe.curve(2048).points)
+
+
+@functools.lru_cache(maxsize=None)
+def _standalone(m):
+    """The points of a solve at m that shares no level with another."""
+    return solve_geodesic(m).points
+
+
+@pytest.mark.parametrize("m", [1025, 1100, 2049, 4097])
+def test_ladder_levels_are_standalone_solves(polished, m):
+    # every level the ladder of m polishes is bitwise the solve at that
+    # count, which is what lets a study polish a shared level once
+    crv = solve_geodesic(m)
+    ladder = list(polished)
+    assert ladder[-1][0] == m
+    assert np.array_equal(ladder[-1][1], crv.points)
+    for level, points in ladder:
+        assert np.array_equal(points, _standalone(level))
+
+
+def test_solved_levels_are_reused(polished, pipe):
+    # the descent stops at the first level found in the dict, stores what
+    # it polishes there, and a count found there is returned unpolished
+    solved = {1024: pipe.curve(1024).points}
+    pipe.curve(2048)
+    polished.clear()
+    crv = solve_geodesic(2048, solved)
+    assert [level for level, _ in polished] == [2048]
+    assert np.array_equal(crv.points, pipe.curve(2048).points)
+    assert sorted(solved) == [1024, 2048]
+    assert np.array_equal(solved[2048], crv.points)
+    assert np.array_equal(solve_geodesic(1024, solved).points,
+                          pipe.curve(1024).points)
+    assert len(polished) == 1
 
 
 def _private_uses(path, modules):
