@@ -110,7 +110,9 @@ def _build_parser():
                    help="Fourier mode of the --j eigenmode (needs --j)")
     p.add_argument("--j", type=_int_at_least(0), default=None,
                    help="eigenmode to display (default: undisplaced)")
-    p.add_argument("--epsilon", type=_finite, help="amplitude (needs --j)")
+    p.add_argument("--epsilon", type=_finite,
+                   help="amplitude (needs --j); give a negative one in "
+                   "exponent form as --epsilon=-1e-3")
     p.add_argument("--ntheta", type=_int_at_least(3), default=64)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--cos", dest="phase", action="store_const",

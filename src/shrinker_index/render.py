@@ -44,7 +44,9 @@ def svg_cross_section(curve, mode=None, epsilon=None, normals=None):
     """SVG of the cross-section, optionally with a perturbed copy (dashed).
 
     `mode` is an eigenfunction u over the curve points, drawn along the
-    (M, 2) `normals` n_m; the overlay is q_m + epsilon u_m n_m.
+    (M, 2) `normals` n_m; the overlay is q_m + epsilon u_m n_m.  Raises
+    ValueError if all the points drawn coincide, which leaves no span to
+    scale.
     """
     pts = curve.points
     curves = [pts]
@@ -56,6 +58,9 @@ def svg_cross_section(curve, mode=None, epsilon=None, normals=None):
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1])
+    if not span > 0.0:
+        raise ValueError("the cross-section has no extent: its points "
+                         "coincide")
     margin = 0.06 * span
     scale = SVG_SIZE / (span + 2.0 * margin)
     origin = (lo[0] - margin, hi[1] + margin)

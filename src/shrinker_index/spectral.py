@@ -18,8 +18,8 @@ of every self-shrinker and carry no geometric information.
 The solved curve is symmetric under z -> -z, which maps point m to point
 -m mod M, so each -L_k splits into an even and an odd symmetric
 tridiagonal matrix with no cyclic corner.  LAPACK finds the low pairs of
-each half, a little over half the wanted count from each and more from a
-half only when the merge of the two keeps all it gave; one
+each half, a little over half the wanted count from each, which Cauchy
+interlacing of the nested halves makes enough; one
 extended-precision inverse-iteration step on the full cyclic bands,
 shifted at the Rayleigh quotient of each LAPACK vector, then brings
 every pair to the residual a float64 vector can carry (this needs a long
@@ -244,42 +244,26 @@ def _folded_pairs(a, count):
     LAPACK's bisection and inverse iteration (stebz/stein) give the lowest
     pairs of each of the mirror `_halves`, which are unfolded to length M
     and merged.  stein's cost grows about quadratically with the pairs it
-    is asked for, so each half is asked for min(count, count // 2 + 2)
+    is asked for, so each half is asked once, for min(count, count // 2 + 2)
     pairs, or all its rows if it has fewer.  That is enough: the odd half
     is the even half without its fixed-point rows (0, and M/2 at even M)
     and, at odd M, with its last diagonal entry changed, so by Cauchy
     interlacing neither half holds more than count // 2 + 1 of the lowest
-    `count` pairs.  The merge does not rest on that bound: if it keeps
-    every pair a half returned and the half has more rows, that half is
-    asked again for min(count, rows) pairs and the merge is redone.  No
-    half can give more than `count`, so the result is exact for any
-    mirror-symmetric matrix.  Together the two requests exceed `count`, so
-    one merge cannot keep all of both, and the widening happens at most
-    once; it fires only where values of the two halves tie to rounding at
-    the cut.  Returns the unit eigenvectors as the rows of a (count, M)
-    array, ordered by ascending LAPACK eigenvalue; their residuals are
+    `count` pairs.  Where values of the two halves tie at the cut the
+    merge may keep either copy; the copies' values agree to rounding.
+    Returns the unit eigenvectors as the rows of a (count, M) array,
+    ordered by ascending LAPACK eigenvalue; their residuals are
     ~ eps ||A||, and `_refine_pairs` takes the eigenvalues from them.
     """
     m = a.M
     h = m // 2
-    halves = _halves(a)
-    sizes = [min(count, count // 2 + 2, len(d)) for d, _ in halves]
-    pairs = [None, None]
-    for _ in range(2):  # the first merge, then at most one widening
-        for i, ((d, e), n) in enumerate(zip(halves, sizes)):
-            if pairs[i] is None or len(pairs[i][0]) != n:
-                pairs[i] = scipy.linalg.eigh_tridiagonal(
-                    d, e, select="i", select_range=(0, n - 1))
-        (lam_even, x), (lam_odd, y) = pairs
-        keep = np.argsort(np.concatenate([lam_even, lam_odd]),
-                          kind="stable")[:count]
-        even = np.count_nonzero(keep < len(lam_even))
-        wider = [min(count, len(d)) if kept == n else n
-                 for (d, _), kept, n in zip(halves, (even, len(keep) - even),
-                                            sizes)]
-        if wider == sizes:
-            break
-        sizes = wider
+    (lam_even, x), (lam_odd, y) = [
+        scipy.linalg.eigh_tridiagonal(
+            d, e, select="i",
+            select_range=(0, min(count, count // 2 + 2, len(d)) - 1))
+        for d, e in _halves(a)]
+    keep = np.argsort(np.concatenate([lam_even, lam_odd]),
+                      kind="stable")[:count]
     # point m unfolds from row fold[m] of a half; the odd rows, padded with
     # zeros on the fixed points, change sign past M/2
     idx = np.arange(m)
@@ -303,8 +287,8 @@ def spectrum(matrices, count):
     all pairs on the full cyclic bands, O(M) per mode.  Calls are bitwise
     repeatable on any BLAS thread count, and a pair's result does not
     depend on which other matrices share the call.  It can depend on
-    `count`: each mirror half is asked for min(count, count // 2 + 2)
-    pairs, or min(count, rows) when it widens, and LAPACK's bisection and
+    `count`: each mirror half is asked once, for min(count, count // 2 + 2)
+    pairs or all its rows if it has fewer, and LAPACK's bisection and
     inverse iteration run over that index range, so the same pair taken
     with another count may differ in the last bits of its value and
     vector.  Eigenvectors are unit norm with the largest-magnitude entry

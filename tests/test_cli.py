@@ -753,6 +753,20 @@ def test_render_epsilon_matches_library(curve_csv, tmp_path, capsys):
         normals=normals).encode("utf-8")
 
 
+def test_render_negative_epsilon_in_exponent_form(curve_csv, tmp_path,
+                                                  capsys):
+    # argparse may read "-1e-3" after a space as a flag; joined with "=" it
+    # is the same amplitude as "-0.001"
+    for name, flag in (("exp", ["--epsilon=-1e-3"]),
+                       ("dec", ["--epsilon", "-0.001"])):
+        assert main(["render", "--curve", curve_csv, "--j", "0"] + flag
+                    + ["--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    for ext in (".svg", ".obj"):
+        assert ((tmp_path / ("exp" + ext)).read_bytes()
+                == (tmp_path / ("dec" + ext)).read_bytes())
+
+
 def test_render_plain(curve_csv, tmp_path, capsys):
     prefix = tmp_path / "plain"
     rc = main(["render", "--curve", curve_csv, "--ntheta", "6",
@@ -773,6 +787,20 @@ def test_failed_render_writes_no_file(curve_csv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: runtime:")
+    assert not any(out.iterdir())
+
+
+def test_render_of_coincident_points_writes_no_file(tmp_path, capsys):
+    # a curve whose points all coincide leaves the SVG nothing to scale
+    curve = tmp_path / "point.csv"
+    curve.write_text("m,r,z\n0,1,0\n1,1,0\n2,1,0\n")
+    out = tmp_path / "d"
+    out.mkdir()
+    rc = main(["render", "--curve", str(curve), "--out", str(out / "p")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: runtime:")
+    assert captured.err.count("\n") == 1
     assert not any(out.iterdir())
 
 

@@ -60,6 +60,27 @@ def test_halves_bisection_count_matches_dense(a, cut):
     assert n == int(np.count_nonzero(lam < cut))
 
 
+@_SETTINGS
+@given(a=mirror_bands())
+def test_halves_nest_the_odd_half_in_the_even_half(a):
+    # `_folded_pairs` asks each half for count // 2 + 2 pairs because, by
+    # Cauchy interlacing, neither holds more than count // 2 + 1 of the
+    # lowest count; that rests on this nesting, bit for bit
+    (d_even, e_even), (d_odd, e_odd) = spectral._halves(a)
+    assert np.array_equal(e_odd, e_even[1:len(e_odd) + 1])
+    h = a.M // 2
+    if a.M % 2:
+        # the reflection swaps points h and h + 1 and maps segment h onto
+        # itself; the pair adds +-up[h] to the halves' last entries
+        assert np.array_equal(d_odd[:-1], d_even[1:-1])
+        diag_h = 0.5 * (a.diag[h] + a.diag[a.M - h])
+        up_h = 0.5 * (a.up[h] + a.up[a.M - 1 - h])
+        assert d_even[-1] == diag_h + up_h
+        assert d_odd[-1] == diag_h - up_h
+    else:
+        assert np.array_equal(d_odd, d_even[1:len(d_odd) + 1])
+
+
 @st.composite
 def tied_diagonal_bands(draw):
     """A diagonal mirror band of small integers: every value of the odd
@@ -73,12 +94,12 @@ def tied_diagonal_bands(draw):
 
 @_SETTINGS
 @given(data=st.data(), a=tied_diagonal_bands())
-def test_folded_pairs_widen_a_half_that_holds_more(data, a):
-    # each half is first asked for count // 2 + 2 pairs.  By interlacing a
-    # half holds more of the lowest count only where values of the two
-    # halves tie at the cut, as they do here exactly; the merge takes the
-    # even copy of a tie first, so at such a count it keeps every pair the
-    # even half returned and must ask that half again
+def test_folded_pairs_ask_each_half_once_at_ties(data, a):
+    # each half is asked once, for count // 2 + 2 pairs.  Here every value
+    # of the odd half ties one of the even half exactly, and the merge
+    # takes the even copy of a tie first, so at these counts it keeps every
+    # pair the even half returned and fills the rest with odd copies of
+    # the same values
     halves = spectral._halves(a)
     rows = [len(d) for d, _ in halves]
     lam = np.concatenate([np.sort(d) for d, _ in halves])
@@ -89,11 +110,12 @@ def test_folded_pairs_widen_a_half_that_holds_more(data, a):
     count = data.draw(st.sampled_from(wide), label="count")
     with oracles.lapack_requests() as requests:
         rows_out = spectral._folded_pairs(a, count)
-    first = [(n, (0, min(count // 2 + 2, n) - 1)) for n in rows]
-    assert requests == first + [(rows[0], (0, min(count, rows[0]) - 1))]
+    assert requests == [(n, (0, min(count // 2 + 2, n) - 1)) for n in rows]
     dense = oracles.dense(a)
     vals = np.einsum("jm,jm->j", rows_out, rows_out @ dense)
     assert np.allclose(vals, scipy.linalg.eigvalsh(dense)[:count],
                        rtol=0, atol=1e-11)
     assert np.allclose(rows_out @ rows_out.T, np.eye(count), rtol=0,
                        atol=1e-11)
+    assert np.linalg.norm(rows_out @ dense - vals[:, None] * rows_out,
+                          axis=1).max() < 1e-11

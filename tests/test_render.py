@@ -101,6 +101,13 @@ def test_obj_validation(pipe):
         obj_surface(crv, mode=np.ones(128), normals=normals[:-1])
 
 
+def test_svg_refuses_coincident_points():
+    # no span to scale by: the SVG would carry width="nan"
+    crv = DiscreteCurve(np.tile([1.0, 0.0], (3, 1)))
+    with pytest.raises(ValueError, match="coincide"):
+        svg_cross_section(crv)
+
+
 def test_svg_paths(pipe):
     crv = pipe.curve(128)
     plain = svg_cross_section(crv)

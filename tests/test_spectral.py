@@ -163,29 +163,20 @@ def test_batched_spectrum_refuses_mixed_operators(pipe):
         spectrum([a, foreign], 4)
 
 
-@pytest.mark.parametrize("k", [0, 1])
-def test_drift_spectrum_asks_each_half_for_half_the_pairs(pipe, k):
+@pytest.mark.parametrize("m,k,count,asked", [
+    (2048, 0, 201, [(1025, (0, 101)), (1023, (0, 101))]),
+    (2048, 1, 201, [(1025, (0, 101)), (1023, (0, 101))]),
+    (257, 3, 63, [(129, (0, 32)), (128, (0, 32))]),
+    (64, 0, 5, [(33, (0, 3)), (31, (0, 3))])],
+    ids=["0", "1", "257-3-63", "64-0-5"])
+def test_drift_spectrum_asks_each_half_for_half_the_pairs(pipe, m, k, count,
+                                                          asked):
     # stein's cost grows about quadratically with the pairs it is asked
-    # for, and the merge keeps about half of each half's: 201 modes ask
-    # each half for 201 // 2 + 2 = 102 pairs, once
+    # for, and the merge keeps about half of each half's: 201 modes at
+    # M = 2048 ask each half for 201 // 2 + 2 = 102 pairs, once
     with oracles.lapack_requests() as requests:
-        spectrum([pipe.Lk(2048, k)], 201)
-    assert requests == [(1025, (0, 101)), (1023, (0, 101))]
-
-
-def test_solved_curves_never_widen(pipe):
-    # the values of the torus's two mirror halves do not tie at the cut,
-    # so neither half gives the merge all it returned and none is asked
-    # twice
-    for m in (64, 257):
-        for k in range(4):
-            a = pipe.Lk(m, k)
-            rows = [len(d) for d, _ in spectral._halves(a)]
-            for count in range(5, 64):
-                with oracles.lapack_requests() as requests:
-                    spectral._folded_pairs(a, count)
-                assert requests == [(n, (0, min(count // 2 + 2, n) - 1))
-                                    for n in rows]
+        spectrum([pipe.Lk(m, k)], count)
+    assert requests == asked
 
 
 def test_spectrum_refuses_narrow_long_double(pipe, monkeypatch, tmp_path,
