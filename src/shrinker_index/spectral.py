@@ -29,6 +29,7 @@ vertical translation and rotation odd.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import scipy.linalg
@@ -37,8 +38,15 @@ from . import curve as curve_mod
 from . import metric
 from . import stability
 
-#: |cosine| threshold for matching an eigenfunction to a known template.
-CLASSIFY_COSINE = 0.999
+#: |cosine| a mode must exceed to take a template's label: 1/sqrt(2).
+CLASSIFY_COSINE = np.sqrt(0.5)
+
+#: Peak bytes per pair and point of a `Pipeline.scan`, the float64 vectors
+#: and the polish's long-double copies (tracemalloc at M = 2048).
+SCAN_BYTES = 80
+
+#: Bytes of physical memory; a `Pipeline.scan` that needs more is refused.
+PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 #: The index computation polishes, at each k, the modes below this margin
 #: and stops at the first k that has none; eigenvalues grow with k.
@@ -214,7 +222,8 @@ def _halves(a):
     """The even and odd mirror halves of one StabilityMatrix, as (d, e).
 
     -L_k of a mirror-symmetric curve commutes with the reflection
-    m -> -m mod M.  On its mirror-averaged bands it splits into an even
+    m -> -m mod M (`spectrum` checks it): diag is its own mirror bit for
+    bit, and on diag and the mirror-averaged up it splits into an even
     half (points 0..M//2) and an odd half (points 1..(M-1)//2), symmetric
     tridiagonal matrices with no cyclic corner; the couplings to the fixed
     points 0 and M/2 carry a factor sqrt(2), and for odd M the pair
@@ -223,11 +232,10 @@ def _halves(a):
     """
     m = a.M
     h = m // 2
-    diag = 0.5 * (a.diag + np.roll(a.diag[::-1], 1))
     up = 0.5 * (a.up + a.up[::-1])
-    d_even = diag[:h + 1].copy()
+    d_even = a.diag[:h + 1].copy()
     e_even = up[:h].copy()
-    d_odd = diag[1:(m + 1) // 2].copy()
+    d_odd = a.diag[1:(m + 1) // 2].copy()
     e_odd = up[1:(m - 1) // 2]
     e_even[0] *= np.sqrt(2.0)
     if m % 2:
@@ -282,7 +290,8 @@ def spectrum(matrices, count):
     The list is grouped by matrix in input order, ascending within each.
     The matrices must share M and the `up` band, as the -L_k of one curve
     do, and commute with the reflection m -> -m mod M, as those of a
-    mirror-symmetric curve do (`Pipeline` checks the curve).
+    mirror-symmetric curve do: `diag` equal to its mirror bit for bit and
+    `up` to a relative 1e-12, else ValueError names the worst point.
     `_folded_pairs` on each matrix, then one extended-precision polish of
     all pairs on the full cyclic bands, O(M) per mode.  Calls are bitwise
     repeatable on any BLAS thread count, and a pair's result does not
@@ -306,6 +315,19 @@ def spectrum(matrices, count):
     m, up = matrices[0].M, matrices[0].up
     if any(a.M != m or not np.array_equal(a.up, up) for a in matrices):
         raise ValueError("matrices must share M and the up band")
+    # the mirror halves hold only an operator that commutes with the
+    # reflection: diag[i] must equal diag[-i] bit for bit, and up[i]
+    # (points i, i + 1) equal up[-1 - i] to a relative 1e-12
+    gaps = [("up", -1, np.abs(up - up[::-1]) - 1e-12 * np.abs(up))]
+    gaps += [("diag", 0, np.abs(a.diag - np.roll(a.diag[::-1], 1)))
+             for a in matrices]
+    for band, offset, gap in gaps:
+        if gap.max() > 0.0:
+            i = int(np.argmax(gap))
+            raise ValueError(
+                "operator does not commute with the reflection m -> -m mod M:"
+                " %s[%d] is off its mirror %s[%d]"
+                % (band, i, band, (offset - i) % m))
     if count < 1 or count >= m:
         raise ValueError("count must be in 1..M-1")
     vals, vecs, resids = _refine_pairs(
@@ -344,7 +366,11 @@ def classify_modes(modes, curve, normals):
 
     Labels are dilation, vertical_translation, horizontal_translation,
     rotation, sigma_inverse and generic.  Templates are matched only within
-    each mode's own k and are built once per k.  Returns the list.
+    each mode's own k.  A mode takes its best template's label at |cosine|
+    > CLASSIFY_COSINE = 1/sqrt(2): orthonormal modes have squared cosines
+    to a unit template that sum to at most 1, so at most one mode of a k
+    passes.  On solved curves of M = 18 to 2048 points the best |cosine|
+    is at least 0.9553 and the runner-up at most 0.1936.  Returns the list.
     """
     per_k = {}
     for mode in modes:
@@ -356,7 +382,7 @@ def classify_modes(modes, curve, normals):
         best_cos = CLASSIFY_COSINE
         for label, shape, norm in per_k[mode.k]:
             cos = abs(float(np.dot(mode.vector, shape))) / norm
-            if cos >= best_cos:
+            if cos > best_cos:
                 best_cos = cos
                 mode.label = label
     return modes
@@ -405,8 +431,16 @@ class Pipeline:
         """Lowest `count` eigenpairs of -L_k for each k in ks, labelled.
 
         One `spectrum` call; the list is grouped by k in the order of ks,
-        ascending within each k.
+        ascending within each k.  Raises MemoryError, before allocating,
+        where len(ks) * count * M * SCAN_BYTES exceeds PHYSICAL_MEMORY.
         """
+        need = len(ks) * count * self.curve.M * SCAN_BYTES
+        if need > PHYSICAL_MEMORY:
+            raise MemoryError(
+                "%d values of k with %d modes each at M = %d need about "
+                "%.3g GB, more than the %.3g GB of physical memory"
+                % (len(ks), count, self.curve.M, need / 1e9,
+                   PHYSICAL_MEMORY / 1e9))
         mats = [stability.assemble_Lk(self.evaluation, k) for k in ks]
         return classify_modes(spectrum(mats, count), self.curve,
                               self.evaluation.normals)
@@ -443,9 +477,9 @@ def compute_index(curve):
     the continuum, so it is never counted, whatever the sign of its
     discrete value.  Raises ExclusionMismatch for a curve that is not
     exactly mirror-symmetric or not a solved geodesic (see Pipeline), and
-    unless exactly one negative dilation mode (k = 0), one negative
-    vertical translation (k = 0) and one negative horizontal translation
-    (k = 1, multiplicity 2) are found.
+    unless the labels find exactly one negative dilation and one vertical
+    translation (k = 0) and one horizontal translation (k = 1,
+    multiplicity 2); their 1/sqrt(2) bound finds them at every M >= 18.
     """
     pipe = Pipeline(curve)
     count = 0

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import shrinker_index
 from shrinker_index import (DiscreteCurve, Pipeline, cli, drift_diagnostic,
-                            potential_profile, read_curve, stability,
-                            write_curve)
+                            potential_profile, read_curve, solve_geodesic,
+                            stability, write_curve)
 from shrinker_index.cli import main
 from shrinker_index.render import obj_surface, svg_cross_section
 
@@ -104,17 +104,15 @@ def test_index_from_curve_file(curve_csv, capsys):
     assert captured.out.strip() == "index 5 (9 negative, 4 excluded)"
 
 
-def test_index_names_the_point_count_below_60(capsys):
-    # below M = 60 the horizontal translation's cosine to its template is
-    # under CLASSIFY_COSINE, so the index refuses and says at which M
-    rc = main(["index", "--points", "59"])
-    captured = capsys.readouterr()
-    assert rc == 4
-    assert "at M = 59" in captured.err
-    rc = main(["index", "--points", "60"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert captured.out.strip() == "index 5 (9 negative, 4 excluded)"
+def test_index_at_the_smallest_point_counts(capsys):
+    # the horizontal translation's cosine to its template is 0.9553 at
+    # M = 18 and 0.99899 at 59, above the 1/sqrt(2) label bound, so the
+    # index holds from the solver's own minimum of 18 points on
+    for points in ("18", "59"):
+        rc = main(["index", "--points", points])
+        captured = capsys.readouterr()
+        assert rc == 0, points
+        assert captured.out.strip() == "index 5 (9 negative, 4 excluded)"
 
 
 def test_index_rejects_random_polygon(tmp_path, capsys):
@@ -224,9 +222,12 @@ def test_process_exit_codes(tmp_path):
     # the real process: cli.entry() and the __main__ guard pass main's
     # return value on as the exit status
     env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    rolled = tmp_path / "rolled.csv"
+    write_curve(DiscreteCurve(np.roll(solve_geodesic(18).points, 1, axis=0)),
+                rolled)
     cases = [
         ([], 3, "error: usage:"),
-        (["index", "--points", "18"], 4, "error: consistency:"),
+        (["index", "--curve", str(rolled)], 4, "error: consistency:"),
         (["spectrum", "--curve", str(tmp_path / "missing.csv")], 2,
          "error: runtime:"),
         (["solve", "--points", "18", "--out", str(tmp_path / "c.csv")], 0,
@@ -823,6 +824,38 @@ def test_render_out_of_memory_is_a_runtime_error(curve_csv, tmp_path,
         "error: runtime: Unable to allocate 64.0 GiB for an array\n")
     assert captured.out == ""
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "--j-max", "10", "--k-scan", "67108864", "--out", "{out}"],
+    ["convergence", "--points-list", "18,19,20", "--k-max", "67108864",
+     "--out", "{out}"],
+])
+def test_oversized_scan_is_refused_before_allocating(curve_csv, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     argv):
+    # 2^26 - 1 ground states at M = 64 need about 340 GB to polish, and
+    # 2^26 + 1 values of k with 4 modes each at M = 18 about 390 GB; the
+    # memory limit is lowered to 1 MB so that no machine could hold them,
+    # and only the drift's one -L_k reaches `spectrum`
+    monkeypatch.setattr(cli.spectral, "PHYSICAL_MEMORY", 10 ** 6)
+    batches = []
+    original = cli.spectral.spectrum
+
+    def spectrum(matrices, count):
+        batches.append(len(matrices))
+        return original(matrices, count)
+    monkeypatch.setattr(cli.spectral, "spectrum", spectrum)
+    argv = [a.format(out=tmp_path / "out") for a in argv]
+    if argv[0] == "asymptotics":
+        argv[1:1] = ["--curve", curve_csv]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: runtime: ")
+    assert "GB of physical memory" in line
+    assert batches == ([1] if argv[0] == "asymptotics" else [])
 
 
 def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):

@@ -163,6 +163,30 @@ def test_batched_spectrum_refuses_mixed_operators(pipe):
         spectrum([a, foreign], 4)
 
 
+def test_spectrum_refuses_an_operator_off_its_mirror(pipe):
+    # the mirror halves hold only an operator that commutes with
+    # m -> -m mod M; on this random one they gave lambda_0 = -7.336, with
+    # residual 0.85, where a dense solve gives -7.692
+    rng = np.random.default_rng(0)
+    a = StabilityMatrix(0, rng.uniform(-4, 4, 64), rng.uniform(-4, -1, 64))
+    with pytest.raises(ValueError, match=r"reflection m -> -m mod M: "
+                       r"up\[14\] is off its mirror up\[49\]$"):
+        spectrum([a], 6)
+    # diag must be its own mirror bit for bit, in every matrix of the call
+    b = pipe.Lk(64, 1)
+    diag = b.diag.copy()
+    diag[5] = np.nextafter(diag[5], np.inf)
+    with pytest.raises(ValueError, match=r"diag\[5\] is off its mirror "
+                       r"diag\[59\]$"):
+        spectrum([pipe.Lk(64, 0), StabilityMatrix(1, diag, b.up)], 4)
+    # up only to a relative 1e-12
+    up = b.up.copy()
+    up[3] *= 1.0 + 1e-13
+    near = spectrum([StabilityMatrix(1, b.diag, up)], 4)
+    for md, ref in zip(near, pipe.modes(64, 1, 4)):
+        assert abs(md.eigenvalue - ref.eigenvalue) <= 1e-9
+
+
 @pytest.mark.parametrize("m,k,count,asked", [
     (2048, 0, 201, [(1025, (0, 101)), (1023, (0, 101))]),
     (2048, 1, 201, [(1025, (0, 101)), (1023, (0, 101))]),
@@ -245,6 +269,23 @@ def test_drift_spectra_identical_across_thread_counts(pipe, tmp_path):
                                          range(2), 201)
     assert one.shape == (402 + 402 * 2048,)
     assert np.array_equal(one, two)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@example(m=18)
+@example(m=59)
+@given(m=st.integers(18, 129))
+def test_full_count_scan_labels_one_mode_per_template(pipe, m):
+    # the label bound 1/sqrt(2) passes at most one of a k's orthonormal
+    # modes per template; at M = 18..129 each template of k = 0 and 1
+    # finds its mode, and k = 2, 3 have none
+    modes = Pipeline(pipe.curve(m)).scan(range(4), m - 1)
+    for k, labels in enumerate([["dilation", "vertical_translation"],
+                                ["horizontal_translation", "rotation",
+                                 "sigma_inverse"], [], []]):
+        got = sorted(md.label for md in modes
+                     if md.k == k and md.label != "generic")
+        assert got == labels, (m, k)
 
 
 def test_labels_low_modes(pipe):
