@@ -197,9 +197,9 @@ def _cmd_convergence(args):
         raise UsageError("--points-list needs at least 3 distinct resolutions")
     if len(set(m_values)) < len(m_values):
         raise UsageError("--points-list must not repeat a resolution")
-    os.makedirs(args.out, exist_ok=True)
     studies = convergence.run_study(
         args.k_max, m_values, progress=lambda m: print("solved M = %d" % m))
+    os.makedirs(args.out, exist_ok=True)
     # run_study returns (0, 0), (0, 1), ..., (k_max, 3), then entropy, so
     # the table rows come in (k, j) order and study.csv by quantity, then M
     rows, study_rows, slopes = [], [], {}
@@ -244,26 +244,25 @@ def _cmd_asymptotics(args):
         raise UsageError("--j-max must be at most %d for %d curve points"
                          % ((crv.M - 2) // 2, crv.M))
     pipe = spectral.Pipeline(crv)
-    os.makedirs(args.out, exist_ok=True)
     profile = asymptotics.potential_profile(crv, args.k)
-    _write_csv(os.path.join(args.out, "profile_k%d.csv" % args.k), "m,s,V",
-               zip(range(crv.M), profile.s, profile.V))
     lam = [m.eigenvalue for m in pipe.scan([args.k], 2 * args.j_max + 1)]
     drift, exponent = asymptotics.drift_diagnostic(profile, lam)
+    ks, rows = range(2, args.k_scan + 1), []
+    for k, ground in zip(ks, pipe.scan(ks, 1) if ks else []):
+        est = asymptotics.high_k_estimate(
+            asymptotics.potential_profile(crv, k), 0)
+        rows.append((k, ground.eigenvalue, est, ground.eigenvalue - est))
+    # nothing is written until every number is computed
+    os.makedirs(args.out, exist_ok=True)
+    _write_csv(os.path.join(args.out, "profile_k%d.csv" % args.k), "m,s,V",
+               zip(range(crv.M), profile.s, profile.V))
     _write_csv(os.path.join(args.out, "drift_k%d.csv" % args.k),
                "j,lambda,estimate,deviation", drift)
-    print("V_avg %.17g length %.17g drift_exponent %.4f"
-          % (profile.V_avg, profile.euclidean_length, exponent))
-    if args.k_scan:
-        rows = []
-        ks = range(2, args.k_scan + 1)
-        for k, ground in zip(ks, pipe.scan(ks, 1)):
-            prof = asymptotics.potential_profile(crv, k)
-            lam0 = ground.eigenvalue
-            est = asymptotics.high_k_estimate(prof, 0)
-            rows.append((k, lam0, est, lam0 - est))
+    if ks:
         _write_csv(os.path.join(args.out, "groundstate.csv"),
                    "k,lambda0,estimate,deviation", rows)
+    print("V_avg %.17g length %.17g drift_exponent %.4f"
+          % (profile.V_avg, profile.euclidean_length, exponent))
     return 0
 
 

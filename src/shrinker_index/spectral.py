@@ -29,6 +29,7 @@ vertical translation and rotation odd.
 """
 
 import dataclasses
+import itertools
 import os
 
 import numpy as np
@@ -51,9 +52,6 @@ PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 #: The index computation polishes, at each k, the modes below this margin
 #: and stops at the first k that has none; eigenvalues grow with k.
 INDEX_STOP_MARGIN = 1e-3
-
-#: Largest k the index computation walks before giving up.
-INDEX_K_CAP = 64
 
 #: Mantissa bits of numpy's long double on this platform.  The polish needs
 #: the 63 of x87 extended precision; on platforms where long double is
@@ -468,22 +466,26 @@ def compute_index(curve):
 
     Walks k = 0, 1, 2, ..., counting the eigenvalues of -L_k below
     INDEX_STOP_MARGIN by bisection on its mirror `_halves`, and stops at
-    the first k with none (the values are monotone in k); a k whose M
-    modes all lie below the margin raises ExclusionMismatch.  The counts
-    are exact to ~eps ||A||, far inside the margin, so one `Pipeline.scan`
-    of the largest count at every k before the stop polishes and labels
-    every mode that can be negative.  Negative polished eigenvalues are
-    counted with multiplicity.  The rotation mode (k = 1) is exactly 0 in
-    the continuum, so it is never counted, whatever the sign of its
-    discrete value.  Raises ExclusionMismatch for a curve that is not
-    exactly mirror-symmetric or not a solved geodesic (see Pipeline), and
-    unless the labels find exactly one negative dilation and one vertical
+    the first k with none; a k whose M modes all lie below the margin
+    raises ExclusionMismatch.  -L_k is -L_0 plus k^2 diag(1/r^2), r > 0,
+    so by Weyl's inequality (Horn & Johnson, Matrix Analysis, Thm 4.3.1)
+    the counts never grow with k and the walk stops by the ceiling of
+    max(r) sqrt(margin - lambda_min(-L_0)), which is 7 for the torus at
+    M = 64 and 2048; it stops at k = 3.  The counts are exact to
+    ~eps ||A||, far inside the margin, so one `Pipeline.scan` of the
+    largest count at every k before the stop polishes and labels every
+    mode that can be negative.  Negative polished eigenvalues are counted
+    with multiplicity.  The rotation mode (k = 1) is exactly 0 in the
+    continuum, so it is never counted, whatever the sign of its discrete
+    value.  Raises ExclusionMismatch for a curve that is not exactly
+    mirror-symmetric or not a solved geodesic (see Pipeline), and unless
+    the labels find exactly one negative dilation and one vertical
     translation (k = 0) and one horizontal translation (k = 1,
     multiplicity 2); their 1/sqrt(2) bound finds them at every M >= 18.
     """
     pipe = Pipeline(curve)
     count = 0
-    for k in range(INDEX_K_CAP + 1):
+    for k in itertools.count():
         a = stability.assemble_Lk(pipe.evaluation, k)
         n = sum(len(scipy.linalg.eigvalsh_tridiagonal(
             d, e, select="v", select_range=(-np.inf, INDEX_STOP_MARGIN)))
@@ -494,8 +496,6 @@ def compute_index(curve):
             raise ExclusionMismatch("all %d modes at k = %d are below %g"
                                     % (n, k, INDEX_STOP_MARGIN))
         count = max(count, n)
-    else:
-        raise ExclusionMismatch("negative modes persist beyond k = %d" % k)
     negative = [m for m in (pipe.scan(range(k), count) if k else [])
                 if m.eigenvalue < 0.0 and m.label != "rotation"]
     found = {label: sum(m.label == label for m in negative)

@@ -116,6 +116,8 @@ def test_index_at_the_smallest_point_counts(capsys):
 
 
 def test_index_rejects_random_polygon(tmp_path, capsys):
+    # a random polygon is not its own mirror image, which `index` checks
+    # before it takes any spectrum
     rng = np.random.default_rng(5)
     bad = DiscreteCurve(np.column_stack([rng.uniform(0.5, 3.0, 64),
                                          rng.uniform(-1.0, 1.0, 64)]))
@@ -124,7 +126,8 @@ def test_index_rejects_random_polygon(tmp_path, capsys):
     rc = main(["index", "--curve", str(path)])
     captured = capsys.readouterr()
     assert rc == 4
-    assert captured.err.startswith("error: consistency:")
+    assert captured.err.startswith(
+        "error: consistency: curve is not mirror-symmetric: point 14 ")
 
 
 @pytest.mark.parametrize("perturbation", ["roll", "ulp"])
@@ -837,7 +840,8 @@ def test_oversized_scan_is_refused_before_allocating(curve_csv, tmp_path,
     # 2^26 - 1 ground states at M = 64 need about 340 GB to polish, and
     # 2^26 + 1 values of k with 4 modes each at M = 18 about 390 GB; the
     # memory limit is lowered to 1 MB so that no machine could hold them,
-    # and only the drift's one -L_k reaches `spectrum`
+    # and only the drift's one -L_k reaches `spectrum`; the refusal comes
+    # before any output, so no line is printed and --out is never made
     monkeypatch.setattr(cli.spectral, "PHYSICAL_MEMORY", 10 ** 6)
     batches = []
     original = cli.spectral.spectrum
@@ -856,6 +860,8 @@ def test_oversized_scan_is_refused_before_allocating(curve_csv, tmp_path,
     assert line.startswith("error: runtime: ")
     assert "GB of physical memory" in line
     assert batches == ([1] if argv[0] == "asymptotics" else [])
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):

@@ -88,6 +88,15 @@ def test_resample_changes_point_count(pipe):
         resample_uniform(crv, 2)
 
 
+def test_resample_refuses_zero_length_segment():
+    # a repeated point leaves a segment of length 0, which has no
+    # interpolant to place points on
+    pts = _square().points
+    repeated = DiscreteCurve(np.insert(pts, 1, pts[1], axis=0))
+    with pytest.raises(ValueError, match="curve has a zero-length segment"):
+        resample_uniform(repeated, 8)
+
+
 def test_csv_round_trip_bitwise(pipe, tmp_path):
     crv = pipe.curve(64)
     path = tmp_path / "curve.csv"

@@ -662,25 +662,52 @@ def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
         compute_index(pipe.curve(64))
 
 
-def test_index_refuses_modes_beyond_k_cap(pipe, monkeypatch, tmp_path,
-                                          capsys):
-    # at M = 64 the counts below the stop margin are 3, 2 and 1 at
-    # k = 0, 1, 2, so a walk capped at k = 1 never reaches a k with none
-    monkeypatch.setattr(spectral, "INDEX_K_CAP", 1)
-    with pytest.raises(ExclusionMismatch,
-                       match="negative modes persist beyond k = 1"):
+def test_index_walk_ends_by_the_weyl_bound(pipe, monkeypatch):
+    # -L_k is -L_0 plus k^2 / r^2 on the diagonal, so by Weyl's inequality
+    # its eigenvalues rise with k; with every -L_k lowered by 400 at M = 64
+    # the walk runs on until the first k whose whole spectrum clears the
+    # stop margin, and that k lies within ceil(max r sqrt(margin - lambda_min))
+    original = stability.assemble_Lk
+
+    def sunk(ev, k):
+        a = original(ev, k)
+        return StabilityMatrix(k=a.k, diag=a.diag - 400.0, up=a.up)
+    monkeypatch.setattr(stability, "assemble_Lk", sunk)
+    ev = Evaluation(pipe.curve(64).points)
+    lowest = [np.linalg.eigvalsh(oracles.dense(sunk(ev, k)))[0]
+              for k in range(80)]
+    first_clear = next(k for k, lam in enumerate(lowest)
+                       if lam > spectral.INDEX_STOP_MARGIN)
+    bound = np.ceil(ev.points[:, 0].max()
+                    * np.sqrt(spectral.INDEX_STOP_MARGIN - lowest[0]))
+    rep = compute_index(pipe.curve(64))
+    assert len(rep.per_k) - 1 == first_clear == 66
+    assert first_clear <= bound == 67
+
+
+def test_index_refuses_unlabelled_exclusions(pipe, monkeypatch, tmp_path,
+                                             capsys):
+    # with a cosine bound of 1 no mode takes a label, so the dilation and
+    # the translations cannot be found and the index must not be guessed
+    monkeypatch.setattr(spectral, "CLASSIFY_COSINE", 1.0)
+    with pytest.raises(ExclusionMismatch) as info:
         compute_index(pipe.curve(64))
+    assert str(info.value) == (
+        "expected one dilation and three translation modes, found "
+        "{'dilation': 0, 'vertical_translation': 0, "
+        "'horizontal_translation': 0} at M = 64")
     path = tmp_path / "curve64.csv"
     write_curve(pipe.curve(64), str(path))
     assert cli.main(["index", "--curve", str(path)]) == 4
-    assert capsys.readouterr().err.startswith("error: consistency:")
+    assert capsys.readouterr().err == "error: consistency: %s\n" % info.value
 
 
 def test_index_requires_recognizable_exclusions():
-    # a random closed polygon has no dilation/translation near-kernel, so
-    # the exclusion bookkeeping must refuse rather than guess
+    # a random closed polygon is no solved geodesic; it is not even its own
+    # mirror image, so the Pipeline refuses it before any spectrum is taken
     rng = np.random.default_rng(5)
     bad = DiscreteCurve(np.column_stack([rng.uniform(0.5, 3.0, 64),
                                          rng.uniform(-1.0, 1.0, 64)]))
-    with pytest.raises(ExclusionMismatch):
+    with pytest.raises(ExclusionMismatch,
+                       match="curve is not mirror-symmetric: point 14 "):
         compute_index(bad)
