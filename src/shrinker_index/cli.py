@@ -1,8 +1,11 @@
 """Command-line driver.
 
 Subcommands: solve, spectrum, index, convergence, asymptotics, render.
+Each handler computes and returns ([(path, text), ...], stdout text), and
+`main` alone writes those files and then prints.
 Exit codes: 0 success, 2 runtime failure (no convergence, bad input file,
-out of memory, a long double too narrow for the polish), 3 bad arguments,
+an output path whose directory is missing, out of memory, a long double
+too narrow for the polish), 3 bad arguments,
 4 consistency failure (an input curve that is not exactly mirror-symmetric
 or not a solved geodesic, or whose spectrum lacks the expected modes).
 Errors are reported as a single line on stderr with a machine-parseable
@@ -10,6 +13,7 @@ prefix: "error: usage:", "error: runtime:" or "error: consistency:".
 """
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -123,25 +127,19 @@ def _build_parser():
     return parser
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_csv(path, header, rows):
-    """CSV with a header line: floats at 17 significant digits, else str."""
+def _csv(header, rows):
+    """CSV text with a header: floats at 17 significant digits, else str."""
     lines = [header]
     for row in rows:
         lines.append(",".join("%.17g" % cell if isinstance(cell, float)
                               else str(cell) for cell in row))
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_solve(args):
     crv = solver.solve_geodesic(args.points)
     curve_mod.write_curve(crv, args.out)
-    print("entropy %.17g M %d" % (curve_mod.discrete_length(crv), crv.M))
-    return 0
+    return [], "entropy %.17g M %d\n" % (curve_mod.discrete_length(crv), crv.M)
 
 
 def _cmd_spectrum(args):
@@ -156,15 +154,13 @@ def _cmd_spectrum(args):
         "eigenvalues": [m.eigenvalue for m in modes],
         "labels": [m.label for m in modes],
         "residuals": [m.residual for m in modes],
-    }, indent=2)
-    if args.out:
-        _write(args.out, report + "\n")
-    else:
-        print(report)
+    }, indent=2) + "\n"
+    files = [(args.out, report)] if args.out else []
     if args.csv:
-        _write_csv(args.csv, "j,eigenvalue,label,residual",
-                   [(m.j, m.eigenvalue, m.label, m.residual) for m in modes])
-    return 0
+        files.append((args.csv, _csv(
+            "j,eigenvalue,label,residual",
+            [(m.j, m.eigenvalue, m.label, m.residual) for m in modes])))
+    return files, "" if args.out else report
 
 
 def _cmd_index(args):
@@ -173,18 +169,16 @@ def _cmd_index(args):
     else:
         crv = solver.solve_geodesic(args.points)
     report = spectral.compute_index(crv)
-    print("index %d (%d negative, %d excluded)"
-          % (report.index, report.total_negative,
-             report.total_negative - report.index))
-    if args.out:
-        _write(args.out, json.dumps({
-            "per_k": [{"k": k, "negative_eigenvalues": vals}
-                      for k, vals in report.per_k],
-            "excluded": report.excluded,
-            "total": report.total_negative,
-            "index": report.index,
-        }, indent=2) + "\n")
-    return 0
+    files = [(args.out, json.dumps({
+        "per_k": [{"k": k, "negative_eigenvalues": vals}
+                  for k, vals in report.per_k],
+        "excluded": report.excluded,
+        "total": report.total_negative,
+        "index": report.index,
+    }, indent=2) + "\n")] if args.out else []
+    return files, "index %d (%d negative, %d excluded)\n" % (
+        report.index, report.total_negative,
+        report.total_negative - report.index)
 
 
 def _cmd_convergence(args):
@@ -199,10 +193,9 @@ def _cmd_convergence(args):
         raise UsageError("--points-list must not repeat a resolution")
     studies = convergence.run_study(
         args.k_max, m_values, progress=lambda m: print("solved M = %d" % m))
-    os.makedirs(args.out, exist_ok=True)
     # run_study returns (0, 0), (0, 1), ..., (k_max, 3), then entropy, so
     # the table rows come in (k, j) order and study.csv by quantity, then M
-    rows, study_rows, slopes = [], [], {}
+    rows, study_rows, slopes, files = [], [], {}, {}
     for st in studies:
         if st.quantity == "entropy":
             name = "entropy"
@@ -214,24 +207,22 @@ def _cmd_convergence(args):
         slopes[name] = st.slope
         study_rows += [(name, m, est, st.true_value, abs(err)) for m, est, err
                        in zip(st.M_values, st.estimates, st.errors)]
-        _write_csv(os.path.join(args.out, "loglog_%s.csv" % name),
-                   "M,log10_M,abs_error,log10_abs_error",
-                   [(m, np.log10(m), abs(err), np.log10(abs(err)))
-                    for m, err in zip(st.M_values, st.errors)])
-    text = "\n".join([
+        files["loglog_%s.csv" % name] = _csv(
+            "M,log10_M,abs_error,log10_abs_error",
+            [(m, np.log10(m), abs(err), np.log10(abs(err)))
+             for m, err in zip(st.M_values, st.errors)])
+    files["table.txt"] = text = "\n".join([
         "  k  j      computed          true        error      source  slope",
         "  -  -  ------------  ------------  -----------  ----------  -----",
     ] + ["  %d  %d  %12.8f  %12.8f  %+.2e  %10s  %5.2f" % row
          for row in rows]) + "\n"
-    _write(os.path.join(args.out, "table.txt"), text)
-    _write_csv(os.path.join(args.out, "table.csv"),
-               "k,j,computed,true_value,error,true_known,slope", rows)
-    _write_csv(os.path.join(args.out, "study.csv"),
-               "quantity,M,estimate,true_value,abs_error", study_rows)
-    _write(os.path.join(args.out, "slopes.json"),
-           json.dumps(slopes, indent=2) + "\n")
-    print(text, end="")
-    return 0
+    files["table.csv"] = _csv(
+        "k,j,computed,true_value,error,true_known,slope", rows)
+    files["study.csv"] = _csv(
+        "quantity,M,estimate,true_value,abs_error", study_rows)
+    files["slopes.json"] = json.dumps(slopes, indent=2) + "\n"
+    os.makedirs(args.out, exist_ok=True)
+    return [(os.path.join(args.out, n), t) for n, t in files.items()], text
 
 
 def _cmd_asymptotics(args):
@@ -252,18 +243,17 @@ def _cmd_asymptotics(args):
         est = asymptotics.high_k_estimate(
             asymptotics.potential_profile(crv, k), 0)
         rows.append((k, ground.eigenvalue, est, ground.eigenvalue - est))
-    # nothing is written until every number is computed
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "profile_k%d.csv" % args.k), "m,s,V",
-               zip(range(crv.M), profile.s, profile.V))
-    _write_csv(os.path.join(args.out, "drift_k%d.csv" % args.k),
-               "j,lambda,estimate,deviation", drift)
+    files = {
+        "profile_k%d.csv" % args.k: _csv(
+            "m,s,V", zip(range(crv.M), profile.s, profile.V)),
+        "drift_k%d.csv" % args.k: _csv("j,lambda,estimate,deviation", drift),
+    }
     if ks:
-        _write_csv(os.path.join(args.out, "groundstate.csv"),
-                   "k,lambda0,estimate,deviation", rows)
-    print("V_avg %.17g length %.17g drift_exponent %.4f"
-          % (profile.V_avg, profile.euclidean_length, exponent))
-    return 0
+        files["groundstate.csv"] = _csv("k,lambda0,estimate,deviation", rows)
+    os.makedirs(args.out, exist_ok=True)
+    return ([(os.path.join(args.out, n), t) for n, t in files.items()],
+            "V_avg %.17g length %.17g drift_exponent %.4f\n"
+            % (profile.V_avg, profile.euclidean_length, exponent))
 
 
 def _cmd_render(args):
@@ -282,9 +272,7 @@ def _cmd_render(args):
     svg = render.svg_cross_section(crv, epsilon=args.epsilon, **shown)
     obj = render.obj_surface(crv, k=args.k, ntheta=args.ntheta,
                              epsilon=args.epsilon, phase=args.phase, **shown)
-    _write(args.out + ".svg", svg)
-    _write(args.out + ".obj", obj)
-    return 0
+    return [(args.out + ".svg", svg), (args.out + ".obj", obj)], ""
 
 
 _COMMANDS = {
@@ -303,7 +291,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
-        return _COMMANDS[args.command](args)
+        files, text = _COMMANDS[args.command](args)
+        for path, _ in files:
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT,
+                                        os.strerror(errno.ENOENT), path)
+        for path, content in files:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        print(text, end="")
+        return 0
     except UsageError as exc:
         print("error: usage: %s" % exc, file=sys.stderr)
         return 3

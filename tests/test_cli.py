@@ -205,6 +205,58 @@ def test_unsolved_curve_refused_before_any_output(pipe, tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,missing", [
+    (["index", "--out", "{out}/nodir/x.json"], "nodir/x.json"),
+    (["spectrum", "--out", "{out}/s.json", "--csv", "{out}/nodir/s.csv"],
+     "nodir/s.csv"),
+], ids=["index", "spectrum"])
+def test_missing_output_directory_refused_before_any_output(
+        curve_csv, tmp_path, capsys, argv, missing):
+    # a bad second path leaves neither the first file nor the printed line
+    rc = main(argv[:1] + ["--curve", curve_csv]
+              + [a.format(out=tmp_path) for a in argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        "error: runtime: [Errno 2] No such file or directory: %r\n"
+        % str(tmp_path / missing))
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--out", "{out}/s.json", "--csv", "{out}/s.csv"],
+    ["index", "--out", "{out}/i.json"],
+    ["convergence", "--points-list", "18,19,20", "--k-max", "1",
+     "--out", "{out}/study"],
+    ["asymptotics", "--j-max", "10", "--k-scan", "3", "--out", "{out}/asy"],
+    ["render", "--k", "2", "--j", "1", "--ntheta", "6", "--out", "{out}/r"],
+], ids=lambda argv: argv[0])
+def test_handlers_return_before_any_output(curve_csv, tmp_path, capsys,
+                                           monkeypatch, argv):
+    # a handler only computes: when it returns, the disk holds the input
+    # curve alone and stdout only convergence's progress lines; main then
+    # writes every file and prints
+    curve = tmp_path / "curve64.csv"
+    curve.write_bytes(Path(curve_csv).read_bytes())
+    handler, seen = cli._COMMANDS[argv[0]], []
+
+    def checked(args):
+        result = handler(args)
+        seen.append(([os.path.join(top, name) for top, _, names
+                      in os.walk(tmp_path) for name in names],
+                     capsys.readouterr().out))
+        return result
+    monkeypatch.setitem(cli._COMMANDS, argv[0], checked)
+    if argv[0] != "convergence":
+        argv = argv[:1] + ["--curve", str(curve)] + argv[1:]
+    assert main([a.format(out=tmp_path) for a in argv]) == 0
+    ((files, out),) = seen
+    assert files == [str(curve)]
+    assert all(line.startswith("solved M = ") for line in out.splitlines())
+    capsys.readouterr()
+
+
 def test_missing_curve_file(capsys):
     rc = main(["spectrum", "--curve", "/no/such/file.csv"])
     captured = capsys.readouterr()
@@ -603,7 +655,7 @@ def test_main_dispatches_through_command_table(monkeypatch):
             "render"} <= set(cli._COMMANDS)
     seen = []
     monkeypatch.setitem(cli._COMMANDS, "solve",
-                        lambda args: seen.append(args.out) or 0)
+                        lambda args: seen.append(args.out) or ([], ""))
     assert main(["solve", "--out", "x.csv"]) == 0
     assert seen == ["x.csv"]
 
@@ -866,12 +918,10 @@ def test_oversized_scan_is_refused_before_allocating(curve_csv, tmp_path,
 
 def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):
     # floats keep every bit, other cells are written with str
-    path = tmp_path / "cells.csv"
     floats = [-0.0, 5e-324, 1e308, np.float64(0.1)]
     big = np.int64(2 ** 62 + 1)
-    cli._write_csv(path, "a,b,c,d,n,label",
-                   [floats + [big, "sigma_inverse"]])
-    header, row, end = path.read_text().split("\n")
+    text = cli._csv("a,b,c,d,n,label", [floats + [big, "sigma_inverse"]])
+    header, row, end = text.split("\n")
     assert header == "a,b,c,d,n,label" and end == ""
     cells = row.split(",")
     for cell, value in zip(cells, floats):
@@ -910,10 +960,8 @@ _CSV_FLOATS = st.one_of(
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(rows=st.lists(st.lists(_CSV_FLOATS, min_size=1, max_size=8),
                      min_size=1, max_size=12))
-def test_write_csv_floats_round_trip_bitwise(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("csv") / "cells.csv"
-    cli._write_csv(path, "h", rows)
-    header, *lines, end = path.read_text().split("\n")
+def test_write_csv_floats_round_trip_bitwise(rows):
+    header, *lines, end = cli._csv("h", rows).split("\n")
     assert header == "h" and end == "" and len(lines) == len(rows)
     for text, row in zip(lines, rows):
         cells = text.split(",")
