@@ -296,6 +296,9 @@ def main(argv=None):
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(errno.ENOENT,
                                         os.strerror(errno.ENOENT), path)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR), path)
         for path, content in files:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(content)

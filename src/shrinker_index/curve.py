@@ -53,7 +53,8 @@ class DiscreteCurve:
 def discrete_length(curve):
     """Total discrete weighted length: sum of segment distances."""
     pts = curve.points
-    return float(metric.segment_distance(pts, np.roll(pts, -1, axis=0)).sum())
+    return float(metric.segment_distance(
+        pts, np.concatenate((pts[1:], pts[:1]))).sum())
 
 
 def _resample_points(points, m_new):
@@ -66,23 +67,30 @@ def _resample_points(points, m_new):
     parameters are corrected a few times; the points stay on the original
     polygon throughout.
     """
-    d = metric.segment_distance(points, np.roll(points, -1, axis=0))
+    nxt = np.concatenate((points[1:], points[:1]))
+    d = metric.segment_distance(points, nxt)
     if np.any(d <= 0.0):
         raise ValueError("curve has a zero-length segment")
     cum = np.concatenate([[0.0], np.cumsum(d)])
     total = cum[-1]
     seg_len = np.diff(cum)
-    step = np.roll(points, -1, axis=0) - points
+    # (2, M) columns: each placement gathers from contiguous arrays
+    base, step = points.T.copy(), (nxt - points).T.copy()
 
-    t = np.arange(m_new) * (total / m_new)
+    grid = np.arange(m_new)
+    t = grid * (total / m_new)
+    out = np.empty((m_new, 2))
     for _ in range(61):  # the first placement and up to 60 corrections
-        idx = np.clip(np.searchsorted(cum, t, side="right") - 1,
-                      0, len(points) - 1)
+        # t >= 0 = cum[0], so only the upper end needs a bound
+        idx = np.minimum(np.searchsorted(cum, t, side="right") - 1,
+                         len(points) - 1)
         alpha = (t - cum[idx]) / seg_len[idx]
-        out = points[idx] + alpha[:, None] * step[idx]
-        d_new = metric.segment_distance(out, np.roll(out, -1, axis=0))
+        for c in range(2):
+            out[:, c] = base[c][idx] + alpha * step[c][idx]
+        d_new = metric.segment_distance(
+            out, np.concatenate((out[1:], out[:1])))
         e = np.concatenate([[0.0], np.cumsum(d_new[:-1])])
-        target = np.arange(m_new) * (d_new.sum() / m_new)
+        target = grid * (d_new.sum() / m_new)
         err = target - e
         if np.max(np.abs(err)) <= 1e-14 * total:
             break
@@ -97,7 +105,7 @@ def mirror_points(points):
     Row m is (r, -z) of point -m mod M.  A solved curve is its own mirror
     image: q_0 lies on the axis, and so does q_{M/2} for even M.
     """
-    out = np.roll(points[::-1], 1, axis=0)
+    out = np.concatenate((points[:1], points[:0:-1]))
     out[:, 1] = -out[:, 1]
     return out
 
@@ -110,22 +118,40 @@ def write_curve(curve, path):
                  % tuple(cells.ravel().tolist()))
 
 
+def _parse_rows(lines):
+    """The stripped data lines of a curve CSV as a structured array with
+    fields m, r and z."""
+    row = [("m", np.int64), ("r", np.float64), ("z", np.float64)]
+    if not lines:  # np.loadtxt warns on an empty input
+        return np.empty(0, row)
+    return np.loadtxt(lines, dtype=row, delimiter=",", comments=None,
+                      ndmin=1)
+
+
 def read_curve(path):
-    """Read a curve CSV written by write_curve."""
+    """Read a curve CSV written by write_curve.
+
+    The rows are parsed by numpy in one call; only when that fails are they
+    parsed one at a time, to name the first row it refuses.  Each field is
+    parsed on its own, so the row that fails the batch also fails alone.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines or lines[0] != "m,r,z":
         raise CurveFileError("expected header 'm,r,z' in %s" % path)
-    rows = []
-    for ln in lines[1:]:
-        try:
-            m, r, z = ln.split(",")
-            rows.append((int(m), float(r), float(z)))
-        except ValueError as exc:
-            raise CurveFileError("malformed row %r in %s" % (ln, path)) from exc
-    if [m for m, _, _ in rows] != list(range(len(rows))):
+    body = lines[1:]
+    try:
+        rows = _parse_rows(body)
+    except ValueError:
+        for ln in body:
+            try:
+                _parse_rows([ln])
+            except ValueError as exc:
+                raise CurveFileError(
+                    "malformed row %r in %s" % (ln, path)) from exc
+    if not np.array_equal(rows["m"], np.arange(len(rows))):
         raise CurveFileError("row indices must run 0..M-1 in %s" % path)
     try:
-        return DiscreteCurve([(r, z) for _, r, z in rows])
+        return DiscreteCurve(np.column_stack((rows["r"], rows["z"])))
     except ValueError as exc:
         raise CurveFileError("invalid curve in %s: %s" % (path, exc)) from exc

@@ -47,14 +47,18 @@ def sigma(points):
 
 
 def _sigma_jet(points):
-    """sigma, its gradient (..., 2) and Hessian (..., 2, 2) from one exp."""
+    """sigma, its gradient (..., 2) and Hessian (..., 2, 2) from one exp.
+
+    The gradient and Hessian are Fortran-ordered, so each entry g[..., i]
+    and h[..., i, j] is one contiguous column.
+    """
     r = points[..., 0]
     z = points[..., 1]
     e = np.exp(-0.25 * (r * r + z * z))
-    g = np.empty(points.shape, dtype=float)
+    g = np.empty(points.shape, order="F")
     g[..., 0] = 0.25 * e * (2.0 - r * r)
     g[..., 1] = -0.25 * r * z * e
-    h = np.empty(points.shape[:-1] + (2, 2), dtype=float)
+    h = np.empty(points.shape + (2,), order="F")
     h[..., 0, 0] = -0.125 * r * e * (6.0 - r * r)
     h[..., 0, 1] = -0.125 * z * e * (2.0 - r * r)
     h[..., 1, 0] = h[..., 0, 1]
@@ -69,8 +73,9 @@ def segment_distance(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    return sigma(mid) * np.linalg.norm(b - a, axis=-1)
+    d = b - a
+    return sigma(0.5 * (a + b)) * np.sqrt(d[..., 0] * d[..., 0]
+                                          + d[..., 1] * d[..., 1])
 
 
 def segment_blocks(a, b):
@@ -84,6 +89,9 @@ def segment_blocks(a, b):
         h_aa   (M, 2, 2) d^2 dist / da da
         h_ab   (M, 2, 2) d^2 dist / da db   (h_ba is its transpose)
         h_bb   (M, 2, 2) d^2 dist / db db
+
+    The gradients and blocks are views in which each entry [:, i] or
+    [:, i, j] is one contiguous (M,) column, as the arithmetic runs.
 
     With c = (a+b)/2, D = |b-a|, u = (b-a)/D, g = grad sigma(c),
     S = hess sigma(c) (sigma, g and S from one Gaussian evaluation per
@@ -99,31 +107,32 @@ def segment_blocks(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    diff = b - a
-    dist_e = np.linalg.norm(diff, axis=-1)
+    # entry first: diff[i], g[i] and every [i, j] below are (M,) columns
+    diff = np.ascontiguousarray((b - a).T)
+    dist_e = np.sqrt(diff[0] * diff[0] + diff[1] * diff[1])
     if np.any(dist_e < DEGENERACY_CUTOFF):
         raise DegenerateSegmentError(
             "segment length below %.1e" % DEGENERACY_CUTOFF)
-    mid = 0.5 * (a + b)
-    s, g, hess_s = _sigma_jet(mid)
-    u = diff / dist_e[..., None]
+    s, g, hess_s = _sigma_jet(0.5 * (a + b))
+    g, hess_s = g.T, hess_s.transpose(1, 2, 0)
+    u = diff / dist_e
 
-    guT = g[..., :, None] * u[..., None, :]
-    ugT = u[..., :, None] * g[..., None, :]
-    uuT = u[..., :, None] * u[..., None, :]
-    proj = (np.eye(2) - uuT) / dist_e[..., None, None]
+    guT = g[:, None] * u[None, :]
+    ugT = u[:, None] * g[None, :]
+    uuT = u[:, None] * u[None, :]
+    proj = (np.eye(2)[:, :, None] - uuT) / dist_e
     sym = 0.5 * (guT + ugT)
     skew = 0.5 * (guT - ugT)
-    quarter = 0.25 * dist_e[..., None, None] * hess_s
-    s_proj = s[..., None, None] * proj
-    half_gd = 0.5 * g * dist_e[..., None]
-    su = s[..., None] * u
+    quarter = 0.25 * dist_e * hess_s
+    s_proj = s * proj
+    half_gd = 0.5 * g * dist_e
+    su = s * u
 
     return {
         "dist": s * dist_e,
-        "grad_a": half_gd - su,
-        "grad_b": half_gd + su,
-        "h_aa": quarter - sym + s_proj,
-        "h_ab": quarter + skew - s_proj,
-        "h_bb": quarter + sym + s_proj,
+        "grad_a": (half_gd - su).T,
+        "grad_b": (half_gd + su).T,
+        "h_aa": (quarter - sym + s_proj).transpose(2, 0, 1),
+        "h_ab": (quarter + skew - s_proj).transpose(2, 0, 1),
+        "h_bb": (quarter + sym + s_proj).transpose(2, 0, 1),
     }

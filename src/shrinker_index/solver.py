@@ -77,7 +77,8 @@ def _check_alive(points):
     if np.any(points[:, 0] <= 0.0) or not np.all(np.isfinite(points)):
         raise CurveCollapse("iterate left the half-plane at M = %d"
                             % len(points))
-    d = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
+    diff = np.concatenate((points[1:], points[:1])) - points
+    d = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
     if d.min() < metric.DEGENERACY_CUTOFF:
         raise CurveCollapse("segment collapsed during iteration at M = %d"
                             % len(points))
@@ -139,16 +140,21 @@ def _polish(points, m):
     point with the curve rising after it, as on the seed and every solved
     level; the average (z_0 = 0) and the resampling anchor at q_0 keep it so.
     """
+    # the Newton matrix holds diag on the diagonal and up at (m, m + 1) and
+    # (m + 1, m), cyclically; its CSC structure, rows sorted within each
+    # column, is fixed per level, and `order` puts [diag, up, up] into it
     i = np.arange(m)
     j = (i + 1) % m
     rows, cols = np.concatenate([i, i, j]), np.concatenate([i, j, i])
+    order = np.lexsort((rows, cols))
+    indices, indptr = rows[order], np.arange(0, 3 * m + 1, 3)
     state = _state(curve_mod._resample_points(points, m))
     for _ in range(MAX_ITERS):
         if state.solved:
             return state.points
         newton = scipy.sparse.csc_matrix(
-            (np.concatenate([state.diag, state.up, state.up]), (rows, cols)),
-            shape=(m, m))
+            (np.concatenate([state.diag, state.up, state.up])[order],
+             indices, indptr), shape=(m, m))
         delta = scipy.sparse.linalg.spsolve(newton, -state.grad_normal)
         for step in 0.5 ** np.arange(40):
             trial = state.points + step * delta[:, None] * state.normals

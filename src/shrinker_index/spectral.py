@@ -487,9 +487,12 @@ def compute_index(curve):
     count = 0
     for k in itertools.count():
         a = stability.assemble_Lk(pipe.evaluation, k)
+        # only the count is kept, and LAPACK's stebz takes it from the
+        # Sturm counts at the interval ends, whatever the tolerance the
+        # values themselves are bisected to; tol=1.0 stops that early
         n = sum(len(scipy.linalg.eigvalsh_tridiagonal(
-            d, e, select="v", select_range=(-np.inf, INDEX_STOP_MARGIN)))
-            for d, e in _halves(a))
+            d, e, select="v", select_range=(-np.inf, INDEX_STOP_MARGIN),
+            tol=1.0)) for d, e in _halves(a))
         if n == 0:
             break
         if n == curve.M:

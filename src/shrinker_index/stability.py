@@ -60,11 +60,28 @@ class StabilityMatrix:
         return len(self.diag)
 
 
+def _next(x):
+    """x[m + 1 mod M] along the first axis."""
+    return np.concatenate((x[1:], x[:1]))
+
+
+def _prev(x):
+    """x[m - 1 mod M] along the first axis."""
+    return np.concatenate((x[-1:], x[:-1]))
+
+
+def _quadratic_form(a, h, b):
+    """a_m^T h_m b_m for (M, 2) columns a, b and (M, 2, 2) blocks h, summed
+    in the order np.einsum("mi,mij,mj->m", a, h, b) sums."""
+    a0, a1, b0, b1 = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    return ((a0 * h[:, 0, 0]) * b0 + (a0 * h[:, 0, 1]) * b1
+            + (a1 * h[:, 1, 0]) * b0 + (a1 * h[:, 1, 1]) * b1)
+
+
 def _point_blocks(points):
     """2x2 blocks H_m for all points; also returns the segment blocks."""
-    blocks = metric.segment_blocks(points, np.roll(points, -1, axis=0))
-    h_m = blocks["h_aa"] + np.roll(blocks["h_bb"], 1, axis=0)
-    return h_m, blocks
+    blocks = metric.segment_blocks(points, _next(points))
+    return blocks["h_aa"] + _prev(blocks["h_bb"]), blocks
 
 
 def _normals(h_m, points):
@@ -80,14 +97,18 @@ def _normals(h_m, points):
     lam_min = 0.5 * (a + c) - disc
     # (H - lam_min I) has rank one; its larger column spans the top
     # eigenvector.  Pick per point for stability.
-    col1 = np.stack([a - lam_min, b], axis=1)
-    col2 = np.stack([b, c - lam_min], axis=1)
-    use1 = (np.einsum("mi,mi->m", col1, col1)
-            >= np.einsum("mi,mi->m", col2, col2))
-    vec = np.where(use1[:, None], col1, col2)
-    vec = vec / np.linalg.norm(vec, axis=1)[:, None]
+    a_shift = a - lam_min
+    c_shift = c - lam_min
+    use1 = a_shift * a_shift + b * b >= b * b + c_shift * c_shift
+    v0 = np.where(use1, a_shift, b)
+    v1 = np.where(use1, b, c_shift)
+    norm = np.sqrt(v0 * v0 + v1 * v1)
+    vec = np.empty(points.shape)
+    vec[:, 0] = v0 / norm
+    vec[:, 1] = v1 / norm
     centroid = points.mean(axis=0)
-    outward = np.einsum("mi,mi->m", vec, points - centroid)
+    outward = (vec[:, 0] * (points[:, 0] - centroid[0])
+               + vec[:, 1] * (points[:, 1] - centroid[1]))
     vec[outward < 0.0] *= -1.0
     return vec
 
@@ -104,13 +125,12 @@ class Evaluation:
         h_m, blocks = _point_blocks(points)
         self.points = points
         self.normals = n = _normals(h_m, points)
-        n_next = np.roll(n, -1, axis=0)
-        grad = blocks["grad_a"] + np.roll(blocks["grad_b"], 1, axis=0)
-        d_b = np.einsum("mi,mij,mj->m", n_next, blocks["h_bb"], n_next)
-        self.grad_normal = np.einsum("mi,mi->m", n, grad)
-        self.diag = (np.einsum("mi,mij,mj->m", n, blocks["h_aa"], n)
-                     + np.roll(d_b, 1))
-        self.up = np.einsum("mi,mij,mj->m", n, blocks["h_ab"], n_next)
+        n_next = _next(n)
+        grad = blocks["grad_a"] + _prev(blocks["grad_b"])
+        self.grad_normal = n[:, 0] * grad[:, 0] + n[:, 1] * grad[:, 1]
+        self.diag = (_quadratic_form(n, blocks["h_aa"], n)
+                     + _prev(_quadratic_form(n_next, blocks["h_bb"], n_next)))
+        self.up = _quadratic_form(n, blocks["h_ab"], n_next)
         self.residual = float(np.max(np.abs(self.grad_normal)))
         dist = blocks["dist"]
         self.spacing = float(dist.max() / dist.min() - 1.0)

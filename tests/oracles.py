@@ -1,6 +1,6 @@
 """Independent oracles and test-only views used only by the tests.
 
-Seven oracles live here: a high-precision finite-difference evaluation of
+Nine oracles live here: a high-precision finite-difference evaluation of
 the segment-distance derivatives (mpmath, so truncation error dominates and
 the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
 of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
@@ -9,9 +9,14 @@ length, whose low eigenvalues must agree with the Hessian-based assembly,
 the dense M x M form of a banded operator, so the tests can check the
 bands and the folded eigensolver against a dense LAPACK solve, the pair-leading
 form of the extended-precision cyclic Thomas sweep, which the production
-sweep must match bit for bit, and the OBJ and SVG path writers that format
+sweep must match bit for bit, the OBJ and SVG path writers that format
 one line or one point at a time, whose bytes the production writers must
-reproduce exactly.  Alongside them sit small
+reproduce exactly, the segment distances and point-block evaluation
+written with np.roll, np.linalg.norm and np.einsum on (M, 2) rows and
+(M, 2, 2) blocks, whose bits the column arithmetic of the production code
+must reproduce, and a curve CSV reader that parses one row at a time with
+Python's int and float, whose points numpy's one-call reader must match.
+Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one
 segment, the 2x2 point block at one point, the mirror image of a curve, the
 spacing deviation of a curve and its resampling to another point count,
@@ -28,7 +33,7 @@ import scipy.linalg
 
 from shrinker_index import (DiscreteCurve, StabilityMatrix, discrete_length,
                             sigma)
-from shrinker_index.curve import _resample_points
+from shrinker_index.curve import CurveFileError, _resample_points
 from shrinker_index.metric import segment_blocks, segment_distance
 from shrinker_index.render import _amplitude
 from shrinker_index.stability import _point_blocks
@@ -221,6 +226,94 @@ def assemble_Lk_ode(curve, k):
     diag = 2.0 * s * s / dt**2 - 1.0 - (1.0 - k * k) / (r * r)
     up = -s * np.roll(s, -1) / dt**2
     return StabilityMatrix(k=int(k), diag=diag, up=up)
+
+
+def segment_distance_rows(a, b):
+    """metric.segment_distance with the length from np.linalg.norm."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return sigma(0.5 * (a + b)) * np.linalg.norm(b - a, axis=-1)
+
+
+def segment_blocks_rows(a, b):
+    """metric.segment_blocks on C-ordered (M, 2) rows and (M, 2, 2)
+    blocks, built by broadcasting."""
+    diff = b - a
+    dist_e = np.linalg.norm(diff, axis=-1)
+    mid = 0.5 * (a + b)
+    r, z = mid[:, 0], mid[:, 1]
+    e = np.exp(-0.25 * (r * r + z * z))
+    s = 0.5 * r * e
+    g = np.column_stack([0.25 * e * (2.0 - r * r), -0.25 * r * z * e])
+    hess_s = np.empty((len(r), 2, 2))
+    hess_s[:, 0, 0] = -0.125 * r * e * (6.0 - r * r)
+    hess_s[:, 0, 1] = hess_s[:, 1, 0] = -0.125 * z * e * (2.0 - r * r)
+    hess_s[:, 1, 1] = -0.125 * r * e * (2.0 - z * z)
+    u = diff / dist_e[:, None]
+    guT = g[:, :, None] * u[:, None, :]
+    ugT = u[:, :, None] * g[:, None, :]
+    uuT = u[:, :, None] * u[:, None, :]
+    proj = (np.eye(2) - uuT) / dist_e[:, None, None]
+    sym = 0.5 * (guT + ugT)
+    skew = 0.5 * (guT - ugT)
+    quarter = 0.25 * dist_e[:, None, None] * hess_s
+    s_proj = s[:, None, None] * proj
+    half_gd = 0.5 * g * dist_e[:, None]
+    su = s[:, None] * u
+    return {"dist": s * dist_e, "grad_a": half_gd - su,
+            "grad_b": half_gd + su, "h_aa": quarter - sym + s_proj,
+            "h_ab": quarter + skew - s_proj, "h_bb": quarter + sym + s_proj}
+
+
+def evaluation_rows(points):
+    """normals, grad_normal, diag, up, residual and spacing of
+    stability.Evaluation, from np.roll neighbours, np.linalg.norm lengths
+    and np.einsum dot products and quadratic forms."""
+    blocks = segment_blocks_rows(points, np.roll(points, -1, axis=0))
+    h_m = blocks["h_aa"] + np.roll(blocks["h_bb"], 1, axis=0)
+    a, b, c = h_m[:, 0, 0], h_m[:, 0, 1], h_m[:, 1, 1]
+    half_diff = 0.5 * (a - c)
+    lam_min = 0.5 * (a + c) - np.sqrt(half_diff * half_diff + b * b)
+    col1 = np.stack([a - lam_min, b], axis=1)
+    col2 = np.stack([b, c - lam_min], axis=1)
+    use1 = (np.einsum("mi,mi->m", col1, col1)
+            >= np.einsum("mi,mi->m", col2, col2))
+    n = np.where(use1[:, None], col1, col2)
+    n = n / np.linalg.norm(n, axis=1)[:, None]
+    outward = np.einsum("mi,mi->m", n, points - points.mean(axis=0))
+    n[outward < 0.0] *= -1.0
+    n_next = np.roll(n, -1, axis=0)
+    grad = blocks["grad_a"] + np.roll(blocks["grad_b"], 1, axis=0)
+    grad_normal = np.einsum("mi,mi->m", n, grad)
+    d_b = np.einsum("mi,mij,mj->m", n_next, blocks["h_bb"], n_next)
+    dist = blocks["dist"]
+    return {
+        "normals": n, "grad_normal": grad_normal,
+        "diag": (np.einsum("mi,mij,mj->m", n, blocks["h_aa"], n)
+                 + np.roll(d_b, 1)),
+        "up": np.einsum("mi,mij,mj->m", n, blocks["h_ab"], n_next),
+        "residual": float(np.max(np.abs(grad_normal))),
+        "spacing": float(dist.max() / dist.min() - 1.0),
+    }
+
+
+def read_curve_per_row(path):
+    """The points of a curve CSV, each row split at commas and parsed
+    with int and float, under the checks and messages of curve.read_curve."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or lines[0] != "m,r,z":
+        raise CurveFileError("expected header 'm,r,z' in %s" % path)
+    rows = []
+    for ln in lines[1:]:
+        try:
+            m, r, z = ln.split(",")
+            rows.append((int(m), float(r), float(z)))
+        except ValueError as exc:
+            raise CurveFileError("malformed row %r in %s" % (ln, path)) from exc
+    if [m for m, _, _ in rows] != list(range(len(rows))):
+        raise CurveFileError("row indices must run 0..M-1 in %s" % path)
+    return np.array([(r, z) for _, r, z in rows], dtype=float)
 
 
 def dense(matrix):

@@ -225,6 +225,26 @@ def test_missing_output_directory_refused_before_any_output(
 
 
 @pytest.mark.parametrize("argv", [
+    ["index", "--out", "{out}/sdir"],
+    ["spectrum", "--out", "{out}/s.json", "--csv", "{out}/sdir"],
+], ids=["index", "spectrum"])
+def test_directory_output_path_refused_before_any_output(
+        curve_csv, tmp_path, capsys, argv):
+    # an output path that is an existing directory is refused with the
+    # error open would give, but before the first file or line
+    (tmp_path / "sdir").mkdir()
+    rc = main(argv[:1] + ["--curve", curve_csv]
+              + [a.format(out=tmp_path) for a in argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("error: runtime: [Errno 21] Is a directory: %r\n"
+                            % str(tmp_path / "sdir"))
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["sdir"]
+    assert not any((tmp_path / "sdir").iterdir())
+
+
+@pytest.mark.parametrize("argv", [
     ["spectrum", "--out", "{out}/s.json", "--csv", "{out}/s.csv"],
     ["index", "--out", "{out}/i.json"],
     ["convergence", "--points-list", "18,19,20", "--k-max", "1",

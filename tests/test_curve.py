@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
 from shrinker_index import (DiscreteCurve, discrete_length, read_curve,
                             write_curve)
 from oracles import reflect_z, resample_uniform, spacing_deviation
@@ -103,6 +107,59 @@ def test_csv_round_trip_bitwise(pipe, tmp_path):
     write_curve(crv, path)
     back = read_curve(path)
     assert np.array_equal(back.points, crv.points)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(points=st.integers(3, 40).flatmap(lambda m: st.tuples(
+    arrays(float, m, elements=_POSITIVE), arrays(float, m, elements=_FINITE)
+)).map(np.column_stack))
+def test_csv_round_trip_bitwise_at_any_exponent(tmp_path_factory, points):
+    # r from subnormal to 1.8e308, z of either sign and -0.0: the 17 digits
+    # written parse back to the same bits, as they did row by row
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_curve(DiscreteCurve(points), path)
+    assert read_curve(path).points.tobytes() == points.tobytes()
+    assert oracles.read_curve_per_row(path).tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "m,r,z\n\n0,1.0,0.0\n   \n1,1.1,0.1\n\t\n2,1.0,-0.2\n\n",
+    "m,r,z\r\n0,1.0,0.0\r\n1,1.1,0.1\r\n\r\n2,1.0,-0.2\r\n",
+    "m,r,z\r0,1.0,0.0\r1,1.1,0.1\r2,1.0,-0.2",
+    "  m,r,z \n 0 , 1.0 ,0.0\t\n+1,+1.1, 0.1\n2,1e0,-2e-1  \n",
+], ids=["blank-lines", "crlf", "cr", "spaces"])
+def test_read_curve_reads_each_layout_as_row_by_row(tmp_path, text):
+    path = tmp_path / "curve.csv"
+    path.write_bytes(text.encode("utf-8"))
+    points = read_curve(path).points
+    assert points.tobytes() == oracles.read_curve_per_row(path).tobytes()
+    assert points.tobytes() == np.array(
+        [[1.0, 0.0], [1.1, 0.1], [1.0, -0.2]]).tobytes()
+
+
+def test_read_curve_refuses_underscored_numbers(tmp_path):
+    # Python's int and float accept "1_0"; numpy's parser does not, so such
+    # a row is malformed
+    path = tmp_path / "curve.csv"
+    path.write_text("m,r,z\n0,1.0,0.0\n1,1_0,0.1\n2,1.0,0.2\n")
+    assert oracles.read_curve_per_row(path)[1, 0] == 10.0
+    with pytest.raises(CurveFileError) as err:
+        read_curve(path)
+    assert str(err.value) == "malformed row %r in %s" % ("1,1_0,0.1", path)
+
+
+def test_read_curve_refuses_a_file_without_rows(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("m,r,z\n\n  \n")
+    assert oracles.read_curve_per_row(path).size == 0
+    with pytest.raises(CurveFileError) as err:
+        read_curve(path)
+    assert str(err.value) == (
+        "invalid curve in %s: a closed curve needs at least 3 points" % path)
 
 
 def test_read_curve_errors(tmp_path):

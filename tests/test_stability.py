@@ -12,7 +12,7 @@ import scipy.linalg
 import oracles
 from shrinker_index import Evaluation, assemble_Lk
 from oracles import assemble_Lk_ode, point_block, reflect_z
-from shrinker_index.metric import segment_blocks
+from shrinker_index.metric import segment_blocks, segment_distance
 from shrinker_index.stability import AmbiguousNormal, _normals
 
 
@@ -22,6 +22,28 @@ def test_matches_full_hessian_assembly(pipe):
     fast = oracles.dense(pipe.L0(128))
     rel = np.linalg.norm(full - fast) / np.linalg.norm(full)
     assert rel < 1e-13
+
+
+@pytest.mark.parametrize("m", [18, 19, 64, 257, 2048])
+def test_evaluation_matches_row_arithmetic_bitwise(pipe, m):
+    # the column arithmetic sums in the order np.roll, np.linalg.norm and
+    # np.einsum did, on the solved curve and on curves off it
+    pts = pipe.curve(m).points
+    h = np.mean(np.hypot(*(np.roll(pts, -1, axis=0) - pts).T))
+    rng = np.random.default_rng(m)
+    for points in [pts] + [pts + rng.normal(scale=0.1 * h, size=pts.shape)
+                           for _ in range(3)]:
+        nxt = np.roll(points, -1, axis=0)
+        want = oracles.evaluation_rows(points)
+        ev = Evaluation(points)
+        got = {name: getattr(ev, name) for name in want}
+        want.update(oracles.segment_blocks_rows(points, nxt),
+                    distance=oracles.segment_distance_rows(points, nxt))
+        got.update(segment_blocks(points, nxt),
+                   distance=segment_distance(points, nxt))
+        for name, value in want.items():
+            assert (np.asarray(got[name]).tobytes()
+                    == np.asarray(value).tobytes()), name
 
 
 def test_operator_symmetric_bitwise(pipe):
