@@ -10,6 +10,11 @@ scipy or CPU builds may round differently.
 
     python tests/golden_outputs.py           # rewrite golden_outputs.json
     python tests/golden_outputs.py --print   # print the digests as JSON
+    python tests/golden_outputs.py --print --keep DIR   # and keep the files
+
+`--keep DIR` runs the list in DIR, which must not exist yet, instead of
+a temporary directory, so that the files a change moves can be compared
+with those of its parent.
 
 Run it from the root of a checkout with `src` on PYTHONPATH.  A change
 that moves an output regenerates the manifest and names each moved file.
@@ -17,6 +22,7 @@ that moves an output regenerates the manifest and names each moved file.
 threads and names every output that differs.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -31,6 +37,9 @@ MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 COMMANDS = [
     ["solve", "--points", "2048", "--out", "curve2048.csv"],
+    # the smallest point counts, where a seed may reach another polygon
+    ["solve", "--points", "18", "--out", "curve18.csv"],
+    ["solve", "--points", "19", "--out", "curve19.csv"],
     ["solve", "--points", "257", "--out", "curve257.csv"],
     ["solve", "--points", "64", "--out", "curve64.csv"],
     ["index", "--points", "2048", "--out", "index2048.json"],
@@ -101,22 +110,32 @@ def run_commands(workdir):
     return dict(sorted(outputs.items()))
 
 
-def digests():
+def digests(keep=None):
+    """The manifest of COMMANDS run in keep, or in a temporary directory."""
+    if keep is not None:
+        os.makedirs(keep)
+        return {"platform": platform_stamp(), "outputs": run_commands(keep)}
     with tempfile.TemporaryDirectory() as workdir:
         return {"platform": platform_stamp(), "outputs": run_commands(workdir)}
 
 
 def main(argv):
-    result = digests()
-    if argv == ["--print"]:
+    parser = argparse.ArgumentParser(prog="python tests/golden_outputs.py")
+    parser.add_argument("--print", action="store_true",
+                        help="print the digests instead of rewriting "
+                             "the manifest")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="run the commands in DIR, a new directory, "
+                             "and leave their files there")
+    args = parser.parse_args(argv)
+    result = digests(args.keep)
+    if args.print:
         json.dump(result, sys.stdout, indent=1)
         print()
-    elif not argv:
+    else:
         with open(MANIFEST, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=1)
             fh.write("\n")
-    else:
-        sys.exit("usage: python tests/golden_outputs.py [--print]")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from shrinker_index import (DiscreteCurve, Pipeline, compute_index,
                             discrete_length, solve_geodesic)
@@ -94,13 +95,69 @@ def test_max_iters_exhaustion_raises(monkeypatch):
         solve_geodesic(64)
 
 
-def test_line_search_stall_raises(monkeypatch):
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the solver's Newton steps (sparse solves) and evaluations
+    (`stability.Evaluation`s: the first iterate and every trial)."""
+    counts = {"steps": 0, "evals": 0}
+    spsolve, evaluation = scipy.sparse.linalg.spsolve, stability.Evaluation
+
+    def counted_spsolve(*args, **kwargs):
+        counts["steps"] += 1
+        return spsolve(*args, **kwargs)
+
+    def counted_evaluation(points):
+        counts["evals"] += 1
+        return evaluation(points)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted_spsolve)
+    monkeypatch.setattr(stability, "Evaluation", counted_evaluation)
+    return counts
+
+
+def test_coarse_solve_step_counts(counted):
+    # the seed circle lies across the torus's cross-section, so Newton
+    # solves the coarse level, M = 512, in 5 steps with 6 evaluations,
+    # every full step accepted; from the cylinder's circle, inside it,
+    # Newton takes 8 steps and 12 evaluations
+    solve_geodesic(512)
+    assert (counted["steps"], counted["evals"]) == (5, 6)
+
+
+def test_line_search_stall_raises(monkeypatch, counted):
     # with no gradient tolerance to meet, the iteration runs on until no
-    # step of the line search lowers the residual
+    # step of the line search lowers the residual; the message names the
+    # Newton steps run at the level, the stalled one included
     monkeypatch.setattr(stability, "GRAD_TOL", 0.0)
-    stalled = r"^line search stalled at residual .* at M = 64$"
-    with pytest.raises(NonConvergence, match=stalled):
+    with pytest.raises(NonConvergence) as raised:
         solve_geodesic(64)
+    stalled = (r"^line search stalled at residual \S+ after %d Newton steps "
+               r"at M = 64$" % counted["steps"])
+    assert raised.match(stalled)
+
+
+def test_line_search_rejects_a_trial_off_the_half_plane(monkeypatch):
+    # from the cylinder's circle, radius 0.5 around (sqrt(2), 0), one full
+    # Newton step at M = 64 crosses r = 0; the line search halves that
+    # step instead of failing, and the solve reaches the default seed's
+    # polygon
+    want = solve_geodesic(64)
+    collapsed = []
+    check_alive = solver._check_alive
+
+    def recorded(points):
+        try:
+            check_alive(points)
+        except CurveCollapse as exc:
+            collapsed.append(str(exc))
+            raise
+
+    monkeypatch.setattr(solver, "_check_alive", recorded)
+    monkeypatch.setattr(solver, "SEED_CENTER", (np.sqrt(2.0), 0.0))
+    monkeypatch.setattr(solver, "SEED_RADIUS", 0.5)
+    got = solve_geodesic(64)
+    assert collapsed == ["iterate left the half-plane at M = 64"]
+    assert np.max(np.abs(got.points - want.points)) < 1e-8
 
 
 def test_collapsed_seed_raises(monkeypatch):
@@ -121,7 +178,7 @@ def test_config_validation():
         solve_geodesic(17)
 
 
-@pytest.mark.parametrize("m", range(18, 41))
+@pytest.mark.parametrize("m", range(18, 130))
 def test_axis_points_are_critical(m):
     # below 18 points the normal at the axis points is the tangent, so the
     # solve would bound the gradient along the curve there, not across it
@@ -137,8 +194,9 @@ def test_axis_points_are_critical(m):
 
 @pytest.mark.parametrize("m", [3001, 4096, 8192])
 def test_ladder_solve_converges(pipe, m):
-    # above solver.COARSE_M the solve climbs from a coarse level; from the
-    # circle seed alone 4096 and 8192 stall in the line search
+    # above solver.COARSE_M the solve climbs from a coarse level: 5 Newton
+    # steps at 512 and 2 at each level above it; from the seed circle
+    # alone, 4096 and 8192 would take 9 and 15 steps
     crv = pipe.curve(m)
     assert crv.M == m
     state = stability.Evaluation(crv.points)
