@@ -25,17 +25,18 @@ independent checks on the computed spectra:
 
         lambda_j ~ V(s0) + (2j + 1) sqrt(V''(s0) / 2).
 
-Derivatives in s are taken as central differences in the equal-increment
-parameter t (dt = l / M) through d/ds = sigma d/dt; the curve must be a
-solved geodesic for that identification to hold, which the CLI checks
-through `spectral.Pipeline`.
+On a solved geodesic of sigma^2 |dx|^2 (the CLI checks it through
+`spectral.Pipeline`) the Euclidean curvature is d_n log sigma, so V_k is
+exact in the `stability.Evaluation`'s unit normal n and the tangent t:
+
+    V_k = ((3/4 |grad sigma|^2 - 5/4 (grad sigma . n)^2) / sigma
+           - 1/2 t^T (hess sigma) t) / sigma - 1 + (k^2 - 1) / r^2.
 """
 
 import dataclasses
 
 import numpy as np
 
-from . import curve as curve_mod
 from . import metric
 
 
@@ -60,20 +61,18 @@ class SchrodingerProfile:
     Vpp0: float
 
 
-def _central(arr, dt):
-    return (np.roll(arr, -1) - np.roll(arr, 1)) / (2.0 * dt)
-
-
-def potential_profile(curve, k):
-    """Liouville potential V_k sampled at the curve points."""
-    pts = curve.points
-    s_weight = metric.sigma(pts)
-    dt = curve_mod.discrete_length(curve) / curve.M
-
-    w = s_weight ** (-0.5)
-    w_prime = s_weight * _central(w, dt)
-    w_second = s_weight * _central(w_prime, dt)
-    V = w_second * np.sqrt(s_weight) - 1.0 + (k * k - 1.0) / curve.r ** 2
+def potential_profile(evaluation, k):
+    """Liouville potential V_k at the points of a solved `Evaluation`."""
+    pts = evaluation.points
+    n0, n1 = evaluation.normals.T
+    s_weight, g, h = metric.sigma_jet(pts)
+    g_n = g[:, 0] * n0 + g[:, 1] * n1
+    # t^T (hess sigma) t for the tangent t = (-n1, n0)
+    tht = (n1 * n1 * h[:, 0, 0] - 2.0 * n0 * n1 * h[:, 0, 1]
+           + n0 * n0 * h[:, 1, 1])
+    g_sq = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+    V = (((0.75 * g_sq - 1.25 * g_n * g_n) / s_weight - 0.5 * tht) / s_weight
+         - 1.0 + (k * k - 1.0) / pts[:, 0] ** 2)
 
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg[:-1])])
@@ -82,10 +81,8 @@ def potential_profile(curve, k):
     v_avg = float(np.sum(V * inv) / np.sum(inv))
 
     m0 = int(np.argmin(V))
-    ds_prev = seg[(m0 - 1) % curve.M]
-    ds_next = seg[m0]
-    v_prev = V[(m0 - 1) % curve.M]
-    v_next = V[(m0 + 1) % curve.M]
+    ds_prev, ds_next = seg[m0 - 1], seg[m0]
+    v_prev, v_next = V[m0 - 1], V[(m0 + 1) % len(V)]
     # leading coefficient of the parabola through the three points
     lead = (((v_next - V[m0]) / ds_next + (v_prev - V[m0]) / ds_prev)
             / (ds_prev + ds_next))

@@ -13,11 +13,11 @@ A closed polygon is measured with the midpoint rule, one segment at a time:
 
     dist(a, b) = sigma((a + b) / 2) * |b - a|.
 
-This module supplies sigma and the exact gradient and Hessian of
-dist(a, b) as per-endpoint blocks with (r, z) ordering, built from the
-first and second derivatives of sigma at each midpoint.  Everything
-downstream (geodesic solve, stability operators) is built from these
-blocks, so the coordinate ordering here is load-bearing.
+This module supplies sigma, its jet `sigma_jet` (value, gradient and
+Hessian), and the exact gradient and Hessian of dist(a, b) as per-endpoint
+blocks with (r, z) ordering, built from the jet at each midpoint.  Every
+derivative of sigma downstream (solve, stability operators, Liouville
+potential) comes from here, so the coordinate ordering is load-bearing.
 
 Points are numpy arrays whose last axis holds (r, z); all functions
 broadcast over leading axes.
@@ -46,7 +46,7 @@ def sigma(points):
     return 0.5 * r * np.exp(-0.25 * (r * r + z * z))
 
 
-def _sigma_jet(points):
+def sigma_jet(points):
     """sigma, its gradient (..., 2) and Hessian (..., 2, 2) from one exp.
 
     The gradient and Hessian are Fortran-ordered, so each entry g[..., i]
@@ -113,7 +113,7 @@ def segment_blocks(a, b):
     if np.any(dist_e < DEGENERACY_CUTOFF):
         raise DegenerateSegmentError(
             "segment length below %.1e" % DEGENERACY_CUTOFF)
-    s, g, hess_s = _sigma_jet(0.5 * (a + b))
+    s, g, hess_s = sigma_jet(0.5 * (a + b))
     g, hess_s = g.T, hess_s.transpose(1, 2, 0)
     u = diff / dist_e
 

@@ -37,6 +37,9 @@ class Pipeline:
     def curve(self, m):
         return self._pipe(m).curve
 
+    def evaluation(self, m):
+        return self._pipe(m).evaluation
+
     def normals(self, m):
         return self._pipe(m).evaluation.normals
 

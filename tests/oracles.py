@@ -1,11 +1,13 @@
 """Independent oracles and test-only views used only by the tests.
 
-Nine oracles live here: a high-precision finite-difference evaluation of
+Ten oracles live here: a high-precision finite-difference evaluation of
 the segment-distance derivatives (mpmath, so truncation error dominates and
 the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
 of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
 a second discretization of -L_k from the geodesic ODE in weighted arc
 length, whose low eigenvalues must agree with the Hessian-based assembly,
+the Liouville potential by nested central differences in that parameter,
+whose distance from the closed form must fall as M^-2,
 the dense M x M form of a banded operator, so the tests can check the
 bands and the folded eigensolver against a dense LAPACK solve, the pair-leading
 form of the extended-precision cyclic Thomas sweep, which the production
@@ -226,6 +228,27 @@ def assemble_Lk_ode(curve, k):
     diag = 2.0 * s * s / dt**2 - 1.0 - (1.0 - k * k) / (r * r)
     up = -s * np.roll(s, -1) / dt**2
     return StabilityMatrix(k=int(k), diag=diag, up=up)
+
+
+def potential_fd(points, k):
+    """Liouville potential V_k of a solved geodesic by finite differences.
+
+    w = sigma^{-1/2} is differentiated twice by central differences in the
+    weighted arc-length parameter t (equal increments dt = l / M), through
+    d/ds = sigma d/dt, and V_k = w'' sigma^{1/2} - 1 + (k^2 - 1) / r^2.
+    Second order accurate in M.
+    """
+    s_weight = sigma(points)
+    dt = discrete_length(DiscreteCurve(points)) / len(points)
+
+    def central(arr):
+        return (np.roll(arr, -1) - np.roll(arr, 1)) / (2.0 * dt)
+
+    w = s_weight ** (-0.5)
+    w_prime = s_weight * central(w)
+    w_second = s_weight * central(w_prime)
+    return (w_second * np.sqrt(s_weight) - 1.0
+            + (k * k - 1.0) / points[:, 0] ** 2)
 
 
 def segment_distance_rows(a, b):

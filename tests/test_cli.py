@@ -10,6 +10,7 @@ import json
 import os
 import pkgutil
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -316,6 +317,18 @@ def test_process_exit_codes(tmp_path):
         assert proc.stderr.startswith(prefix), argv
         assert bool(proc.stderr) == bool(prefix), argv
     assert read_curve(str(tmp_path / "c.csv")).M == 18
+
+
+def test_entry_exits_with_mains_code(monkeypatch, capsys):
+    # `python -m shrinker_index.cli` in this process: the __main__ guard
+    # calls entry(), which exits with main's return value for sys.argv
+    argv = ["asymptotics", "--curve", "x.csv", "--k-scan", "1", "--out", "d"]
+    monkeypatch.setattr(sys, "argv", ["shrinker-index"] + argv)
+    monkeypatch.delitem(sys.modules, "shrinker_index.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("shrinker_index.cli", run_name="__main__")
+    assert exc.value.code == main(argv) == 3
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv,needle", [
@@ -724,7 +737,7 @@ def test_asymptotics_outputs(curve_csv, tmp_path, capsys):
     profile = (out / "profile_k0.csv").read_text().strip().split("\n")
     assert profile[0] == "m,s,V"
     assert len(profile) == 65
-    p = potential_profile(read_curve(curve_csv), 0)
+    p = potential_profile(Pipeline(read_curve(curve_csv)).evaluation, 0)
     row = profile[5].split(",")
     assert int(row[0]) == 4
     assert float(row[2]) == p.V[4]
@@ -955,8 +968,9 @@ def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     crv = read_curve(curve_csv)
-    lam = [m.eigenvalue for m in Pipeline(crv).scan([0], 21)]
-    drift, _ = drift_diagnostic(potential_profile(crv, 0), lam)
+    pipe = Pipeline(crv)
+    lam = [m.eigenvalue for m in pipe.scan([0], 21)]
+    drift, _ = drift_diagnostic(potential_profile(pipe.evaluation, 0), lam)
     rows = (out / "drift_k0.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == len(drift)
     for text, (j, *values) in zip(rows, drift):

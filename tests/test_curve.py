@@ -61,6 +61,10 @@ def test_constructor_validation():
         DiscreteCurve(neg)
 
 
+def test_repr_names_the_point_count():
+    assert repr(DiscreteCurve(np.ones((5, 2)))) == "DiscreteCurve(M=5)"
+
+
 def test_resample_idempotent(pipe):
     crv = pipe.curve(128)
     res = resample_uniform(crv, 128)

@@ -12,8 +12,8 @@ import pytest
 
 import oracles
 from oracles import segment_derivatives
-from shrinker_index.metric import (DegenerateSegmentError, _sigma_jet,
-                                   segment_blocks, segment_distance, sigma)
+from shrinker_index.metric import (DegenerateSegmentError, segment_blocks,
+                                   segment_distance, sigma, sigma_jet)
 
 
 def test_sigma_values():
@@ -40,8 +40,8 @@ def test_sigma_z_reflection_bitwise():
                            rng.uniform(-2.0, 2.0, 64)])
     flipped = pts * np.array([1.0, -1.0])
     assert np.array_equal(sigma(pts), sigma(flipped))
-    _, g, _ = _sigma_jet(pts)
-    _, gf, _ = _sigma_jet(flipped)
+    _, g, _ = sigma_jet(pts)
+    _, gf, _ = sigma_jet(flipped)
     assert np.array_equal(g[:, 0], gf[:, 0])
     assert np.array_equal(g[:, 1], -gf[:, 1])
 
@@ -50,7 +50,7 @@ def test_sigma_gradient_hessian_closed_forms():
     # spot check against the explicit formulas at one generic point
     r, z = 1.3, -0.7
     e = math.exp(-(r * r + z * z) / 4.0)
-    s, g, h = _sigma_jet(np.array([r, z]))
+    s, g, h = sigma_jet(np.array([r, z]))
     assert s == sigma(np.array([r, z]))
     assert np.isclose(s, r * e / 2.0, rtol=0, atol=1e-15)
     assert np.allclose(g, [e * (2 - r * r) / 4.0, -r * z * e / 4.0],
