@@ -14,6 +14,10 @@ reparametrization, so asking for the full gradient to vanish would fight
 the equal-spacing constraint.  The iteration therefore alternates a Newton
 step in the normal directions (reduced cyclic tridiagonal system
 N^T H N  delta = -N^T grad) with resampling to equal segment distances.
+Every iterate is mirror-averaged (below), so from M = 18, where the
+normals mirror too, N^T H N commutes with the reflection m -> -m mod M
+and N^T grad is even: the step is even, and it is solved on the mirror
+half, rows 0..M // 2, as one non-cyclic tridiagonal system.
 
 The seed is a circle of radius 1.1 around (1.6, 0).  It lies across the
 torus's cross-section, which spans r from about 0.44 to 3.31 and |z| up to
@@ -144,23 +148,43 @@ def _polish(points, m):
     symmetry-reduced spectra need.  q_0 of points must be the outer axis
     point with the curve rising after it, as on the seed and every solved
     level; the average (z_0 = 0) and the resampling anchor at q_0 keep it so.
+
+    Each Newton step solves the folded half system: rows 0..M // 2 of
+    N^T H N, where row 0 couples to row 1 with 2 up[0], row M / 2 (even M)
+    couples to row M / 2 - 1 with 2 up[M / 2 - 1], and row M // 2 (odd M)
+    gains up[M // 2] on its diagonal; the step is unfolded by delta_m =
+    delta_min(m, M - m).  It is the full cyclic step only while the normals
+    mirror, which needs m >= 18, as solve_geodesic checks.
     """
-    # the Newton matrix holds diag on the diagonal and up at (m, m + 1) and
-    # (m + 1, m), cyclically; its CSC structure, rows sorted within each
-    # column, is fixed per level, and `order` puts [diag, up, up] into it
-    i = np.arange(m)
-    j = (i + 1) % m
-    rows, cols = np.concatenate([i, i, j]), np.concatenate([i, j, i])
-    order = np.lexsort((rows, cols))
-    indices, indptr = rows[order], np.arange(0, 3 * m + 1, 3)
+    # the folded Newton matrix has diag[:n] on its diagonal and up[:n - 1]
+    # on both off-diagonals; its CSC structure is fixed per level, with
+    # entry (j, j) at data[3j], (j + 1, j) at data[3j + 1] and (j, j + 1),
+    # the first entry of column j + 1, at data[3j + 2]
+    n = m // 2 + 1
+    rows = np.arange(n)
+    indices = np.empty(3 * n - 2, dtype=rows.dtype)
+    indices[0::3], indices[1::3], indices[2::3] = rows, rows[1:], rows[:-1]
+    indptr = np.clip(np.arange(-1, 3 * n, 3), 0, 3 * n - 2)
+    newton = scipy.sparse.csc_matrix(
+        (np.empty(3 * n - 2), indices, indptr), shape=(n, n))
+    data, i = newton.data, np.arange(m)
+    fold = np.minimum(i, m - i)
     state = _state(curve_mod._resample_points(points, m))
     for n_steps in range(1, MAX_ITERS + 1):
         if state.solved:
             return state.points
-        newton = scipy.sparse.csc_matrix(
-            (np.concatenate([state.diag, state.up, state.up])[order],
-             indices, indptr), shape=(m, m))
-        delta = scipy.sparse.linalg.spsolve(newton, -state.grad_normal)
+        data[0::3], data[1::3], data[2::3] = (
+            state.diag[:n], state.up[:n - 1], state.up[:n - 1])
+        # row 0 couples to rows 1 and M - 1, which the even step equates
+        data[2] *= 2.0
+        if m % 2:
+            # row M // 2 couples to row M // 2 + 1, whose mirror it is
+            data[-1] += state.up[n - 1]
+        else:
+            # row M / 2 couples to M / 2 - 1 and its mirror M / 2 + 1
+            data[-3] *= 2.0
+        delta = scipy.sparse.linalg.spsolve(
+            newton, -state.grad_normal[:n], permc_spec="NATURAL")[fold]
         for step in 0.5 ** np.arange(40):
             trial = state.points + step * delta[:, None] * state.normals
             try:

@@ -14,6 +14,7 @@ import scipy.sparse.linalg
 
 from shrinker_index import (DiscreteCurve, Pipeline, compute_index,
                             discrete_length, solve_geodesic)
+from shrinker_index import curve as curve_mod
 from shrinker_index import solver, stability
 from oracles import resample_uniform, spacing_deviation
 from shrinker_index.metric import segment_blocks
@@ -122,6 +123,55 @@ def test_coarse_solve_step_counts(counted):
     # Newton takes 8 steps and 12 evaluations
     solve_geodesic(512)
     assert (counted["steps"], counted["evals"]) == (5, 6)
+
+
+@pytest.mark.parametrize("m, steps", [(2049, 12), (8192, 13)])
+def test_ladder_step_counts(counted, m, steps):
+    # Newton steps over every level of the ladder; a wrong corner of the
+    # folded step still converges, only in more steps
+    solve_geodesic(m)
+    assert counted["steps"] == steps
+
+
+def _cyclic_step(state):
+    """The Newton step of the full cyclic system N^T H N, solved dense."""
+    m = len(state.diag)
+    i = np.arange(m)
+    hessian = np.diag(state.diag)
+    hessian[i, (i + 1) % m] = hessian[(i + 1) % m, i] = state.up
+    return np.linalg.solve(hessian, -state.grad_normal)
+
+
+@pytest.mark.parametrize("m, level", [
+    (m, level) for m, below in [(18, 19), (19, 18), (64, 32), (65, 33),
+                                (512, 256), (513, 257)]
+    for level in (None, below)])
+def test_folded_step_is_the_cyclic_step(monkeypatch, m, level):
+    # on a mirror-averaged iterate N^T H N commutes with m -> -m mod M and
+    # the gradient is even, so the step solved on rows 0..M // 2 and
+    # unfolded is the step of the full cyclic system; the iterates are
+    # the seed and a solved level resampled to m (the level below, or a
+    # neighbour where that would be under 18 points)
+    if level is None:
+        points = solver.seed_circle(m)
+    else:
+        points = solve_geodesic(level).points
+    halves = []
+    spsolve = scipy.sparse.linalg.spsolve
+
+    def recorded(*args, **kwargs):
+        halves.append(spsolve(*args, **kwargs))
+        return halves[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", recorded)
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    with pytest.raises(NonConvergence):
+        solver._polish(points, m)
+    want = _cyclic_step(
+        solver._state(curve_mod._resample_points(points, m)))
+    got = halves[0][np.minimum(np.arange(m), m - np.arange(m))]
+    assert len(halves) == 1 and len(halves[0]) == m // 2 + 1
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_line_search_stall_raises(monkeypatch, counted):

@@ -19,7 +19,8 @@ import shrinker_index
 from shrinker_index import (Evaluation, Pipeline, StabilityMatrix,
                             assemble_Lk, compute_index, spectrum,
                             write_curve)
-from shrinker_index import cli, metric, solver, spectral, stability
+from shrinker_index import cli, metric, spectral, stability
+from shrinker_index import curve as curve_mod
 from oracles import reflect_z
 from shrinker_index.curve import DiscreteCurve
 from shrinker_index.metric import sigma
@@ -319,11 +320,13 @@ def test_low_modes_have_template_parity(pipe):
     assert sorted(labels) == sorted(parity)
 
 
-def test_pipeline_refuses_normals_that_do_not_mirror():
+def test_pipeline_refuses_normals_that_do_not_mirror(pipe):
     # at M = 12 the normal picked at the two axis points is the tangent,
-    # which the reflection reverses, so -L_k does not split into halves
-    # solve_geodesic refuses M < 18, so polish the 12-point seed directly
-    crv = DiscreteCurve(solver._polish(solver.seed_circle(12), 12))
+    # which the reflection reverses, so -L_k does not split into halves;
+    # solve_geodesic refuses M < 18, and the solver's folded Newton step
+    # needs mirrored normals, so resample a solved curve to 12 points
+    points = curve_mod._resample_points(pipe.curve(64).points, 12)
+    crv = DiscreteCurve(0.5 * (points + curve_mod.mirror_points(points)))
     with pytest.raises(ExclusionMismatch, match="normal at point"):
         Pipeline(crv)
 
