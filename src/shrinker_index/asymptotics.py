@@ -63,6 +63,18 @@ class SchrodingerProfile:
 
 def potential_profile(evaluation, k):
     """Liouville potential V_k at the points of a solved `Evaluation`."""
+    return potential_profiles(evaluation, [k])[0]
+
+
+def potential_profiles(evaluation, ks):
+    """`potential_profile(evaluation, k)` for each k in ks, in order.
+
+    The part of V that does not depend on k (sigma's jet along the normals
+    and tangents), the arc length s, the length and the 1/sigma weights
+    are computed once, and each k adds (k^2 - 1) / r^2 to it last, as the
+    closed form above sums; a profile does not depend on the other ks.
+    The profiles share their array s.
+    """
     pts = evaluation.points
     n0, n1 = evaluation.normals.T
     s_weight, g, h = metric.sigma_jet(pts)
@@ -71,23 +83,29 @@ def potential_profile(evaluation, k):
     tht = (n1 * n1 * h[:, 0, 0] - 2.0 * n0 * n1 * h[:, 0, 1]
            + n0 * n0 * h[:, 1, 1])
     g_sq = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
-    V = (((0.75 * g_sq - 1.25 * g_n * g_n) / s_weight - 0.5 * tht) / s_weight
-         - 1.0 + (k * k - 1.0) / pts[:, 0] ** 2)
+    v_base = ((0.75 * g_sq - 1.25 * g_n * g_n) / s_weight
+              - 0.5 * tht) / s_weight - 1.0
+    r_sq = pts[:, 0] ** 2
 
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg[:-1])])
     euclid = float(seg.sum())
     inv = 1.0 / s_weight
-    v_avg = float(np.sum(V * inv) / np.sum(inv))
+    inv_sum = np.sum(inv)
 
-    m0 = int(np.argmin(V))
-    ds_prev, ds_next = seg[m0 - 1], seg[m0]
-    v_prev, v_next = V[m0 - 1], V[(m0 + 1) % len(V)]
-    # leading coefficient of the parabola through the three points
-    lead = (((v_next - V[m0]) / ds_next + (v_prev - V[m0]) / ds_prev)
-            / (ds_prev + ds_next))
-    return SchrodingerProfile(s=s, V=V, V_avg=v_avg, euclidean_length=euclid,
-                              V0=float(V[m0]), Vpp0=float(2.0 * lead))
+    profiles = []
+    for k in ks:
+        V = v_base + (k * k - 1.0) / r_sq
+        m0 = int(np.argmin(V))
+        ds_prev, ds_next = seg[m0 - 1], seg[m0]
+        v_prev, v_next = V[m0 - 1], V[(m0 + 1) % len(V)]
+        # leading coefficient of the parabola through the three points
+        lead = (((v_next - V[m0]) / ds_next + (v_prev - V[m0]) / ds_prev)
+                / (ds_prev + ds_next))
+        profiles.append(SchrodingerProfile(
+            s=s, V=V, V_avg=float(np.sum(V * inv) / inv_sum),
+            euclidean_length=euclid, V0=float(V[m0]), Vpp0=float(2.0 * lead)))
+    return profiles
 
 
 def high_j_estimate(profile, j):

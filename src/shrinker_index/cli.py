@@ -235,13 +235,15 @@ def _cmd_asymptotics(args):
         raise UsageError("--j-max must be at most %d for %d curve points"
                          % ((crv.M - 2) // 2, crv.M))
     pipe = spectral.Pipeline(crv)
-    profile = asymptotics.potential_profile(pipe.evaluation, args.k)
     lam = [m.eigenvalue for m in pipe.scan([args.k], 2 * args.j_max + 1)]
-    drift, exponent = asymptotics.drift_diagnostic(profile, lam)
     ks, rows = range(2, args.k_scan + 1), []
-    for k, ground in zip(ks, pipe.scan(ks, 1) if ks else []):
-        est = asymptotics.high_k_estimate(
-            asymptotics.potential_profile(pipe.evaluation, k), 0)
+    # the scan refuses an oversized k range before any profile is built
+    grounds = pipe.scan(ks, 1) if ks else []
+    profile, *wells = asymptotics.potential_profiles(
+        pipe.evaluation, [args.k, *ks])
+    drift, exponent = asymptotics.drift_diagnostic(profile, lam)
+    for k, well, ground in zip(ks, wells, grounds):
+        est = asymptotics.high_k_estimate(well, 0)
         rows.append((k, ground.eigenvalue, est, ground.eigenvalue - est))
     files = {
         "profile_k%d.csv" % args.k: _csv(

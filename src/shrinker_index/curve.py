@@ -2,8 +2,12 @@
 
 A curve is M points q_0 .. q_{M-1} with r > 0, indices mod M, traversed
 counterclockwise by convention.  The discrete weighted length is the sum of
-midpoint-rule segment distances; resampling redistributes points along the
-piecewise-linear interpolant so consecutive segment distances come out equal.
+midpoint-rule segment distances.  A curve that is its own mirror image
+under z -> -z (point -m mod M is (r_m, -z_m)) is held by its rows
+0 .. M // 2: `mirror_pad` reads the neighbours across the axis and
+`unfold` restores the whole curve.  Resampling redistributes the points of
+such a half along the piecewise-linear interpolant so consecutive segment
+distances of the whole curve come out equal.
 """
 
 import numpy as np
@@ -57,45 +61,85 @@ def discrete_length(curve):
         pts, np.concatenate((pts[1:], pts[:1]))).sum())
 
 
-def _resample_points(points, m_new):
-    """Equal-segment-distance resampling on the input interpolant.
+def mirror_pad(half, m):
+    """Rows -1 .. m // 2 + 1 of the mirror-symmetric m-point curve whose
+    rows 0 .. m // 2 are `half`.
 
-    Places m_new points on the piecewise-linear interpolant of `points`,
-    anchored at the input's first vertex, such that the recomputed
-    midpoint-rule segment distances of the output are equal.  A single
-    accumulated-length placement leaves O(h^2) unevenness, so the target
-    parameters are corrected a few times; the points stay on the original
-    polygon throughout.
+    The two rows across the axis are mirror images, (r, -z), of rows in
+    `half`: q_{-1} of q_1, and q_{m//2+1} of q_{m/2-1} for even m or of
+    q_{m//2} for odd m.
     """
-    nxt = np.concatenate((points[1:], points[:1]))
-    d = metric.segment_distance(points, nxt)
-    if np.any(d <= 0.0):
-        raise ValueError("curve has a zero-length segment")
+    out = np.concatenate((half[1:2], half, half[len(half) - 2 + m % 2:][:1]))
+    out[0, 1], out[-1, 1] = -out[0, 1], -out[-1, 1]
+    return out
+
+
+def unfold(half, m):
+    """The m points of the mirror-symmetric curve whose rows 0 .. m // 2
+    are `half`: row m - j is (r_j, -z_j)."""
+    tail = half[m - len(half):0:-1].copy()
+    tail[:, 1] = -tail[:, 1]
+    return np.concatenate((half, tail))
+
+
+def _half_arc(half, m):
+    """Displacements and weighted distances of the pieces of the arc from
+    q_0 to the inner axis crossing, for rows 0 .. m // 2 of a
+    mirror-symmetric m-point curve.
+
+    For even m the crossing is q_{m/2}.  For odd m it is the midpoint of
+    the segment from q_{m//2} to its mirror image, so that segment counts
+    as half, in displacement and in distance.
+    """
+    padded = mirror_pad(half, m)
+    step = padded[2:] - padded[1:-1]
+    d = metric.segment_distance(padded[1:-1], padded[2:])
+    if m % 2 == 0:
+        return step[:-1], d[:-1]
+    step[-1] *= 0.5
+    d[-1] *= 0.5
+    return step, d
+
+
+def _resample_half(half, m, m_new):
+    """Equal-segment-distance resampling of a mirror-symmetric curve, on
+    its half.
+
+    `half` holds rows 0 .. m // 2 of an m-point curve that is its own
+    mirror image.  Returns rows 0 .. m_new // 2 of the m_new-point curve on
+    the piecewise-linear interpolant, anchored at the input's q_0, whose
+    recomputed midpoint-rule segment distances are equal: the points
+    spread evenly over the arc from q_0 to the inner axis crossing (see
+    `_half_arc`).  A single accumulated-length placement leaves O(h^2)
+    unevenness, so the target parameters are corrected a few times; the
+    points stay on the original polygon throughout.  q_0 is the input's,
+    on the axis as that is, and for even m_new the inner axis point, placed
+    at the crossing to rounding, is then put on z = 0.
+    """
+    step, d = _half_arc(half, m)
     cum = np.concatenate([[0.0], np.cumsum(d)])
     total = cum[-1]
-    seg_len = np.diff(cum)
-    # (2, M) columns: each placement gathers from contiguous arrays
-    base, step = points.T.copy(), (nxt - points).T.copy()
+    # (2, pieces) columns: each placement gathers from contiguous arrays
+    base, step = half[:len(d)].T.copy(), step.T.copy()
 
-    grid = np.arange(m_new)
-    t = grid * (total / m_new)
-    out = np.empty((m_new, 2))
+    grid = np.arange(m_new // 2 + 1)
+    t = grid * (2.0 * total / m_new)
+    out = np.empty((len(grid), 2))
     for _ in range(61):  # the first placement and up to 60 corrections
         # t >= 0 = cum[0], so only the upper end needs a bound
         idx = np.minimum(np.searchsorted(cum, t, side="right") - 1,
-                         len(points) - 1)
-        alpha = (t - cum[idx]) / seg_len[idx]
+                         len(d) - 1)
+        alpha = (t - cum[idx]) / d[idx]
         for c in range(2):
             out[:, c] = base[c][idx] + alpha * step[c][idx]
-        d_new = metric.segment_distance(
-            out, np.concatenate((out[1:], out[:1])))
-        e = np.concatenate([[0.0], np.cumsum(d_new[:-1])])
-        target = grid * (d_new.sum() / m_new)
-        err = target - e
+        d_new = _half_arc(out, m_new)[1]
+        e = np.concatenate([[0.0], np.cumsum(d_new[:len(grid) - 1])])
+        err = grid * (2.0 * d_new.sum() / m_new) - e
         if np.max(np.abs(err)) <= 1e-14 * total:
             break
-        t = np.mod(t + err, total)
-        t[0] = 0.0
+        t += err  # err[0] is 0: q_0 stays the anchor
+    if m_new % 2 == 0:
+        out[-1, 1] = 0.0
     return out
 
 

@@ -14,10 +14,20 @@ reparametrization, so asking for the full gradient to vanish would fight
 the equal-spacing constraint.  The iteration therefore alternates a Newton
 step in the normal directions (reduced cyclic tridiagonal system
 N^T H N  delta = -N^T grad) with resampling to equal segment distances.
-Every iterate is mirror-averaged (below), so from M = 18, where the
-normals mirror too, N^T H N commutes with the reflection m -> -m mod M
-and N^T grad is even: the step is even, and it is solved on the mirror
-half, rows 0..M // 2, as one non-cyclic tridiagonal system.
+
+The torus is symmetric under z -> -z, and the iteration runs on that
+symmetry's half: its state is points 0..M // 2, from the outer axis point
+q_0 to the inner axis point q_{M/2} (even M) or to the last point before
+the inner axis crossing (odd M).  The axis points stay on z = 0.  Each
+iterate is evaluated with its neighbours across the axis read as mirror
+images, q_{-1} = (r_1, -z_1) (`stability.Evaluation` with m), and each is
+resampled on the arc from q_0 to the inner axis crossing
+(`curve._resample_half`).  From M = 18, where the normals mirror too,
+N^T H N of the whole curve commutes with the reflection m -> -m mod M and
+N^T grad is even, so the step is even and rows 0..M // 2 of the system,
+folded, are one non-cyclic tridiagonal system.  The solved half is
+unfolded once per level, so the returned curve has point -m mod M equal to
+(r_m, -z_m) bit for bit.
 
 The seed is a circle of radius 1.1 around (1.6, 0).  It lies across the
 torus's cross-section, which spans r from about 0.44 to 3.31 and |z| up to
@@ -30,22 +40,26 @@ and from it Newton takes 8 steps and 12 evaluations at M = 128, 256 and
 512.  The Newton step starts at 1.0 and is halved whenever the trial
 residual increases.  Directly from the seed the step count grows with M
 (7 at 2048, 9 at 4096 and 15 at 8192, with 12, 21 and 48 evaluations), so
-the solve uses nested iteration: it halves M with ceiling while the count
-is above COARSE_M, solves that coarsest level from the seed, and climbs
-back to M level by level, each level resampled from the canonical curve
-of the level below and polished by the same Newton loop.  8192 then takes
-5 steps at 512 and 2 at each level above it.  M <= COARSE_M is a single
-level solved from the seed.  Every iterate is averaged with its mirror
-image under z -> -z, so the returned curve is exactly mirror-symmetric.
-It is also canonical, with no step that reorders points: q_0 is the outer
-axis point and the curve rises after it, since the seed starts at angle 0
-counterclockwise, each resampling is anchored at its input's q_0 and the
-mirror average sets z_0 = 0.  Each level is bitwise the standalone solve
-at its count, so a caller solving several M can share the levels through
-`solve_geodesic`'s `solved` dict.  The point count M is the only input
-that shapes the curve: the seed (SEED_CENTER, SEED_RADIUS), the iteration
-cap per level (MAX_ITERS) and COARSE_M are module constants, read at call
-time, as are the tolerances in `stability`.
+the solve uses nested iteration: it divides M by 8 with ceiling while the
+count is above COARSE_M, solves that coarsest level from the seed, and
+climbs back to M level by level, each level resampled from the canonical
+curve of the level below and polished by the same Newton loop.  Newton's
+step count on a discretization does not depend on the mesh (Allgower,
+Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), and from a
+level 8 times coarser the top level takes 2 to 4 steps: 8192 climbs
+128 -> 1024 -> 8192 in 5, 3 and 2 steps, and 2048 climbs 256 -> 2048 in 5
+and 3.  M <= COARSE_M is a single level solved from the seed.  The
+returned curve is canonical, with no step that reorders points: q_0 is
+the outer axis point and the curve rises after it, since the seed starts
+at angle 0 counterclockwise and each resampling is anchored at its
+input's q_0, which the step moves along its normal, horizontal there to
+the bit because its two segments are mirror images.  Each level is
+bitwise the standalone solve at its count, so a caller solving several M
+can share the levels through `solve_geodesic`'s `solved` dict.  The point
+count M is the only input that shapes the curve: the seed (SEED_CENTER,
+SEED_RADIUS), the iteration cap per level (MAX_ITERS) and COARSE_M are
+module constants, read at call time, as are the tolerances in
+`stability`.
 """
 
 import numpy as np
@@ -61,7 +75,7 @@ MAX_ITERS = 200
 SEED_CENTER = (1.6, 0.0)
 SEED_RADIUS = 1.1
 #: Largest point count solved from the seed; larger M climb from a level at
-#: or below it.
+#: or below it, each level 8 times coarser than the next.
 COARSE_M = 512
 
 
@@ -82,29 +96,31 @@ def seed_circle(m):
     return pts
 
 
-def _check_alive(points):
+def _check_alive(half, m):
+    """Raise CurveCollapse unless `half`, rows 0 .. m // 2 of a
+    mirror-symmetric m-point curve, is finite, at r > 0, and has no
+    collapsed segment, those across the axis included."""
+    points = curve_mod.mirror_pad(half, m)
     if np.any(points[:, 0] <= 0.0) or not np.all(np.isfinite(points)):
-        raise CurveCollapse("iterate left the half-plane at M = %d"
-                            % len(points))
-    diff = np.concatenate((points[1:], points[:1])) - points
+        raise CurveCollapse("iterate left the half-plane at M = %d" % m)
+    diff = points[1:] - points[:-1]
     d = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
     if d.min() < metric.DEGENERACY_CUTOFF:
         raise CurveCollapse("segment collapsed during iteration at M = %d"
-                            % len(points))
+                            % m)
 
 
-def _state(points):
-    """The `stability.Evaluation` of one iterate, mirror-averaged."""
-    points = 0.5 * (points + curve_mod.mirror_points(points))
-    _check_alive(points)
-    return stability.Evaluation(points)
+def _state(half, m):
+    """The `stability.Evaluation` of one iterate, rows 0 .. m // 2."""
+    _check_alive(half, m)
+    return stability.Evaluation(half, m)
 
 
 def solve_geodesic(m, solved=None):
     """Solve for the closed m-point geodesic; returns a canonical DiscreteCurve.
 
     Canonical: q_0 is the outer axis point and the curve rises after it,
-    as the seed, the resampling anchor and the mirror average leave it.
+    as the seed and the resampling anchor leave it.
 
     solved, if given, is a dict owned by the caller that maps a point count
     to the polished points of that ladder level.  The descent stops at the
@@ -128,7 +144,7 @@ def solve_geodesic(m, solved=None):
         solved = {}
     levels = [m]
     while levels[-1] not in solved and levels[-1] > COARSE_M:
-        levels.append((levels[-1] + 1) // 2)
+        levels.append((levels[-1] + 7) // 8)
     if levels[-1] in solved:
         points = solved[levels.pop()]
     else:
@@ -142,24 +158,28 @@ def _polish(points, m):
     """Damped Newton iteration from points resampled to m; returns the
     points of a canonical solved curve.
 
-    The first iterate and every line-search trial are resampled to m, and
-    `_state` averages each with its mirror image, so the tolerances are met
-    by points whose row -m mod M is (r_m, -z_m) bitwise, as the
-    symmetry-reduced spectra need.  q_0 of points must be the outer axis
-    point with the curve rising after it, as on the seed and every solved
-    level; the average (z_0 = 0) and the resampling anchor at q_0 keep it so.
+    The iteration runs on the mirror half, rows 0 .. m // 2: the first
+    iterate and every line-search trial are resampled to m on the half
+    (`curve._resample_half`), which keeps the axis points on z = 0, and
+    each is evaluated with its neighbours across the axis read as mirror
+    images.  The solved half is unfolded once, so the returned points have
+    row -j mod m equal to (r_j, -z_j) bitwise, as the symmetry-reduced
+    spectra need.  points must be a closed curve that is its own mirror
+    image up to rounding, with q_0 the outer axis point and the curve
+    rising after it, as on the seed and every solved level; only its rows
+    0 .. len(points) // 2 are read.
 
     Each Newton step solves the folded half system: rows 0..M // 2 of
     N^T H N, where row 0 couples to row 1 with 2 up[0], row M / 2 (even M)
     couples to row M / 2 - 1 with 2 up[M / 2 - 1], and row M // 2 (odd M)
-    gains up[M // 2] on its diagonal; the step is unfolded by delta_m =
-    delta_min(m, M - m).  It is the full cyclic step only while the normals
-    mirror, which needs m >= 18, as solve_geodesic checks.
+    gains up[M // 2] on its diagonal.  It is the half of the full cyclic
+    step only while the normals mirror, which needs m >= 18, as
+    solve_geodesic checks.
     """
-    # the folded Newton matrix has diag[:n] on its diagonal and up[:n - 1]
-    # on both off-diagonals; its CSC structure is fixed per level, with
-    # entry (j, j) at data[3j], (j + 1, j) at data[3j + 1] and (j, j + 1),
-    # the first entry of column j + 1, at data[3j + 2]
+    # the folded Newton matrix has diag on its diagonal and up[:n - 1] on
+    # both off-diagonals; its CSC structure is fixed per level, with entry
+    # (j, j) at data[3j], (j + 1, j) at data[3j + 1] and (j, j + 1), the
+    # first entry of column j + 1, at data[3j + 2]
     n = m // 2 + 1
     rows = np.arange(n)
     indices = np.empty(3 * n - 2, dtype=rows.dtype)
@@ -167,29 +187,30 @@ def _polish(points, m):
     indptr = np.clip(np.arange(-1, 3 * n, 3), 0, 3 * n - 2)
     newton = scipy.sparse.csc_matrix(
         (np.empty(3 * n - 2), indices, indptr), shape=(n, n))
-    data, i = newton.data, np.arange(m)
-    fold = np.minimum(i, m - i)
-    state = _state(curve_mod._resample_points(points, m))
+    data = newton.data
+    m_in = len(points)
+    state = _state(
+        curve_mod._resample_half(points[:m_in // 2 + 1], m_in, m), m)
     for n_steps in range(1, MAX_ITERS + 1):
         if state.solved:
-            return state.points
+            return curve_mod.unfold(state.points, m)
         data[0::3], data[1::3], data[2::3] = (
-            state.diag[:n], state.up[:n - 1], state.up[:n - 1])
+            state.diag, state.up[:-1], state.up[:-1])
         # row 0 couples to rows 1 and M - 1, which the even step equates
         data[2] *= 2.0
         if m % 2:
             # row M // 2 couples to row M // 2 + 1, whose mirror it is
-            data[-1] += state.up[n - 1]
+            data[-1] += state.up[-1]
         else:
             # row M / 2 couples to M / 2 - 1 and its mirror M / 2 + 1
             data[-3] *= 2.0
         delta = scipy.sparse.linalg.spsolve(
-            newton, -state.grad_normal[:n], permc_spec="NATURAL")[fold]
+            newton, -state.grad_normal, permc_spec="NATURAL")
         for step in 0.5 ** np.arange(40):
             trial = state.points + step * delta[:, None] * state.normals
             try:
-                _check_alive(trial)
-                trial_state = _state(curve_mod._resample_points(trial, m))
+                _check_alive(trial, m)
+                trial_state = _state(curve_mod._resample_half(trial, m, m), m)
             except CurveCollapse:
                 continue
             if trial_state.residual < state.residual:

@@ -53,6 +53,12 @@ PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 #: and stops at the first k that has none; eigenvalues grow with k.
 INDEX_STOP_MARGIN = 1e-3
 
+#: Largest growth of a row's sweep in the polish's cyclic solve (see
+#: `_cyclic_solve`) that keeps its step: 2^11, the bits a long double
+#: carries beyond float64.  A row past it is solved again with its shift
+#: 1e-13 higher.
+SWEEP_GROWTH_MAX = 2.0 ** 11
+
 #: Mantissa bits of numpy's long double on this platform.  The polish needs
 #: the 63 of x87 extended precision; on platforms where long double is
 #: float64 it would miss the 1e-10 residual contract at M = 2048.
@@ -112,7 +118,11 @@ def _cyclic_solve(diag, up, shifts, rhs):
     rhs.  The sweep (`_sweep`) runs with the M axis leading, so each Python
     step touches one contiguous row of every pair, walked by zip with no
     per-row indexing.  The result comes back C-contiguous and pair-leading,
-    which the callers' reductions sum over in a fixed order.
+    which the callers' reductions sum over in a fixed order.  With it comes,
+    per row, the growth max |y| / max |x| of the sweep's solution y over
+    the corrected one x: the correction cancels that factor, and the
+    digits with it, when the non-cyclic system it splits off is near
+    singular too.
     """
     ld = np.longdouble
     piv = np.moveaxis(diag, -1, 0) - shifts
@@ -134,9 +144,14 @@ def _cyclic_solve(diag, up, shifts, rhs):
     v_y = y[0] + (corner / gamma) * y[-1]
     v_q = q[0] + (corner / gamma) * q[-1]
     q *= v_y / (1.0 + v_q)
+    # max |.| by reductions alone, with no batch-sized temporary
+    growth = np.maximum(y.max(axis=0), -y.min(axis=0))
     del piv  # one batch-sized buffer fewer while the result is allocated
-    return np.subtract(np.moveaxis(y, 0, -1), np.moveaxis(q, 0, -1),
-                       out=np.empty(rhs.shape, dtype=ld))
+    out = np.subtract(np.moveaxis(y, 0, -1), np.moveaxis(q, 0, -1),
+                      out=np.empty(rhs.shape, dtype=ld))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero row
+        growth /= np.maximum(out.max(axis=-1), -out.min(axis=-1))
+    return out, growth
 
 
 def _sweep(piv, work, upl):
@@ -181,12 +196,17 @@ def _refine_pairs(diag, up, vecs):
     meet an exact zero pivot (k = 1, j = 11 of the 201-mode scan at
     M = 2048 does), its solve is not finite, and a row whose solve is not
     finite keeps its unpolished LAPACK vector (residual 7.9e-11 there,
-    against 1.2e-11 polished).  The reported eigenvalue is the Rayleigh
-    quotient of the returned float64 vector and the residual its true
-    residual, both evaluated in extended precision.  The pairs are the
-    rows of vecs (..., M); diag broadcasts against them and `up` is
-    shared.  Each pair sums along its own row, so the other rows of the
-    batch do not change it.  The step normalizes its solve in place, so
+    against 1.2e-11 polished).  A row whose sweep grew past
+    SWEEP_GROWTH_MAX is solved once more with its shift 1e-13 higher: in a
+    near-degenerate pair the non-cyclic system split off by the
+    Sherman-Morrison correction can be near singular at the shift too
+    (k = 1, j = 124 of the 201-mode scan at M = 2048, growth 3.9e3,
+    residual 3.9e-11 against 1.2e-11 at the higher shift).  The reported
+    eigenvalue is the Rayleigh quotient of the returned float64 vector and
+    the residual its true residual, both evaluated in extended precision.
+    The pairs are the rows of vecs (..., M); diag broadcasts against them
+    and `up` is shared.  Each pair sums along its own row, so the other
+    rows of the batch do not change it.  The step normalizes its solve in place, so
     the peak is about four extended-precision copies of the batch: the
     LAPACK vectors and the three buffers of `_cyclic_solve`.
     """
@@ -200,7 +220,12 @@ def _refine_pairs(diag, up, vecs):
     # the solve is deliberately near singular; a row that blows up keeps
     # the LAPACK vector
     with np.errstate(all="ignore"):
-        trial = _cyclic_solve(diag_ld, up_ld, shifts, work)
+        trial, growth = _cyclic_solve(diag_ld, up_ld, shifts, work)
+        again = growth > SWEEP_GROWTH_MAX
+        if again.any():
+            trial[again] = _cyclic_solve(
+                np.broadcast_to(diag_ld, work.shape)[again], up_ld,
+                shifts[again] + ld(1e-13), work[again])[0]
         norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
         good = np.isfinite(norms) & (norms > 0.0)
         trial /= norms[..., None]

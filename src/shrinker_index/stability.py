@@ -21,8 +21,9 @@ The normal at a point is read off the 2x2 point block
 as the eigenvector of the larger eigenvalue, oriented outward (away from
 the curve centroid).  One Evaluation reads them, an (M, 2) array, off the
 same blocks as the normal gradient, the bands of N^T H N and -L_0, for
-the solver, the spectra and the renders; its `solved` test is the one
-definition of a solved geodesic, and assemble_Lk shifts its -L_0.
+the spectra and the renders, and for the solver on the mirror half of
+its iterate; its `solved` test is the one definition of a solved
+geodesic, and assemble_Lk shifts its -L_0.
 The normal direction is stiff (the |b - a|^{-1} projector term
 dominates), so the two eigenvalues are well separated and the
 eigenvector is stable even far from the solved curve.
@@ -32,6 +33,7 @@ import dataclasses
 
 import numpy as np
 
+from . import curve as curve_mod
 from . import metric
 
 #: Below this eigenvalue gap of the 2x2 point block the normal direction is
@@ -60,16 +62,6 @@ class StabilityMatrix:
         return len(self.diag)
 
 
-def _next(x):
-    """x[m + 1 mod M] along the first axis."""
-    return np.concatenate((x[1:], x[:1]))
-
-
-def _prev(x):
-    """x[m - 1 mod M] along the first axis."""
-    return np.concatenate((x[-1:], x[:-1]))
-
-
 def _quadratic_form(a, h, b):
     """a_m^T h_m b_m for (M, 2) columns a, b and (M, 2, 2) blocks h, summed
     in the order np.einsum("mi,mij,mj->m", a, h, b) sums."""
@@ -78,14 +70,17 @@ def _quadratic_form(a, h, b):
             + (a1 * h[:, 1, 0]) * b0 + (a1 * h[:, 1, 1]) * b1)
 
 
-def _point_blocks(points):
-    """2x2 blocks H_m for all points; also returns the segment blocks."""
-    blocks = metric.segment_blocks(points, _next(points))
-    return blocks["h_aa"] + _prev(blocks["h_bb"]), blocks
+def _point_blocks(padded):
+    """2x2 blocks H_m of the points padded[1:-1], whose neighbours are the
+    rows around them; also returns the blocks of the segments, segment j
+    running from padded[j] to padded[j + 1]."""
+    blocks = metric.segment_blocks(padded[:-1], padded[1:])
+    return blocks["h_aa"][1:] + blocks["h_bb"][:-1], blocks
 
 
-def _normals(h_m, points):
-    """Unit outward eigenvector of the larger eigenvalue of each H_m."""
+def _normals(h_m, points, centre):
+    """Unit eigenvector of the larger eigenvalue of each H_m, oriented away
+    from the point `centre`."""
     a = h_m[:, 0, 0]
     b = h_m[:, 0, 1]
     c = h_m[:, 1, 1]
@@ -106,36 +101,56 @@ def _normals(h_m, points):
     vec = np.empty(points.shape)
     vec[:, 0] = v0 / norm
     vec[:, 1] = v1 / norm
-    centroid = points.mean(axis=0)
-    outward = (vec[:, 0] * (points[:, 0] - centroid[0])
-               + vec[:, 1] * (points[:, 1] - centroid[1]))
+    outward = (vec[:, 0] * (points[:, 0] - centre[0])
+               + vec[:, 1] * (points[:, 1] - centre[1]))
     vec[outward < 0.0] *= -1.0
     return vec
 
 
 class Evaluation:
-    """The point blocks of `points`, shape (M, 2), evaluated once: the
-    outward normals, grad_normal = n_m . grad_m, the unscaled bands diag
-    and up of N^T H N (each segment's 2x2 endpoint blocks reduced through
-    the normals; no 2M x 2M Hessian is built), residual = max |grad_normal|,
-    spacing = max/min - 1 of the segment distances, and L0 = -L_0, the
-    bands scaled by M / l; `solved` tests both tolerances."""
+    """The point blocks of `points` evaluated once.
 
-    def __init__(self, points):
-        h_m, blocks = _point_blocks(points)
+    `points` is a closed curve, shape (M, 2); or, with m given, rows
+    0 .. m // 2 of a mirror-symmetric m-point curve (row -j mod m is
+    (r_j, -z_j)), as the solver iterates.  Either way the points are
+    padded with their two neighbours, cyclically or by reflection
+    (`curve.mirror_pad`), and each segment's 2x2 endpoint blocks are
+    reduced through the normals once; no 2M x 2M Hessian is built.  Per
+    row of `points` it holds the outward normals (away from the centroid,
+    or on a half from (mean r, 0), on the axis), grad_normal = n_m .
+    grad_m, and the unscaled bands diag and up of N^T H N (up[m] couples
+    rows m and m + 1, the last one to the padded neighbour); residual =
+    max |grad_normal| and spacing = max/min - 1 of the segment distances,
+    which on a half are those of the whole curve; and, for a closed curve
+    only, L0 = -L_0, the bands scaled by M / l.  `solved` tests both
+    tolerances.
+    """
+
+    def __init__(self, points, m=None):
+        if m is None:
+            def pad(x):
+                return np.concatenate((x[-1:], x, x[:1]))
+            centre = points.mean(axis=0)
+        else:
+            def pad(x):
+                return curve_mod.mirror_pad(x, m)
+            centre = (points[:, 0].mean(), 0.0)
+        h_m, blocks = _point_blocks(pad(points))
+        h_aa, h_bb = blocks["h_aa"][1:], blocks["h_bb"][:-1]
         self.points = points
-        self.normals = n = _normals(h_m, points)
-        n_next = _next(n)
-        grad = blocks["grad_a"] + _prev(blocks["grad_b"])
+        self.normals = n = _normals(h_m, points, centre)
+        n_next = pad(n)[2:]
+        grad = blocks["grad_a"][1:] + blocks["grad_b"][:-1]
         self.grad_normal = n[:, 0] * grad[:, 0] + n[:, 1] * grad[:, 1]
-        self.diag = (_quadratic_form(n, blocks["h_aa"], n)
-                     + _prev(_quadratic_form(n_next, blocks["h_bb"], n_next)))
-        self.up = _quadratic_form(n, blocks["h_ab"], n_next)
+        self.diag = (_quadratic_form(n, h_aa, n)
+                     + _quadratic_form(n, h_bb, n))
+        self.up = _quadratic_form(n, blocks["h_ab"][1:], n_next)
         self.residual = float(np.max(np.abs(self.grad_normal)))
         dist = blocks["dist"]
         self.spacing = float(dist.max() / dist.min() - 1.0)
-        scale = len(points) / dist.sum()
-        self.L0 = StabilityMatrix(0, scale * self.diag, scale * self.up)
+        if m is None:
+            scale = len(points) / dist[1:].sum()
+            self.L0 = StabilityMatrix(0, scale * self.diag, scale * self.up)
 
     @property
     def solved(self):

@@ -20,7 +20,8 @@ class Pipeline:
     """Per-M memo of shrinker_index.Pipeline, and of its modes per count.
 
     The solves share one dict of polished ladder levels, so a test run
-    polishes each level once; each curve is still bitwise solve_geodesic(m).
+    polishes each level once (M = 8192, say, climbs from the 1024 and 128
+    that other tests solve); each curve is still bitwise solve_geodesic(m).
     """
 
     def __init__(self):

@@ -1,6 +1,6 @@
 """Independent oracles and test-only views used only by the tests.
 
-Ten oracles live here: a high-precision finite-difference evaluation of
+Eleven oracles live here: a high-precision finite-difference evaluation of
 the segment-distance derivatives (mpmath, so truncation error dominates and
 the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
 of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
@@ -17,8 +17,10 @@ reproduce exactly, the segment distances and point-block evaluation
 written with np.roll, np.linalg.norm and np.einsum on (M, 2) rows and
 (M, 2, 2) blocks, whose bits the column arithmetic of the production code
 must reproduce, and a curve CSV reader that parses one row at a time with
-Python's int and float, whose points numpy's one-call reader must match.
-Alongside them sit small
+Python's int and float, whose points numpy's one-call reader must match,
+and the equal-spacing resampling of a whole closed curve, which the
+solver's resampling on the mirror half must match once unfolded and
+mirror-averaged.  Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one
 segment, the 2x2 point block at one point, the mirror image of a curve, the
 spacing deviation of a curve and its resampling to another point count,
@@ -35,7 +37,7 @@ import scipy.linalg
 
 from shrinker_index import (DiscreteCurve, StabilityMatrix, discrete_length,
                             sigma)
-from shrinker_index.curve import CurveFileError, _resample_points
+from shrinker_index.curve import CurveFileError
 from shrinker_index.metric import segment_blocks, segment_distance
 from shrinker_index.render import _amplitude
 from shrinker_index.stability import _point_blocks
@@ -88,7 +90,8 @@ def segment_derivatives(a, b):
 
 def point_block(curve, m):
     """The 2x2 second-derivative block of the discrete length at point m."""
-    h_m, _ = _point_blocks(curve.points)
+    pts = curve.points
+    h_m, _ = _point_blocks(np.concatenate((pts[-1:], pts, pts[:1])))
     return h_m[m % curve.M]
 
 
@@ -106,6 +109,47 @@ def spacing_deviation(curve):
     return float(d.max() / d.min() - 1.0)
 
 
+def resample_points(points, m_new):
+    """Equal-segment-distance resampling on the input interpolant.
+
+    Places m_new points on the piecewise-linear interpolant of `points`,
+    anchored at the input's first vertex, such that the recomputed
+    midpoint-rule segment distances of the output are equal.  A single
+    accumulated-length placement leaves O(h^2) unevenness, so the target
+    parameters are corrected a few times; the points stay on the original
+    polygon throughout.
+    """
+    nxt = np.concatenate((points[1:], points[:1]))
+    d = segment_distance(points, nxt)
+    if np.any(d <= 0.0):
+        raise ValueError("curve has a zero-length segment")
+    cum = np.concatenate([[0.0], np.cumsum(d)])
+    total = cum[-1]
+    seg_len = np.diff(cum)
+    # (2, M) columns: each placement gathers from contiguous arrays
+    base, step = points.T.copy(), (nxt - points).T.copy()
+
+    grid = np.arange(m_new)
+    t = grid * (total / m_new)
+    out = np.empty((m_new, 2))
+    for _ in range(61):  # the first placement and up to 60 corrections
+        # t >= 0 = cum[0], so only the upper end needs a bound
+        idx = np.minimum(np.searchsorted(cum, t, side="right") - 1,
+                         len(points) - 1)
+        alpha = (t - cum[idx]) / seg_len[idx]
+        for c in range(2):
+            out[:, c] = base[c][idx] + alpha * step[c][idx]
+        d_new = segment_distance(out, np.concatenate((out[1:], out[:1])))
+        e = np.concatenate([[0.0], np.cumsum(d_new[:-1])])
+        target = grid * (d_new.sum() / m_new)
+        err = target - e
+        if np.max(np.abs(err)) <= 1e-14 * total:
+            break
+        t = np.mod(t + err, total)
+        t[0] = 0.0
+    return out
+
+
 def resample_uniform(curve, m_new):
     """Resample to m_new points with equal segment distances.
 
@@ -115,7 +159,7 @@ def resample_uniform(curve, m_new):
     """
     if m_new < 3:
         raise ValueError("m_new must be at least 3")
-    return DiscreteCurve(_resample_points(curve.points, m_new))
+    return DiscreteCurve(resample_points(curve.points, m_new))
 
 
 def fd_segment_derivatives(a, b, step=FD_STEP, dps=FD_DPS):

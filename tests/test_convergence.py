@@ -92,13 +92,13 @@ def test_run_study_grid_order_and_estimates():
 
 
 def test_run_study_overlapping_ladders_match_fresh_solves(polished):
-    # 1200 and 2400 climb through 600 and 1200, so the study polishes each
-    # of 300, 600, 1200 and 2400 once, and every estimate is bitwise the
-    # one scan of a fresh solve at M
-    studies = run_study(0, m_values=(600, 1200, 2400))
-    assert [m for m, _ in polished] == [300, 600, 1200, 2400]
+    # 600 climbs from 75, 2400 from 300, and 4800 through 600 and 75, so
+    # the study polishes each of 75, 600, 300, 2400 and 4800 once, and
+    # every estimate is bitwise the one scan of a fresh solve at M
+    studies = run_study(0, m_values=(600, 2400, 4800))
+    assert [m for m, _ in polished] == [75, 600, 300, 2400, 4800]
     expected = {}
-    for m in (600, 1200, 2400):
+    for m in (600, 2400, 4800):
         crv = solve_geodesic(m)
         for mode in Pipeline(crv).scan(range(1), 4):
             expected.setdefault((mode.k, mode.j), []).append(mode.eigenvalue)
@@ -109,8 +109,25 @@ def test_run_study_overlapping_ladders_match_fresh_solves(polished):
         assert st.estimates == tuple(expected[st.quantity])
 
 
+def test_large_m_differences_quarter_with_each_doubling(pipe):
+    # every level of the ladder stops close enough to its floor that the
+    # eigenvalues still converge as M^-2 up to M = 32768: successive
+    # differences of lambda(0, 0) and lambda(2, 0) fall by 4, and the
+    # rotation mode, exactly 0 in the continuum, keeps its positive sign
+    lam = {}
+    for m in (8192, 16384, 32768):
+        for mode in Pipeline(pipe.curve(m)).scan([0, 1, 2], 3):
+            lam[mode.k, mode.j, m] = mode
+    for k in (0, 2):
+        e = [lam[k, 0, m].eigenvalue for m in (8192, 16384, 32768)]
+        assert abs((e[0] - e[1]) / (e[1] - e[2]) - 4.0) <= 0.05
+    rotation = lam[1, 2, 32768]
+    assert rotation.label == "rotation" and rotation.eigenvalue > 0.0
+
+
 def test_default_study_polishes_each_level_once(polished):
-    # one polish per resolution: 512 and 1024 are reused, not re-solved
+    # one polish per resolution: 1024 and 2048 climb from the study's own
+    # 128 and 256, which are reused, not re-solved
     run_study(0)
     assert [m for m, _ in polished] == [128, 256, 512, 1024, 2048]
 

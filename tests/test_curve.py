@@ -10,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from shrinker_index import (DiscreteCurve, discrete_length, read_curve,
-                            write_curve)
+                            solver, write_curve)
 from oracles import reflect_z, resample_uniform, spacing_deviation
-from shrinker_index.curve import CurveFileError
+from shrinker_index.curve import (CurveFileError, _resample_half,
+                                  mirror_points, unfold)
 from shrinker_index.metric import segment_distance
 
 
@@ -103,6 +104,23 @@ def test_resample_refuses_zero_length_segment():
     repeated = DiscreteCurve(np.insert(pts, 1, pts[1], axis=0))
     with pytest.raises(ValueError, match="curve has a zero-length segment"):
         resample_uniform(repeated, 8)
+
+
+@pytest.mark.parametrize("source", ["seed", "solved"])
+@pytest.mark.parametrize("m, m_new", [(64, 64), (64, 101), (65, 65),
+                                      (65, 32), (257, 2048), (2048, 2049)])
+def test_half_resampling_is_the_mirror_averaged_closed_one(pipe, source, m,
+                                                           m_new):
+    # on the mirror half the arc ends at the inner axis crossing, where an
+    # odd count's crossing segment counts as half; unfolded, the result is
+    # the closed resampling averaged with its mirror image
+    points = solver.seed_circle(m) if source == "seed" else pipe.curve(
+        m).points
+    half = _resample_half(points[:m // 2 + 1], m, m_new)
+    closed = oracles.resample_points(points, m_new)
+    want = 0.5 * (closed + mirror_points(closed))
+    assert half.shape == (m_new // 2 + 1, 2)
+    assert np.max(np.abs(unfold(half, m_new) - want)) <= 1e-13
 
 
 def test_csv_round_trip_bitwise(pipe, tmp_path):

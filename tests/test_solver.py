@@ -16,7 +16,7 @@ from shrinker_index import (DiscreteCurve, Pipeline, compute_index,
                             discrete_length, solve_geodesic)
 from shrinker_index import curve as curve_mod
 from shrinker_index import solver, stability
-from oracles import resample_uniform, spacing_deviation
+from oracles import resample_points, resample_uniform, spacing_deviation
 from shrinker_index.metric import segment_blocks
 from shrinker_index.solver import CurveCollapse, NonConvergence
 
@@ -107,9 +107,9 @@ def counted(monkeypatch):
         counts["steps"] += 1
         return spsolve(*args, **kwargs)
 
-    def counted_evaluation(points):
+    def counted_evaluation(*args):
         counts["evals"] += 1
-        return evaluation(points)
+        return evaluation(*args)
 
     monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted_spsolve)
     monkeypatch.setattr(stability, "Evaluation", counted_evaluation)
@@ -125,7 +125,7 @@ def test_coarse_solve_step_counts(counted):
     assert (counted["steps"], counted["evals"]) == (5, 6)
 
 
-@pytest.mark.parametrize("m, steps", [(2049, 12), (8192, 13)])
+@pytest.mark.parametrize("m, steps", [(2049, 8), (8192, 10)])
 def test_ladder_step_counts(counted, m, steps):
     # Newton steps over every level of the ladder; a wrong corner of the
     # folded step still converges, only in more steps
@@ -147,7 +147,7 @@ def _cyclic_step(state):
                                 (512, 256), (513, 257)]
     for level in (None, below)])
 def test_folded_step_is_the_cyclic_step(monkeypatch, m, level):
-    # on a mirror-averaged iterate N^T H N commutes with m -> -m mod M and
+    # on a mirror-symmetric iterate N^T H N commutes with m -> -m mod M and
     # the gradient is even, so the step solved on rows 0..M // 2 and
     # unfolded is the step of the full cyclic system; the iterates are
     # the seed and a solved level resampled to m (the level below, or a
@@ -167,8 +167,11 @@ def test_folded_step_is_the_cyclic_step(monkeypatch, m, level):
     monkeypatch.setattr(solver, "MAX_ITERS", 1)
     with pytest.raises(NonConvergence):
         solver._polish(points, m)
-    want = _cyclic_step(
-        solver._state(curve_mod._resample_points(points, m)))
+    # the solver's iterate, resampled on the half, is this closed one to
+    # rounding
+    resampled = resample_points(points, m)
+    want = _cyclic_step(stability.Evaluation(
+        0.5 * (resampled + curve_mod.mirror_points(resampled))))
     got = halves[0][np.minimum(np.arange(m), m - np.arange(m))]
     assert len(halves) == 1 and len(halves[0]) == m // 2 + 1
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -195,9 +198,9 @@ def test_line_search_rejects_a_trial_off_the_half_plane(monkeypatch):
     collapsed = []
     check_alive = solver._check_alive
 
-    def recorded(points):
+    def recorded(*args):
         try:
-            check_alive(points)
+            check_alive(*args)
         except CurveCollapse as exc:
             collapsed.append(str(exc))
             raise
@@ -244,9 +247,9 @@ def test_axis_points_are_critical(m):
 
 @pytest.mark.parametrize("m", [3001, 4096, 8192])
 def test_ladder_solve_converges(pipe, m):
-    # above solver.COARSE_M the solve climbs from a coarse level: 5 Newton
-    # steps at 512 and 2 at each level above it; from the seed circle
-    # alone, 4096 and 8192 would take 9 and 15 steps
+    # above solver.COARSE_M the solve climbs from a level 8 times coarser:
+    # 8192 takes 5 Newton steps at 128, 3 at 1024 and 2 at 8192; from the
+    # seed circle alone, 4096 and 8192 would take 9 and 15 steps
     crv = pipe.curve(m)
     assert crv.M == m
     state = stability.Evaluation(crv.points)
@@ -257,13 +260,32 @@ def test_ladder_solve_converges(pipe, m):
     assert np.array_equal(solve_geodesic(m).points, crv.points)
 
 
+@pytest.mark.parametrize("m", [513, 1000, 1025, 2047, 2049, 3001, 4097,
+                               5003, 8191, 12001])
+def test_ladder_top_level_takes_few_steps(counted, monkeypatch, m):
+    # Newton's step count does not grow with M (mesh independence), so from
+    # a solved level 8 times coarser the top level takes at most 4 steps,
+    # at any M and either parity, and the curve passes the spectra's tests
+    starts = []
+    polish = solver._polish
+
+    def recorded(points, level):
+        starts.append(counted["steps"])
+        return polish(points, level)
+
+    monkeypatch.setattr(solver, "_polish", recorded)
+    crv = solve_geodesic(m)
+    assert counted["steps"] - starts[-1] <= 4
+    assert Pipeline(crv).curve is crv
+
+
 def test_index_at_8192(pipe):
     assert compute_index(pipe.curve(8192)).index == 5
 
 
 def test_ladder_levels_are_polished_resamplings(pipe):
-    # 2048 climbs 512 -> 1024 -> 2048, so its last step is this polish
-    assert np.array_equal(solver._polish(pipe.curve(1024).points, 2048),
+    # 2048 climbs 256 -> 2048, so its last step is this polish
+    assert np.array_equal(solver._polish(pipe.curve(256).points, 2048),
                           pipe.curve(2048).points)
 
 
@@ -288,16 +310,16 @@ def test_ladder_levels_are_standalone_solves(polished, m):
 def test_solved_levels_are_reused(polished, pipe):
     # the descent stops at the first level found in the dict, stores what
     # it polishes there, and a count found there is returned unpolished
-    solved = {1024: pipe.curve(1024).points}
+    solved = {256: pipe.curve(256).points}
     pipe.curve(2048)
     polished.clear()
     crv = solve_geodesic(2048, solved)
     assert [level for level, _ in polished] == [2048]
     assert np.array_equal(crv.points, pipe.curve(2048).points)
-    assert sorted(solved) == [1024, 2048]
+    assert sorted(solved) == [256, 2048]
     assert np.array_equal(solved[2048], crv.points)
-    assert np.array_equal(solve_geodesic(1024, solved).points,
-                          pipe.curve(1024).points)
+    assert np.array_equal(solve_geodesic(256, solved).points,
+                          pipe.curve(256).points)
     assert len(polished) == 1
 
 
@@ -330,7 +352,7 @@ def test_private_functions_stay_in_their_module():
     modules = {path.stem for path in package.glob("*.py")}
     uses = {(path.stem,) + use for path in sorted(package.glob("*.py"))
             for use in _private_uses(path, modules)}
-    assert uses == {("solver", "curve", "_resample_points")}
+    assert uses == {("solver", "curve", "_resample_half")}
 
 
 def _imported_modules(path):

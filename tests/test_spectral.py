@@ -62,6 +62,28 @@ def test_polish_solves_once_per_spectrum(pipe, monkeypatch):
     assert shapes == [(3, 8, 256)]
 
 
+def test_polish_solves_a_grown_sweep_again(pipe, monkeypatch):
+    # a row whose sweep grew past SWEEP_GROWTH_MAX is solved once more,
+    # alone, with its shift 1e-13 higher; with the bound at 0 every row is
+    a = pipe.Lk(256, 0)
+    clean = spectrum([a], 8)
+    shifts = []
+    original = spectral._cyclic_solve
+
+    def recorded(diag, up, shift, rhs):
+        shifts.append(shift.copy())
+        return original(diag, up, shift, rhs)
+
+    monkeypatch.setattr(spectral, "_cyclic_solve", recorded)
+    monkeypatch.setattr(spectral, "SWEEP_GROWTH_MAX", 0.0)
+    again = spectrum([a], 8)
+    assert [s.shape for s in shifts] == [(1, 8), (8,)]
+    assert np.array_equal(shifts[1], shifts[0][0] + np.longdouble(1e-13))
+    for old, new in zip(clean, again):
+        assert new.residual <= 1e-10
+        assert abs(new.eigenvalue - old.eigenvalue) <= 1e-9
+
+
 def test_polish_keeps_lapack_vector_of_a_failed_solve(pipe, monkeypatch):
     # an exact zero pivot inside the forward sweep turns a pair's whole
     # solve row NaN; that pair keeps its LAPACK vector and the others are
@@ -71,9 +93,9 @@ def test_polish_keeps_lapack_vector_of_a_failed_solve(pipe, monkeypatch):
     original = spectral._cyclic_solve
 
     def nan_row_1(diag, up, shifts, rhs):
-        out = original(diag, up, shifts, rhs)
+        out, growth = original(diag, up, shifts, rhs)
         out[..., 1, :] = np.nan
-        return out
+        return out, growth
 
     monkeypatch.setattr(spectral, "_cyclic_solve", nan_row_1)
     kept = spectrum([a], 8)
@@ -325,7 +347,7 @@ def test_pipeline_refuses_normals_that_do_not_mirror(pipe):
     # which the reflection reverses, so -L_k does not split into halves;
     # solve_geodesic refuses M < 18, and the solver's folded Newton step
     # needs mirrored normals, so resample a solved curve to 12 points
-    points = curve_mod._resample_points(pipe.curve(64).points, 12)
+    points = oracles.resample_points(pipe.curve(64).points, 12)
     crv = DiscreteCurve(0.5 * (points + curve_mod.mirror_points(points)))
     with pytest.raises(ExclusionMismatch, match="normal at point"):
         Pipeline(crv)
@@ -422,7 +444,7 @@ def test_cyclic_solve_matches_pair_leading_sweep(pipe, ks, count):
     shifts = np.einsum("...m,...m->...", rhs,
                        spectral._band_matvec(diag, up, rhs)) + ld(1e-13)
     with np.errstate(all="ignore"):
-        got = spectral._cyclic_solve(diag, up, shifts, rhs)
+        got = spectral._cyclic_solve(diag, up, shifts, rhs)[0]
         ref = oracles.cyclic_solve_pair_leading(diag, up, shifts, rhs)
     assert got.shape == rhs.shape == (len(ks), count, 512)
     assert got.dtype == ld
@@ -463,7 +485,7 @@ def test_cyclic_solve_matches_dense_solve(system):
     ld = np.longdouble
     got = spectral._cyclic_solve(a.diag.astype(ld)[None, :],
                                  a.up.astype(ld), shifts.astype(ld),
-                                 rhs.astype(ld))
+                                 rhs.astype(ld))[0]
     eps = np.finfo(float).eps
     for x, s, b in zip(got, shifts, rhs):
         ref = np.linalg.solve(oracles.dense(a) - s * np.eye(a.M), b)
@@ -520,7 +542,8 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
 
 def test_pipeline_evaluates_the_point_blocks_once(pipe, monkeypatch):
     # the normals, -L_0 and the solved-geodesic test all come from one
-    # evaluation of the segment blocks
+    # evaluation of the segment blocks, over the M + 1 segments of the
+    # curve padded cyclically
     crv = pipe.curve(64)
     original = metric.segment_blocks
     calls = []
@@ -530,7 +553,7 @@ def test_pipeline_evaluates_the_point_blocks_once(pipe, monkeypatch):
         return original(a, b)
     monkeypatch.setattr(metric, "segment_blocks", counted)
     Pipeline(crv)
-    assert calls == [64]
+    assert calls == [65]
 
 
 def test_sigma_inverse_near_kernel(pipe):

@@ -153,7 +153,7 @@ def test_ambiguous_normal_raises():
     pts = np.column_stack([np.full(8, 2.0), np.linspace(-1, 1, 8)])
     h_m = np.tile(np.eye(2), (8, 1, 1))
     with pytest.raises(AmbiguousNormal):
-        _normals(h_m, pts)
+        _normals(h_m, pts, pts.mean(axis=0))
 
 
 def test_ode_stencil_on_constant_input(pipe):
