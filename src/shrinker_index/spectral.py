@@ -18,7 +18,7 @@ of every self-shrinker and carry no geometric information.
 The solved curve is symmetric under z -> -z, which maps point m to point
 -m mod M, so each -L_k splits into an even and an odd symmetric
 tridiagonal matrix with no cyclic corner.  LAPACK finds the low pairs of
-each half, a little over half the wanted count from each, which Cauchy
+each half, about half the wanted count from each, which Cauchy
 interlacing of the nested halves makes enough; one
 extended-precision inverse-iteration step on the full cyclic bands,
 shifted at the Rayleigh quotient of each LAPACK vector, then brings
@@ -115,17 +115,18 @@ def _cyclic_solve(diag, up, shifts, rhs):
     bumped off zero after the forward sweep, which guards only the back
     substitution: an exact zero pivot inside the sweep makes the row all NaN.
     rhs is (..., M) with one shift per row, and diag has one axis per axis of
-    rhs.  The sweep (`_sweep`) runs with the M axis leading, so each Python
-    step touches one contiguous row of every pair, walked by zip with no
-    per-row indexing.  The result comes back C-contiguous and pair-leading,
-    which the callers' reductions sum over in a fixed order.  With it comes,
-    per row, the growth max |y| / max |x| of the sweep's solution y over
-    the corrected one x: the correction cancels that factor, and the
-    digits with it, when the non-cyclic system it splits off is near
-    singular too.
+    rhs.  The sweep (`_sweep`) runs on buffers allocated C-contiguous with
+    the M axis leading, and takes them with the pair axes flattened, so
+    each Python step touches one contiguous row of every pair, walked by
+    zip with no per-row indexing.  The result comes back C-contiguous and
+    pair-leading, which the callers' reductions sum over in a fixed order.
+    With it comes, per row, the growth max |y| / max |x| of the sweep's
+    solution y over the corrected one x: the correction cancels that
+    factor, and the digits with it, when the non-cyclic system it splits
+    off is near singular too.
     """
     ld = np.longdouble
-    piv = np.moveaxis(diag, -1, 0) - shifts
+    piv = np.subtract(np.moveaxis(diag, -1, 0), shifts, order="C")
     upl = list(up)
     corner = upl[-1]
     gamma = np.where(np.abs(piv[0]) > 1e-300, -piv[0], ld(-1.0))
@@ -138,7 +139,8 @@ def _cyclic_solve(diag, up, shifts, rhs):
     work[0, ..., 1] = gamma
     work[-1, ..., 1] = corner
 
-    _sweep(piv, work, upl)
+    m = len(piv)
+    _sweep(piv.reshape(m, -1), work.reshape(m, -1, 2), upl)
     y = work[..., 0]
     q = work[..., 1]
     v_y = y[0] + (corner / gamma) * y[-1]
@@ -155,7 +157,7 @@ def _cyclic_solve(diag, up, shifts, rhs):
 
 
 def _sweep(piv, work, upl):
-    """Thomas elimination of work (M, ..., 2) in place, pivots piv (M, ...).
+    """Thomas elimination of work (M, P, 2) in place, pivots piv (M, P).
 
     zip walks the rows of piv and work as views, and each row is carried
     into the next step, so no step indexes a row; each product goes into a
@@ -275,12 +277,15 @@ def _folded_pairs(a, count):
     LAPACK's bisection and inverse iteration (stebz/stein) give the lowest
     pairs of each of the mirror `_halves`, which are unfolded to length M
     and merged.  stein's cost grows about quadratically with the pairs it
-    is asked for, so each half is asked once, for min(count, count // 2 + 2)
-    pairs, or all its rows if it has fewer.  That is enough: the odd half
-    is the even half without its fixed-point rows (0, and M/2 at even M)
-    and, at odd M, with its last diagonal entry changed, so by Cauchy
-    interlacing neither half holds more than count // 2 + 1 of the lowest
-    `count` pairs.  Where values of the two halves tie at the cut the
+    is asked for, so each half is asked once, for no more pairs than
+    Cauchy interlacing lets it hold among the lowest `count` (Horn &
+    Johnson, Matrix Analysis), or all its rows if it has fewer: the even
+    half for count // 2 + 1, the odd half for count // 2.  The odd half is
+    the even half without its fixed-point rows (0, and M/2 at even M) and,
+    at odd M, with its last diagonal entry moved by -2 up[M // 2]; where
+    that lowers it (up[M // 2] > 0) the interlacing loosens by one and the
+    odd half is asked for count // 2 + 1 too.  A half asked for no pairs
+    is not called.  Where values of the two halves tie at the cut the
     merge may keep either copy; the copies' values agree to rounding.
     Returns the unit eigenvectors as the rows of a (count, M) array,
     ordered by ascending LAPACK eigenvalue; their residuals are
@@ -288,11 +293,17 @@ def _folded_pairs(a, count):
     """
     m = a.M
     h = m // 2
-    (lam_even, x), (lam_odd, y) = [
-        scipy.linalg.eigh_tridiagonal(
-            d, e, select="i",
-            select_range=(0, min(count, count // 2 + 2, len(d)) - 1))
-        for d, e in _halves(a)]
+    half = count // 2
+    asks = (half + 1, half + (m % 2 == 1 and a.up[h] > 0.0))
+    found = []
+    for (d, e), ask in zip(_halves(a), asks):
+        ask = min(ask, len(d))
+        if ask:
+            found.append(scipy.linalg.eigh_tridiagonal(
+                d, e, select="i", select_range=(0, ask - 1)))
+        else:
+            found.append((np.empty(0), np.empty((len(d), 0))))
+    (lam_even, x), (lam_odd, y) = found
     keep = np.argsort(np.concatenate([lam_even, lam_odd]),
                       kind="stable")[:count]
     # point m unfolds from row fold[m] of a half; the odd rows, padded with
@@ -319,14 +330,18 @@ def spectrum(matrices, count):
     all pairs on the full cyclic bands, O(M) per mode.  Calls are bitwise
     repeatable on any BLAS thread count, and a pair's result does not
     depend on which other matrices share the call.  It can depend on
-    `count`: each mirror half is asked once, for min(count, count // 2 + 2)
-    pairs or all its rows if it has fewer, and LAPACK's bisection and
-    inverse iteration run over that index range, so the same pair taken
-    with another count may differ in the last bits of its value and
-    vector.  Eigenvectors are unit norm with the largest-magnitude entry
-    positive; residual is the true ||A u - lambda u||_2 of the returned
-    pair.  Raises NarrowLongDouble where numpy's long double has fewer
-    than 63 mantissa bits (`LONGDOUBLE_BITS`), too few for the polish.
+    `count`: each mirror half is asked once, the even half for
+    count // 2 + 1 pairs and the odd half for count // 2 (count // 2 + 1 at
+    odd M with up[M // 2] > 0), or all its rows if it has fewer, and
+    LAPACK's bisection and inverse iteration run over that index range, so
+    the same pair taken with another count may differ in the last bits of
+    its value and vector.  Eigenvectors are unit norm, with the
+    largest-magnitude entry among rows 0..M//2 positive: an odd mode's
+    entries m and M - m are equal in size but opposite in sign, so over
+    all rows rounding would pick which of the two sets the sign.
+    residual is the true ||A u - lambda u||_2 of the returned pair.
+    Raises NarrowLongDouble where numpy's long double has fewer than 63
+    mantissa bits (`LONGDOUBLE_BITS`), too few for the polish.
     """
     if LONGDOUBLE_BITS < 63:
         raise NarrowLongDouble(
@@ -360,7 +375,7 @@ def spectrum(matrices, count):
     for a, lam, vec, res in zip(matrices, vals, vecs, resids):
         for j, row in enumerate(np.argsort(lam, kind="stable")):
             u = vec[row]
-            if u[np.argmax(np.abs(u))] < 0.0:
+            if u[np.argmax(np.abs(u[:m // 2 + 1]))] < 0.0:
                 u = -u
             modes.append(EigenMode(k=a.k, j=j, eigenvalue=float(lam[row]),
                                    vector=u, residual=float(res[row])))

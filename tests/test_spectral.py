@@ -118,7 +118,36 @@ def test_modes_sorted_normalized_canonical(pipe):
         assert md.j == j
         assert md.k == 0
         assert np.isclose(np.linalg.norm(md.vector), 1.0, rtol=0, atol=1e-12)
-        assert md.vector[np.argmax(np.abs(md.vector))] > 0.0
+        assert md.vector[np.argmax(np.abs(md.vector[:129]))] > 0.0
+
+
+@pytest.mark.parametrize("flip", [1.0, -1.0])
+def test_odd_mode_sign_ignores_its_mirror_twin(pipe, monkeypatch, flip):
+    # an odd mode's entries m and M - m are mirror images of opposite sign,
+    # equal in size but for rounding; the sign comes from rows 0..M/2, so
+    # a polish that leaves the twin in M/2..M one ulp larger, whatever the
+    # sign it hands over, does not flip the mode
+    a = pipe.Lk(256, 0)
+    clean = spectrum([a], 3)
+    odd = clean[2].vector  # the vertical translation
+    mirror = -np.arange(256) % 256
+    assert np.linalg.norm(odd[mirror] + odd) <= 1e-8
+    m = int(np.argmax(np.abs(odd[:129])))
+    original = spectral._refine_pairs
+
+    def twin_larger(diag, up, vecs):
+        lam, out, res = original(diag, up, vecs)
+        for u in out[0]:
+            if abs(abs(np.dot(u, odd)) - 1.0) <= 1e-12:
+                u *= flip
+                u[-m] = np.nextafter(-u[m], np.copysign(np.inf, -u[m]))
+        return lam, out, res
+
+    monkeypatch.setattr(spectral, "_refine_pairs", twin_larger)
+    got = spectrum([a], 3)[2].vector
+    assert abs(got[-m]) > abs(got[m]) > 0.0
+    assert got[m] > 0.0
+    assert np.array_equal(np.delete(got, -m % 256), np.delete(odd, -m % 256))
 
 
 def test_spectrum_count_validation(pipe):
@@ -211,16 +240,19 @@ def test_spectrum_refuses_an_operator_off_its_mirror(pipe):
 
 
 @pytest.mark.parametrize("m,k,count,asked", [
-    (2048, 0, 201, [(1025, (0, 101)), (1023, (0, 101))]),
-    (2048, 1, 201, [(1025, (0, 101)), (1023, (0, 101))]),
-    (257, 3, 63, [(129, (0, 32)), (128, (0, 32))]),
-    (64, 0, 5, [(33, (0, 3)), (31, (0, 3))])],
-    ids=["0", "1", "257-3-63", "64-0-5"])
+    (2048, 0, 201, [(1025, (0, 100)), (1023, (0, 99))]),
+    (2048, 1, 201, [(1025, (0, 100)), (1023, (0, 99))]),
+    (257, 3, 63, [(129, (0, 31)), (128, (0, 30))]),
+    (64, 0, 5, [(33, (0, 2)), (31, (0, 1))]),
+    (64, 2, 1, [(33, (0, 0))])],
+    ids=["0", "1", "257-3-63", "64-0-5", "64-2-1"])
 def test_drift_spectrum_asks_each_half_for_half_the_pairs(pipe, m, k, count,
                                                           asked):
     # stein's cost grows about quadratically with the pairs it is asked
-    # for, and the merge keeps about half of each half's: 201 modes at
-    # M = 2048 ask each half for 201 // 2 + 2 = 102 pairs, once
+    # for, and interlacing bounds what the merge can keep of each half:
+    # 201 modes at M = 2048 ask the even half for 201 // 2 + 1 = 101 pairs
+    # and the odd half for 100, once; a ground state asks the odd half for
+    # none and does not call it
     with oracles.lapack_requests() as requests:
         spectrum([pipe.Lk(m, k)], count)
     assert requests == asked
@@ -450,6 +482,23 @@ def test_cyclic_solve_matches_pair_leading_sweep(pipe, ks, count):
     assert got.dtype == ld
     assert got.flags.c_contiguous
     assert np.array_equal(got, ref)
+
+
+def test_sweep_walks_contiguous_rows(pipe, monkeypatch):
+    # the sweep gets its pivots as (M, pairs) and its work as (M, pairs, 2),
+    # both C-contiguous, so each step walks one contiguous row of every
+    # pair of the batch
+    seen = []
+    original = spectral._sweep
+
+    def recorded(piv, work, upl):
+        seen.append((piv.shape, piv.flags.c_contiguous,
+                     work.shape, work.flags.c_contiguous))
+        return original(piv, work, upl)
+
+    monkeypatch.setattr(spectral, "_sweep", recorded)
+    spectrum([pipe.Lk(512, k) for k in range(4)], 8)
+    assert seen == [((512, 32), True, (512, 32, 2), True)]
 
 
 #: Least distance of a drawn shift from the dense spectrum.
