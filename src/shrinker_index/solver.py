@@ -24,10 +24,10 @@ images, q_{-1} = (r_1, -z_1) (`stability.Evaluation` with m), and each is
 resampled on the arc from q_0 to the inner axis crossing
 (`curve._resample_half`).  From M = 18, where the normals mirror too,
 N^T H N of the whole curve commutes with the reflection m -> -m mod M and
-N^T grad is even, so the step is even and rows 0..M // 2 of the system,
-folded, are one non-cyclic tridiagonal system.  The solved half is
-unfolded once per level, so the returned curve has point -m mod M equal to
-(r_m, -z_m) bit for bit.
+N^T grad is even, so the step is even and is solved on the even half of
+`stability.mirror_halves`, one symmetric tridiagonal system with no
+cyclic corner.  The solved half is unfolded once per level, so the
+returned curve has point -m mod M equal to (r_m, -z_m) bit for bit.
 
 The seed is a circle of radius 1.1 around (1.6, 0).  It lies across the
 torus's cross-section, which spans r from about 0.44 to 3.31 and |z| up to
@@ -169,19 +169,20 @@ def _polish(points, m):
     rising after it, as on the seed and every solved level; only its rows
     0 .. len(points) // 2 are read.
 
-    Each Newton step solves the folded half system: rows 0..M // 2 of
-    N^T H N, where row 0 couples to row 1 with 2 up[0], row M / 2 (even M)
-    couples to row M / 2 - 1 with 2 up[M / 2 - 1], and row M // 2 (odd M)
-    gains up[M // 2] on its diagonal.  It is the half of the full cyclic
-    step only while the normals mirror, which needs m >= 18, as
-    solve_geodesic checks.
+    Each Newton step solves the even half S of N^T H N
+    (`stability.mirror_halves`, which states the fold): S y = -g / w for
+    the normal gradient g and the unfold weight w, and delta = w y.  It is
+    the half of the full cyclic step only while the normals mirror, which
+    needs m >= 18, as solve_geodesic checks.
     """
-    # the folded Newton matrix has diag on its diagonal and up[:n - 1] on
-    # both off-diagonals; its CSC structure is fixed per level, with entry
-    # (j, j) at data[3j], (j + 1, j) at data[3j + 1] and (j, j + 1), the
-    # first entry of column j + 1, at data[3j + 2]
+    # S has d on its diagonal and e on both off-diagonals; its CSC
+    # structure is fixed per level, with entry (j, j) at data[3j],
+    # (j + 1, j) at data[3j + 1] and (j, j + 1), the first entry of column
+    # j + 1, at data[3j + 2]
     n = m // 2 + 1
     rows = np.arange(n)
+    # w, 1 on the fixed points of the reflection and sqrt(1/2) elsewhere
+    weight = np.where((rows == 0) | (2 * rows == m), 1.0, np.sqrt(0.5))
     indices = np.empty(3 * n - 2, dtype=rows.dtype)
     indices[0::3], indices[1::3], indices[2::3] = rows, rows[1:], rows[:-1]
     indptr = np.clip(np.arange(-1, 3 * n, 3), 0, 3 * n - 2)
@@ -194,18 +195,10 @@ def _polish(points, m):
     for n_steps in range(1, MAX_ITERS + 1):
         if state.solved:
             return curve_mod.unfold(state.points, m)
-        data[0::3], data[1::3], data[2::3] = (
-            state.diag, state.up[:-1], state.up[:-1])
-        # row 0 couples to rows 1 and M - 1, which the even step equates
-        data[2] *= 2.0
-        if m % 2:
-            # row M // 2 couples to row M // 2 + 1, whose mirror it is
-            data[-1] += state.up[-1]
-        else:
-            # row M / 2 couples to M / 2 - 1 and its mirror M / 2 + 1
-            data[-3] *= 2.0
-        delta = scipy.sparse.linalg.spsolve(
-            newton, -state.grad_normal, permc_spec="NATURAL")
+        (d, e), _ = stability.mirror_halves(state.diag, state.up, m)
+        data[0::3], data[1::3], data[2::3] = d, e, e
+        delta = weight * scipy.sparse.linalg.spsolve(
+            newton, -state.grad_normal / weight, permc_spec="NATURAL")
         for step in 0.5 ** np.arange(40):
             trial = state.points + step * delta[:, None] * state.normals
             try:

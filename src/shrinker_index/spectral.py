@@ -244,31 +244,14 @@ def _refine_pairs(diag, up, vecs):
 
 
 def _halves(a):
-    """The even and odd mirror halves of one StabilityMatrix, as (d, e).
+    """The even and odd `stability.mirror_halves` of one StabilityMatrix,
+    as (d, e), on diag and the mirror-averaged up.
 
     -L_k of a mirror-symmetric curve commutes with the reflection
     m -> -m mod M (`spectrum` checks it): diag is its own mirror bit for
-    bit, and on diag and the mirror-averaged up it splits into an even
-    half (points 0..M//2) and an odd half (points 1..(M-1)//2), symmetric
-    tridiagonal matrices with no cyclic corner; the couplings to the fixed
-    points 0 and M/2 carry a factor sqrt(2), and for odd M the pair
-    M//2, M//2 + 1 adds +-up[M//2] to the last diagonal entry.  Each half
-    is its diagonal d and off-diagonal e.
+    bit, and up to rounding, which the average takes out.
     """
-    m = a.M
-    h = m // 2
-    up = 0.5 * (a.up + a.up[::-1])
-    d_even = a.diag[:h + 1].copy()
-    e_even = up[:h].copy()
-    d_odd = a.diag[1:(m + 1) // 2].copy()
-    e_odd = up[1:(m - 1) // 2]
-    e_even[0] *= np.sqrt(2.0)
-    if m % 2:
-        d_even[h] += up[h]
-        d_odd[-1] -= up[h]
-    else:
-        e_even[h - 1] *= np.sqrt(2.0)
-    return (d_even, e_even), (d_odd, e_odd)
+    return stability.mirror_halves(a.diag, 0.5 * (a.up + a.up[::-1]), a.M)
 
 
 def _folded_pairs(a, count):

@@ -27,6 +27,20 @@ geodesic, and assemble_Lk shifts its -L_0.
 The normal direction is stiff (the |b - a|^{-1} projector term
 dominates), so the two eigenvalues are well separated and the
 eigenvector is stable even far from the solved curve.
+
+On a curve symmetric under z -> -z, with mirrored normals, N^T H N and
+every -L_k commute with the reflection m -> -m mod M.  mirror_halves
+folds such an operator, from its rows 0..M // 2 alone, onto an even half
+(points 0..M // 2) and an odd half (points 1..(M - 1) // 2): the
+operator in orthonormal bases of the even and the odd vectors, symmetric
+tridiagonal matrices with no cyclic corner.  An even vector x is
+x_m = w_m y_m on rows 0..M // 2 for a vector y of the even half, with
+the weight w = 1 on the fixed points 0 and (even M) M/2 and sqrt(1/2)
+elsewhere.  So the couplings to the fixed points carry a factor
+sqrt(2), and at odd M the pair M // 2, M // 2 + 1 adds +-up[M // 2] to
+the halves' last diagonal entries.  The spectra take both halves
+(`spectral`), and the solver's Newton step, whose right-hand side g is
+even, the even half S: S y = -g / w, step w y.
 """
 
 import dataclasses
@@ -155,6 +169,29 @@ class Evaluation:
     @property
     def solved(self):
         return self.residual <= GRAD_TOL and self.spacing <= SPACING_TOL
+
+
+def mirror_halves(diag, up, m):
+    """The even and odd mirror halves, each (d, e), of the m-point cyclic
+    tridiagonal with bands diag and up that commutes with j -> -j mod m.
+
+    Only rows 0 .. m // 2 of the bands are read, so they may be a whole
+    operator's or those of a mirror half, as `Evaluation` with m gives
+    them.  Each half is a symmetric tridiagonal matrix, its diagonal d and
+    off-diagonal e; the module docstring states the fold.
+    """
+    h = m // 2
+    d_even = diag[:h + 1].copy()
+    e_even = up[:h].copy()
+    d_odd = diag[1:(m + 1) // 2].copy()
+    e_odd = up[1:(m - 1) // 2]
+    e_even[0] *= np.sqrt(2.0)
+    if m % 2:
+        d_even[h] += up[h]
+        d_odd[-1] -= up[h]
+    else:
+        e_even[h - 1] *= np.sqrt(2.0)
+    return (d_even, e_even), (d_odd, e_odd)
 
 
 def assemble_Lk(evaluation, k):

@@ -2,7 +2,9 @@
 
 Any cyclic tridiagonal matrix that commutes with the reflection
 m -> -m mod M splits into the even and odd `_halves`; their spectra
-together are the spectrum of the full matrix.  The bands drawn here are
+together are the spectrum of the full matrix, and the even half, with
+the unfold weight, solves the full system for an even right-hand side,
+as the solver's Newton step does.  The bands drawn here are
 their own mirror image but otherwise arbitrary, at odd and even M.
 """
 
@@ -14,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from shrinker_index import StabilityMatrix, spectral
+from shrinker_index.stability import mirror_halves
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None,
                      max_examples=60)
@@ -77,6 +80,27 @@ def test_folded_pairs_match_dense_spectrum_at_every_count_of_odd_m(a):
         assert np.allclose(rows @ rows.T, np.eye(count), rtol=0, atol=1e-11)
         assert np.linalg.norm(rows @ dense - vals[:, None] * rows,
                               axis=1).max() < 1e-11
+
+
+@_SETTINGS
+@given(data=st.data(), a=st.one_of(mirror_bands(), lowered_odd_bands()))
+def test_weighted_even_half_solves_the_cyclic_system(data, a):
+    # the solver's step: for an even right-hand side b, the even half S of
+    # `stability.mirror_halves` gives x = w S^-1 (b / w) on rows 0..M // 2,
+    # the solution of the full cyclic system
+    m, h = a.M, a.M // 2
+    dense = oracles.dense(a)
+    assume(np.linalg.cond(dense) < 1e6)
+    b = data.draw(arrays(float, h + 1, elements=_ENTRY), label="b")
+    assume(np.any(b))
+    rows = np.arange(h + 1)
+    weight = np.where((rows == 0) | (2 * rows == m), 1.0, np.sqrt(0.5))
+    (d, e), _ = mirror_halves(a.diag, a.up, m)
+    half = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    got = weight * np.linalg.solve(half, b / weight)
+    idx = np.arange(m)
+    want = np.linalg.solve(dense, b[np.minimum(idx, m - idx)])
+    assert np.max(np.abs(got - want[:h + 1])) <= 1e-9 * np.max(np.abs(want))
 
 
 @_SETTINGS

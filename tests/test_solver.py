@@ -148,10 +148,10 @@ def _cyclic_step(state):
     for level in (None, below)])
 def test_folded_step_is_the_cyclic_step(monkeypatch, m, level):
     # on a mirror-symmetric iterate N^T H N commutes with m -> -m mod M and
-    # the gradient is even, so the step solved on rows 0..M // 2 and
-    # unfolded is the step of the full cyclic system; the iterates are
-    # the seed and a solved level resampled to m (the level below, or a
-    # neighbour where that would be under 18 points)
+    # the gradient is even, so the step solved on the even mirror half,
+    # y weighted by w, and unfolded is the step of the full cyclic system;
+    # the iterates are the seed and a solved level resampled to m (the
+    # level below, or a neighbour where that would be under 18 points)
     if level is None:
         points = solver.seed_circle(m)
     else:
@@ -172,8 +172,10 @@ def test_folded_step_is_the_cyclic_step(monkeypatch, m, level):
     resampled = resample_points(points, m)
     want = _cyclic_step(stability.Evaluation(
         0.5 * (resampled + curve_mod.mirror_points(resampled))))
-    got = halves[0][np.minimum(np.arange(m), m - np.arange(m))]
     assert len(halves) == 1 and len(halves[0]) == m // 2 + 1
+    rows = np.arange(m // 2 + 1)
+    weight = np.where((rows == 0) | (2 * rows == m), 1.0, np.sqrt(0.5))
+    got = (weight * halves[0])[np.minimum(np.arange(m), m - np.arange(m))]
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 

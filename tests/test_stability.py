@@ -10,10 +10,11 @@ import pytest
 import scipy.linalg
 
 import oracles
-from shrinker_index import Evaluation, assemble_Lk
+from shrinker_index import Evaluation, assemble_Lk, discrete_length
 from oracles import assemble_Lk_ode, point_block, reflect_z
 from shrinker_index.metric import segment_blocks, segment_distance
-from shrinker_index.stability import AmbiguousNormal, _normals
+from shrinker_index.spectral import _halves
+from shrinker_index.stability import AmbiguousNormal, _normals, mirror_halves
 
 
 def test_matches_full_hessian_assembly(pipe):
@@ -149,6 +150,22 @@ def test_reflection_preserves_operator_bitwise(pipe):
     assert np.array_equal(a_ref, oracles.dense(pipe.L0(128)))
 
 
+@pytest.mark.parametrize("m", [18, 19, 64, 65, 512, 513, 2048])
+def test_newton_matrix_is_minus_L0(pipe, m):
+    # the solver's Newton matrix N^T H N on the mirror half of the solved
+    # curve, folded and scaled by M / l, is the even and odd half of -L_0
+    # that the spectra fold from the whole curve
+    crv = pipe.curve(m)
+    ev = Evaluation(crv.points[:m // 2 + 1], m)
+    scale = m / discrete_length(crv)
+    want = _halves(pipe.L0(m))
+    for (d, e), (d_want, e_want) in zip(mirror_halves(ev.diag, ev.up, m),
+                                        want):
+        for got, band in ((scale * d, d_want), (scale * e, e_want)):
+            assert (np.max(np.abs(got - band))
+                    <= 1e-14 * np.max(np.abs(band)))
+
+
 def test_ambiguous_normal_raises():
     pts = np.column_stack([np.full(8, 2.0), np.linspace(-1, 1, 8)])
     h_m = np.tile(np.eye(2), (8, 1, 1))
@@ -157,7 +174,6 @@ def test_ambiguous_normal_raises():
 
 
 def test_ode_stencil_on_constant_input(pipe):
-    from shrinker_index import discrete_length
     from shrinker_index.metric import sigma
     crv = pipe.curve(128)
     k = 1
