@@ -2,7 +2,8 @@
 
 Subcommands: solve, spectrum, index, convergence, asymptotics, render.
 Each handler computes and returns ([(path, text), ...], stdout text), and
-`main` alone writes those files and then prints.
+`main` alone writes those files, in slices of `WRITE_SLICE` characters,
+and then prints.
 Exit codes: 0 success, 2 runtime failure (no convergence, bad input file,
 an output path whose directory is missing, out of memory, a long double
 too narrow for the polish), 3 bad arguments,
@@ -28,6 +29,10 @@ from . import render
 from . import solver
 from . import spectral
 from . import stability
+
+
+#: Characters per `write` call, so the encoder copies one slice at a time.
+WRITE_SLICE = 1 << 20
 
 
 class UsageError(Exception):
@@ -303,7 +308,8 @@ def main(argv=None):
                                         os.strerror(errno.EISDIR), path)
         for path, content in files:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(content)
+                for start in range(0, len(content), WRITE_SLICE):
+                    fh.write(content[start:start + WRITE_SLICE])
         print(text, end="")
         return 0
     except UsageError as exc:

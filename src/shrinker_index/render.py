@@ -3,6 +3,12 @@
 A mode is drawn along the normals the caller passes.  Outputs are plain
 text with fixed 17-significant-digit float formatting, so identical inputs
 give byte-identical files.
+
+The OBJ text is held at most twice: `obj_surface` formats one string per
+ring and frees its vertex and face arrays before it joins them, so the
+ring strings and the joined str are the peak, and `cli.main` writes every
+file in 1 MiB slices (`cli.WRITE_SLICE`), so the encoder copies one slice
+at a time.
 """
 
 import numpy as np
@@ -95,8 +101,26 @@ def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
         raise ValueError("ntheta must be at least 3")
     if phase not in ("cos", "sin"):
         raise ValueError("phase must be 'cos' or 'sin'")
+    rings = _vertex_rings(curve, mode, k, ntheta, epsilon, phase, normals)
+    # ring m's faces are ring 0's shifted by m rings, wrapped mod the mesh
+    size = curve.M * ntheta
+    i = np.arange(ntheta)
+    i1 = (i + 1) % ntheta
+    template = np.stack([i, ntheta + i, ntheta + i1, i, ntheta + i1, i1],
+                        axis=-1).ravel()
+    f_ring = "f %d %d %d\n" * (2 * ntheta)
+    rings.extend(f_ring % tuple(((template + m * ntheta) % size + 1).tolist())
+                 for m in range(curve.M))
+    return "".join(rings)
+
+
+def _vertex_rings(curve, mode, k, ntheta, epsilon, phase, normals):
+    """The `v` lines of `obj_surface`, one string per ring.
+
+    The vertex arrays live only inside this call, so they are gone before
+    the caller joins the text.
+    """
     pts = curve.points
-    m_count = curve.M
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
 
     # rows are curve points, columns the ntheta angles of a ring
@@ -112,15 +136,6 @@ def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
     verts = np.stack(np.broadcast_arrays(r * np.cos(theta),
                                          r * np.sin(theta), z), axis=-1)
     v_ring = "v %.17g %.17g %.17g\n" * ntheta
-    a = np.arange(1, m_count * ntheta + 1).reshape(m_count, ntheta)
-    b = np.roll(a, -1, axis=0)
-    c = np.roll(b, -1, axis=1)
-    d = np.roll(a, -1, axis=1)
-    faces = np.stack([a, b, c, a, c, d], axis=-1)
-    f_ring = "f %d %d %d\n" * (2 * ntheta)
     # one format operation per ring keeps the Python objects to one ring
-    return "".join(
-        [v_ring % tuple(row.tolist())
-         for row in verts.reshape(m_count, 3 * ntheta)]
-        + [f_ring % tuple(row.tolist())
-           for row in faces.reshape(m_count, 6 * ntheta)])
+    return [v_ring % tuple(row.tolist())
+            for row in verts.reshape(curve.M, 3 * ntheta)]

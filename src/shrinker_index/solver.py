@@ -181,8 +181,7 @@ def _polish(points, m):
     # j + 1, at data[3j + 2]
     n = m // 2 + 1
     rows = np.arange(n)
-    # w, 1 on the fixed points of the reflection and sqrt(1/2) elsewhere
-    weight = np.where((rows == 0) | (2 * rows == m), 1.0, np.sqrt(0.5))
+    weight = stability.unfold_weight(m)
     indices = np.empty(3 * n - 2, dtype=rows.dtype)
     indices[0::3], indices[1::3], indices[2::3] = rows, rows[1:], rows[:-1]
     indptr = np.clip(np.arange(-1, 3 * n, 3), 0, 3 * n - 2)

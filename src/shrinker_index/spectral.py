@@ -293,7 +293,7 @@ def _folded_pairs(a, count):
     # zeros on the fixed points, change sign past M/2
     idx = np.arange(m)
     fold = np.minimum(idx, m - idx)
-    weight = np.where((fold == 0) | (2 * fold == m), 1.0, np.sqrt(0.5))
+    weight = stability.unfold_weight(m)[fold]
     y = np.pad(y, ((1, h - len(y)), (0, 0)))
     vecs = np.concatenate(
         [x[fold] * weight[:, None],
@@ -497,17 +497,19 @@ def compute_index(curve):
     M = 64 and 2048; it stops at k = 3.  The counts are exact to
     ~eps ||A||, far inside the margin, so one `Pipeline.scan` of the
     largest count at every k before the stop polishes and labels every
-    mode that can be negative.  Negative polished eigenvalues are counted
-    with multiplicity.  The rotation mode (k = 1) is exactly 0 in the
-    continuum, so it is never counted, whatever the sign of its discrete
-    value.  Raises ExclusionMismatch for a curve that is not exactly
+    mode that can be negative, and at each k the polished values below
+    the margin must number its count, else ExclusionMismatch names k and
+    both counts.  Negative polished eigenvalues are counted with
+    multiplicity.  The rotation mode (k = 1) is exactly 0 in the continuum,
+    so it is never counted, whatever the sign of its discrete value.
+    Raises ExclusionMismatch for a curve that is not exactly
     mirror-symmetric or not a solved geodesic (see Pipeline), and unless
     the labels find exactly one negative dilation and one vertical
     translation (k = 0) and one horizontal translation (k = 1,
     multiplicity 2); their 1/sqrt(2) bound finds them at every M >= 18.
     """
     pipe = Pipeline(curve)
-    count = 0
+    sturm = []
     for k in itertools.count():
         a = stability.assemble_Lk(pipe.evaluation, k)
         # only the count is kept, and LAPACK's stebz takes it from the
@@ -521,8 +523,19 @@ def compute_index(curve):
         if n == curve.M:
             raise ExclusionMismatch("all %d modes at k = %d are below %g"
                                     % (n, k, INDEX_STOP_MARGIN))
-        count = max(count, n)
-    negative = [m for m in (pipe.scan(range(k), count) if k else [])
+        sturm.append(n)
+    modes = pipe.scan(range(k), max(sturm)) if sturm else []
+    # the walk's counts certify the scan: a pair dropped or doubled on the
+    # way to the polish changes how many polished values lie below the margin
+    for i, n in enumerate(sturm):
+        below = sum(m.k == i and m.eigenvalue < INDEX_STOP_MARGIN
+                    for m in modes)
+        if below != n:
+            raise ExclusionMismatch(
+                "%d polished eigenvalues at k = %d are below %g, but its "
+                "Sturm count is %d (M = %d)"
+                % (below, i, INDEX_STOP_MARGIN, n, curve.M))
+    negative = [m for m in modes
                 if m.eigenvalue < 0.0 and m.label != "rotation"]
     found = {label: sum(m.label == label for m in negative)
              for label in ("dilation", "vertical_translation",

@@ -36,8 +36,8 @@ operator in orthonormal bases of the even and the odd vectors, symmetric
 tridiagonal matrices with no cyclic corner.  An even vector x is
 x_m = w_m y_m on rows 0..M // 2 for a vector y of the even half, with
 the weight w = 1 on the fixed points 0 and (even M) M/2 and sqrt(1/2)
-elsewhere.  So the couplings to the fixed points carry a factor
-sqrt(2), and at odd M the pair M // 2, M // 2 + 1 adds +-up[M // 2] to
+elsewhere (unfold_weight).  So the couplings to the fixed points carry
+a factor sqrt(2), and at odd M the pair M // 2, M // 2 + 1 adds +-up[M // 2] to
 the halves' last diagonal entries.  The spectra take both halves
 (`spectral`), and the solver's Newton step, whose right-hand side g is
 even, the even half S: S y = -g / w, step w y.
@@ -192,6 +192,13 @@ def mirror_halves(diag, up, m):
     else:
         e_even[h - 1] *= np.sqrt(2.0)
     return (d_even, e_even), (d_odd, e_odd)
+
+
+def unfold_weight(m):
+    """The unfold weight w on rows 0 .. m // 2 of an m-point curve: 1 on
+    the fixed points of j -> -j mod m, and sqrt(1/2) elsewhere."""
+    rows = np.arange(m // 2 + 1)
+    return np.where((rows == 0) | (2 * rows == m), 1.0, np.sqrt(0.5))
 
 
 def assemble_Lk(evaluation, k):

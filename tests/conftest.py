@@ -89,15 +89,13 @@ def study16():
 
 @pytest.fixture(scope="session")
 def fd_survey():
-    """Closed forms vs mpmath finite differences over 1000 random segments."""
-    max_grad = 0.0
-    max_hess = 0.0
-    for a, b in oracles.random_segments(FD_SURVEY_COUNT, FD_SURVEY_SEED):
-        rel_g, rel_h = oracles.fd_compare(a, b)
-        max_grad = max(max_grad, rel_g)
-        max_hess = max(max_hess, rel_h)
-    return {"count": FD_SURVEY_COUNT, "max_rel_grad": max_grad,
-            "max_rel_hess": max_hess}
+    """Closed forms vs long-double finite differences over 1000 random
+    segments; test_metric checks those stencils against mpmath's."""
+    a, b = np.array(oracles.random_segments(FD_SURVEY_COUNT,
+                                            FD_SURVEY_SEED)).transpose(1, 0, 2)
+    rel_g, rel_h = oracles.fd_compare_rows(a, b)
+    return {"count": len(rel_g), "max_rel_grad": float(rel_g.max()),
+            "max_rel_hess": float(rel_h.max())}
 
 
 _notes = {}

@@ -2,9 +2,10 @@
 
 Eleven oracles live here: a high-precision finite-difference evaluation of
 the segment-distance derivatives (mpmath, so truncation error dominates and
-the 1e-6 comparison is meaningful), a deliberately naive full-size assembly
-of -L_0 that materializes the 2M x 2M Hessian the production code avoids,
-a second discretization of -L_k from the geodesic ODE in weighted arc
+the 1e-6 comparison is meaningful; the survey of 1000 segments runs the
+same stencils vectorized in a 63-bit long double), a deliberately naive
+full-size assembly of -L_0 that materializes the 2M x 2M Hessian the
+production code avoids, a second discretization of -L_k from the geodesic ODE in weighted arc
 length, whose low eigenvalues must agree with the Hessian-based assembly,
 the Liouville potential by nested central differences in that parameter,
 whose distance from the closed form must fall as M^-2,
@@ -76,16 +77,23 @@ def segment_derivatives(a, b):
 
     Returns SegmentDerivatives with the (a_r, a_z, b_r, b_z) ordering.
     """
-    blocks = segment_blocks(np.asarray(a, float)[None, :],
-                            np.asarray(b, float)[None, :])
-    grad = np.concatenate([blocks["grad_a"][0], blocks["grad_b"][0]])
-    hess = np.empty((4, 4))
-    hess[:2, :2] = blocks["h_aa"][0]
-    hess[:2, 2:] = blocks["h_ab"][0]
-    hess[2:, :2] = blocks["h_ab"][0].T
-    hess[2:, 2:] = blocks["h_bb"][0]
-    return SegmentDerivatives(value=float(blocks["dist"][0]),
-                              gradient=grad, hessian=hess)
+    dist, grad, hess = segment_derivative_rows(
+        np.asarray(a, float)[None, :], np.asarray(b, float)[None, :])
+    return SegmentDerivatives(value=float(dist[0]), gradient=grad[0],
+                              hessian=hess[0])
+
+
+def segment_derivative_rows(a, b):
+    """dist (n,), gradients (n, 4) and Hessians (n, 4, 4) of the segments
+    from the rows of a to those of b, (n, 2) each, in the closed form."""
+    blocks = segment_blocks(a, b)
+    grad = np.concatenate([blocks["grad_a"], blocks["grad_b"]], axis=1)
+    hess = np.empty((len(grad), 4, 4))
+    hess[:, :2, :2] = blocks["h_aa"]
+    hess[:, :2, 2:] = blocks["h_ab"]
+    hess[:, 2:, :2] = np.swapaxes(blocks["h_ab"], 1, 2)
+    hess[:, 2:, 2:] = blocks["h_bb"]
+    return blocks["dist"], grad, hess
 
 
 def point_block(curve, m):
@@ -203,6 +211,58 @@ def fd_compare(a, b, step=FD_STEP, dps=FD_DPS):
     rel_g = np.max(np.abs(d.gradient - g_fd)) / np.max(np.abs(g_fd))
     rel_h = np.max(np.abs(d.hessian - h_fd)) / np.max(np.abs(h_fd))
     return float(rel_g), float(rel_h)
+
+
+def _dist_ld(x):
+    a_r, a_z, b_r, b_z = np.moveaxis(x, -1, 0)
+    mr = (a_r + b_r) / 2
+    mz = (a_z + b_z) / 2
+    sig = mr / 2 * np.exp(-(mr * mr + mz * mz) / 4)
+    return sig * np.sqrt((b_r - a_r) ** 2 + (b_z - a_z) ** 2)
+
+
+def fd_segment_derivative_rows(a, b, step=FD_STEP):
+    """The stencils of `fd_segment_derivatives` on the (n, 2) rows a and b
+    at once, in numpy's long double: gradients (n, 4), Hessians (n, 4, 4).
+
+    Its rounding, about 1e-19 / h^2 relative in the Hessian, stays far
+    below the stencil's truncation at h = 1e-5 only with a 63-bit mantissa,
+    so a narrower long double raises ValueError.
+    """
+    ld = np.longdouble
+    if np.finfo(ld).nmant < 63:
+        raise ValueError("the long-double stencils need a 63-bit mantissa, "
+                         "numpy's long double has %d" % np.finfo(ld).nmant)
+    x0 = np.concatenate([a, b], axis=1).astype(ld)
+    h = ld(step)
+    unit = np.eye(4, dtype=ld)
+
+    def f(off):
+        return _dist_ld(x0 + sum(o * h * unit[i] for i, o in off.items()))
+
+    grad = np.empty((len(x0), 4), dtype=ld)
+    hess = np.empty((len(x0), 4, 4), dtype=ld)
+    for i in range(4):
+        grad[:, i] = sum(c * f({i: o}) for o, c in _C1.items()) / (12 * h)
+        hess[:, i, i] = (sum(c * f({i: o}) for o, c in _C2.items())
+                         / (12 * h * h))
+        for j in range(i + 1, 4):
+            acc = sum(ci * cj * f({i: oi, j: oj})
+                      for oi, ci in _C1.items() for oj, cj in _C1.items())
+            hess[:, i, j] = hess[:, j, i] = acc / (144 * h * h)
+    return grad, hess
+
+
+def fd_compare_rows(a, b, step=FD_STEP):
+    """`fd_compare` of every row segment at once, against the long-double
+    stencils: the max relative gradient and Hessian errors, (n,) each."""
+    _, grad, hess = segment_derivative_rows(a, b)
+    g_fd, h_fd = fd_segment_derivative_rows(a, b, step=step)
+    rel_g = (np.max(np.abs(grad - g_fd), axis=1)
+             / np.max(np.abs(g_fd), axis=1))
+    rel_h = (np.max(np.abs(hess - h_fd), axis=(1, 2))
+             / np.max(np.abs(h_fd), axis=(1, 2)))
+    return rel_g.astype(float), rel_h.astype(float)
 
 
 def random_segments(count, seed):

@@ -14,6 +14,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -912,6 +913,55 @@ def test_render_out_of_memory_is_a_runtime_error(curve_csv, tmp_path,
         "error: runtime: Unable to allocate 64.0 GiB for an array\n")
     assert captured.out == ""
     assert not any(out.iterdir())
+
+
+def test_render_holds_its_obj_text_at_most_twice(pipe, tmp_path, capsys):
+    # the ring strings and their join are the floor while obj_surface
+    # returns one str; the vertex and face arrays and the encoded file must
+    # not add a third copy.  The warm-up call leaves the allocator's later
+    # blocks as a long run would
+    curve = tmp_path / "curve512.csv"
+    write_curve(pipe.curve(512), str(curve))
+    argv = ["render", "--curve", str(curve), "--k", "2", "--j", "1",
+            "--ntheta", "96", "--out", str(tmp_path / "torus")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    size = (tmp_path / "torus.obj").stat().st_size
+    assert size > 4 * 10 ** 6
+    assert peak <= 2.5 * size
+
+
+@pytest.mark.parametrize("length", [0, 3, 4, 5, 9])
+def test_main_writes_files_in_slices(monkeypatch, tmp_path, capsys, length):
+    # a text shorter than, equal to or longer than one slice reaches the
+    # disk byte for byte, and no write call gets more than one slice
+    monkeypatch.setattr(cli, "WRITE_SLICE", 4)
+    text = "".join("0123456789\n"[i % 11] for i in range(length))
+    path = tmp_path / "out.txt"
+    monkeypatch.setitem(cli._COMMANDS, "solve",
+                        lambda args: ([(str(path), text)], "done\n"))
+    writes = []
+
+    class Recorder(io.TextIOWrapper):
+        def write(self, s):
+            writes.append(s)
+            return super().write(s)
+
+    def recording_open(file, mode, encoding):
+        return Recorder(open(file, mode + "b"), encoding=encoding)
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert main(["solve", "--out", "ignored.csv"]) == 0
+    assert capsys.readouterr().out == "done\n"
+    assert path.read_bytes() == text.encode("utf-8")
+    assert "".join(writes) == text
+    assert all(0 < len(s) <= 4 for s in writes)
+    assert len(writes) == -(-length // 4)
 
 
 @pytest.mark.parametrize("argv", [

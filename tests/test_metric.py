@@ -136,6 +136,18 @@ def test_finite_difference_spot_checks():
         assert rel_h < 1e-7
 
 
+def test_long_double_stencils_match_mpmath():
+    # on the survey's first ten segments its stencils in long double are
+    # mpmath's at 40 digits up to long-double rounding, about 1e-19 / h^2
+    # relative in the Hessian
+    a, b = np.array(oracles.random_segments(10, 20240817)).transpose(1, 0, 2)
+    grad, hess = oracles.fd_segment_derivative_rows(a, b)
+    for i in range(10):
+        g_mp, h_mp = oracles.fd_segment_derivatives(a[i], b[i])
+        assert np.max(np.abs(grad[i] - g_mp)) <= 1e-12 * np.max(np.abs(g_mp))
+        assert np.max(np.abs(hess[i] - h_mp)) <= 1e-8 * np.max(np.abs(h_mp))
+
+
 def test_finite_difference_survey(fd_survey):
     assert fd_survey["count"] == 1000
     assert fd_survey["max_rel_grad"] < 1e-6

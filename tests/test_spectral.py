@@ -760,6 +760,31 @@ def test_index_walk_ends_by_the_weyl_bound(pipe, monkeypatch):
     assert first_clear <= bound == 67
 
 
+@pytest.mark.parametrize("fault,below", [("drop", 0), ("double", 2)])
+def test_index_refuses_a_dropped_or_doubled_pair(pipe, monkeypatch, tmp_path,
+                                                 capsys, fault, below):
+    # k = 2 has one mode below the stop margin, its one negative mode; a
+    # merge that drops it or doubles it keeps every exclusion label and
+    # would give index 4 or 6, so only the walk's Sturm count can catch it
+    original = spectral._folded_pairs
+
+    def faulty(a, count):
+        if a.k != 2:
+            return original(a, count)
+        if fault == "drop":
+            return original(a, count + 1)[1:]
+        rows = original(a, count)
+        rows[1] = rows[0]
+        return rows
+    monkeypatch.setattr(spectral, "_folded_pairs", faulty)
+    path = tmp_path / "curve64.csv"
+    write_curve(pipe.curve(64), str(path))
+    assert cli.main(["index", "--curve", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: consistency: %d polished eigenvalues at k = 2 are below "
+        "0.001, but its Sturm count is 1 (M = 64)\n" % below)
+
+
 def test_index_refuses_unlabelled_exclusions(pipe, monkeypatch, tmp_path,
                                              capsys):
     # with a cosine bound of 1 no mode takes a label, so the dilation and
