@@ -24,8 +24,8 @@ images, q_{-1} = (r_1, -z_1) (`stability.Evaluation` with m), and each is
 resampled on the arc from q_0 to the inner axis crossing
 (`curve._resample_half`).  From M = 18, where the normals mirror too,
 N^T H N of the whole curve commutes with the reflection m -> -m mod M and
-N^T grad is even, so the step is even and is solved on the even half of
-`stability.mirror_halves`, one symmetric tridiagonal system with no
+N^T grad is even, so the step is even and is solved on the even mirror
+half (`stability.even_half`), one symmetric tridiagonal system with no
 cyclic corner.  The solved half is unfolded once per level, so the
 returned curve has point -m mod M equal to (r_m, -z_m) bit for bit.
 
@@ -170,7 +170,7 @@ def _polish(points, m):
     0 .. len(points) // 2 are read.
 
     Each Newton step solves the even half S of N^T H N
-    (`stability.mirror_halves`, which states the fold): S y = -g / w for
+    (`stability.even_half`; `stability` states the fold): S y = -g / w for
     the normal gradient g and the unfold weight w, and delta = w y.  It is
     the half of the full cyclic step only while the normals mirror, which
     needs m >= 18, as solve_geodesic checks.
@@ -194,7 +194,7 @@ def _polish(points, m):
     for n_steps in range(1, MAX_ITERS + 1):
         if state.solved:
             return curve_mod.unfold(state.points, m)
-        (d, e), _ = stability.mirror_halves(state.diag, state.up, m)
+        d, e = stability.even_half(state.diag, state.up, m)
         data[0::3], data[1::3], data[2::3] = d, e, e
         delta = weight * scipy.sparse.linalg.spsolve(
             newton, -state.grad_normal / weight, permc_spec="NATURAL")

@@ -43,8 +43,9 @@ from . import stability
 CLASSIFY_COSINE = np.sqrt(0.5)
 
 #: Peak bytes per pair and point of a `Pipeline.scan`, the float64 vectors
-#: and the polish's long-double copies (tracemalloc at M = 2048).
-SCAN_BYTES = 80
+#: and the three long-double buffers of the polish's solve (tracemalloc at
+#: M = 2048: 58.5 with 201 modes, 58.2 with 1023).
+SCAN_BYTES = 64
 
 #: Bytes of physical memory; a `Pipeline.scan` that needs more is refused.
 PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -114,32 +115,36 @@ def _cyclic_solve(diag, up, shifts, rhs):
     near singular and only give inverse-iteration directions.  Pivots are
     bumped off zero after the forward sweep, which guards only the back
     substitution: an exact zero pivot inside the sweep makes the row all NaN.
-    rhs is (..., M) with one shift per row, and diag has one axis per axis of
-    rhs.  The sweep (`_sweep`) runs on buffers allocated C-contiguous with
-    the M axis leading, and takes them with the pair axes flattened, so
+    rhs is a C-contiguous long-double (..., M) with one shift per row, and
+    diag has one axis per axis of rhs.  The call consumes rhs: it is copied
+    into the sweep's (M, ..., 2) buffer of y and the Sherman-Morrison
+    column, its memory then holds the pivots, viewed with the M axis
+    leading, and last the result, so the solve holds three long-double
+    copies of the batch.  The sweep (`_sweep`) takes its buffers
+    C-contiguous with the M axis leading and the pair axes flattened, so
     each Python step touches one contiguous row of every pair, walked by
-    zip with no per-row indexing.  The result comes back C-contiguous and
-    pair-leading, which the callers' reductions sum over in a fixed order.
-    With it comes, per row, the growth max |y| / max |x| of the sweep's
-    solution y over the corrected one x: the correction cancels that
-    factor, and the digits with it, when the non-cyclic system it splits
-    off is near singular too.
+    zip with no per-row indexing.  The result is rhs itself, pair-leading,
+    which the callers' reductions sum over in a fixed order.  With it
+    comes, per row, the growth max |y| / max |x| of the sweep's solution y
+    over the corrected one x: the correction cancels that factor, and the
+    digits with it, when the non-cyclic system it splits off is near
+    singular too.
     """
     ld = np.longdouble
-    piv = np.subtract(np.moveaxis(diag, -1, 0), shifts, order="C")
+    m = rhs.shape[-1]
+    work = np.empty((m,) + rhs.shape[:-1] + (2,), dtype=ld)
+    work[..., 0] = np.moveaxis(rhs, -1, 0)
+    work[..., 1] = 0.0
+    piv = np.subtract(np.moveaxis(diag, -1, 0), shifts,
+                      out=rhs.reshape(work.shape[:-1]))
     upl = list(up)
     corner = upl[-1]
     gamma = np.where(np.abs(piv[0]) > 1e-300, -piv[0], ld(-1.0))
     piv[0] -= gamma
     piv[-1] -= (corner * corner) / gamma
-
-    work = np.empty(piv.shape + (2,), dtype=ld)
-    work[..., 0] = np.moveaxis(rhs, -1, 0)
-    work[..., 1] = 0.0
     work[0, ..., 1] = gamma
     work[-1, ..., 1] = corner
 
-    m = len(piv)
     _sweep(piv.reshape(m, -1), work.reshape(m, -1, 2), upl)
     y = work[..., 0]
     q = work[..., 1]
@@ -148,9 +153,7 @@ def _cyclic_solve(diag, up, shifts, rhs):
     q *= v_y / (1.0 + v_q)
     # max |.| by reductions alone, with no batch-sized temporary
     growth = np.maximum(y.max(axis=0), -y.min(axis=0))
-    del piv  # one batch-sized buffer fewer while the result is allocated
-    out = np.subtract(np.moveaxis(y, 0, -1), np.moveaxis(q, 0, -1),
-                      out=np.empty(rhs.shape, dtype=ld))
+    out = np.subtract(np.moveaxis(y, 0, -1), np.moveaxis(q, 0, -1), out=rhs)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero row
         growth /= np.maximum(out.max(axis=-1), -out.min(axis=-1))
     return out, growth
@@ -185,6 +188,41 @@ def _sweep(piv, work, upl):
         w_next = w
 
 
+def _unit_rows(vecs):
+    """The rows of vecs (..., M) in long double, normalized in it."""
+    rows = np.ascontiguousarray(vecs, dtype=np.longdouble)
+    rows /= np.sqrt(np.einsum("...m,...m->...", rows, rows))[..., None]
+    return rows
+
+
+def _quotients(diag, up, rows, residuals=False):
+    """Rayleigh quotients u . A u of the rows u of rows (..., M), at least
+    2-D, in long double, and with residuals=True the float64 norms of
+    A u - (u . A u) u as well (else None).
+
+    Taken over blocks of about 2^16 points, a block being some rows of one
+    index of rows' leading axes, so `_band_matvec`'s two buffers and a
+    float64 rows' long-double copy are one block's; diag broadcasts
+    against rows as a view.  Each row sums alone, so the blocks do not
+    change it.
+    """
+    ld = np.longdouble
+    size = max(1, 2 ** 16 // rows.shape[-1])
+    diag = np.broadcast_to(diag, rows.shape)
+    lam = np.empty(rows.shape[:-1], dtype=ld)
+    res = np.empty(rows.shape[:-1]) if residuals else None
+    for lead in np.ndindex(rows.shape[:-2]):
+        for start in range(0, rows.shape[-2], size):
+            block = lead + (slice(start, start + size),)
+            u = rows[block].astype(ld, copy=False)
+            au = _band_matvec(diag[block], up, u)
+            lam[block] = np.einsum("...m,...m->...", u, au)
+            if residuals:
+                au -= lam[block][..., None] * u
+                res[block] = np.linalg.norm(au.astype(float), axis=-1)
+    return lam, res
+
+
 def _refine_pairs(diag, up, vecs):
     """Polish eigenpairs by one inverse-iteration step in extended precision.
 
@@ -206,41 +244,39 @@ def _refine_pairs(diag, up, vecs):
     residual 3.9e-11 against 1.2e-11 at the higher shift).  The reported
     eigenvalue is the Rayleigh quotient of the returned float64 vector and
     the residual its true residual, both evaluated in extended precision.
-    The pairs are the rows of vecs (..., M); diag broadcasts against them
-    and `up` is shared.  Each pair sums along its own row, so the other
-    rows of the batch do not change it.  The step normalizes its solve in place, so
-    the peak is about four extended-precision copies of the batch: the
-    LAPACK vectors and the three buffers of `_cyclic_solve`.
+    The pairs are the rows of vecs (..., M), at least 2-D; diag broadcasts
+    against them and `up` is shared.  Each pair sums along its own row, so
+    the other rows of the batch do not change it.  The solve consumes the
+    long-double vectors, and the rows that the retry or the fallback need
+    are normalized again from vecs, to the same bits; the quotients are
+    taken block by block (`_quotients`) and the step normalizes its solve
+    in place, so the peak is the three long-double buffers of
+    `_cyclic_solve` and vecs.
     """
     ld = np.longdouble
     diag_ld = diag.astype(ld)
     up_ld = up.astype(ld)
-    work = np.ascontiguousarray(vecs, dtype=ld)
-    work /= np.sqrt(np.einsum("...m,...m->...", work, work))[..., None]
-    shifts = np.einsum("...m,...m->...", work,
-                       _band_matvec(diag_ld, up_ld, work)) + ld(1e-13)
+    work = _unit_rows(vecs)
+    shifts = _quotients(diag_ld, up_ld, work)[0] + ld(1e-13)
     # the solve is deliberately near singular; a row that blows up keeps
     # the LAPACK vector
     with np.errstate(all="ignore"):
+        # consumes work: trial is its buffer
         trial, growth = _cyclic_solve(diag_ld, up_ld, shifts, work)
         again = growth > SWEEP_GROWTH_MAX
         if again.any():
             trial[again] = _cyclic_solve(
-                np.broadcast_to(diag_ld, work.shape)[again], up_ld,
-                shifts[again] + ld(1e-13), work[again])[0]
+                np.broadcast_to(diag_ld, trial.shape)[again], up_ld,
+                shifts[again] + ld(1e-13), _unit_rows(vecs[again]))[0]
         norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
         good = np.isfinite(norms) & (norms > 0.0)
         trial /= norms[..., None]
-        trial[~good] = work[~good]
-        work = trial
-    out = work.astype(float)
-    out = out / np.linalg.norm(out, axis=-1)[..., None]
-    out_ld = out.astype(ld)
-    av = _band_matvec(diag_ld, up_ld, out_ld)
-    lam = np.einsum("...m,...m->...", out_ld, av)
-    av -= lam[..., None] * out_ld
-    res = av.astype(float)
-    return lam.astype(float), out, np.linalg.norm(res, axis=-1)
+        trial[~good] = _unit_rows(vecs[~good])
+    out = trial.astype(float)
+    del trial
+    out /= np.linalg.norm(out, axis=-1)[..., None]
+    lam, res = _quotients(diag_ld, up_ld, out, residuals=True)
+    return lam.astype(float), out, res
 
 
 def _halves(a):

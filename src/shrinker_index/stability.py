@@ -40,7 +40,7 @@ elsewhere (unfold_weight).  So the couplings to the fixed points carry
 a factor sqrt(2), and at odd M the pair M // 2, M // 2 + 1 adds +-up[M // 2] to
 the halves' last diagonal entries.  The spectra take both halves
 (`spectral`), and the solver's Newton step, whose right-hand side g is
-even, the even half S: S y = -g / w, step w y.
+even, the even half S alone (even_half): S y = -g / w, step w y.
 """
 
 import dataclasses
@@ -178,20 +178,28 @@ def mirror_halves(diag, up, m):
     Only rows 0 .. m // 2 of the bands are read, so they may be a whole
     operator's or those of a mirror half, as `Evaluation` with m gives
     them.  Each half is a symmetric tridiagonal matrix, its diagonal d and
-    off-diagonal e; the module docstring states the fold.
+    off-diagonal e; the module docstring states the fold.  `even_half`
+    gives the even half alone.
     """
-    h = m // 2
-    d_even = diag[:h + 1].copy()
-    e_even = up[:h].copy()
     d_odd = diag[1:(m + 1) // 2].copy()
     e_odd = up[1:(m - 1) // 2]
-    e_even[0] *= np.sqrt(2.0)
     if m % 2:
-        d_even[h] += up[h]
-        d_odd[-1] -= up[h]
+        d_odd[-1] -= up[m // 2]
+    return even_half(diag, up, m), (d_odd, e_odd)
+
+
+def even_half(diag, up, m):
+    """The even mirror half (d, e) alone, as `mirror_halves` gives it: the
+    solver's Newton step needs no odd half."""
+    h = m // 2
+    d = diag[:h + 1].copy()
+    e = up[:h].copy()
+    e[0] *= np.sqrt(2.0)
+    if m % 2:
+        d[h] += up[h]
     else:
-        e_even[h - 1] *= np.sqrt(2.0)
-    return (d_even, e_even), (d_odd, e_odd)
+        e[h - 1] *= np.sqrt(2.0)
+    return d, e
 
 
 def unfold_weight(m):

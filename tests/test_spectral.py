@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,22 @@ def test_drift_spectrum_residuals(pipe, k):
     # 1.2e-11; at the bare quotient pair k = 1, j = 11 meets a zero pivot
     # and keeps its unpolished LAPACK residual of 7.9e-11
     assert max(md.residual for md in pipe.modes(2048, k, 201)) <= 2e-11
+
+
+def test_scan_peak_fits_scan_bytes(pipe):
+    # the polish holds the three long-double buffers of its solve and the
+    # float64 LAPACK vectors: 58.5 bytes per pair and point for the
+    # 201-mode spectrum at M = 2048, where five long-double copies of the
+    # batch measured 80.7
+    a = pipe.Lk(2048, 1)
+    spectrum([a], 8)
+    tracemalloc.start()
+    try:
+        spectrum([a], 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 201 * 2048 * spectral.SCAN_BYTES
 
 
 def test_polish_solves_once_per_spectrum(pipe, monkeypatch):
@@ -475,13 +492,16 @@ def test_cyclic_solve_matches_pair_leading_sweep(pipe, ks, count):
     rhs /= np.sqrt(np.einsum("...m,...m->...", rhs, rhs))[..., None]
     shifts = np.einsum("...m,...m->...", rhs,
                        spectral._band_matvec(diag, up, rhs)) + ld(1e-13)
+    # the solve consumes its rhs and hands the result back in its buffer
+    arg = rhs.copy()
     with np.errstate(all="ignore"):
-        got = spectral._cyclic_solve(diag, up, shifts, rhs)[0]
+        got = spectral._cyclic_solve(diag, up, shifts, arg)[0]
         ref = oracles.cyclic_solve_pair_leading(diag, up, shifts, rhs)
     assert got.shape == rhs.shape == (len(ks), count, 512)
     assert got.dtype == ld
     assert got.flags.c_contiguous
     assert np.array_equal(got, ref)
+    assert np.shares_memory(got, arg)
 
 
 def test_sweep_walks_contiguous_rows(pipe, monkeypatch):
