@@ -27,7 +27,7 @@ independent checks on the computed spectra:
 
 On a solved geodesic of sigma^2 |dx|^2 (the CLI checks it through
 `spectral.Pipeline`) the Euclidean curvature is d_n log sigma, so V_k is
-exact in the `stability.Evaluation`'s unit normal n and the tangent t:
+exact in the unit normal n and the tangent t of the `Pipeline`'s evaluation:
 
     V_k = ((3/4 |grad sigma|^2 - 5/4 (grad sigma . n)^2) / sigma
            - 1/2 t^T (hess sigma) t) / sigma - 1 + (k^2 - 1) / r^2.
@@ -62,7 +62,8 @@ class SchrodingerProfile:
 
 
 def potential_profile(evaluation, k):
-    """Liouville potential V_k at the points of a solved `Evaluation`."""
+    """Liouville potential V_k at the points of a solved curve, from a
+    `Pipeline`'s evaluation (`stability.Unfolded`)."""
     return potential_profiles(evaluation, [k])[0]
 
 

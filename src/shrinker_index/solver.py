@@ -20,7 +20,7 @@ symmetry's half: its state is points 0..M // 2, from the outer axis point
 q_0 to the inner axis point q_{M/2} (even M) or to the last point before
 the inner axis crossing (odd M).  The axis points stay on z = 0.  Each
 iterate is evaluated with its neighbours across the axis read as mirror
-images, q_{-1} = (r_1, -z_1) (`stability.Evaluation` with m), and each is
+images, q_{-1} = (r_1, -z_1) (`stability.Evaluation`), and each is
 resampled on the arc from q_0 to the inner axis crossing
 (`curve._resample_half`).  From M = 18, where the normals mirror too,
 N^T H N of the whole curve commutes with the reflection m -> -m mod M and

@@ -281,13 +281,13 @@ def _refine_pairs(diag, up, vecs):
 
 def _halves(a):
     """The even and odd `stability.mirror_halves` of one StabilityMatrix,
-    as (d, e), on diag and the mirror-averaged up.
+    as (d, e).
 
     -L_k of a mirror-symmetric curve commutes with the reflection
-    m -> -m mod M (`spectrum` checks it): diag is its own mirror bit for
-    bit, and up to rounding, which the average takes out.
+    m -> -m mod M: `Pipeline` unfolds its bands exactly mirrored, and
+    `spectrum` refuses any other operator.
     """
-    return stability.mirror_halves(a.diag, 0.5 * (a.up + a.up[::-1]), a.M)
+    return stability.mirror_halves(a.diag, a.up, a.M)
 
 
 def _folded_pairs(a, count):
@@ -342,9 +342,9 @@ def spectrum(matrices, count):
 
     The list is grouped by matrix in input order, ascending within each.
     The matrices must share M and the `up` band, as the -L_k of one curve
-    do, and commute with the reflection m -> -m mod M, as those of a
-    mirror-symmetric curve do: `diag` equal to its mirror bit for bit and
-    `up` to a relative 1e-12, else ValueError names the worst point.
+    do, and commute with the reflection m -> -m mod M, as the exactly
+    mirrored ones a `Pipeline` unfolds do: `diag` and `up` each equal to
+    its mirror bit for bit, else ValueError names the worst point.
     `_folded_pairs` on each matrix, then one extended-precision polish of
     all pairs on the full cyclic bands, O(M) per mode.  Calls are bitwise
     repeatable on any BLAS thread count, and a pair's result does not
@@ -373,12 +373,11 @@ def spectrum(matrices, count):
     if any(a.M != m or not np.array_equal(a.up, up) for a in matrices):
         raise ValueError("matrices must share M and the up band")
     # the mirror halves hold only an operator that commutes with the
-    # reflection: diag[i] must equal diag[-i] bit for bit, and up[i]
-    # (points i, i + 1) equal up[-1 - i] to a relative 1e-12
-    gaps = [("up", -1, np.abs(up - up[::-1]) - 1e-12 * np.abs(up))]
-    gaps += [("diag", 0, np.abs(a.diag - np.roll(a.diag[::-1], 1)))
-             for a in matrices]
-    for band, offset, gap in gaps:
+    # reflection: diag[i] must equal diag[-i] and up[i] (points i, i + 1)
+    # equal up[-1 - i], bit for bit
+    for band, offset, values in [("up", -1, up)] + [
+            ("diag", 0, a.diag) for a in matrices]:
+        gap = np.abs(values - np.roll(values[::-1], offset + 1))
         if gap.max() > 0.0:
             i = int(np.argmax(gap))
             raise ValueError(
@@ -448,41 +447,43 @@ def classify_modes(modes, curve, normals):
 class Pipeline:
     """One solved curve's chain: its evaluation, then `scan` for modes.
 
-    Holds `curve` and `evaluation`, its one `stability.Evaluation`, whose
-    normals and -L_0 the spectra and renders use.  The curve must be its
-    own mirror image bit for bit (point -m mod M is (r_m, -z_m), as
-    `solve_geodesic` returns it), and so must the sides its normals point
-    to, because the spectra are taken on the mirror halves of -L_k; any
-    other curve raises ExclusionMismatch naming the largest mismatch.  The
-    normals fail this on a curve of fewer than 18 points, such as one read
-    from a file, where the larger eigenvector of the point block at the
-    axis points is the tangent; `solve_geodesic` refuses such M.  The
-    index is defined at a critical point only, so a curve that fails the
-    evaluation's `solved` test raises it too.
+    The curve must be its own mirror image bit for bit (point -m mod M is
+    (r_m, -z_m), as `solve_geodesic` returns it), because the spectra are
+    taken on the mirror halves of -L_k; any other curve raises
+    ExclusionMismatch naming the largest mismatch.  Its rows 0..M // 2
+    are evaluated once, as the solver evaluates its iterates
+    (`stability.Evaluation`), and `evaluation` holds the whole curve's
+    state unfolded from them (`stability.Unfolded`): the normals and -L_0
+    the spectra and renders use, exactly mirrored.  The normals at the
+    axis points, 0 and (even M) M/2, must be their own mirror images too,
+    which they are not on a curve of fewer than 18 points, such as one
+    read from a file: there the larger eigenvector of their point block is
+    the tangent, and ExclusionMismatch names the point; `solve_geodesic`
+    refuses such M.  The index is defined at a critical point only, so a
+    curve that fails the evaluation's `solved` test raises it too.
     """
 
     def __init__(self, curve):
+        m = curve.M
         gap = np.abs(curve.points - curve_mod.mirror_points(curve.points))
         if gap.max() > 0.0:
-            m = int(np.argmax(gap.max(axis=1)))
+            j = int(np.argmax(gap.max(axis=1)))
             raise ExclusionMismatch(
                 "curve is not mirror-symmetric: point %d is off the mirror "
-                "image of point %d by %.3e" % (m, -m % curve.M, gap[m].max()))
-        ev = stability.Evaluation(curve.points)
-        facing = np.einsum("mi,mi->m", ev.normals,
-                           curve_mod.mirror_points(ev.normals))
-        if facing.min() <= 0.0:
-            m = int(np.argmin(facing))
-            raise ExclusionMismatch(
-                "the normal at point %d is not the mirror image of the "
-                "normal at point %d" % (m, -m % curve.M))
+                "image of point %d by %.3e" % (j, -j % m, gap[j].max()))
+        ev = stability.Evaluation(curve.points[:m // 2 + 1], m)
+        # the other points' normals unfold exactly mirrored
+        for j in [0] if m % 2 else [0, m // 2]:
+            if abs(ev.normals[j, 0]) <= abs(ev.normals[j, 1]):
+                raise ExclusionMismatch(
+                    "the normal at point %d is not its own mirror image" % j)
         if not ev.solved:
             raise ExclusionMismatch(
                 "curve is not a solved geodesic: normal gradient %.3e "
                 "(tolerance %g), spacing %.3e (tolerance %g)"
                 % (ev.residual, stability.GRAD_TOL, ev.spacing,
                    stability.SPACING_TOL))
-        self.curve, self.evaluation = curve, ev
+        self.curve, self.evaluation = curve, ev.unfold()
 
     def scan(self, ks, count):
         """Lowest `count` eigenpairs of -L_k for each k in ks, labelled.

@@ -18,12 +18,16 @@ The normal at a point is read off the 2x2 point block
 
     H_m = h_bb(q_{m-1}, q_m) + h_aa(q_m, q_{m+1})
 
-as the eigenvector of the larger eigenvalue, oriented outward (away from
-the curve centroid).  One Evaluation reads them, an (M, 2) array, off the
-same blocks as the normal gradient, the bands of N^T H N and -L_0, for
-the spectra and the renders, and for the solver on the mirror half of
-its iterate; its `solved` test is the one definition of a solved
-geodesic, and assemble_Lk shifts its -L_0.
+as the eigenvector of the larger eigenvalue, oriented outward.  Every
+curve evaluated here is symmetric under z -> -z, as the solved torus is
+(Angenent, "Shrinking doughnuts", 1992), and is evaluated on that
+symmetry's half: one Evaluation reads, on rows 0..M // 2 padded across
+the axis by reflection, the normals (oriented away from (mean r, 0), on
+the axis) off the same blocks as the normal gradient and the bands of
+N^T H N.  The solver evaluates each iterate so, and `spectral.Pipeline`
+its solved curve, whose whole state, the points, the normals and -L_0,
+`Evaluation.unfold` builds exactly mirrored; its `solved` test is the one
+definition of a solved geodesic, and assemble_Lk shifts the -L_0.
 The normal direction is stiff (the |b - a|^{-1} projector term
 dominates), so the two eigenvalues are well separated and the
 eigenvector is stable even far from the solved curve.
@@ -92,9 +96,9 @@ def _point_blocks(padded):
     return blocks["h_aa"][1:] + blocks["h_bb"][:-1], blocks
 
 
-def _normals(h_m, points, centre):
+def _normals(h_m, points):
     """Unit eigenvector of the larger eigenvalue of each H_m, oriented away
-    from the point `centre`."""
+    from the point (mean r, 0) of `points`."""
     a = h_m[:, 0, 0]
     b = h_m[:, 0, 1]
     c = h_m[:, 1, 1]
@@ -115,60 +119,77 @@ def _normals(h_m, points, centre):
     vec = np.empty(points.shape)
     vec[:, 0] = v0 / norm
     vec[:, 1] = v1 / norm
-    outward = (vec[:, 0] * (points[:, 0] - centre[0])
-               + vec[:, 1] * (points[:, 1] - centre[1]))
+    outward = (vec[:, 0] * (points[:, 0] - points[:, 0].mean())
+               + vec[:, 1] * points[:, 1])
     vec[outward < 0.0] *= -1.0
     return vec
 
 
 class Evaluation:
-    """The point blocks of `points` evaluated once.
+    """The point blocks of rows 0 .. m // 2 of a mirror-symmetric m-point
+    curve, evaluated once.
 
-    `points` is a closed curve, shape (M, 2); or, with m given, rows
-    0 .. m // 2 of a mirror-symmetric m-point curve (row -j mod m is
-    (r_j, -z_j)), as the solver iterates.  Either way the points are
-    padded with their two neighbours, cyclically or by reflection
-    (`curve.mirror_pad`), and each segment's 2x2 endpoint blocks are
-    reduced through the normals once; no 2M x 2M Hessian is built.  Per
-    row of `points` it holds the outward normals (away from the centroid,
-    or on a half from (mean r, 0), on the axis), grad_normal = n_m .
-    grad_m, and the unscaled bands diag and up of N^T H N (up[m] couples
-    rows m and m + 1, the last one to the padded neighbour); residual =
-    max |grad_normal| and spacing = max/min - 1 of the segment distances,
-    which on a half are those of the whole curve; and, for a closed curve
-    only, L0 = -L_0, the bands scaled by M / l.  `solved` tests both
-    tolerances.
+    `half` holds those rows (row -j mod m of the curve is (r_j, -z_j)), as
+    the solver iterates and as `spectral.Pipeline` reads a solved curve.
+    They are padded with their two neighbours across the axis, read as
+    mirror images (`curve.mirror_pad`), and each segment's 2x2 endpoint
+    blocks are reduced through the normals once; no 2M x 2M Hessian is
+    built.  Per row of `half` it holds the normals, oriented away from
+    (mean r, 0), on the axis; grad_normal = n_m . grad_m; and the unscaled
+    bands diag and up of N^T H N, up[m] coupling rows m and m + 1, the
+    last one to the padded neighbour.  residual = max |grad_normal| and
+    spacing = max/min - 1 of the segment distances, which are those of
+    the whole curve; `solved` tests both tolerances.  `unfold` gives the
+    whole curve's points, normals and -L_0.
     """
 
-    def __init__(self, points, m=None):
-        if m is None:
-            def pad(x):
-                return np.concatenate((x[-1:], x, x[:1]))
-            centre = points.mean(axis=0)
-        else:
-            def pad(x):
-                return curve_mod.mirror_pad(x, m)
-            centre = (points[:, 0].mean(), 0.0)
-        h_m, blocks = _point_blocks(pad(points))
+    def __init__(self, half, m):
+        h_m, blocks = _point_blocks(curve_mod.mirror_pad(half, m))
         h_aa, h_bb = blocks["h_aa"][1:], blocks["h_bb"][:-1]
-        self.points = points
-        self.normals = n = _normals(h_m, points, centre)
-        n_next = pad(n)[2:]
+        self.points, self.m = half, m
+        self.normals = n = _normals(h_m, half)
+        n_next = curve_mod.mirror_pad(n, m)[2:]
         grad = blocks["grad_a"][1:] + blocks["grad_b"][:-1]
         self.grad_normal = n[:, 0] * grad[:, 0] + n[:, 1] * grad[:, 1]
         self.diag = (_quadratic_form(n, h_aa, n)
                      + _quadratic_form(n, h_bb, n))
         self.up = _quadratic_form(n, blocks["h_ab"][1:], n_next)
         self.residual = float(np.max(np.abs(self.grad_normal)))
-        dist = blocks["dist"]
+        self.dist = dist = blocks["dist"]
         self.spacing = float(dist.max() / dist.min() - 1.0)
-        if m is None:
-            scale = len(points) / dist[1:].sum()
-            self.L0 = StabilityMatrix(0, scale * self.diag, scale * self.up)
 
     @property
     def solved(self):
         return self.residual <= GRAD_TOL and self.spacing <= SPACING_TOL
+
+    def unfold(self):
+        """The whole m-point curve's `Unfolded` state, exactly mirrored.
+
+        Row m - j of the points and normals is (r, -z) and (n_r, -n_z) of
+        row j; diag of row m - j is that of row j, and up of point j >=
+        m // 2, which couples j and j + 1, is up[m - 1 - j].  The bands
+        are scaled by m / l, the length l summed from the half's segment
+        distances, twice each segment of rows 0 .. m // 2 and an odd m's
+        crossing segment once.
+        """
+        m, h, dist = self.m, self.m // 2, self.dist
+        scale = m / (2.0 * dist[1:h + 1].sum() + m % 2 * dist[-1])
+        diag = np.concatenate((self.diag, self.diag[m - h - 1:0:-1]))
+        up = np.concatenate((self.up[:h], self.up[m - 1 - h::-1]))
+        return Unfolded(curve_mod.unfold(self.points, m),
+                        curve_mod.unfold(self.normals, m),
+                        StabilityMatrix(0, scale * diag, scale * up))
+
+
+@dataclasses.dataclass
+class Unfolded:
+    """A whole mirror-symmetric curve's points and normals, (M, 2) arrays,
+    and L0 = -L_0, from `Evaluation.unfold`: what `assemble_Lk`, the
+    spectra, the potentials and the renders read."""
+
+    points: np.ndarray
+    normals: np.ndarray
+    L0: StabilityMatrix
 
 
 def mirror_halves(diag, up, m):
@@ -176,8 +197,8 @@ def mirror_halves(diag, up, m):
     tridiagonal with bands diag and up that commutes with j -> -j mod m.
 
     Only rows 0 .. m // 2 of the bands are read, so they may be a whole
-    operator's or those of a mirror half, as `Evaluation` with m gives
-    them.  Each half is a symmetric tridiagonal matrix, its diagonal d and
+    operator's or those of a mirror half, as `Evaluation` gives them.
+    Each half is a symmetric tridiagonal matrix, its diagonal d and
     off-diagonal e; the module docstring states the fold.  `even_half`
     gives the even half alone.
     """
@@ -209,14 +230,15 @@ def unfold_weight(m):
     return np.where((rows == 0) | (2 * rows == m), 1.0, np.sqrt(0.5))
 
 
-def assemble_Lk(evaluation, k):
-    """-L_k from the evaluation's -L_0 by the diagonal shift k^2 / r_m^2.
+def assemble_Lk(unfolded, k):
+    """-L_k from the `Unfolded` state's -L_0 by the diagonal shift
+    k^2 / r_m^2.
 
-    k = 0 returns evaluation.L0; otherwise the result shares its `up` band.
+    k = 0 returns unfolded.L0; otherwise the result shares its `up` band.
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError("mode number k must be a nonnegative integer")
-    L0, r = evaluation.L0, evaluation.points[:, 0]
+    L0, r = unfolded.L0, unfolded.points[:, 0]
     if k == 0:
         return L0
     return StabilityMatrix(int(k), L0.diag + (k * k) / r ** 2, L0.up)

@@ -14,7 +14,14 @@ scipy or CPU builds may round differently.
 
 `--keep DIR` runs the list in DIR, which must not exist yet, instead of
 a temporary directory, so that the files a change moves can be compared
-with those of its parent.
+with those of its parent:
+
+    python tests/golden_outputs.py --compare OLD NEW
+
+walks two kept trees and prints one line per file that differs: the
+largest absolute and relative change over the numbers in its text, or
+that its text around the numbers differs, or that it exists on one side
+only.
 
 Run it from the root of a checkout with `src` on PYTHONPATH.  A change
 that moves an output regenerates the manifest and names each moved file.
@@ -29,6 +36,7 @@ import io
 import json
 import os
 import platform
+import re
 import sys
 import tempfile
 
@@ -59,6 +67,11 @@ COMMANDS = [
     ["render", "--curve", "curve2048.csv", "--k", "2", "--j", "1",
      "--ntheta", "96", "--out", "torus"],
 ]
+
+
+#: A decimal number, with its sign and exponent; `--compare` splits a
+#: file's text at these.
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def _sha256(data):
@@ -119,6 +132,52 @@ def digests(keep=None):
         return {"platform": platform_stamp(), "outputs": run_commands(workdir)}
 
 
+def _tree(root):
+    """{path relative to root, with / separators: its bytes}."""
+    files = {}
+    for base, _, names in os.walk(root):
+        for fname in names:
+            path = os.path.join(base, fname)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root).replace(os.sep, "/")] = (
+                    fh.read())
+    return files
+
+
+def compare(old, new):
+    """One line per file that differs between the kept trees old and new.
+
+    A file whose text, split at the numbers (`NUMBER`), differs only in
+    the numbers is reported with how many moved and the largest absolute
+    and relative change among them, relative to the larger magnitude of
+    the pair; any other file that differs is reported as such.
+    """
+    before, after = _tree(old), _tree(new)
+    lines = []
+    for name in sorted(before.keys() | after.keys()):
+        if name not in after or name not in before:
+            lines.append("%s: only in %s"
+                         % (name, old if name in before else new))
+            continue
+        if before[name] == after[name]:
+            continue
+        a, b = (NUMBER.split(text[name].decode("utf-8", "replace"))
+                for text in (before, after))
+        if a[0::2] != b[0::2]:
+            lines.append("%s: text differs" % name)
+            continue
+        pairs = [(float(x), float(y)) for x, y in zip(a[1::2], b[1::2])
+                 if x != y]
+        lines.append(
+            "%s: %d of %d numbers moved, largest change %.3g absolute, "
+            "%.3g relative" % (
+                name, len(pairs), len(a) // 2,
+                max(abs(y - x) for x, y in pairs),
+                max(abs(y - x) / max(abs(x), abs(y)) if x != y else 0.0
+                    for x, y in pairs)))
+    return lines
+
+
 def main(argv):
     parser = argparse.ArgumentParser(prog="python tests/golden_outputs.py")
     parser.add_argument("--print", action="store_true",
@@ -127,7 +186,14 @@ def main(argv):
     parser.add_argument("--keep", metavar="DIR",
                         help="run the commands in DIR, a new directory, "
                              "and leave their files there")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="print the files that differ between two "
+                             "trees kept with --keep, and run nothing")
     args = parser.parse_args(argv)
+    if args.compare:
+        for line in compare(*args.compare):
+            print(line)
+        return
     result = digests(args.keep)
     if args.print:
         json.dump(result, sys.stdout, indent=1)

@@ -393,9 +393,12 @@ def segment_blocks_rows(a, b):
 
 
 def evaluation_rows(points):
-    """normals, grad_normal, diag, up, residual and spacing of
-    stability.Evaluation, from np.roll neighbours, np.linalg.norm lengths
-    and np.einsum dot products and quadratic forms."""
+    """The closed-curve evaluation of `points`: normals (oriented away from
+    the centroid), grad_normal, diag, up, residual and spacing, from
+    np.roll neighbours, np.linalg.norm lengths and np.einsum dot products
+    and quadratic forms.  On rows 0..M // 2 of a mirror-symmetric curve it
+    is stability.Evaluation of those rows, bit for bit (up on the rows
+    `Evaluation.unfold` reads)."""
     blocks = segment_blocks_rows(points, np.roll(points, -1, axis=0))
     h_m = blocks["h_aa"] + np.roll(blocks["h_bb"], 1, axis=0)
     a, b, c = h_m[:, 0, 0], h_m[:, 0, 1], h_m[:, 1, 1]

@@ -39,3 +39,24 @@ def test_outputs_match_manifest(threads):
                    if want.get(name) != have.get(name))
     assert not moved, "%d outputs differ from the manifest:\n%s" % (
         len(moved), "\n".join(moved))
+
+
+def test_compare_names_each_moved_file(tmp_path, capsys):
+    # two kept trees: one float moved, one file added, one word changed,
+    # and one file left as it was
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, value, word in ((old, "0.25", "dilation"),
+                              (new, "0.2500001", "rotation")):
+        (root / "sub").mkdir(parents=True)
+        (root / "sub" / "modes.csv").write_text(
+            "k,j,lambda\n0,0,-1.5e-3\n0,1,%s\n" % value)
+        (root / "labels.json").write_text('{"label": "%s", "k": 0}' % word)
+        (root / "same.txt").write_text("index 5\n")
+    (new / "extra.txt").write_text("1\n")
+    golden_outputs.main(["--compare", str(old), str(new)])
+    assert capsys.readouterr().out.splitlines() == [
+        "extra.txt: only in %s" % new,
+        "labels.json: text differs",
+        "sub/modes.csv: 1 of 6 numbers moved, largest change 1e-07 "
+        "absolute, 4e-07 relative",
+    ]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from shrinker_index import DiscreteCurve, Evaluation, render
+from shrinker_index import DiscreteCurve, render
 from shrinker_index.render import (default_epsilon, obj_surface,
                                    svg_cross_section)
 
@@ -183,7 +183,7 @@ def test_writers_match_per_line_oracles(data, crv, ntheta, k, phase,
     mode = data.draw(st.one_of(st.none(), arrays(
         float, crv.M, elements=st.floats(-1e3, 1e3))), label="mode")
     _assert_matches_oracles(crv, mode, k, ntheta, epsilon, phase,
-                            Evaluation(crv.points).normals)
+                            oracles.evaluation_rows(crv.points)["normals"])
 
 
 def test_writers_match_oracles_on_solved_curve(pipe):

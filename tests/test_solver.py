@@ -16,7 +16,8 @@ from shrinker_index import (DiscreteCurve, Pipeline, compute_index,
                             discrete_length, solve_geodesic)
 from shrinker_index import curve as curve_mod
 from shrinker_index import solver, stability
-from oracles import resample_points, resample_uniform, spacing_deviation
+from oracles import (evaluation_rows, resample_points, resample_uniform,
+                     spacing_deviation)
 from shrinker_index.metric import segment_blocks
 from shrinker_index.solver import CurveCollapse, NonConvergence
 
@@ -55,9 +56,9 @@ def test_solution_is_mirror_symmetric(pipe, m):
     mirror = -np.arange(m) % m
     assert np.array_equal(crv.r[mirror], crv.r)
     assert np.array_equal(crv.z[mirror], -crv.z)
-    state = stability.Evaluation(crv.points)
-    assert state.residual <= stability.GRAD_TOL
-    assert state.spacing <= stability.SPACING_TOL
+    state = evaluation_rows(crv.points)
+    assert state["residual"] <= stability.GRAD_TOL
+    assert state["spacing"] <= stability.SPACING_TOL
 
 
 def test_one_point_criticality(pipe):
@@ -134,12 +135,13 @@ def test_ladder_step_counts(counted, m, steps):
 
 
 def _cyclic_step(state):
-    """The Newton step of the full cyclic system N^T H N, solved dense."""
-    m = len(state.diag)
+    """The Newton step of the full cyclic system N^T H N, solved dense,
+    from the closed-curve `oracles.evaluation_rows`."""
+    m = len(state["diag"])
     i = np.arange(m)
-    hessian = np.diag(state.diag)
-    hessian[i, (i + 1) % m] = hessian[(i + 1) % m, i] = state.up
-    return np.linalg.solve(hessian, -state.grad_normal)
+    hessian = np.diag(state["diag"])
+    hessian[i, (i + 1) % m] = hessian[(i + 1) % m, i] = state["up"]
+    return np.linalg.solve(hessian, -state["grad_normal"])
 
 
 @pytest.mark.parametrize("m, level", [
@@ -170,7 +172,7 @@ def test_folded_step_is_the_cyclic_step(monkeypatch, m, level):
     # the solver's iterate, resampled on the half, is this closed one to
     # rounding
     resampled = resample_points(points, m)
-    want = _cyclic_step(stability.Evaluation(
+    want = _cyclic_step(evaluation_rows(
         0.5 * (resampled + curve_mod.mirror_points(resampled))))
     assert len(halves) == 1 and len(halves[0]) == m // 2 + 1
     rows = np.arange(m // 2 + 1)
@@ -254,9 +256,9 @@ def test_ladder_solve_converges(pipe, m):
     # seed circle alone, 4096 and 8192 would take 9 and 15 steps
     crv = pipe.curve(m)
     assert crv.M == m
-    state = stability.Evaluation(crv.points)
-    assert state.residual <= stability.GRAD_TOL
-    assert state.spacing <= stability.SPACING_TOL
+    state = evaluation_rows(crv.points)
+    assert state["residual"] <= stability.GRAD_TOL
+    assert state["spacing"] <= stability.SPACING_TOL
     assert abs(discrete_length(crv) - 1.851216671682) < 1e-6
     assert np.argmax(crv.r) == 0 and crv.z[1] > 0.0
     assert np.array_equal(solve_geodesic(m).points, crv.points)

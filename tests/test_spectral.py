@@ -18,8 +18,8 @@ from hypothesis.extra.numpy import arrays
 import oracles
 import shrinker_index
 from shrinker_index import (Evaluation, Pipeline, StabilityMatrix,
-                            assemble_Lk, compute_index, spectrum,
-                            write_curve)
+                            assemble_Lk, compute_index, discrete_length,
+                            spectrum, write_curve)
 from shrinker_index import cli, metric, spectral, stability
 from shrinker_index import curve as curve_mod
 from oracles import reflect_z
@@ -248,12 +248,12 @@ def test_spectrum_refuses_an_operator_off_its_mirror(pipe):
     with pytest.raises(ValueError, match=r"diag\[5\] is off its mirror "
                        r"diag\[59\]$"):
         spectrum([pipe.Lk(64, 0), StabilityMatrix(1, diag, b.up)], 4)
-    # up only to a relative 1e-12
+    # and so must up, which a Pipeline unfolds exactly mirrored
     up = b.up.copy()
     up[3] *= 1.0 + 1e-13
-    near = spectrum([StabilityMatrix(1, b.diag, up)], 4)
-    for md, ref in zip(near, pipe.modes(64, 1, 4)):
-        assert abs(md.eigenvalue - ref.eigenvalue) <= 1e-9
+    with pytest.raises(ValueError, match=r"up\[3\] is off its mirror "
+                       r"up\[60\]$"):
+        spectrum([StabilityMatrix(1, b.diag, up)], 4)
 
 
 @pytest.mark.parametrize("m,k,count,asked", [
@@ -297,8 +297,8 @@ def test_spectrum_refuses_narrow_long_double(pipe, monkeypatch, tmp_path,
 _SPECTRA_SCRIPT = """
 import sys
 import numpy as np
-from shrinker_index import Evaluation, assemble_Lk, read_curve, spectrum
-ev = Evaluation(read_curve(sys.argv[1]).points)
+from shrinker_index import Pipeline, assemble_Lk, read_curve, spectrum
+ev = Pipeline(read_curve(sys.argv[1])).evaluation
 modes = spectrum([assemble_Lk(ev, int(k)) for k in sys.argv[4:]],
                  int(sys.argv[3]))
 np.save(sys.argv[2], np.concatenate(
@@ -405,7 +405,7 @@ def test_pipeline_refuses_normals_that_do_not_mirror(pipe):
 def test_pipeline_matches_explicit_chain(pipe):
     crv = pipe.curve(256)
     chain = Pipeline(crv)
-    ev = Evaluation(crv.points)
+    ev = Evaluation(crv.points[:129], 256).unfold()
     for k in range(4):
         got = chain.scan([k], 8)
         ref = classify_modes(spectrum([assemble_Lk(ev, k)], 8), crv,
@@ -592,9 +592,9 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
         calls.append(count)
         return original(matrices, count)
 
-    def counted_evaluation(points):
-        evaluations.append(len(points))
-        return original_evaluation(points)
+    def counted_evaluation(half, m):
+        evaluations.append(m)
+        return original_evaluation(half, m)
 
     def counted_blocks(a, b):
         blocks.append(len(a))
@@ -609,10 +609,28 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
     assert len(blocks) == 1
 
 
+@pytest.mark.parametrize("m", [18, 19, 64, 65, 257, 2048, 2049])
+def test_pipeline_state_is_its_own_mirror(pipe, m):
+    # Pipeline unfolds the evaluation of rows 0..M // 2 exactly: -L_0
+    # commutes with j -> -j mod M and the normals mirror bit for bit, so
+    # the spectra's mirror halves take the bands as they are; the scale
+    # M / l, summed on the half, is the whole curve's to rounding
+    crv, ev = pipe.curve(m), pipe.evaluation(m)
+    j = np.arange(m)
+    assert np.array_equal(ev.points, crv.points)
+    assert np.array_equal(ev.L0.diag[-j % m], ev.L0.diag)
+    assert np.array_equal(ev.L0.up[m - 1 - j], ev.L0.up)
+    assert np.array_equal(ev.normals[-j % m], ev.normals * [1.0, -1.0])
+    half = Evaluation(crv.points[:m // 2 + 1], m)
+    scaled = m / discrete_length(crv) * half.diag
+    rel = np.abs(ev.L0.diag[:m // 2 + 1] - scaled) / np.abs(scaled)
+    assert rel.max() <= 1e-15
+
+
 def test_pipeline_evaluates_the_point_blocks_once(pipe, monkeypatch):
     # the normals, -L_0 and the solved-geodesic test all come from one
-    # evaluation of the segment blocks, over the M + 1 segments of the
-    # curve padded cyclically
+    # evaluation of the segment blocks, over the M // 2 + 2 segments of
+    # rows 0..M // 2 padded across the axis
     crv = pipe.curve(64)
     original = metric.segment_blocks
     calls = []
@@ -622,7 +640,7 @@ def test_pipeline_evaluates_the_point_blocks_once(pipe, monkeypatch):
         return original(a, b)
     monkeypatch.setattr(metric, "segment_blocks", counted)
     Pipeline(crv)
-    assert calls == [65]
+    assert calls == [34]
 
 
 def test_sigma_inverse_near_kernel(pipe):
@@ -652,7 +670,7 @@ def test_reflection_leaves_spectrum(pipe):
     # the solved curve is its own mirror image, so its reflection is the
     # same point set traversed clockwise
     crv = reflect_z(pipe.curve(256))
-    a = Evaluation(crv.points).L0
+    a = Pipeline(crv).evaluation.L0
     vals = [md.eigenvalue for md in spectrum([a], 4)]
     assert np.max(np.abs(np.array(vals)
                          - pipe.eigenvalues(256, 0, 4))) < 1e-8
@@ -768,7 +786,7 @@ def test_index_walk_ends_by_the_weyl_bound(pipe, monkeypatch):
         a = original(ev, k)
         return StabilityMatrix(k=a.k, diag=a.diag - 400.0, up=a.up)
     monkeypatch.setattr(stability, "assemble_Lk", sunk)
-    ev = Evaluation(pipe.curve(64).points)
+    ev = pipe.evaluation(64)
     lowest = [np.linalg.eigvalsh(oracles.dense(sunk(ev, k)))[0]
               for k in range(80)]
     first_clear = next(k for k, lam in enumerate(lowest)

@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg
 
 import oracles
-from shrinker_index import Evaluation, assemble_Lk, discrete_length
+from shrinker_index import Evaluation, Pipeline, assemble_Lk, discrete_length
+from shrinker_index.curve import unfold
 from oracles import assemble_Lk_ode, point_block, reflect_z
 from shrinker_index.metric import segment_blocks, segment_distance
 from shrinker_index.spectral import _halves
@@ -25,19 +26,29 @@ def test_matches_full_hessian_assembly(pipe):
     assert rel < 1e-13
 
 
-@pytest.mark.parametrize("m", [18, 19, 64, 257, 2048])
+@pytest.mark.parametrize("m", [18, 19, 64, 65, 257, 2048, 2049, 8192])
 def test_evaluation_matches_row_arithmetic_bitwise(pipe, m):
-    # the column arithmetic sums in the order np.roll, np.linalg.norm and
-    # np.einsum did, on the solved curve and on curves off it
+    # the half evaluation, padded across the axis, is bitwise the closed
+    # curve's on rows 0..M // 2, as oracles.evaluation_rows evaluates it
+    # with np.roll neighbours, np.linalg.norm and np.einsum, on the solved
+    # curve and on mirror-symmetric curves off it; up is compared on the
+    # rows Evaluation.unfold reads: at even M, up[M / 2] couples to the
+    # mirror of row M / 2 - 1, whose normal the closed curve evaluates anew
     pts = pipe.curve(m).points
     h = np.mean(np.hypot(*(np.roll(pts, -1, axis=0) - pts).T))
     rng = np.random.default_rng(m)
-    for points in [pts] + [pts + rng.normal(scale=0.1 * h, size=pts.shape)
-                           for _ in range(3)]:
+    rows = m // 2 + 1
+    for half in [pts[:rows]] + [
+            pts[:rows] + rng.normal(scale=0.1 * h, size=(rows, 2))
+            for _ in range(3)]:
+        points = unfold(half, m)
         nxt = np.roll(points, -1, axis=0)
         want = oracles.evaluation_rows(points)
-        ev = Evaluation(points)
+        ev = Evaluation(half, m)
         got = {name: getattr(ev, name) for name in want}
+        for name in ("normals", "grad_normal", "diag", "up"):
+            n = (m + 1) // 2 if name == "up" else rows
+            got[name], want[name] = got[name][:n], want[name][:n]
         want.update(oracles.segment_blocks_rows(points, nxt),
                     distance=oracles.segment_distance_rows(points, nxt))
         got.update(segment_blocks(points, nxt),
@@ -65,7 +76,7 @@ def test_operator_is_cyclic_tridiagonal(pipe):
 
 def test_mode_shift_structure(pipe):
     crv = pipe.curve(128)
-    ev = Evaluation(crv.points)
+    ev = pipe.evaluation(128)
     L0 = ev.L0
     L1 = assemble_Lk(ev, 1)
     L2 = assemble_Lk(ev, 2)
@@ -85,13 +96,13 @@ def test_mode_shift_structure(pipe):
 
 
 def test_mode_zero_returns_same_object(pipe):
-    ev = Evaluation(pipe.curve(64).points)
+    ev = pipe.evaluation(64)
     assert assemble_Lk(ev, 0) is ev.L0
 
 
 def test_assembly_validation(pipe):
     crv = pipe.curve(64)
-    ev = Evaluation(crv.points)
+    ev = pipe.evaluation(64)
     with pytest.raises(ValueError):
         assemble_Lk(ev, -1)
     with pytest.raises(ValueError):
@@ -139,14 +150,14 @@ def test_normal_at_widest_point_is_radial(pipe):
 def test_reflection_flips_normals_bitwise(pipe):
     crv = pipe.curve(128)
     n = pipe.normals(128)
-    n_ref = Evaluation(reflect_z(crv).points).normals
+    n_ref = Pipeline(reflect_z(crv)).evaluation.normals
     assert np.array_equal(n_ref, n * np.array([1.0, -1.0]))
 
 
 def test_reflection_preserves_operator_bitwise(pipe):
     crv = pipe.curve(128)
     mirrored = reflect_z(crv)
-    a_ref = oracles.dense(Evaluation(mirrored.points).L0)
+    a_ref = oracles.dense(Pipeline(mirrored).evaluation.L0)
     assert np.array_equal(a_ref, oracles.dense(pipe.L0(128)))
 
 
@@ -170,7 +181,7 @@ def test_ambiguous_normal_raises():
     pts = np.column_stack([np.full(8, 2.0), np.linspace(-1, 1, 8)])
     h_m = np.tile(np.eye(2), (8, 1, 1))
     with pytest.raises(AmbiguousNormal):
-        _normals(h_m, pts, pts.mean(axis=0))
+        _normals(h_m, pts)
 
 
 def test_ode_stencil_on_constant_input(pipe):
