@@ -23,7 +23,9 @@ interlacing of the nested halves makes enough; one
 extended-precision inverse-iteration step on the full cyclic bands,
 shifted at the Rayleigh quotient of each LAPACK vector, then brings
 every pair to the residual a float64 vector can carry (this needs a long
-double of 63 mantissa bits, as x86's 80-bit one has).  Each
+double of 63 mantissa bits, as x86's 80-bit one has).  The step runs
+over batches of at most POLISH_PAIRS pairs, so its long-double buffers
+are O(M) whatever the count.  Each
 mode is even or odd: dilation, horizontal translation and 1/sigma are even,
 vertical translation and rotation odd.
 """
@@ -42,10 +44,17 @@ from . import stability
 #: |cosine| a mode must exceed to take a template's label: 1/sqrt(2).
 CLASSIFY_COSINE = np.sqrt(0.5)
 
-#: Peak bytes per pair and point of a `Pipeline.scan`, the float64 vectors
-#: and the three long-double buffers of the polish's solve (tracemalloc at
-#: M = 2048: 58.5 with 201 modes, 58.2 with 1023).
-SCAN_BYTES = 64
+#: Most pairs that `spectrum` polishes in one batch.  The sweep's Python
+#: overhead per step and its work per pair both grow with M, so the share
+#: of the overhead depends on pairs per batch alone: from about 100 pairs
+#: on, a batch costs no more per pair than one batch of all.
+POLISH_PAIRS = 128
+
+#: Peak bytes per pair and point of a `Pipeline.scan`: the float64 vectors
+#: of the call and the three long-double buffers of one batch of the
+#: polish's solve (tracemalloc at M = 2048, k = 0: 34.1 with 201 modes,
+#: 22.1 with 1023, 22.0 with 2047).
+SCAN_BYTES = 35
 
 #: Bytes of physical memory; a `Pipeline.scan` that needs more is refused.
 PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -188,11 +197,9 @@ def _sweep(piv, work, upl):
         w_next = w
 
 
-def _unit_rows(vecs):
-    """The rows of vecs (..., M) in long double, normalized in it."""
-    rows = np.ascontiguousarray(vecs, dtype=np.longdouble)
-    rows /= np.sqrt(np.einsum("...m,...m->...", rows, rows))[..., None]
-    return rows
+def _block_rows(m):
+    """Rows of M points in one block of `_quotients`: about 2^16 points."""
+    return max(1, 2 ** 16 // m)
 
 
 def _quotients(diag, up, rows, residuals=False):
@@ -204,10 +211,12 @@ def _quotients(diag, up, rows, residuals=False):
     index of rows' leading axes, so `_band_matvec`'s two buffers and a
     float64 rows' long-double copy are one block's; diag broadcasts
     against rows as a view.  Each row sums alone, so the blocks do not
-    change it.
+    change it, but for one case: at M > 8192 einsum sums a block of one
+    row in other bits than a row among others, so there `spectrum` cuts
+    its batches on these blocks (`_block_rows`).
     """
     ld = np.longdouble
-    size = max(1, 2 ** 16 // rows.shape[-1])
+    size = _block_rows(rows.shape[-1])
     diag = np.broadcast_to(diag, rows.shape)
     lam = np.empty(rows.shape[:-1], dtype=ld)
     res = np.empty(rows.shape[:-1]) if residuals else None
@@ -248,15 +257,22 @@ def _refine_pairs(diag, up, vecs):
     against them and `up` is shared.  Each pair sums along its own row, so
     the other rows of the batch do not change it.  The solve consumes the
     long-double vectors, and the rows that the retry or the fallback need
-    are normalized again from vecs, to the same bits; the quotients are
-    taken block by block (`_quotients`) and the step normalizes its solve
-    in place, so the peak is the three long-double buffers of
-    `_cyclic_solve` and vecs.
+    are normalized again from vecs by the norms the batch took, to the
+    same bits; the quotients are taken block by block (`_quotients`) and
+    the step normalizes its solve in place, so the peak is the three
+    long-double buffers of `_cyclic_solve`, all of the batch's size.
+    `spectrum` hands it batches of at most POLISH_PAIRS pairs and writes
+    the float64 vectors it returns back over vecs.
     """
     ld = np.longdouble
     diag_ld = diag.astype(ld)
     up_ld = up.astype(ld)
-    work = _unit_rows(vecs)
+    # the retry and the fallback divide their rows by these norms again:
+    # einsum sums a row of more than 8192 points alone in other bits than
+    # among other rows
+    work = np.ascontiguousarray(vecs, dtype=ld)
+    scale = np.sqrt(np.einsum("...m,...m->...", work, work))[..., None]
+    work /= scale
     shifts = _quotients(diag_ld, up_ld, work)[0] + ld(1e-13)
     # the solve is deliberately near singular; a row that blows up keeps
     # the LAPACK vector
@@ -267,11 +283,11 @@ def _refine_pairs(diag, up, vecs):
         if again.any():
             trial[again] = _cyclic_solve(
                 np.broadcast_to(diag_ld, trial.shape)[again], up_ld,
-                shifts[again] + ld(1e-13), _unit_rows(vecs[again]))[0]
+                shifts[again] + ld(1e-13), vecs[again] / scale[again])[0]
         norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
         good = np.isfinite(norms) & (norms > 0.0)
         trial /= norms[..., None]
-        trial[~good] = _unit_rows(vecs[~good])
+        trial[~good] = vecs[~good] / scale[~good]
     out = trial.astype(float)
     del trial
     out /= np.linalg.norm(out, axis=-1)[..., None]
@@ -346,9 +362,15 @@ def spectrum(matrices, count):
     mirrored ones a `Pipeline` unfolds do: `diag` and `up` each equal to
     its mirror bit for bit, else ValueError names the worst point.
     `_folded_pairs` on each matrix, then one extended-precision polish of
-    all pairs on the full cyclic bands, O(M) per mode.  Calls are bitwise
-    repeatable on any BLAS thread count, and a pair's result does not
-    depend on which other matrices share the call.  It can depend on
+    all pairs on the full cyclic bands, O(M) per mode, in batches of at
+    most POLISH_PAIRS pairs: near-equal slices of count (201 pairs go
+    101 + 100; at M > 8192 the slices start on the blocks of
+    `_quotients`), each over as many matrices as fit.  Each batch writes
+    its polished vectors back over the LAPACK vectors, so the call holds
+    one float64 copy of its pairs and the long-double buffers of one
+    batch.  Calls are bitwise repeatable on any BLAS thread count, and a
+    pair's result does not depend on which other matrices share the call
+    or on how the call is cut into batches.  It can depend on
     `count`: each mirror half is asked once, the even half for
     count // 2 + 1 pairs and the odd half for count // 2 (count // 2 + 1 at
     odd M with up[M // 2] > 0), or all its rows if it has fewer, and
@@ -386,9 +408,23 @@ def spectrum(matrices, count):
                 % (band, i, band, (offset - i) % m))
     if count < 1 or count >= m:
         raise ValueError("count must be in 1..M-1")
-    vals, vecs, resids = _refine_pairs(
-        np.array([a.diag for a in matrices])[:, None, :], up,
-        np.array([_folded_pairs(a, count) for a in matrices]))
+    diags = np.array([a.diag for a in matrices])[:, None, :]
+    vecs = np.array([_folded_pairs(a, count) for a in matrices])
+    vals, resids = np.empty((2,) + vecs.shape[:-1])
+    # near-equal slices of count (201 pairs: 101 + 100), at M > 8192 cut
+    # on whole `_quotients` blocks, which sum a lone row in other bits
+    # there, and as many matrices to a batch as keep it within POLISH_PAIRS
+    step = _block_rows(m) if m > 8192 else 1
+    starts = np.arange(0, count, step)
+    cuts = [slice(s[0], min(s[-1] + step, count)) for s in np.array_split(
+        starts, -(-len(starts) // max(1, POLISH_PAIRS // step)))]
+    group = max(1, POLISH_PAIRS // (cuts[0].stop - cuts[0].start))
+    for mats in np.array_split(np.arange(len(matrices)),
+                               -(-len(matrices) // group)):
+        rows = slice(mats[0], mats[-1] + 1)
+        for cut in cuts:
+            vals[rows, cut], vecs[rows, cut], resids[rows, cut] = (
+                _refine_pairs(diags[rows], up, vecs[rows, cut]))
     modes = []
     for a, lam, vec, res in zip(matrices, vals, vecs, resids):
         for j, row in enumerate(np.argsort(lam, kind="stable")):
@@ -488,7 +524,8 @@ class Pipeline:
     def scan(self, ks, count):
         """Lowest `count` eigenpairs of -L_k for each k in ks, labelled.
 
-        One `spectrum` call; the list is grouped by k in the order of ks,
+        One `spectrum` call, which polishes in batches of at most
+        POLISH_PAIRS pairs; the list is grouped by k in the order of ks,
         ascending within each k.  Raises MemoryError, before allocating,
         where len(ks) * count * M * SCAN_BYTES exceeds PHYSICAL_MEMORY.
         """

@@ -937,6 +937,27 @@ def test_render_holds_its_obj_text_at_most_twice(pipe, tmp_path, capsys):
     assert peak <= 2.5 * size
 
 
+def test_asymptotics_polishes_in_bounded_batches(pipe, tmp_path, capsys):
+    # the 201-mode drift spectrum is polished in two batches of 101 and 100
+    # pairs: the command peaks at 13.6 MiB, where one batch of all took
+    # 23.1 MiB; the bound of 18 MiB leaves 4.4 MiB above the one and
+    # 5.1 MiB below the other.  The warm-up call leaves the allocator's
+    # later blocks as a long run would
+    curve = tmp_path / "curve2048.csv"
+    write_curve(pipe.curve(2048), str(curve))
+    argv = ["asymptotics", "--curve", str(curve), "--j-max", "100",
+            "--k-scan", "20", "--out", str(tmp_path / "asy")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 18 * 2 ** 20
+
+
 @pytest.mark.parametrize("length", [0, 3, 4, 5, 9])
 def test_main_writes_files_in_slices(monkeypatch, tmp_path, capsys, length):
     # a text shorter than, equal to or longer than one slice reaches the
@@ -972,8 +993,8 @@ def test_main_writes_files_in_slices(monkeypatch, tmp_path, capsys, length):
 def test_oversized_scan_is_refused_before_allocating(curve_csv, tmp_path,
                                                      capsys, monkeypatch,
                                                      argv):
-    # 2^26 - 1 ground states at M = 64 need about 340 GB to polish, and
-    # 2^26 + 1 values of k with 4 modes each at M = 18 about 390 GB; the
+    # 2^26 - 1 ground states at M = 64 need about 150 GB to polish, and
+    # 2^26 + 1 values of k with 4 modes each at M = 18 about 170 GB; the
     # memory limit is lowered to 1 MB so that no machine could hold them,
     # and only the drift's one -L_k reaches `spectrum`; the refusal comes
     # before any output, so no line is printed and --out is never made

@@ -49,24 +49,26 @@ def test_drift_spectrum_residuals(pipe, k):
 
 
 def test_scan_peak_fits_scan_bytes(pipe):
-    # the polish holds the three long-double buffers of its solve and the
-    # float64 LAPACK vectors: 58.5 bytes per pair and point for the
-    # 201-mode spectrum at M = 2048, where five long-double copies of the
-    # batch measured 80.7
+    # the polish holds the float64 LAPACK vectors of the call and the three
+    # long-double buffers of one batch of at most POLISH_PAIRS pairs: 34.1
+    # bytes per pair and point for the 201-mode spectrum at M = 2048 and
+    # 22.1 for 1023 modes, where one batch of all measured 58.5 and 58.1
     a = pipe.Lk(2048, 1)
     spectrum([a], 8)
-    tracemalloc.start()
-    try:
-        spectrum([a], 201)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 201 * 2048 * spectral.SCAN_BYTES
+    for count in (201, 1023):
+        tracemalloc.start()
+        try:
+            spectrum([a], count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * 2048 * spectral.SCAN_BYTES
 
 
 def test_polish_solves_once_per_spectrum(pipe, monkeypatch):
     # the polish is one inverse-iteration step over every pair of the
-    # call; a second sweep over the M rows would cost as much as the first
+    # call, one solve per batch; a second sweep over the M rows would cost
+    # as much as the first
     shapes = []
     original = spectral._cyclic_solve
 
@@ -77,6 +79,10 @@ def test_polish_solves_once_per_spectrum(pipe, monkeypatch):
     monkeypatch.setattr(spectral, "_cyclic_solve", counted)
     spectrum([pipe.Lk(256, k) for k in range(3)], 8)
     assert shapes == [(3, 8, 256)]
+    # more than POLISH_PAIRS pairs are polished in near-equal batches
+    shapes.clear()
+    spectrum([pipe.Lk(256, 0)], 201)
+    assert shapes == [(1, 101, 256), (1, 100, 256)]
 
 
 def test_polish_solves_a_grown_sweep_again(pipe, monkeypatch):
@@ -92,6 +98,7 @@ def test_polish_solves_a_grown_sweep_again(pipe, monkeypatch):
         return original(diag, up, shift, rhs)
 
     monkeypatch.setattr(spectral, "_cyclic_solve", recorded)
+    bound = spectral.SWEEP_GROWTH_MAX
     monkeypatch.setattr(spectral, "SWEEP_GROWTH_MAX", 0.0)
     again = spectrum([a], 8)
     assert [s.shape for s in shifts] == [(1, 8), (8,)]
@@ -99,6 +106,90 @@ def test_polish_solves_a_grown_sweep_again(pipe, monkeypatch):
     for old, new in zip(clean, again):
         assert new.residual <= 1e-10
         assert abs(new.eigenvalue - old.eigenvalue) <= 1e-9
+
+    # in batches of 4, row 1 of the second batch (pair 5) grows: it alone
+    # is solved again, in its own batch, and the other pairs keep the bits
+    # of one batch of all
+    def grown_in_batch_2(diag, up, shift, rhs):
+        shifts.append(shift.copy())
+        out, growth = original(diag, up, shift, rhs)
+        if len(shifts) == 2:
+            growth[..., 1] = np.inf
+        return out, growth
+
+    shifts.clear()
+    monkeypatch.setattr(spectral, "_cyclic_solve", grown_in_batch_2)
+    monkeypatch.setattr(spectral, "SWEEP_GROWTH_MAX", bound)
+    monkeypatch.setattr(spectral, "POLISH_PAIRS", 4)
+    later = spectrum([a], 8)
+    assert [s.shape for s in shifts] == [(1, 4), (1, 4), (1,)]
+    assert np.array_equal(shifts[2], shifts[1][0, 1:2] + np.longdouble(1e-13))
+    assert later[5].residual <= 1e-10
+    assert abs(later[5].eigenvalue - clean[5].eigenvalue) <= 1e-9
+    for j in (0, 1, 2, 3, 4, 6, 7):
+        assert later[j].eigenvalue == clean[j].eigenvalue
+        assert later[j].residual == clean[j].residual
+        assert np.array_equal(later[j].vector, clean[j].vector)
+
+
+def test_polish_solves_a_lone_row_from_its_batch_bits(monkeypatch):
+    # einsum sums a row of more than 8192 points alone in other bits than
+    # among other rows; a row solved again alone starts from the bits its
+    # batch normalized it to.  Any bands serve: only the right-hand sides
+    # handed to the solve are compared
+    m = 9000
+    rng = np.random.default_rng(0)
+    diag = rng.uniform(1.0, 2.0, m)
+    up = rng.uniform(-1.0, -0.5, m)
+    rhs = []
+    original = spectral._cyclic_solve
+
+    def grown_row_1(diag, up, shifts, work):
+        rhs.append(work.copy())
+        out, growth = original(diag, up, shifts, work)
+        growth[...] = 0.0
+        if len(rhs) == 1:
+            growth[..., 1] = np.inf
+        return out, growth
+
+    monkeypatch.setattr(spectral, "_cyclic_solve", grown_row_1)
+    spectral._refine_pairs(diag[None, None, :], up,
+                           rng.standard_normal((1, 3, m)))
+    assert len(rhs) == 2
+    assert np.array_equal(rhs[1], rhs[0][:, 1])
+
+
+def test_polish_batches_keep_their_bits_past_8192_points(monkeypatch):
+    # at M > 8192 `_quotients` sums a row alone in its block in other bits
+    # than among other rows, so the batches start on its blocks of 4 rows
+    # at M = 16384: 129 pairs go 68 + 61, not 65 + 64, which would sum
+    # rows 64 and 128 in other blocks, and take the bits of one batch of
+    # all.  A mirror-symmetric operator near the Laplacian's serves
+    m = 16384
+    rng = np.random.default_rng(0)
+    idx = np.arange(m)
+    diag = 2.0 + rng.uniform(0.0, 0.1, m)[np.minimum(idx, m - idx)]
+    up = -1.0 + rng.uniform(0.0, 0.1, m)[np.minimum(idx, m - 1 - idx)]
+    a = StabilityMatrix(k=0, diag=diag, up=up)
+    shifts = []
+    original = spectral._cyclic_solve
+
+    def recorded(diag, up, shift, rhs):
+        shifts.append(shift.copy())
+        return original(diag, up, shift, rhs)
+
+    monkeypatch.setattr(spectral, "_cyclic_solve", recorded)
+    split = spectrum([a], 129)
+    monkeypatch.setattr(spectral, "POLISH_PAIRS", 256)
+    whole = spectrum([a], 129)
+    assert [s.shape for s in shifts] == [(1, 68), (1, 61), (1, 129)]
+    # the shifts are the long-double quotients, whose last bits would show
+    # a row summed alone before any rounding to float64 hides them
+    assert np.array_equal(np.concatenate(shifts[:2], axis=1), shifts[2])
+    for p, q in zip(split, whole):
+        assert p.eigenvalue == q.eigenvalue
+        assert p.residual == q.residual
+        assert np.array_equal(p.vector, q.vector)
 
 
 def test_polish_keeps_lapack_vector_of_a_failed_solve(pipe, monkeypatch):
@@ -115,16 +206,22 @@ def test_polish_keeps_lapack_vector_of_a_failed_solve(pipe, monkeypatch):
         return out, growth
 
     monkeypatch.setattr(spectral, "_cyclic_solve", nan_row_1)
-    kept = spectrum([a], 8)
-    fallback = kept[1]
-    assert np.all(np.isfinite(fallback.vector))
-    assert abs(np.linalg.norm(fallback.vector) - 1.0) <= 1e-12
-    assert fallback.residual <= 1e-10
-    assert abs(fallback.eigenvalue - clean[1].eigenvalue) <= 1e-9
-    for j in (0, 2, 3, 4, 5, 6, 7):
-        assert kept[j].eigenvalue == clean[j].eigenvalue
-        assert kept[j].residual == clean[j].residual
-        assert np.array_equal(kept[j].vector, clean[j].vector)
+    # in one batch of 8, pair 1 fails; in batches of 4, row 1 of each
+    # batch, pairs 1 and 5
+    for cap, failed in ((spectral.POLISH_PAIRS, (1,)), (4, (1, 5))):
+        monkeypatch.setattr(spectral, "POLISH_PAIRS", cap)
+        kept = spectrum([a], 8)
+        for j in range(8):
+            if j in failed:
+                fallback = kept[j]
+                assert np.all(np.isfinite(fallback.vector))
+                assert abs(np.linalg.norm(fallback.vector) - 1.0) <= 1e-12
+                assert fallback.residual <= 1e-10
+                assert abs(fallback.eigenvalue - clean[j].eigenvalue) <= 1e-9
+            else:
+                assert kept[j].eigenvalue == clean[j].eigenvalue
+                assert kept[j].residual == clean[j].residual
+                assert np.array_equal(kept[j].vector, clean[j].vector)
 
 
 def test_modes_sorted_normalized_canonical(pipe):
@@ -212,13 +309,30 @@ def test_batched_spectrum_equals_single_calls(pipe, ks, count, m):
     mats = [pipe.Lk(m, k) for k in ks]
     batched = spectrum(mats, count)
     single = [md for a in mats for md in spectrum([a], count)]
-    assert [md.k for md in batched] == [k for k in ks for _ in range(count)]
-    assert len(batched) == len(single)
-    for p, q in zip(batched, single):
-        assert (p.k, p.j) == (q.k, q.j)
-        assert p.eigenvalue == q.eigenvalue
-        assert p.residual == q.residual
-        assert np.array_equal(p.vector, q.vector)
+    # with POLISH_PAIRS at 3 the call spans several batches: 8 pairs of
+    # one matrix each go 3 + 3 + 2, and 19 ground states 3 matrices at most
+    pairs = []
+    original = spectral._cyclic_solve
+
+    def counted(diag, up, shifts, rhs):
+        pairs.append(shifts.size)
+        return original(diag, up, shifts, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "POLISH_PAIRS", 3)
+        mp.setattr(spectral, "_cyclic_solve", counted)
+        split = spectrum(mats, count)
+    assert max(pairs) == 3
+    assert len(pairs) >= len(ks) * count / 3
+    for polished in (batched, split):
+        assert [md.k for md in polished] == [
+            k for k in ks for _ in range(count)]
+        assert len(polished) == len(single)
+        for p, q in zip(polished, single):
+            assert (p.k, p.j) == (q.k, q.j)
+            assert p.eigenvalue == q.eigenvalue
+            assert p.residual == q.residual
+            assert np.array_equal(p.vector, q.vector)
 
 
 def test_batched_spectrum_refuses_mixed_operators(pipe):
