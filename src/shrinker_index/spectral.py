@@ -197,11 +197,6 @@ def _sweep(piv, work, upl):
         w_next = w
 
 
-def _block_rows(m):
-    """Rows of M points in one block of `_quotients`: about 2^16 points."""
-    return max(1, 2 ** 16 // m)
-
-
 def _quotients(diag, up, rows, residuals=False):
     """Rayleigh quotients u . A u of the rows u of rows (..., M), at least
     2-D, in long double, and with residuals=True the float64 norms of
@@ -210,13 +205,11 @@ def _quotients(diag, up, rows, residuals=False):
     Taken over blocks of about 2^16 points, a block being some rows of one
     index of rows' leading axes, so `_band_matvec`'s two buffers and a
     float64 rows' long-double copy are one block's; diag broadcasts
-    against rows as a view.  Each row sums alone, so the blocks do not
-    change it, but for one case: at M > 8192 einsum sums a block of one
-    row in other bits than a row among others, so there `spectrum` cuts
-    its batches on these blocks (`_block_rows`).
+    against rows as a view.  np.vecdot sums each row alone, so a row takes
+    the same bits in any block and any batch, at every M.
     """
     ld = np.longdouble
-    size = _block_rows(rows.shape[-1])
+    size = max(1, 2 ** 16 // rows.shape[-1])
     diag = np.broadcast_to(diag, rows.shape)
     lam = np.empty(rows.shape[:-1], dtype=ld)
     res = np.empty(rows.shape[:-1]) if residuals else None
@@ -225,7 +218,7 @@ def _quotients(diag, up, rows, residuals=False):
             block = lead + (slice(start, start + size),)
             u = rows[block].astype(ld, copy=False)
             au = _band_matvec(diag[block], up, u)
-            lam[block] = np.einsum("...m,...m->...", u, au)
+            lam[block] = np.vecdot(u, au)
             if residuals:
                 au -= lam[block][..., None] * u
                 res[block] = np.linalg.norm(au.astype(float), axis=-1)
@@ -254,24 +247,21 @@ def _refine_pairs(diag, up, vecs):
     eigenvalue is the Rayleigh quotient of the returned float64 vector and
     the residual its true residual, both evaluated in extended precision.
     The pairs are the rows of vecs (..., M), at least 2-D; diag broadcasts
-    against them and `up` is shared.  Each pair sums along its own row, so
-    the other rows of the batch do not change it.  The solve consumes the
-    long-double vectors, and the rows that the retry or the fallback need
-    are normalized again from vecs by the norms the batch took, to the
-    same bits; the quotients are taken block by block (`_quotients`) and
-    the step normalizes its solve in place, so the peak is the three
-    long-double buffers of `_cyclic_solve`, all of the batch's size.
-    `spectrum` hands it batches of at most POLISH_PAIRS pairs and writes
-    the float64 vectors it returns back over vecs.
+    against them and `up` is shared.  Each pair sums along its own row
+    alone (np.vecdot), so at every M the other rows of the batch do not
+    change it.  The solve consumes the long-double vectors, and the rows
+    that the retry or the fallback need are normalized again from vecs by
+    their norms, to the same bits; the quotients are taken block by block
+    (`_quotients`) and the step normalizes its solve in place, so the
+    peak is the three long-double buffers of `_cyclic_solve`, all of the
+    batch's size.  `spectrum` hands it batches of at most POLISH_PAIRS
+    pairs and writes the float64 vectors it returns back over vecs.
     """
     ld = np.longdouble
     diag_ld = diag.astype(ld)
     up_ld = up.astype(ld)
-    # the retry and the fallback divide their rows by these norms again:
-    # einsum sums a row of more than 8192 points alone in other bits than
-    # among other rows
     work = np.ascontiguousarray(vecs, dtype=ld)
-    scale = np.sqrt(np.einsum("...m,...m->...", work, work))[..., None]
+    scale = np.sqrt(np.vecdot(work, work))[..., None]
     work /= scale
     shifts = _quotients(diag_ld, up_ld, work)[0] + ld(1e-13)
     # the solve is deliberately near singular; a row that blows up keeps
@@ -284,7 +274,7 @@ def _refine_pairs(diag, up, vecs):
             trial[again] = _cyclic_solve(
                 np.broadcast_to(diag_ld, trial.shape)[again], up_ld,
                 shifts[again] + ld(1e-13), vecs[again] / scale[again])[0]
-        norms = np.sqrt(np.einsum("...m,...m->...", trial, trial))
+        norms = np.sqrt(np.vecdot(trial, trial))
         good = np.isfinite(norms) & (norms > 0.0)
         trial /= norms[..., None]
         trial[~good] = vecs[~good] / scale[~good]
@@ -364,13 +354,13 @@ def spectrum(matrices, count):
     `_folded_pairs` on each matrix, then one extended-precision polish of
     all pairs on the full cyclic bands, O(M) per mode, in batches of at
     most POLISH_PAIRS pairs: near-equal slices of count (201 pairs go
-    101 + 100; at M > 8192 the slices start on the blocks of
-    `_quotients`), each over as many matrices as fit.  Each batch writes
+    101 + 100), each over as many matrices as fit.  Each batch writes
     its polished vectors back over the LAPACK vectors, so the call holds
     one float64 copy of its pairs and the long-double buffers of one
-    batch.  Calls are bitwise repeatable on any BLAS thread count, and a
-    pair's result does not depend on which other matrices share the call
-    or on how the call is cut into batches.  It can depend on
+    batch.  Calls are bitwise repeatable on any BLAS thread count, and,
+    since each pair sums along its own row alone at every M, a pair's
+    result does not depend on which other matrices share the call or on
+    how the call is cut into batches.  It can depend on
     `count`: each mirror half is asked once, the even half for
     count // 2 + 1 pairs and the odd half for count // 2 (count // 2 + 1 at
     odd M with up[M // 2] > 0), or all its rows if it has fewer, and
@@ -411,13 +401,10 @@ def spectrum(matrices, count):
     diags = np.array([a.diag for a in matrices])[:, None, :]
     vecs = np.array([_folded_pairs(a, count) for a in matrices])
     vals, resids = np.empty((2,) + vecs.shape[:-1])
-    # near-equal slices of count (201 pairs: 101 + 100), at M > 8192 cut
-    # on whole `_quotients` blocks, which sum a lone row in other bits
-    # there, and as many matrices to a batch as keep it within POLISH_PAIRS
-    step = _block_rows(m) if m > 8192 else 1
-    starts = np.arange(0, count, step)
-    cuts = [slice(s[0], min(s[-1] + step, count)) for s in np.array_split(
-        starts, -(-len(starts) // max(1, POLISH_PAIRS // step)))]
+    # near-equal slices of count (201 pairs: 101 + 100), and as many
+    # matrices to a batch as keep it within POLISH_PAIRS
+    cuts = [slice(s[0], s[-1] + 1) for s in np.array_split(
+        np.arange(count), -(-count // POLISH_PAIRS))]
     group = max(1, POLISH_PAIRS // (cuts[0].stop - cuts[0].start))
     for mats in np.array_split(np.arange(len(matrices)),
                                -(-len(matrices) // group)):

@@ -35,7 +35,7 @@ def test_01_morse_index(pipe, note):
     assert report.total_negative == 9
     assert sum(e["multiplicity"] for e in report.excluded) == 4
     assert elapsed < 120.0
-    note("index 5 = 9 negative - 4 excluded, %.1fs" % elapsed)
+    note("index 5 = 9 negative - 4 excluded, %.0f ms" % (elapsed * 1e3))
 
 
 def test_02_eigenvalue_table(pipe, note):

@@ -133,10 +133,10 @@ def test_polish_solves_a_grown_sweep_again(pipe, monkeypatch):
 
 
 def test_polish_solves_a_lone_row_from_its_batch_bits(monkeypatch):
-    # einsum sums a row of more than 8192 points alone in other bits than
-    # among other rows; a row solved again alone starts from the bits its
-    # batch normalized it to.  Any bands serve: only the right-hand sides
-    # handed to the solve are compared
+    # a row solved again alone starts from the bits its batch normalized
+    # it to: its norm is summed along its own row, whatever rows share the
+    # batch, at M = 9000 as at any M.  Any bands serve: only the
+    # right-hand sides handed to the solve are compared
     m = 9000
     rng = np.random.default_rng(0)
     diag = rng.uniform(1.0, 2.0, m)
@@ -160,11 +160,10 @@ def test_polish_solves_a_lone_row_from_its_batch_bits(monkeypatch):
 
 
 def test_polish_batches_keep_their_bits_past_8192_points(monkeypatch):
-    # at M > 8192 `_quotients` sums a row alone in its block in other bits
-    # than among other rows, so the batches start on its blocks of 4 rows
-    # at M = 16384: 129 pairs go 68 + 61, not 65 + 64, which would sum
-    # rows 64 and 128 in other blocks, and take the bits of one batch of
-    # all.  A mirror-symmetric operator near the Laplacian's serves
+    # each row is summed alone, so at M = 16384 129 pairs go in the plain
+    # near-equal slices 65 + 64, which put rows 64 and 128 alone in their
+    # blocks of `_quotients` (4 rows there), and take the bits of one batch
+    # of all.  A mirror-symmetric operator near the Laplacian's serves
     m = 16384
     rng = np.random.default_rng(0)
     idx = np.arange(m)
@@ -182,7 +181,7 @@ def test_polish_batches_keep_their_bits_past_8192_points(monkeypatch):
     split = spectrum([a], 129)
     monkeypatch.setattr(spectral, "POLISH_PAIRS", 256)
     whole = spectrum([a], 129)
-    assert [s.shape for s in shifts] == [(1, 68), (1, 61), (1, 129)]
+    assert [s.shape for s in shifts] == [(1, 65), (1, 64), (1, 129)]
     # the shifts are the long-double quotients, whose last bits would show
     # a row summed alone before any rounding to float64 hides them
     assert np.array_equal(np.concatenate(shifts[:2], axis=1), shifts[2])
@@ -190,6 +189,30 @@ def test_polish_batches_keep_their_bits_past_8192_points(monkeypatch):
         assert p.eigenvalue == q.eigenvalue
         assert p.residual == q.residual
         assert np.array_equal(p.vector, q.vector)
+
+
+@pytest.mark.parametrize("m", [9000, 16384])
+def test_quotients_sum_each_row_alone(m):
+    # each row's quotient and residual are the same bits taken alone, in a
+    # slice, or strided; np.einsum sums a row of more than 8192 points
+    # alone in its block in other bits than among other rows.  At
+    # M = 16384 the blocks hold 4 rows, so row 4 of the batch is alone in
+    # its block and rows[:, 1:] fills one block
+    rng = np.random.default_rng(0)
+    diag = rng.uniform(1.0, 2.0, m).astype(np.longdouble)
+    up = rng.uniform(-1.0, -0.5, m).astype(np.longdouble)
+    rows = rng.standard_normal((1, 5, m)).astype(np.longdouble)
+    lam, res = spectral._quotients(diag, up, rows, residuals=True)
+    for i in range(5):
+        alone = spectral._quotients(diag, up, rows[:, i:i + 1],
+                                    residuals=True)
+        assert np.array_equal(alone[0], lam[:, i:i + 1])
+        assert np.array_equal(alone[1], res[:, i:i + 1])
+    for part in (slice(1, None), slice(None, None, 2), slice(3, None)):
+        lam_part, res_part = spectral._quotients(diag, up, rows[:, part],
+                                                 residuals=True)
+        assert np.array_equal(lam_part, lam[:, part])
+        assert np.array_equal(res_part, res[:, part])
 
 
 def test_polish_keeps_lapack_vector_of_a_failed_solve(pipe, monkeypatch):
