@@ -2,16 +2,20 @@
 
 A mode is drawn along the normals the caller passes.  Outputs are plain
 text with fixed 17-significant-digit float formatting, so identical inputs
-give byte-identical files.
+give byte-identical files.  The numbers of the SVG paths and the OBJ lines
+are laid out by `curve._text_blocks`, which writes exactly the text of
+`%.17g` and `%d` from numpy columns, a block of rows at a time.
 
-The OBJ text is held at most twice: `obj_surface` formats one string per
-ring and frees its vertex and face arrays before it joins them, so the
-ring strings and the joined str are the peak, and `cli.main` writes every
-file in 1 MiB slices (`cli.WRITE_SLICE`), so the encoder copies one slice
-at a time.
+The OBJ text is held at most twice: `obj_surface` keeps one string per
+block of vertex and face lines and frees its vertex and face arrays
+before it joins them, so the block strings and the joined str are the
+peak, and `cli.main` writes every file in 1 MiB slices
+(`cli.WRITE_SLICE`), so the encoder copies one slice at a time.
 """
 
 import numpy as np
+
+from . import curve as curve_mod
 
 #: Default perturbation amplitude as a fraction of the cross-section diameter.
 EPSILON_FRACTION = 0.15
@@ -42,8 +46,8 @@ def _amplitude(curve, mode, normals, epsilon):
 def _polyline(points, scale, origin):
     xs = (points[:, 0] - origin[0]) * scale
     ys = (origin[1] - points[:, 1]) * scale
-    template = "M%.17g,%.17g" + " L%.17g,%.17g" * (len(xs) - 1) + " Z"
-    return template % tuple(np.column_stack([xs, ys]).ravel().tolist())
+    path = "".join(curve_mod._text_blocks([xs, ys], [" L", ",", ""]))
+    return "M" + path[2:] + " Z"
 
 
 def svg_cross_section(curve, mode=None, epsilon=None, normals=None):
@@ -101,24 +105,16 @@ def obj_surface(curve, mode=None, k=0, ntheta=64, epsilon=None,
         raise ValueError("ntheta must be at least 3")
     if phase not in ("cos", "sin"):
         raise ValueError("phase must be 'cos' or 'sin'")
-    rings = _vertex_rings(curve, mode, k, ntheta, epsilon, phase, normals)
-    # ring m's faces are ring 0's shifted by m rings, wrapped mod the mesh
-    size = curve.M * ntheta
-    i = np.arange(ntheta)
-    i1 = (i + 1) % ntheta
-    template = np.stack([i, ntheta + i, ntheta + i1, i, ntheta + i1, i1],
-                        axis=-1).ravel()
-    f_ring = "f %d %d %d\n" * (2 * ntheta)
-    rings.extend(f_ring % tuple(((template + m * ntheta) % size + 1).tolist())
-                 for m in range(curve.M))
-    return "".join(rings)
+    blocks = _vertex_blocks(curve, mode, k, ntheta, epsilon, phase, normals)
+    blocks += _face_blocks(curve.M, ntheta)
+    return "".join(blocks)
 
 
-def _vertex_rings(curve, mode, k, ntheta, epsilon, phase, normals):
-    """The `v` lines of `obj_surface`, one string per ring.
+def _vertex_blocks(curve, mode, k, ntheta, epsilon, phase, normals):
+    """The `v` lines of `obj_surface`, as `curve._text_blocks` gives them.
 
     The vertex arrays live only inside this call, so they are gone before
-    the caller joins the text.
+    the caller formats the faces.
     """
     pts = curve.points
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
@@ -133,9 +129,21 @@ def _vertex_rings(curve, mode, k, ntheta, epsilon, phase, normals):
         r = r + amp * normals[:, :1]
         z = z + amp * normals[:, 1:]
 
-    verts = np.stack(np.broadcast_arrays(r * np.cos(theta),
-                                         r * np.sin(theta), z), axis=-1)
-    v_ring = "v %.17g %.17g %.17g\n" * ntheta
-    # one format operation per ring keeps the Python objects to one ring
-    return [v_ring % tuple(row.tolist())
-            for row in verts.reshape(curve.M, 3 * ntheta)]
+    columns = [c.ravel() for c in np.broadcast_arrays(
+        r * np.cos(theta), r * np.sin(theta), z)]
+    return curve_mod._text_blocks(columns, ["v ", " ", " ", "\n"])
+
+
+def _face_blocks(m_count, ntheta):
+    """The `f` lines of `obj_surface`, as `curve._text_blocks` gives them."""
+    # ring m's faces are ring 0's shifted by m rings, wrapped mod the mesh
+    i = np.arange(ntheta)
+    i1 = (i + 1) % ntheta
+    template = np.stack([i, ntheta + i, ntheta + i1, i, ntheta + i1, i1],
+                        axis=-1).ravel()
+    faces = template + ntheta * np.arange(m_count)[:, None]
+    # in place, so that no second array of the mesh's size is made
+    faces %= m_count * ntheta
+    faces += 1
+    return curve_mod._text_blocks(list(faces.reshape(-1, 3).T),
+                                  ["f ", " ", " ", "\n"])

@@ -346,7 +346,10 @@ def _folded_pairs(a, count):
 def spectrum(matrices, count):
     """Lowest `count` (1..M-1) eigenpairs of each StabilityMatrix, in one list.
 
-    The list is grouped by matrix in input order, ascending within each.
+    The list is grouped by matrix in input order, ascending within each;
+    pairs whose polished eigenvalues are bit for bit equal (at M = 2048
+    the 201-mode k = 0 spectrum has two such) keep `_folded_pairs`' order,
+    LAPACK's merge order, since the final sort is stable.
     The matrices must share M and the `up` band, as the -L_k of one curve
     do, and commute with the reflection m -> -m mod M, as the exactly
     mirrored ones a `Pipeline` unfolds do: `diag` and `up` each equal to

@@ -1,6 +1,7 @@
 """Closed curve container, length, resampling and CSV round trips."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from shrinker_index import (DiscreteCurve, discrete_length, read_curve,
-                            solver, write_curve)
+from shrinker_index import (DiscreteCurve, curve, discrete_length,
+                            read_curve, solver, write_curve)
 from oracles import reflect_z, resample_uniform, spacing_deviation
 from shrinker_index.curve import (CurveFileError, _resample_half,
                                   mirror_points, unfold)
@@ -146,6 +147,56 @@ def test_csv_round_trip_bitwise_at_any_exponent(tmp_path_factory, points):
     write_curve(DiscreteCurve(points), path)
     assert read_curve(path).points.tobytes() == points.tobytes()
     assert oracles.read_curve_per_row(path).tobytes() == points.tobytes()
+
+
+def _percent_rows(columns, literals):
+    """The rows of `curve._text_blocks` written by `%`, one row at a time."""
+    row = literals[0] + "".join(
+        ("%.17g" if c.dtype.kind == "f" else "%d") + lit
+        for c, lit in zip(columns, literals[1:]))
+    return "".join(row % cells for cells in zip(*[c.tolist()
+                                                   for c in columns]))
+
+
+def _assert_text_is_percent(columns, literals, rows):
+    with mock.patch.object(curve, "_TEXT_ROWS", rows):
+        got = "".join(curve._text_blocks(columns, literals))
+    want = _percent_rows(columns, literals)
+    if got != want:  # name the first rows that differ, not a diff of all
+        pairs = zip(got.splitlines(), want.splitlines())
+        assert [(g, w) for g, w in pairs if g != w][:5] == []
+        assert got == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_text_kernel_writes_what_percent_writes(data, n):
+    # any float64, from hypothesis and from raw 64-bit patterns (NaN and
+    # infinities among them), either sign, and ints across 10^8
+    ints = data.draw(arrays(np.int64, n, elements=st.integers(0, 10 ** 9)),
+                     label="ints")
+    floats = data.draw(arrays(float, n, elements=_FINITE), label="floats")
+    bits = data.draw(arrays(np.uint64, n), label="bits").view(float)
+    # seven rows to a block, so that the rows cross block boundaries
+    _assert_text_is_percent([ints, floats, bits], ["v ", ",", " ", "\n"], 7)
+
+
+def test_text_kernel_pinned_cases():
+    powers = 10.0 ** np.arange(-12, 18)
+    # ties at the 17th digit in each decade of the fast path: j 5^k has 18
+    # digits, the last a 5 for odd j
+    ties = [(-(-10 ** 17 // 5 ** k) + np.arange(100)) / 2.0 ** k
+            for k in range(3, 22)]
+    floats = np.concatenate(ties + [
+        np.arange(1, 2 ** 18) / 2 ** 18,
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [1e-5, 9.9999999999999995e-5, 1e-4, 1e15, 1e16, 1e17, 0.0, 5e-324,
+         2.0 ** 53 - 1, 2.0 ** 53 + 1, np.finfo(float).max]])
+    floats = np.concatenate([floats, -floats])
+    _assert_text_is_percent([floats], ["", "\n"], 4096)
+    ints = np.array([0, 1, 9, 10, 9999, 10000, 99999999, 10 ** 8, 10 ** 9,
+                     2 ** 62, -7, -10 ** 9])
+    _assert_text_is_percent([ints, ints[::-1]], ["f ", " ", "\n"], 7)
 
 
 @pytest.mark.parametrize("text", [

@@ -350,13 +350,15 @@ def _private_uses(path, modules):
 
 def test_private_functions_stay_in_their_module():
     # each step of the chain has one owner: across modules, only the
-    # solver reaches a private function, the resampling of its ladder; the
-    # length's derivatives are read through the public stability.Evaluation
+    # solver reaches a private function, the resampling of its ladder, and
+    # render the number kernel of the curve CSV; the length's derivatives
+    # are read through the public stability.Evaluation
     package = Path(solver.__file__).parent
     modules = {path.stem for path in package.glob("*.py")}
     uses = {(path.stem,) + use for path in sorted(package.glob("*.py"))
             for use in _private_uses(path, modules)}
-    assert uses == {("solver", "curve", "_resample_half")}
+    assert uses == {("solver", "curve", "_resample_half"),
+                    ("render", "curve", "_text_blocks")}
 
 
 def _imported_modules(path):

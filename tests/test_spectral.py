@@ -412,6 +412,23 @@ def test_drift_spectrum_asks_each_half_for_half_the_pairs(pipe, m, k, count,
     assert requests == asked
 
 
+def test_exactly_tied_pairs_keep_the_lapack_order(pipe):
+    # the polished 201-mode k = 0 spectrum at M = 2048 has bit-identical
+    # eigenvalues (j = 99/100 and 173/174 on x86-64, numpy 2.4.6); only the
+    # stable final sort decides which vector takes which j, and it keeps
+    # the merge order: mode j is the polish of LAPACK row j
+    modes = pipe.modes(2048, 0, 201)
+    lam = np.array([md.eigenvalue for md in modes])
+    ties = np.flatnonzero(lam[1:] == lam[:-1])
+    assert ties.size
+    raw = spectral._folded_pairs(pipe.Lk(2048, 0), 201)
+    for j in ties:
+        overlap = np.abs(np.array([modes[j].vector, modes[j + 1].vector])
+                         @ raw[[j, j + 1]].T)
+        assert np.all(np.diag(overlap) > 0.999)
+        assert np.all(np.diag(overlap[::-1]) < 0.01)
+
+
 def test_spectrum_refuses_narrow_long_double(pipe, monkeypatch, tmp_path,
                                              capsys):
     # where long double is float64 (Windows, macOS arm64) the polish cannot
