@@ -19,7 +19,7 @@ from .spectral import (EigenMode, ExclusionMismatch, IndexReport,
 from .convergence import (ConvergenceStudy, DegenerateFit, fit_loglog,
                           run_study)
 from .asymptotics import (NoWell, SchrodingerProfile, drift_diagnostic,
-                          high_j_estimate, high_k_estimate, potential_profile)
+                          high_j_estimate, high_k_estimate, potential_profiles)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "IndexReport", "NarrowLongDouble", "NoWell", "NonConvergence",
     "Pipeline", "SchrodingerProfile", "StabilityMatrix", "assemble_Lk",
     "compute_index", "discrete_length", "drift_diagnostic", "fit_loglog",
-    "high_j_estimate", "high_k_estimate", "potential_profile", "read_curve",
+    "high_j_estimate", "high_k_estimate", "potential_profiles", "read_curve",
     "run_study", "segment_distance", "sigma", "solve_geodesic", "spectrum",
     "write_curve",
 ]

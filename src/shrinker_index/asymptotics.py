@@ -61,14 +61,10 @@ class SchrodingerProfile:
     Vpp0: float
 
 
-def potential_profile(evaluation, k):
-    """Liouville potential V_k at the points of a solved curve, from a
-    `Pipeline`'s evaluation (`stability.Unfolded`)."""
-    return potential_profiles(evaluation, [k])[0]
-
-
 def potential_profiles(evaluation, ks):
-    """`potential_profile(evaluation, k)` for each k in ks, in order.
+    """Liouville potential V_k at the points of a solved curve, from a
+    `Pipeline`'s evaluation (`stability.Unfolded`), for each k in ks, in
+    order.
 
     The part of V that does not depend on k (sigma's jet along the normals
     and tangents), the arc length s, the length and the 1/sigma weights

@@ -19,15 +19,15 @@ The solved curve is symmetric under z -> -z, which maps point m to point
 -m mod M, so each -L_k splits into an even and an odd symmetric
 tridiagonal matrix with no cyclic corner.  LAPACK finds the low pairs of
 each half, about half the wanted count from each, which Cauchy
-interlacing of the nested halves makes enough; one
-extended-precision inverse-iteration step on the full cyclic bands,
-shifted at the Rayleigh quotient of each LAPACK vector, then brings
-every pair to the residual a float64 vector can carry (this needs a long
-double of 63 mantissa bits, as x86's 80-bit one has).  The step runs
-over batches of at most POLISH_PAIRS pairs, so its long-double buffers
-are O(M) whatever the count.  Each
-mode is even or odd: dilation, horizontal translation and 1/sigma are even,
-vertical translation and rotation odd.
+interlacing of the nested halves makes enough; one extended-precision
+inverse-iteration step on the whole cyclic bands, gathered from the
+operator's rows 0..M // 2, shifted at the Rayleigh quotient of each
+LAPACK vector, then brings every pair to the residual a float64 vector
+can carry (this needs a long double of 63 mantissa bits, as x86's 80-bit
+one has).  The step runs over batches of at most POLISH_PAIRS pairs, so
+its long-double buffers are O(M) whatever the count.  Each mode is even
+or odd: dilation, horizontal translation and 1/sigma are even, vertical
+translation and rotation odd.
 """
 
 import dataclasses
@@ -285,33 +285,23 @@ def _refine_pairs(diag, up, vecs):
     return lam.astype(float), out, res
 
 
-def _halves(a):
-    """The even and odd `stability.mirror_halves` of one StabilityMatrix,
-    as (d, e).
-
-    -L_k of a mirror-symmetric curve commutes with the reflection
-    m -> -m mod M: `Pipeline` unfolds its bands exactly mirrored, and
-    `spectrum` refuses any other operator.
-    """
-    return stability.mirror_halves(a.diag, a.up, a.M)
-
-
 def _folded_pairs(a, count):
     """Lowest `count` eigenpairs of one StabilityMatrix, unpolished.
 
     LAPACK's bisection and inverse iteration (stebz/stein) give the lowest
-    pairs of each of the mirror `_halves`, which are unfolded to length M
-    and merged.  stein's cost grows about quadratically with the pairs it
-    is asked for, so each half is asked once, for no more pairs than
-    Cauchy interlacing lets it hold among the lowest `count` (Horn &
-    Johnson, Matrix Analysis), or all its rows if it has fewer: the even
-    half for count // 2 + 1, the odd half for count // 2.  The odd half is
-    the even half without its fixed-point rows (0, and M/2 at even M) and,
-    at odd M, with its last diagonal entry moved by -2 up[M // 2]; where
-    that lowers it (up[M // 2] > 0) the interlacing loosens by one and the
-    odd half is asked for count // 2 + 1 too.  A half asked for no pairs
-    is not called.  Where values of the two halves tie at the cut the
-    merge may keep either copy; the copies' values agree to rounding.
+    pairs of each of the `stability.mirror_halves` of its rows, which are
+    unfolded to length M by `stability.fold_index` and merged.  stein's
+    cost grows about quadratically with the pairs it is asked for, so each
+    half is asked once, for no more pairs than Cauchy interlacing lets it
+    hold among the lowest `count` (Horn & Johnson, Matrix Analysis), or
+    all its rows if it has fewer: the even half for count // 2 + 1, the
+    odd half for count // 2.  The odd half is the even half without its
+    fixed-point rows (0, and M/2 at even M) and, at odd M, with its last
+    diagonal entry moved by -2 up[M // 2]; where that lowers it
+    (up[M // 2] > 0) the interlacing loosens by one and the odd half is
+    asked for count // 2 + 1 too.  A half asked for no pairs is not
+    called.  Where values of the two halves tie at the cut the merge may
+    keep either copy; the copies' values agree to rounding.
     Returns the unit eigenvectors as the rows of a (count, M) array,
     ordered by ascending LAPACK eigenvalue; their residuals are
     ~ eps ||A||, and `_refine_pairs` takes the eigenvalues from them.
@@ -321,7 +311,7 @@ def _folded_pairs(a, count):
     half = count // 2
     asks = (half + 1, half + (m % 2 == 1 and a.up[h] > 0.0))
     found = []
-    for (d, e), ask in zip(_halves(a), asks):
+    for (d, e), ask in zip(stability.mirror_halves(a.diag, a.up, m), asks):
         ask = min(ask, len(d))
         if ask:
             found.append(scipy.linalg.eigh_tridiagonal(
@@ -333,13 +323,13 @@ def _folded_pairs(a, count):
                       kind="stable")[:count]
     # point m unfolds from row fold[m] of a half; the odd rows, padded with
     # zeros on the fixed points, change sign past M/2
-    idx = np.arange(m)
-    fold = np.minimum(idx, m - idx)
+    fold = stability.fold_index(m)
     weight = stability.unfold_weight(m)[fold]
     y = np.pad(y, ((1, h - len(y)), (0, 0)))
     vecs = np.concatenate(
         [x[fold] * weight[:, None],
-         y[fold] * np.where(idx > h, -weight, weight)[:, None]], axis=1)
+         y[fold] * np.where(np.arange(m) > h, -weight, weight)[:, None]],
+        axis=1)
     return vecs[:, keep].T
 
 
@@ -351,11 +341,10 @@ def spectrum(matrices, count):
     the 201-mode k = 0 spectrum has two such) keep `_folded_pairs`' order,
     LAPACK's merge order, since the final sort is stable.
     The matrices must share M and the `up` band, as the -L_k of one curve
-    do, and commute with the reflection m -> -m mod M, as the exactly
-    mirrored ones a `Pipeline` unfolds do: `diag` and `up` each equal to
-    its mirror bit for bit, else ValueError names the worst point.
-    `_folded_pairs` on each matrix, then one extended-precision polish of
-    all pairs on the full cyclic bands, O(M) per mode, in batches of at
+    do, and hold rows 0..M // 2 of their bands, M // 2 + 1 entries each,
+    else ValueError.  `_folded_pairs` on each matrix, then one
+    extended-precision polish of all pairs on the whole cyclic bands
+    (`StabilityMatrix.bands`), O(M) per mode, in batches of at
     most POLISH_PAIRS pairs: near-equal slices of count (201 pairs go
     101 + 100), each over as many matrices as fit.  Each batch writes
     its polished vectors back over the LAPACK vectors, so the call holds
@@ -387,21 +376,13 @@ def spectrum(matrices, count):
     m, up = matrices[0].M, matrices[0].up
     if any(a.M != m or not np.array_equal(a.up, up) for a in matrices):
         raise ValueError("matrices must share M and the up band")
-    # the mirror halves hold only an operator that commutes with the
-    # reflection: diag[i] must equal diag[-i] and up[i] (points i, i + 1)
-    # equal up[-1 - i], bit for bit
-    for band, offset, values in [("up", -1, up)] + [
-            ("diag", 0, a.diag) for a in matrices]:
-        gap = np.abs(values - np.roll(values[::-1], offset + 1))
-        if gap.max() > 0.0:
-            i = int(np.argmax(gap))
-            raise ValueError(
-                "operator does not commute with the reflection m -> -m mod M:"
-                " %s[%d] is off its mirror %s[%d]"
-                % (band, i, band, (offset - i) % m))
+    if len(up) != m // 2 + 1 or any(len(a.diag) != len(up)
+                                    for a in matrices):
+        raise ValueError("matrices must hold rows 0..M // 2 of their bands")
     if count < 1 or count >= m:
         raise ValueError("count must be in 1..M-1")
-    diags = np.array([a.diag for a in matrices])[:, None, :]
+    diags = np.array([a.bands()[0] for a in matrices])[:, None, :]
+    up = matrices[0].bands()[1]
     vecs = np.array([_folded_pairs(a, count) for a in matrices])
     vals, resids = np.empty((2,) + vecs.shape[:-1])
     # near-equal slices of count (201 pairs: 101 + 100), and as many
@@ -478,9 +459,10 @@ class Pipeline:
     taken on the mirror halves of -L_k; any other curve raises
     ExclusionMismatch naming the largest mismatch.  Its rows 0..M // 2
     are evaluated once, as the solver evaluates its iterates
-    (`stability.Evaluation`), and `evaluation` holds the whole curve's
-    state unfolded from them (`stability.Unfolded`): the normals and -L_0
-    the spectra and renders use, exactly mirrored.  The normals at the
+    (`stability.Evaluation`), and `evaluation` holds the state unfolded
+    from them (`stability.Unfolded`): the whole curve's normals, exactly
+    mirrored, which the labels and renders use, and -L_0 on those rows,
+    which the spectra take as it is.  The normals at the
     axis points, 0 and (even M) M/2, must be their own mirror images too,
     which they are not on a curve of fewer than 18 points, such as one
     read from a file: there the larger eigenvector of their point block is
@@ -552,12 +534,12 @@ def compute_index(curve):
     """Morse index of the solved curve, excluding dilation and translations.
 
     Walks k = 0, 1, 2, ..., counting the eigenvalues of -L_k below
-    INDEX_STOP_MARGIN by bisection on its mirror `_halves`, and stops at
-    the first k with none; a k whose M modes all lie below the margin
-    raises ExclusionMismatch.  -L_k is -L_0 plus k^2 diag(1/r^2), r > 0,
-    so by Weyl's inequality (Horn & Johnson, Matrix Analysis, Thm 4.3.1)
-    the counts never grow with k and the walk stops by the ceiling of
-    max(r) sqrt(margin - lambda_min(-L_0)), which is 7 for the torus at
+    INDEX_STOP_MARGIN by bisection on its `stability.mirror_halves`, and
+    stops at the first k with none; a k whose M modes all lie below the
+    margin raises ExclusionMismatch.  -L_k is -L_0 plus k^2 diag(1/r^2),
+    r > 0, so by Weyl's inequality (Horn & Johnson, Matrix Analysis, Thm
+    4.3.1) the counts never grow with k and the walk stops by the ceiling
+    of max(r) sqrt(margin - lambda_min(-L_0)), which is 7 for the torus at
     M = 64 and 2048; it stops at k = 3.  The counts are exact to
     ~eps ||A||, far inside the margin, so one `Pipeline.scan` of the
     largest count at every k before the stop polishes and labels every
@@ -581,7 +563,7 @@ def compute_index(curve):
         # values themselves are bisected to; tol=1.0 stops that early
         n = sum(len(scipy.linalg.eigvalsh_tridiagonal(
             d, e, select="v", select_range=(-np.inf, INDEX_STOP_MARGIN),
-            tol=1.0)) for d, e in _halves(a))
+            tol=1.0)) for d, e in stability.mirror_halves(a.diag, a.up, a.M))
         if n == 0:
             break
         if n == curve.M:

@@ -8,9 +8,8 @@ revolution at rotational mode k = 0,
 
     -L_0 = (M / l) N^T H N,
 
-a symmetric cyclic tridiagonal operator, stored as its two bands (N is the
-2M x M block-diagonal matrix of the normals).  Higher Fourier modes shift
-the diagonal:
+a symmetric cyclic tridiagonal operator (N is the 2M x M block-diagonal
+matrix of the normals).  Higher Fourier modes shift the diagonal:
 
     -L_k = -L_0 + k^2 diag(1 / r_m^2).
 
@@ -25,16 +24,20 @@ symmetry's half: one Evaluation reads, on rows 0..M // 2 padded across
 the axis by reflection, the normals (oriented away from (mean r, 0), on
 the axis) off the same blocks as the normal gradient and the bands of
 N^T H N.  The solver evaluates each iterate so, and `spectral.Pipeline`
-its solved curve, whose whole state, the points, the normals and -L_0,
-`Evaluation.unfold` builds exactly mirrored; its `solved` test is the one
-definition of a solved geodesic, and assemble_Lk shifts the -L_0.
-The normal direction is stiff (the |b - a|^{-1} projector term
+its solved curve, whose points and normals `Evaluation.unfold` builds
+exactly mirrored; its `solved` test is the one definition of a solved
+geodesic.  The normal direction is stiff (the |b - a|^{-1} projector term
 dominates), so the two eigenvalues are well separated and the
 eigenvector is stable even far from the solved curve.
 
 On a curve symmetric under z -> -z, with mirrored normals, N^T H N and
-every -L_k commute with the reflection m -> -m mod M.  mirror_halves
-folds such an operator, from its rows 0..M // 2 alone, onto an even half
+every -L_k commute with the reflection m -> -m mod M, so rows 0..M // 2
+hold the whole operator.  A StabilityMatrix, the -L_0 of
+`Evaluation.unfold` or an -L_k that assemble_Lk shifts from it, holds
+just those rows of its two bands: point j reads row fold_index(M)[j],
+and `StabilityMatrix.bands` gathers the whole cyclic bands, which only
+the spectra's extended-precision polish needs.  mirror_halves folds such
+an operator, from its rows 0..M // 2, onto an even half
 (points 0..M // 2) and an odd half (points 1..(M - 1) // 2): the
 operator in orthonormal bases of the even and the odd vectors, symmetric
 tridiagonal matrices with no cyclic corner.  An even vector x is
@@ -69,15 +72,32 @@ class AmbiguousNormal(RuntimeError):
 
 @dataclasses.dataclass
 class StabilityMatrix:
-    """Bands of -L_k at mode k: diag[m] = A[m, m], up[m] = A[m, m+1 mod M]."""
+    """-L_k at mode k of an M-point mirror-symmetric curve, held as rows
+    0 .. M // 2 of its bands: diag[m] = A[m, m], up[m] = A[m, m+1 mod M].
+
+    The other rows are their mirror images; `bands` gathers the whole
+    cyclic bands.
+    """
 
     k: int
+    M: int
     diag: np.ndarray
     up: np.ndarray
 
-    @property
-    def M(self):
-        return len(self.diag)
+    def bands(self):
+        """The whole cyclic bands (diag, up) on points 0 .. M - 1: point j
+        reads row fold_index(M)[j] of diag, and the pair j, j + 1, the
+        mirror image of the pair -j - 1, -j, row min(j, M - 1 - j) of up."""
+        fold = fold_index(self.M)
+        return (self.diag[fold],
+                self.up[np.minimum(fold, self.M - 1 - np.arange(self.M))])
+
+
+def fold_index(m):
+    """The row of rows 0 .. m // 2 that holds each point j = 0 .. m - 1 of
+    an m-point mirror-symmetric curve: j or its mirror image m - j."""
+    j = np.arange(m)
+    return np.minimum(j, m - j)
 
 
 def _quadratic_form(a, h, b):
@@ -140,7 +160,7 @@ class Evaluation:
     last one to the padded neighbour.  residual = max |grad_normal| and
     spacing = max/min - 1 of the segment distances, which are those of
     the whole curve; `solved` tests both tolerances.  `unfold` gives the
-    whole curve's points, normals and -L_0.
+    whole curve's points and normals, and -L_0 on these rows.
     """
 
     def __init__(self, half, m):
@@ -163,29 +183,26 @@ class Evaluation:
         return self.residual <= GRAD_TOL and self.spacing <= SPACING_TOL
 
     def unfold(self):
-        """The whole m-point curve's `Unfolded` state, exactly mirrored.
+        """The whole m-point curve's `Unfolded` state.
 
         Row m - j of the points and normals is (r, -z) and (n_r, -n_z) of
-        row j; diag of row m - j is that of row j, and up of point j >=
-        m // 2, which couples j and j + 1, is up[m - 1 - j].  The bands
-        are scaled by m / l, the length l summed from the half's segment
-        distances, twice each segment of rows 0 .. m // 2 and an odd m's
-        crossing segment once.
+        row j.  -L_0 keeps the half's rows of the bands, scaled by m / l,
+        the length l summed from the half's segment distances, twice each
+        segment of rows 0 .. m // 2 and an odd m's crossing segment once.
         """
         m, h, dist = self.m, self.m // 2, self.dist
         scale = m / (2.0 * dist[1:h + 1].sum() + m % 2 * dist[-1])
-        diag = np.concatenate((self.diag, self.diag[m - h - 1:0:-1]))
-        up = np.concatenate((self.up[:h], self.up[m - 1 - h::-1]))
         return Unfolded(curve_mod.unfold(self.points, m),
                         curve_mod.unfold(self.normals, m),
-                        StabilityMatrix(0, scale * diag, scale * up))
+                        StabilityMatrix(0, m, scale * self.diag,
+                                        scale * self.up))
 
 
 @dataclasses.dataclass
 class Unfolded:
     """A whole mirror-symmetric curve's points and normals, (M, 2) arrays,
-    and L0 = -L_0, from `Evaluation.unfold`: what `assemble_Lk`, the
-    spectra, the potentials and the renders read."""
+    and L0 = -L_0 on rows 0 .. M // 2, from `Evaluation.unfold`: what
+    `assemble_Lk`, the spectra, the potentials and the renders read."""
 
     points: np.ndarray
     normals: np.ndarray
@@ -196,11 +213,10 @@ def mirror_halves(diag, up, m):
     """The even and odd mirror halves, each (d, e), of the m-point cyclic
     tridiagonal with bands diag and up that commutes with j -> -j mod m.
 
-    Only rows 0 .. m // 2 of the bands are read, so they may be a whole
-    operator's or those of a mirror half, as `Evaluation` gives them.
-    Each half is a symmetric tridiagonal matrix, its diagonal d and
-    off-diagonal e; the module docstring states the fold.  `even_half`
-    gives the even half alone.
+    Only rows 0 .. m // 2 of the bands are read, as `Evaluation` and
+    StabilityMatrix hold them.  Each half is a symmetric tridiagonal
+    matrix, its diagonal d and off-diagonal e; the module docstring states
+    the fold.  `even_half` gives the even half alone.
     """
     d_odd = diag[1:(m + 1) // 2].copy()
     e_odd = up[1:(m - 1) // 2]
@@ -232,13 +248,14 @@ def unfold_weight(m):
 
 def assemble_Lk(unfolded, k):
     """-L_k from the `Unfolded` state's -L_0 by the diagonal shift
-    k^2 / r_m^2.
+    k^2 / r_m^2 on its rows 0 .. M // 2.
 
     k = 0 returns unfolded.L0; otherwise the result shares its `up` band.
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError("mode number k must be a nonnegative integer")
-    L0, r = unfolded.L0, unfolded.points[:, 0]
+    L0 = unfolded.L0
     if k == 0:
         return L0
-    return StabilityMatrix(int(k), L0.diag + (k * k) / r ** 2, L0.up)
+    r = unfolded.points[:len(L0.diag), 0]
+    return StabilityMatrix(int(k), L0.M, L0.diag + (k * k) / r ** 2, L0.up)

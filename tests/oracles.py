@@ -9,7 +9,8 @@ production code avoids, a second discretization of -L_k from the geodesic ODE in
 length, whose low eigenvalues must agree with the Hessian-based assembly,
 the Liouville potential by nested central differences in that parameter,
 whose distance from the closed form must fall as M^-2,
-the dense M x M form of a banded operator, so the tests can check the
+the dense M x M form of a banded operator, from its whole cyclic bands
+or the rows 0..M // 2 a StabilityMatrix holds, so the tests can check the
 bands and the folded eigensolver against a dense LAPACK solve, the pair-leading
 form of the extended-precision cyclic Thomas sweep, which the production
 sweep must match bit for bit, the OBJ and SVG path writers that format
@@ -331,7 +332,10 @@ def assemble_Lk_ode(curve, k):
 
     diag = 2.0 * s * s / dt**2 - 1.0 - (1.0 - k * k) / (r * r)
     up = -s * np.roll(s, -1) / dt**2
-    return StabilityMatrix(k=int(k), diag=diag, up=up)
+    # on a mirror-symmetric curve the bands are their own mirror images
+    h = m_count // 2
+    return StabilityMatrix(k=int(k), M=m_count, diag=diag[:h + 1],
+                           up=up[:h + 1])
 
 
 def potential_fd(points, k):
@@ -398,7 +402,7 @@ def evaluation_rows(points):
     np.roll neighbours, np.linalg.norm lengths and np.einsum dot products
     and quadratic forms.  On rows 0..M // 2 of a mirror-symmetric curve it
     is stability.Evaluation of those rows, bit for bit (up on the rows
-    `Evaluation.unfold` reads)."""
+    `StabilityMatrix.bands` reads)."""
     blocks = segment_blocks_rows(points, np.roll(points, -1, axis=0))
     h_m = blocks["h_aa"] + np.roll(blocks["h_bb"], 1, axis=0)
     a, b, c = h_m[:, 0, 0], h_m[:, 0, 1], h_m[:, 1, 1]
@@ -447,14 +451,21 @@ def read_curve_per_row(path):
 
 
 def dense(matrix):
-    """The M x M array of a StabilityMatrix, built from its two bands."""
-    m_count = matrix.M
+    """The M x M array of a StabilityMatrix, built from the whole cyclic
+    bands its rows 0..M // 2 unfold to (`StabilityMatrix.bands`)."""
+    return dense_bands(*matrix.bands())
+
+
+def dense_bands(diag, up):
+    """The M x M cyclic tridiagonal array with bands diag[m] = A[m, m] and
+    up[m] = A[m, m + 1 mod M]."""
+    m_count = len(diag)
     a = np.zeros((m_count, m_count))
     i = np.arange(m_count)
     j = (i + 1) % m_count
-    a[i, i] = matrix.diag
-    a[i, j] = matrix.up
-    a[j, i] = matrix.up
+    a[i, i] = diag
+    a[i, j] = up
+    a[j, i] = up
     return a
 
 

@@ -13,7 +13,7 @@ import scipy.linalg
 import oracles
 from oracles import assemble_Lk_ode
 from shrinker_index import (DiscreteCurve, compute_index, discrete_length,
-                            drift_diagnostic, potential_profile)
+                            drift_diagnostic, potential_profiles)
 from shrinker_index.asymptotics import high_k_estimate
 from shrinker_index.spectral import classify_modes
 
@@ -128,8 +128,8 @@ def test_07_spectral_drift(pipe, note):
     diags = {}
     for m in (512, 1024, 2048):
         lam = pipe.eigenvalues(m, 0, 201)
-        diags[m] = drift_diagnostic(potential_profile(pipe.evaluation(m), 0),
-                                    eigenvalues=lam)
+        diags[m] = drift_diagnostic(
+            potential_profiles(pipe.evaluation(m), [0])[0], eigenvalues=lam)
     top_rows, exponent = diags[2048]
     assert 3.5 <= exponent <= 4.5
     assert all(dev < 0.0 for j, _, _, dev in top_rows if j >= 30)
@@ -146,7 +146,8 @@ def test_08_high_k_ground_state(pipe, note):
         rel = []
         for k in (4, 8, 12, 16, 20):
             lam0 = pipe.eigenvalues(m, k, 1)[0]
-            est = high_k_estimate(potential_profile(pipe.evaluation(m), k), 0)
+            est = high_k_estimate(
+                potential_profiles(pipe.evaluation(m), [k])[0], 0)
             rel.append(abs(lam0 - est) / abs(lam0))
             if k == 20:
                 errors[m] = lam0 - est

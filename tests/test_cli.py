@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import shrinker_index
 from shrinker_index import (DiscreteCurve, Pipeline, cli, drift_diagnostic,
-                            potential_profile, read_curve, solve_geodesic,
+                            potential_profiles, read_curve, solve_geodesic,
                             stability, write_curve)
 from shrinker_index.cli import main
 from shrinker_index.render import obj_surface, svg_cross_section
@@ -738,7 +738,7 @@ def test_asymptotics_outputs(curve_csv, tmp_path, capsys):
     profile = (out / "profile_k0.csv").read_text().strip().split("\n")
     assert profile[0] == "m,s,V"
     assert len(profile) == 65
-    p = potential_profile(Pipeline(read_curve(curve_csv)).evaluation, 0)
+    p = potential_profiles(Pipeline(read_curve(curve_csv)).evaluation, [0])[0]
     row = profile[5].split(",")
     assert int(row[0]) == 4
     assert float(row[2]) == p.V[4]
@@ -1041,7 +1041,8 @@ def test_write_csv_cells_round_trip(curve_csv, tmp_path, capsys):
     crv = read_curve(curve_csv)
     pipe = Pipeline(crv)
     lam = [m.eigenvalue for m in pipe.scan([0], 21)]
-    drift, _ = drift_diagnostic(potential_profile(pipe.evaluation, 0), lam)
+    drift, _ = drift_diagnostic(
+        potential_profiles(pipe.evaluation, [0])[0], lam)
     rows = (out / "drift_k0.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == len(drift)
     for text, (j, *values) in zip(rows, drift):

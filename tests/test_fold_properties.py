@@ -1,11 +1,12 @@
 """Property tests of the mirror fold on random mirror-symmetric bands.
 
 Any cyclic tridiagonal matrix that commutes with the reflection
-m -> -m mod M splits into the even and odd `_halves`; their spectra
+m -> -m mod M splits into the even and odd `mirror_halves`; their spectra
 together are the spectrum of the full matrix, and the even half, with
 the unfold weight, solves the full system for an even right-hand side,
-as the solver's Newton step does.  The bands drawn here are
-their own mirror image but otherwise arbitrary, at odd and even M.
+as the solver's Newton step does.  The bands drawn here are rows
+0..M // 2, as a StabilityMatrix holds them, and otherwise arbitrary, at
+odd and even M.
 """
 
 import numpy as np
@@ -26,12 +27,14 @@ _ENTRY = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
 
 @st.composite
 def mirror_bands(draw, sizes=st.integers(18, 300)):
-    """A StabilityMatrix with diag[m] = diag[-m] and up[m] = up[M-1-m]."""
+    """A StabilityMatrix of random rows 0..M // 2; up[M // 2] at even M
+    is the mirror image up[M // 2 - 1], as `StabilityMatrix.bands` reads
+    it."""
     m = draw(sizes)
     d = draw(arrays(float, m // 2 + 1, elements=_ENTRY))
     u = draw(arrays(float, (m + 1) // 2, elements=_ENTRY))
-    idx = np.arange(m)
-    return StabilityMatrix(k=0, diag=d[np.minimum(idx, m - idx)],
+    idx = np.arange(m // 2 + 1)
+    return StabilityMatrix(k=0, M=m, diag=d,
                            up=u[np.minimum(idx, m - 1 - idx)])
 
 
@@ -59,7 +62,7 @@ def lowered_odd_bands(draw):
     a = draw(mirror_bands(st.integers(9, 44).map(lambda n: 2 * n + 1)))
     up = a.up.copy()
     up[a.M // 2] = draw(st.floats(1e-3, 4.0))
-    return StabilityMatrix(k=0, diag=a.diag, up=up)
+    return StabilityMatrix(k=0, M=a.M, diag=a.diag, up=up)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -110,7 +113,7 @@ def test_halves_bisection_count_matches_dense(a, cut):
     assume(np.abs(lam - cut).min() > 1e-9)
     n = sum(len(scipy.linalg.eigvalsh_tridiagonal(
         d, e, select="v", select_range=(-np.inf, cut)))
-        for d, e in spectral._halves(a))
+        for d, e in mirror_halves(a.diag, a.up, a.M))
     assert n == int(np.count_nonzero(lam < cut))
 
 
@@ -121,17 +124,15 @@ def test_halves_nest_the_odd_half_in_the_even_half(a):
     # odd half for count // 2 (count // 2 + 1 at odd M with up[M // 2] > 0)
     # because, by Cauchy interlacing, neither holds more of the lowest
     # count; that rests on this nesting, bit for bit
-    (d_even, e_even), (d_odd, e_odd) = spectral._halves(a)
+    (d_even, e_even), (d_odd, e_odd) = mirror_halves(a.diag, a.up, a.M)
     assert np.array_equal(e_odd, e_even[1:len(e_odd) + 1])
     h = a.M // 2
     if a.M % 2:
         # the reflection swaps points h and h + 1 and maps segment h onto
         # itself; the pair adds +-up[h] to the halves' last entries
         assert np.array_equal(d_odd[:-1], d_even[1:-1])
-        diag_h = 0.5 * (a.diag[h] + a.diag[a.M - h])
-        up_h = 0.5 * (a.up[h] + a.up[a.M - 1 - h])
-        assert d_even[-1] == diag_h + up_h
-        assert d_odd[-1] == diag_h - up_h
+        assert d_even[-1] == a.diag[h] + a.up[h]
+        assert d_odd[-1] == a.diag[h] - a.up[h]
     else:
         assert np.array_equal(d_odd, d_even[1:len(d_odd) + 1])
 
@@ -142,9 +143,7 @@ def tied_diagonal_bands(draw):
     half is also a value of the even half, bit for bit."""
     m = draw(st.integers(18, 300))
     d = draw(arrays(float, m // 2 + 1, elements=st.integers(-3, 3)))
-    idx = np.arange(m)
-    return StabilityMatrix(k=0, diag=d[np.minimum(idx, m - idx)],
-                           up=np.zeros(m))
+    return StabilityMatrix(k=0, M=m, diag=d, up=np.zeros(m // 2 + 1))
 
 
 @_SETTINGS
@@ -156,7 +155,7 @@ def test_folded_pairs_ask_each_half_once_at_ties(data, a):
     # even copy of a tie first, so at these counts it keeps every pair the
     # even half returned and fills the rest with odd copies of the same
     # values
-    halves = spectral._halves(a)
+    halves = mirror_halves(a.diag, a.up, a.M)
     rows = [len(d) for d, _ in halves]
     lam = np.concatenate([np.sort(d) for d, _ in halves])
     from_even = np.cumsum(np.argsort(lam, kind="stable") < rows[0])

@@ -166,10 +166,10 @@ def test_polish_batches_keep_their_bits_past_8192_points(monkeypatch):
     # of all.  A mirror-symmetric operator near the Laplacian's serves
     m = 16384
     rng = np.random.default_rng(0)
-    idx = np.arange(m)
-    diag = 2.0 + rng.uniform(0.0, 0.1, m)[np.minimum(idx, m - idx)]
+    idx = np.arange(m // 2 + 1)
+    diag = 2.0 + rng.uniform(0.0, 0.1, m)[idx]
     up = -1.0 + rng.uniform(0.0, 0.1, m)[np.minimum(idx, m - 1 - idx)]
-    a = StabilityMatrix(k=0, diag=diag, up=up)
+    a = StabilityMatrix(k=0, M=m, diag=diag, up=up)
     shifts = []
     original = spectral._cyclic_solve
 
@@ -364,33 +364,24 @@ def test_batched_spectrum_refuses_mixed_operators(pipe):
         spectrum([], 4)
     with pytest.raises(ValueError):
         spectrum([a, pipe.Lk(128, 1)], 4)
-    foreign = StabilityMatrix(k=2, diag=a.diag, up=2.0 * a.up)
+    foreign = StabilityMatrix(k=2, M=a.M, diag=a.diag, up=2.0 * a.up)
     with pytest.raises(ValueError):
         spectrum([a, foreign], 4)
 
 
-def test_spectrum_refuses_an_operator_off_its_mirror(pipe):
-    # the mirror halves hold only an operator that commutes with
-    # m -> -m mod M; on this random one they gave lambda_0 = -7.336, with
-    # residual 0.85, where a dense solve gives -7.692
-    rng = np.random.default_rng(0)
-    a = StabilityMatrix(0, rng.uniform(-4, 4, 64), rng.uniform(-4, -1, 64))
-    with pytest.raises(ValueError, match=r"reflection m -> -m mod M: "
-                       r"up\[14\] is off its mirror up\[49\]$"):
-        spectrum([a], 6)
-    # diag must be its own mirror bit for bit, in every matrix of the call
-    b = pipe.Lk(64, 1)
-    diag = b.diag.copy()
-    diag[5] = np.nextafter(diag[5], np.inf)
-    with pytest.raises(ValueError, match=r"diag\[5\] is off its mirror "
-                       r"diag\[59\]$"):
-        spectrum([pipe.Lk(64, 0), StabilityMatrix(1, diag, b.up)], 4)
-    # and so must up, which a Pipeline unfolds exactly mirrored
-    up = b.up.copy()
-    up[3] *= 1.0 + 1e-13
-    with pytest.raises(ValueError, match=r"up\[3\] is off its mirror "
-                       r"up\[60\]$"):
-        spectrum([StabilityMatrix(1, b.diag, up)], 4)
+def test_spectrum_refuses_bands_that_are_not_rows_of_a_half(pipe):
+    # a StabilityMatrix holds rows 0..M // 2 of its bands; whole cyclic
+    # bands, or a diag of another length in any matrix of the call, would
+    # be read as rows of another operator
+    a = pipe.Lk(64, 1)
+    assert len(a.diag) == len(a.up) == 33
+    whole = StabilityMatrix(1, 64, *a.bands())
+    rows = "matrices must hold rows 0..M // 2 of their bands"
+    with pytest.raises(ValueError, match=rows):
+        spectrum([whole], 4)
+    short = StabilityMatrix(1, 64, a.diag[:-1], a.up)
+    with pytest.raises(ValueError, match=rows):
+        spectrum([pipe.Lk(64, 0), short], 4)
 
 
 @pytest.mark.parametrize("m,k,count,asked", [
@@ -638,8 +629,8 @@ def test_cyclic_solve_matches_pair_leading_sweep(pipe, ks, count):
     # order, so the result must also come back C-contiguous, pair-leading
     ld = np.longdouble
     mats = [pipe.Lk(512, k) for k in ks]
-    diag = np.array([a.diag for a in mats], dtype=ld)[:, None, :]
-    up = mats[0].up.astype(ld)
+    diag = np.array([a.bands()[0] for a in mats], dtype=ld)[:, None, :]
+    up = mats[0].bands()[1].astype(ld)
     rhs = np.array([spectral._folded_pairs(a, count) for a in mats],
                    dtype=ld)
     # shifted as the polish shifts: 1e-13 above each row's Rayleigh quotient
@@ -681,12 +672,13 @@ _SHIFT_GAP = 1e-2
 
 @st.composite
 def separated_systems(draw):
-    """A cyclic band at M = 18..200, shifts away from its spectrum, rhs."""
+    """Whole cyclic bands (diag, up) at M = 18..200, not mirror-symmetric,
+    shifts away from their spectrum, rhs."""
     m = draw(st.integers(18, 200))
     entry = st.floats(-4.0, 4.0, allow_subnormal=False)
-    a = StabilityMatrix(k=0, diag=draw(arrays(float, m, elements=entry)),
-                        up=draw(arrays(float, m, elements=entry)))
-    lam = scipy.linalg.eigvalsh(oracles.dense(a))
+    a = (draw(arrays(float, m, elements=entry)),
+         draw(arrays(float, m, elements=entry)))
+    lam = scipy.linalg.eigvalsh(oracles.dense_bands(*a))
     # the stretches of the real line at least _SHIFT_GAP from every
     # eigenvalue: both sides of the spectrum and each wide enough gap
     lo = np.concatenate([[lam[0] - 4.0], lam + _SHIFT_GAP])
@@ -704,14 +696,15 @@ def separated_systems(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(system=separated_systems())
 def test_cyclic_solve_matches_dense_solve(system):
-    a, lam, shifts, rhs = system
+    (diag, up), lam, shifts, rhs = system
     ld = np.longdouble
-    got = spectral._cyclic_solve(a.diag.astype(ld)[None, :],
-                                 a.up.astype(ld), shifts.astype(ld),
+    got = spectral._cyclic_solve(diag.astype(ld)[None, :],
+                                 up.astype(ld), shifts.astype(ld),
                                  rhs.astype(ld))[0]
     eps = np.finfo(float).eps
     for x, s, b in zip(got, shifts, rhs):
-        ref = np.linalg.solve(oracles.dense(a) - s * np.eye(a.M), b)
+        ref = np.linalg.solve(oracles.dense_bands(diag, up)
+                              - s * np.eye(len(diag)), b)
         dist = np.abs(lam - s)
         cond = dist.max() / dist.min()
         assert (np.linalg.norm(x.astype(float) - ref)
@@ -765,19 +758,19 @@ def test_cli_spectra_pass_through_module_attribute(pipe, tmp_path,
 
 @pytest.mark.parametrize("m", [18, 19, 64, 65, 257, 2048, 2049])
 def test_pipeline_state_is_its_own_mirror(pipe, m):
-    # Pipeline unfolds the evaluation of rows 0..M // 2 exactly: -L_0
-    # commutes with j -> -j mod M and the normals mirror bit for bit, so
-    # the spectra's mirror halves take the bands as they are; the scale
-    # M / l, summed on the half, is the whole curve's to rounding
+    # Pipeline unfolds the evaluation of rows 0..M // 2 exactly: the
+    # points and normals mirror bit for bit, and -L_0 keeps the evaluated
+    # rows of the bands, scaled by M / l, which, summed on the half, is the
+    # whole curve's to rounding
     crv, ev = pipe.curve(m), pipe.evaluation(m)
     j = np.arange(m)
     assert np.array_equal(ev.points, crv.points)
-    assert np.array_equal(ev.L0.diag[-j % m], ev.L0.diag)
-    assert np.array_equal(ev.L0.up[m - 1 - j], ev.L0.up)
     assert np.array_equal(ev.normals[-j % m], ev.normals * [1.0, -1.0])
     half = Evaluation(crv.points[:m // 2 + 1], m)
+    assert ev.L0.M == m
+    assert len(ev.L0.diag) == len(ev.L0.up) == m // 2 + 1
     scaled = m / discrete_length(crv) * half.diag
-    rel = np.abs(ev.L0.diag[:m // 2 + 1] - scaled) / np.abs(scaled)
+    rel = np.abs(ev.L0.diag - scaled) / np.abs(scaled)
     assert rel.max() <= 1e-15
 
 
@@ -877,7 +870,7 @@ def test_index_counts_every_negative_mode(pipe, monkeypatch):
     def sunk(ev, k):
         a = original(ev, k)
         if k == 0:
-            a = StabilityMatrix(k=0, diag=a.diag - 20.0, up=a.up)
+            a = StabilityMatrix(k=0, M=a.M, diag=a.diag - 20.0, up=a.up)
             sunk0.append(a)
         return a
 
@@ -921,7 +914,7 @@ def test_index_refuses_when_every_mode_is_negative(pipe, monkeypatch):
     def sunk(ev, k):
         a = original(ev, k)
         if k == 0:
-            a = StabilityMatrix(k=0, diag=a.diag - 1e9, up=a.up)
+            a = StabilityMatrix(k=0, M=a.M, diag=a.diag - 1e9, up=a.up)
         return a
     monkeypatch.setattr(stability, "assemble_Lk", sunk)
     with pytest.raises(ExclusionMismatch,
@@ -938,7 +931,7 @@ def test_index_walk_ends_by_the_weyl_bound(pipe, monkeypatch):
 
     def sunk(ev, k):
         a = original(ev, k)
-        return StabilityMatrix(k=a.k, diag=a.diag - 400.0, up=a.up)
+        return StabilityMatrix(k=a.k, M=a.M, diag=a.diag - 400.0, up=a.up)
     monkeypatch.setattr(stability, "assemble_Lk", sunk)
     ev = pipe.evaluation(64)
     lowest = [np.linalg.eigvalsh(oracles.dense(sunk(ev, k)))[0]

@@ -14,7 +14,6 @@ from shrinker_index import Evaluation, Pipeline, assemble_Lk, discrete_length
 from shrinker_index.curve import unfold
 from oracles import assemble_Lk_ode, point_block, reflect_z
 from shrinker_index.metric import segment_blocks, segment_distance
-from shrinker_index.spectral import _halves
 from shrinker_index.stability import AmbiguousNormal, _normals, mirror_halves
 
 
@@ -32,7 +31,7 @@ def test_evaluation_matches_row_arithmetic_bitwise(pipe, m):
     # curve's on rows 0..M // 2, as oracles.evaluation_rows evaluates it
     # with np.roll neighbours, np.linalg.norm and np.einsum, on the solved
     # curve and on mirror-symmetric curves off it; up is compared on the
-    # rows Evaluation.unfold reads: at even M, up[M / 2] couples to the
+    # rows StabilityMatrix.bands reads: at even M, up[M / 2] couples to the
     # mirror of row M / 2 - 1, whose normal the closed curve evaluates anew
     pts = pipe.curve(m).points
     h = np.mean(np.hypot(*(np.roll(pts, -1, axis=0) - pts).T))
@@ -169,7 +168,8 @@ def test_newton_matrix_is_minus_L0(pipe, m):
     crv = pipe.curve(m)
     ev = Evaluation(crv.points[:m // 2 + 1], m)
     scale = m / discrete_length(crv)
-    want = _halves(pipe.L0(m))
+    L0 = pipe.L0(m)
+    want = mirror_halves(L0.diag, L0.up, m)
     for (d, e), (d_want, e_want) in zip(mirror_halves(ev.diag, ev.up, m),
                                         want):
         for got, band in ((scale * d, d_want), (scale * e, e_want)):
