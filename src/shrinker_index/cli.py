@@ -15,6 +15,7 @@ prefix: "error: usage:", "error: runtime:" or "error: consistency:".
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -70,7 +71,9 @@ def _int_at_least(low, high=None):
     return parse
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every subcommand, built once per process."""
     parser = _Parser(prog="shrinker-index",
                      description="Self-shrinker cross-section spectra and index")
     sub = parser.add_subparsers(dest="command", metavar="command")

@@ -279,10 +279,12 @@ def _cells(column):
             column[rows].tolist())).encode("ascii"), np.uint8)
         ends = np.flatnonzero(text == ord("\n"))
         starts = np.concatenate(([0], ends[:-1] + 1))
-        width = max(chars.shape[1], int((ends - starts).max()))
-        slot = np.arange(width)
-        pad = ((0, 0), (0, width - chars.shape[1]))
-        chars, keep = np.pad(chars, pad), np.pad(keep, pad)
+        # a `%` cell is wider only as an int: a %.17g one never is
+        width = int((ends - starts).max())
+        if width > chars.shape[1]:
+            pad = ((0, 0), (0, width - chars.shape[1]))
+            chars, keep = np.pad(chars, pad), np.pad(keep, pad)
+        slot = np.arange(chars.shape[1])
         keep[rows] = slot < (ends - starts)[:, None]
         chars[rows] = text[np.minimum(starts[:, None] + slot, len(text) - 1)]
     return chars, keep

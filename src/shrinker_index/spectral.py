@@ -19,7 +19,8 @@ The solved curve is symmetric under z -> -z, which maps point m to point
 -m mod M, so each -L_k splits into an even and an odd symmetric
 tridiagonal matrix with no cyclic corner.  LAPACK finds the low pairs of
 each half, about half the wanted count from each, which Cauchy
-interlacing of the nested halves makes enough; one extended-precision
+interlacing of the nested halves makes enough, at shifts bisected only to
+BISECT_TOL of the norm unless values crowd; one extended-precision
 inverse-iteration step on the whole cyclic bands, gathered from the
 operator's rows 0..M // 2, shifted at the Rayleigh quotient of each
 LAPACK vector, then brings every pair to the residual a float64 vector
@@ -74,6 +75,13 @@ SWEEP_GROWTH_MAX = 2.0 ** 11
 #: float64 it would miss the 1e-10 residual contract at M = 2048.
 LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant
 
+#: Tolerance to which `_folded_pairs` bisects stein's shifts, relative to
+#: max |diag| + 2 max |up| of the operator, a bound on the infinity norm of
+#: either mirror half: 6.4e-4 at M = 2048, where LAPACK's default eps ||T||
+#: is 1.4e-10 and its bisection takes 2.2 times as long.  Values closer than
+#: 100 times it are bisected to eps ||T||.
+BISECT_TOL = 1e-9
+
 
 class ExclusionMismatch(RuntimeError):
     """Raised when a curve is not mirror-symmetric, is not a solved geodesic
@@ -101,17 +109,15 @@ def _band_matvec(diag, up, vecs):
     """A @ v for each row v of vecs, on the cyclic tridiagonal bands.
 
     Sums diag v + up v_{+1} + up_{-1} v_{-1} in that order, in one output
-    buffer plus one buffer for the shifted copies of vecs.
+    buffer plus one buffer that each shifted product is written into.
     """
     out = diag * vecs
     shifted = np.empty_like(out)
-    shifted[..., :-1] = vecs[..., 1:]
-    shifted[..., -1] = vecs[..., 0]
-    shifted *= up
+    np.multiply(vecs[..., 1:], up[:-1], out=shifted[..., :-1])
+    np.multiply(vecs[..., :1], up[-1:], out=shifted[..., -1:])
     out += shifted
-    shifted[..., 1:] = vecs[..., :-1]
-    shifted[..., 0] = vecs[..., -1]
-    shifted *= np.roll(up, 1)
+    np.multiply(vecs[..., :-1], up[:-1], out=shifted[..., 1:])
+    np.multiply(vecs[..., -1:], up[-1:], out=shifted[..., :1])
     out += shifted
     return out
 
@@ -300,24 +306,75 @@ def _folded_pairs(a, count):
     diagonal entry moved by -2 up[M // 2]; where that lowers it
     (up[M // 2] > 0) the interlacing loosens by one and the odd half is
     asked for count // 2 + 1 too.  A half asked for no pairs is not
-    called.  Where values of the two halves tie at the cut the merge may
-    keep either copy; the copies' values agree to rounding.
+    called.  The polish takes every eigenvalue from its vector, so stebz's
+    values serve only as stein's shifts: each half's lowest ask + 1 are
+    bisected only to BISECT_TOL times max |diag| + 2 max |up|, and the
+    Rayleigh quotients of stein's vectors order the merge.  Inverse
+    iteration needs each shift far closer to its own eigenvalue than to
+    any other, and stein scales its iterates by an absolute eps, so where
+    two of those values lie within 100 times that tolerance, or the
+    merge's cut falls between values that close, or stein does not
+    converge at them, both halves are solved again at LAPACK's default
+    tolerance eps ||T||, bit for bit as scipy.linalg.eigh_tridiagonal
+    solves them.  The solved torus keeps the lowest values of a half 0.5
+    apart at least.  Where values of the two halves tie at the cut the
+    merge may keep either copy; the copies' values agree to rounding.
+    Raises ValueError on bands that are not finite and LinAlgError where
+    LAPACK fails at full precision.
     Returns the unit eigenvectors as the rows of a (count, M) array,
-    ordered by ascending LAPACK eigenvalue; their residuals are
-    ~ eps ||A||, and `_refine_pairs` takes the eigenvalues from them.
+    ordered by ascending value; their residuals are about eps ||A||, and
+    `_refine_pairs` takes the eigenvalues from them.
     """
     m = a.M
     h = m // 2
     half = count // 2
-    asks = (half + 1, half + (m % 2 == 1 and a.up[h] > 0.0))
-    found = []
-    for (d, e), ask in zip(stability.mirror_halves(a.diag, a.up, m), asks):
-        ask = min(ask, len(d))
-        if ask:
-            found.append(scipy.linalg.eigh_tridiagonal(
-                d, e, select="i", select_range=(0, ask - 1)))
-        else:
-            found.append((np.empty(0), np.empty((len(d), 0))))
+    # f2py wants an entry of e even for a half of one row
+    halves = [(np.asarray_chkfinite(d),
+               np.asarray_chkfinite(e if len(e) else np.zeros(1)))
+              for d, e in stability.mirror_halves(a.diag, a.up, m)]
+    asks = [min(ask, len(d)) for (d, _), ask in zip(
+        halves, (half + 1, half + (m % 2 == 1 and a.up[h] > 0.0)))]
+
+    def pairs(tol):
+        """Each asked half's (values, vectors), ascending, from stein at
+        stebz's shifts within tol (0: eps ||T||); None where tol > 0 and
+        the shifts crowd or stein does not converge at them."""
+        runs = [scipy.linalg.lapack.dstebz(
+            d, e, 2, 0.0, 1.0, 1, min(ask + (tol > 0.0), len(d)), tol, "B")
+            for (d, e), ask in zip(halves, asks) if ask]
+        if any(run[-1] for run in runs):
+            raise np.linalg.LinAlgError("LAPACK's bisection (stebz) failed")
+        # the ask + 1 values of each half and the two around the cut
+        lows = [np.sort(w[:n]) for n, w, _, _, _ in runs]
+        cut = np.sort(np.concatenate(
+            [w[:ask] for w, ask in zip(lows, asks)]))[count - 1:count + 1]
+        if tol and min(np.diff(w).min(initial=np.inf)
+                       for w in lows + [cut]) < 100 * tol:
+            return None
+        found = []
+        for (d, e), ask, (n, w, iblock, isplit, _) in zip(halves, asks, runs):
+            # the lowest ask of the n values, still grouped by block
+            lowest = np.sort(np.argsort(w[:n], kind="stable")[:ask])
+            lam = w[lowest]
+            iblock[:ask] = iblock[lowest]
+            z, info = scipy.linalg.lapack.dstein(d, e, lam, iblock, isplit)
+            if info and tol:
+                return None
+            if info:
+                raise np.linalg.LinAlgError(
+                    "stein: %d eigenvectors failed to converge" % info)
+            if tol:
+                # coarse shifts misorder near ties of the two halves; the
+                # vectors' Rayleigh quotients are as exact as LAPACK's values
+                lam = (np.vecdot(z, d[:, None] * z, axis=0)
+                       + 2.0 * np.vecdot(z[1:], e[:, None] * z[:-1], axis=0))
+            order = np.argsort(lam)
+            found.append((lam[order], z[:, order]))
+        return found
+
+    found = pairs(BISECT_TOL * (np.abs(a.diag).max()
+                                + 2.0 * np.abs(a.up).max())) or pairs(0.0)
+    found += [(np.empty(0), np.empty((0, 0)))] * (2 - len(found))
     (lam_even, x), (lam_odd, y) = found
     keep = np.argsort(np.concatenate([lam_even, lam_odd]),
                       kind="stable")[:count]
@@ -338,8 +395,8 @@ def spectrum(matrices, count):
 
     The list is grouped by matrix in input order, ascending within each;
     pairs whose polished eigenvalues are bit for bit equal (at M = 2048
-    the 201-mode k = 0 spectrum has two such) keep `_folded_pairs`' order,
-    LAPACK's merge order, since the final sort is stable.
+    the 201-mode k = 0 spectrum has three such) keep the merge order of
+    `_folded_pairs`, since the final sort is stable.
     The matrices must share M and the `up` band, as the -L_k of one curve
     do, and hold rows 0..M // 2 of their bands, M // 2 + 1 entries each,
     else ValueError.  `_folded_pairs` on each matrix, then one
@@ -356,9 +413,10 @@ def spectrum(matrices, count):
     `count`: each mirror half is asked once, the even half for
     count // 2 + 1 pairs and the odd half for count // 2 (count // 2 + 1 at
     odd M with up[M // 2] > 0), or all its rows if it has fewer, and
-    LAPACK's bisection and inverse iteration run over that index range, so
-    the same pair taken with another count may differ in the last bits of
-    its value and vector.  Eigenvectors are unit norm, with the
+    LAPACK's bisection, to BISECT_TOL of the norm, and inverse iteration
+    run over that index range and the value above it, so the same pair
+    taken with another count may differ in the last bits of its value and
+    vector.  Eigenvectors are unit norm, with the
     largest-magnitude entry among rows 0..M//2 positive: an odd mode's
     entries m and M - m are equal in size but opposite in sign, so over
     all rows rounding would pick which of the two sets the sign.

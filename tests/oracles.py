@@ -26,7 +26,9 @@ mirror-averaged.  Alongside them sit small
 views the package itself never needs: the 4-coordinate derivatives of one
 segment, the 2x2 point block at one point, the mirror image of a curve, the
 spacing deviation of a curve and its resampling to another point count,
-and a record of the pairs each LAPACK tridiagonal eigensolve is asked for.
+a record of the LAPACK bisections and inverse iterations a block makes,
+and the folded eigensolver with LAPACK's full-precision bisection, which
+the coarse shifts must reproduce bit for bit wherever values crowd.
 """
 
 import contextlib
@@ -42,7 +44,8 @@ from shrinker_index import (DiscreteCurve, StabilityMatrix, discrete_length,
 from shrinker_index.curve import CurveFileError
 from shrinker_index.metric import segment_blocks, segment_distance
 from shrinker_index.render import _amplitude
-from shrinker_index.stability import _point_blocks
+from shrinker_index.stability import (_point_blocks, fold_index,
+                                      mirror_halves, unfold_weight)
 
 FD_STEP = 1e-5
 FD_DPS = 40
@@ -471,17 +474,51 @@ def dense_bands(diag, up):
 
 @contextlib.contextmanager
 def lapack_requests():
-    """(rows, select_range) of each scipy.linalg.eigh_tridiagonal call made
-    inside the block, in call order; the function is restored after it."""
-    requests = []
-    original = scipy.linalg.eigh_tridiagonal
+    """The LAPACK calls made inside the block, by name, in call order:
+    "stebz" holds (rows, (first, last), tol) of each bisection of the
+    values first..last (from 0) of a tridiagonal, "stein" holds (rows,
+    (0, pairs - 1)) of each inverse iteration for that many pairs.  The
+    functions are restored after the block."""
+    requests = {"stebz": [], "stein": []}
+    lapack = scipy.linalg.lapack
+    stebz, stein = lapack.dstebz, lapack.dstein
 
-    def recorded(d, e, **kwargs):
-        requests.append((len(d), kwargs["select_range"]))
-        return original(d, e, **kwargs)
+    def bisect(d, e, rng, vl, vu, il, iu, tol, order):
+        requests["stebz"].append((len(d), (il - 1, iu - 1), tol))
+        return stebz(d, e, rng, vl, vu, il, iu, tol, order)
+
+    def iterate(d, e, w, iblock, isplit):
+        requests["stein"].append((len(d), (0, len(w) - 1)))
+        return stein(d, e, w, iblock, isplit)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+        patch.setattr(lapack, "dstebz", bisect)
+        patch.setattr(lapack, "dstein", iterate)
         yield requests
+
+
+def eigh_folded_pairs(a, count):
+    """`spectral._folded_pairs` with LAPACK's full precision: each half
+    asked for the same pairs, but through scipy.linalg.eigh_tridiagonal,
+    whose bisection runs to eps ||T||, and merged and unfolded alike."""
+    m, h = a.M, a.M // 2
+    asks = (count // 2 + 1, count // 2 + (m % 2 == 1 and a.up[h] > 0.0))
+    found = []
+    for (d, e), ask in zip(mirror_halves(a.diag, a.up, m), asks):
+        ask = min(ask, len(d))
+        found.append(scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(0, ask - 1)) if ask
+            else (np.empty(0), np.empty((len(d), 0))))
+    (lam_even, x), (lam_odd, y) = found
+    keep = np.argsort(np.concatenate([lam_even, lam_odd]),
+                      kind="stable")[:count]
+    fold = fold_index(m)
+    weight = unfold_weight(m)[fold]
+    y = np.pad(y, ((1, h - len(y)), (0, 0)))
+    vecs = np.concatenate(
+        [x[fold] * weight[:, None],
+         y[fold] * np.where(np.arange(m) > h, -weight, weight)[:, None]],
+        axis=1)
+    return vecs[:, keep].T
 
 
 def cyclic_solve_pair_leading(diag, up, shifts, rhs):

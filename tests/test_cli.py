@@ -524,6 +524,18 @@ def test_values_a_handler_refuses_exit_3(curve_csv, tmp_path_factory, case):
     assert sorted(Path(curve_csv).parent.iterdir()) == listing
 
 
+def test_main_builds_its_parser_once(capsys):
+    # every main call parses with the one parser of the process, and a
+    # refused call leaves nothing in it that the next call would see
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    argv = ["solve", "--points", "64", "--out", "c.csv"]
+    first = parser.parse_args(argv)
+    assert main(["solve", "--points", "17", "--out", "c.csv"]) == 3
+    assert "--points" in capsys.readouterr().err
+    assert parser.parse_args(argv) == first
+
+
 def test_readme_commands_parse():
     # every documented command line must name only flags the parser has
     blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(),

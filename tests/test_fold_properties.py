@@ -10,6 +10,7 @@ odd and even M.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -165,8 +166,10 @@ def test_folded_pairs_ask_each_half_once_at_ties(data, a):
     count = data.draw(st.sampled_from(wide), label="count")
     with oracles.lapack_requests() as requests:
         rows_out = spectral._folded_pairs(a, count)
-    assert requests == [(n, (0, min(count // 2 + extra, n) - 1))
-                        for n, extra in zip(rows, (1, 0))]
+    assert requests["stein"] == [(n, (0, min(count // 2 + extra, n) - 1))
+                                 for n, extra in zip(rows, (1, 0))]
+    # the even copy of a tie is kept first, as at full precision
+    assert np.array_equal(rows_out, oracles.eigh_folded_pairs(a, count))
     dense = oracles.dense(a)
     vals = np.einsum("jm,jm->j", rows_out, rows_out @ dense)
     assert np.allclose(vals, scipy.linalg.eigvalsh(dense)[:count],
@@ -175,3 +178,114 @@ def test_folded_pairs_ask_each_half_once_at_ties(data, a):
                        atol=1e-11)
     assert np.linalg.norm(rows_out @ dense - vals[:, None] * rows_out,
                           axis=1).max() < 1e-11
+
+
+def _wells(m, depths):
+    """Mirror bands of zero diagonal and couplings 1 but for one-row wells
+    of the given depths.  A well off the fixed points holds a value of
+    each half, the two equal to rounding; two such wells hold values of
+    one half about exp(-1.66 distance) apart; a well on point 0 holds a
+    value of the even half alone."""
+    diag = np.zeros(m // 2 + 1)
+    for row, depth in depths.items():
+        diag[row] = depth
+    return StabilityMatrix(k=0, M=m, diag=diag, up=np.ones(m // 2 + 1))
+
+
+@pytest.mark.parametrize("depths,count,crowded", [
+    ({8: -5.0, 22: -5.0}, 4, True),
+    ({8: -5.0, 22: -5.0}, 1, True),
+    ({0: -8.0, 15: -5.0}, 2, True),
+    ({15: -5.0}, 1, False)],
+    ids=["in-half", "next-value", "cut", "apart"])
+def test_crowded_shifts_take_full_precision(depths, count, crowded):
+    # stein needs each shift far closer to its own eigenvalue than to any
+    # other, so values within 100 times the coarse tolerance send both
+    # halves to LAPACK's full precision: two values a half asks for
+    # (in-half), a ground state's next value (next-value), or the copies
+    # of a well in the two halves, one kept and one dropped by the merge
+    # (cut).  Each then gives the full-precision fold bit for bit; a lone
+    # well's ground state keeps its coarse shift
+    a = _wells(60, depths)
+    tol = spectral.BISECT_TOL * (np.abs(a.diag).max() + 2.0)
+    (d, e), (d_odd, e_odd) = mirror_halves(a.diag, a.up, a.M)
+    even = scipy.linalg.eigvalsh_tridiagonal(d, e)
+    odd = scipy.linalg.eigvalsh_tridiagonal(d_odd, e_odd)
+    gap = {1: even[1] - even[0], 2: abs(odd[0] - even[1]),
+           4: even[1] - even[0]}[count]
+    assert (gap < 100 * tol) == crowded
+    with oracles.lapack_requests() as requests:
+        rows = spectral._folded_pairs(a, count)
+    halves = len(requests["stein"])
+    assert [t for _, _, t in requests["stebz"]] == (
+        [tol] * halves + [0.0] * halves if crowded else [tol] * halves)
+    full = oracles.eigh_folded_pairs(a, count)
+    assert np.array_equal(rows, full) == crowded
+    assert np.abs(np.abs(np.einsum("jm,jm->j", rows, full)) - 1.0).max() \
+        < 1e-12
+
+
+@_SETTINGS
+@given(data=st.data(), a=st.one_of(mirror_bands(), lowered_odd_bands()))
+def test_folded_pairs_at_full_precision_are_the_full_fold(data, a):
+    # wherever the coarse shifts crowd, the fold runs LAPACK's
+    # full-precision bisection, and that path is bit for bit the fold
+    # through scipy.linalg.eigh_tridiagonal
+    count = data.draw(st.integers(1, a.M - 1), label="count")
+    with oracles.lapack_requests() as requests:
+        rows = spectral._folded_pairs(a, count)
+    if requests["stebz"][-1][-1] == 0.0:
+        assert np.array_equal(rows, oracles.eigh_folded_pairs(a, count))
+
+
+def test_folded_pairs_take_full_precision_where_stein_fails():
+    # stein scales its start vector by max(eps, last pivot): eps absolute,
+    # the pivot in the units of the half.  On couplings of 1e-8 it does
+    # not converge at the coarse shift, 1e-9 of the norm off, and the
+    # fold takes the full-precision path instead
+    a = StabilityMatrix(k=0, M=18, diag=np.zeros(10), up=np.full(10, 1e-8))
+    with oracles.lapack_requests() as requests:
+        rows = spectral._folded_pairs(a, 1)
+    assert [t for _, _, t in requests["stebz"]] == [
+        spectral.BISECT_TOL * 2e-8, 0.0]
+    assert requests["stein"] == [(10, (0, 0))] * 2
+    assert np.array_equal(rows, oracles.eigh_folded_pairs(a, 1))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_folded_pairs_of_a_one_row_half(m):
+    # at M = 3 and 4 the odd half is one row, which LAPACK's wrapper
+    # takes only with one entry of e
+    a = StabilityMatrix(k=0, M=m, diag=np.array([1.0, -2.0, 0.5][:m // 2 + 1]),
+                        up=np.array([0.7, -0.3, 0.4][:m // 2 + 1]))
+    rows = spectral._folded_pairs(a, m - 1)
+    dense = oracles.dense(a)
+    vals = np.einsum("jm,jm->j", rows, rows @ dense)
+    assert np.allclose(vals, scipy.linalg.eigvalsh(dense)[:m - 1],
+                       rtol=0, atol=1e-14)
+    assert np.allclose(rows @ rows.T, np.eye(m - 1), rtol=0, atol=1e-14)
+
+
+def test_folded_pairs_refuse_bands_that_are_not_finite():
+    a = _wells(60, {15: -5.0})
+    a.diag[3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral._folded_pairs(a, 4)
+
+
+@pytest.mark.parametrize("routine,message", [
+    ("dstebz", "bisection \\(stebz\\) failed"),
+    ("dstein", "stein: 1 eigenvectors failed to converge")])
+def test_folded_pairs_raise_where_lapack_fails(monkeypatch, routine,
+                                               message):
+    # LAPACK's info: stebz > 0 where its bisection did not converge, stein
+    # the number of vectors that did not, at the coarse shifts and then at
+    # full precision
+    lapack = scipy.linalg.lapack
+    original = getattr(lapack, routine)
+
+    def failing(*args):
+        return original(*args)[:-1] + (1,)
+    monkeypatch.setattr(lapack, routine, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        spectral._folded_pairs(_wells(60, {15: -5.0}), 4)

@@ -397,17 +397,39 @@ def test_drift_spectrum_asks_each_half_for_half_the_pairs(pipe, m, k, count,
     # for, and interlacing bounds what the merge can keep of each half:
     # 201 modes at M = 2048 ask the even half for 201 // 2 + 1 = 101 pairs
     # and the odd half for 100, once; a ground state asks the odd half for
-    # none and does not call it
+    # none and does not call it.  Each half bisects one value more than it
+    # asks for, to the coarse tolerance alone
     with oracles.lapack_requests() as requests:
         spectrum([pipe.Lk(m, k)], count)
-    assert requests == asked
+    assert requests["stein"] == asked
+    assert [(rows, last) for rows, (_, last), _ in requests["stebz"]] == [
+        (rows, min(last + 1, rows - 1)) for rows, (_, last) in asked]
+    assert min(tol for _, _, tol in requests["stebz"]) > 0.0
+
+
+def test_benchmark_spectra_take_coarse_shifts(pipe):
+    # the solved torus keeps the lowest values of each half 0.5 apart at
+    # least (the sigma^-1 and horizontal-translation pair at k = 1), 7.8
+    # times the 100 BISECT_TOL separation at M = 2048, so every spectrum
+    # of the drift, the k-scan, index, render and convergence bisects
+    # stein's shifts to the coarse tolerance alone
+    with oracles.lapack_requests() as requests:
+        for k in range(3):
+            spectrum([pipe.Lk(2048, k)], 201)
+        spectrum([pipe.Lk(2048, k) for k in range(2, 21)], 1)
+        spectrum([pipe.Lk(2048, k) for k in range(1, 4)], 2)
+        compute_index(pipe.curve(2048))
+        for m in (128, 256, 512, 1024, 2048):
+            spectrum([pipe.Lk(m, k) for k in range(4)], 4)
+    assert len(requests["stebz"]) == len(requests["stein"]) == 77
+    assert min(tol for _, _, tol in requests["stebz"]) > 0.0
 
 
 def test_exactly_tied_pairs_keep_the_lapack_order(pipe):
     # the polished 201-mode k = 0 spectrum at M = 2048 has bit-identical
-    # eigenvalues (j = 99/100 and 173/174 on x86-64, numpy 2.4.6); only the
-    # stable final sort decides which vector takes which j, and it keeps
-    # the merge order: mode j is the polish of LAPACK row j
+    # eigenvalues (j = 127/128, 173/174 and 183/184 on x86-64, numpy
+    # 2.4.6); only the stable final sort decides which vector takes which
+    # j, and it keeps the merge order: mode j is the polish of LAPACK row j
     modes = pipe.modes(2048, 0, 201)
     lam = np.array([md.eigenvalue for md in modes])
     ties = np.flatnonzero(lam[1:] == lam[:-1])
@@ -601,11 +623,14 @@ def test_spectra_are_taken_only_in_pipeline_scan():
     assert outside == {}
 
     # one eigensolver path: only spectrum folds -L_k for pairs, and only
-    # the fold and the index count call LAPACK on the mirror halves
+    # the fold (bisection and inverse iteration) and the index count call
+    # LAPACK on the mirror halves; scipy's eigh_tridiagonal, which
+    # bisects to full precision, is called nowhere
     for names, owners in [
             ({"_folded_pairs"}, {"spectrum"}),
-            ({"eigh_tridiagonal", "eigvalsh_tridiagonal"},
-             {"_folded_pairs", "compute_index"})]:
+            ({"dstebz", "dstein", "eigvalsh_tridiagonal"},
+             {"_folded_pairs", "compute_index"}),
+            ({"eigh_tridiagonal"}, set())]:
         seen = set()
         for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -617,7 +642,7 @@ def test_spectra_are_taken_only_in_pipeline_scan():
                     calls -= inside
             if calls:
                 outside[path.name] = sorted(calls)
-        assert seen == names
+        assert seen == (names if owners else set())
         assert outside == {}
 
 
